@@ -14,7 +14,7 @@ use sgr_dk::construct::{wire_stubs_with, ConstructScratch};
 use sgr_dk::extract::JointDegreeMatrix;
 use sgr_dk::rewire::RewireStats;
 use sgr_estimate::{estimate_all, Estimates};
-use sgr_graph::{Graph, NodeId};
+use sgr_graph::Graph;
 use sgr_sample::Crawl;
 use sgr_util::{FxHashMap, Xoshiro256pp};
 
@@ -58,9 +58,11 @@ pub fn generate_with(
     if crawl.num_queried() == 0 {
         return Err(RestoreError::EmptyCrawl);
     }
-    let t0 = std::time::Instant::now();
+    let te = std::time::Instant::now();
     let estimates = estimate_all(crawl)?;
+    let estimate_secs = te.elapsed().as_secs_f64();
     // Targets without subgraph modification steps.
+    let t0 = std::time::Instant::now();
     let mut dv = crate::target_dv::build_gjoka(&estimates);
     let jdm = crate::target_jdm::build_gjoka(&estimates, &mut dv)?;
     let target_secs = t0.elapsed().as_secs_f64();
@@ -84,14 +86,14 @@ pub fn generate_with(
         }
     }
     let tm = std::time::Instant::now();
-    let (added_slice, _match_stats) = wire_stubs_with(&mut g, &dseq, &add, rng, scratch)?;
+    wire_stubs_with(&mut g, &dseq, &add, rng, scratch)?;
     let stub_matching_secs = tm.elapsed().as_secs_f64();
-    let added = added_slice.to_vec();
+    // Move the edge list out of the scratch instead of copying it.
+    let candidates = scratch.take_added();
     let construct_secs = t1.elapsed().as_secs_f64();
 
     // Rewiring with every edge as a candidate (Ẽ_rew = Ẽ).
     let t2 = std::time::Instant::now();
-    let candidates: Vec<(NodeId, NodeId)> = added;
     let candidate_edges = candidates.len();
     let (graph, rewire_stats) = if cfg.rewire && candidate_edges > 0 {
         let mut target_c = estimates.clustering.clone();
@@ -110,6 +112,7 @@ pub fn generate_with(
     let rewire_secs = t2.elapsed().as_secs_f64();
 
     let stats = RestoreStats {
+        estimate_secs,
         target_secs,
         construct_secs,
         stub_matching_secs,
@@ -118,8 +121,7 @@ pub fn generate_with(
         nodes: graph.num_nodes(),
         edges: graph.num_edges(),
         candidate_edges,
-        // The baseline stays a monolith (no staging, no checkpoints);
-        // its t0 span covers estimation + targeting under target_secs.
+        // The baseline stays a monolith: no staging, no checkpoints.
         ..RestoreStats::default()
     };
     let snapshot = graph.freeze();
@@ -183,6 +185,13 @@ mod tests {
     fn all_edges_are_candidates() {
         let (_, out) = run(500, 0.1, 3, 2.0);
         assert_eq!(out.stats.candidate_edges, out.stats.edges);
+    }
+
+    #[test]
+    fn estimation_is_timed_apart_from_targeting() {
+        let (_, out) = run(500, 0.1, 6, 1.0);
+        assert!(out.stats.estimate_secs > 0.0);
+        assert!(out.stats.target_secs > 0.0);
     }
 
     #[test]

@@ -185,7 +185,9 @@ pub struct RestoreStats {
     /// half-edges class by class), excluding node addition and
     /// degree-sequence shuffling.
     pub stub_matching_secs: f64,
-    /// Wall time of Phase 4 (rewiring).
+    /// Wall time of Phase 4 (rewiring), including the engine set-up:
+    /// building the multiplicity index, triangle counts and degree
+    /// buckets, and on resume restoring the checkpointed engine state.
     pub rewire_secs: f64,
     /// Rewiring detail.
     pub rewire_stats: RewireStats,
@@ -616,8 +618,10 @@ fn run_after_construct(
         return Ok(finish(driver.stats, subgraph, estimates, graph));
     }
     let total = (driver.cfg.rewiring_coefficient * candidate_edges as f64).ceil() as u64;
+    let t = Instant::now();
     let target_c = clustering_target(&estimates, k_max);
     let engine = Engine::new(graph, added_edges, &target_c, driver.cfg.threads);
+    driver.stats.rewire_secs += t.elapsed().as_secs_f64();
     let graph = run_rewire_loop(driver, &subgraph, &estimates, k_max, engine, total, rng)?;
     Ok(finish(driver.stats, subgraph, estimates, graph))
 }
@@ -771,6 +775,7 @@ pub fn resume_from_checkpoint_observed(
             buckets,
             total_attempts,
         } => {
+            let t = Instant::now();
             let target_c = clustering_target(&estimates, k_max);
             let mut engine = Engine::new(graph, slots, &target_c, driver.cfg.threads);
             engine
@@ -779,6 +784,7 @@ pub fn resume_from_checkpoint_observed(
             engine
                 .restore_bucket_state(buckets)
                 .map_err(SnapshotError::Corrupt)?;
+            driver.stats.rewire_secs += t.elapsed().as_secs_f64();
             let graph = run_rewire_loop(
                 &mut driver,
                 &subgraph,

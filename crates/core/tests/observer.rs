@@ -133,3 +133,61 @@ fn observer_is_neutral_and_sees_stage_order() {
         std::fs::remove_dir_all(dir).ok();
     }
 }
+
+/// Times the hand-off from construction to rewiring: the instant the
+/// construct-stage checkpoint is reported, and the instant of the first
+/// rewiring progress report with the `rewire_secs` booked by then.
+#[derive(Default)]
+struct SetupClock {
+    constructed_at: Option<std::time::Instant>,
+    first_progress: Option<(std::time::Duration, f64)>,
+}
+
+impl PipelineObserver for SetupClock {
+    fn checkpoint_written(&mut self, path: &std::path::Path, _stats: &RestoreStats) {
+        if path.to_string_lossy().ends_with("constructed.sgrsnap") {
+            self.constructed_at = Some(std::time::Instant::now());
+        }
+    }
+    fn rewire_progress(&mut self, _done: u64, _total: u64, stats: &RestoreStats) {
+        if self.first_progress.is_none() {
+            let since = self.constructed_at.expect("construct checkpoint first");
+            self.first_progress = Some((since.elapsed(), stats.rewire_secs));
+        }
+    }
+}
+
+/// `rewire_secs` covers the rewiring engine's set-up (multiplicity index,
+/// triangle counts, degree buckets), not only its attempts: with a tiny
+/// `R_C` the set-up is nearly all of the time between construction and
+/// the first progress report, and `rewire_secs` must account for it.
+#[test]
+fn rewire_secs_include_engine_setup() {
+    let mut rng = Xoshiro256pp::seed_from_u64(41);
+    let g = sgr_gen::holme_kim(6_000, 4, 0.5, &mut rng).unwrap();
+    let crawl = random_walk_until_fraction(&g, 0.3, &mut rng);
+    let cfg = RestoreConfig {
+        rewiring_coefficient: 0.01,
+        rewire: true,
+        threads: 1,
+    };
+    let policy = CheckpointPolicy::at_boundaries(ckpt_dir("setup"));
+    let mut clock = SetupClock::default();
+    restore_with_checkpoints_observed(
+        &crawl,
+        &cfg,
+        &mut rng,
+        &mut sgr_dk::ConstructScratch::new(),
+        &policy,
+        &mut clock,
+    )
+    .unwrap();
+    std::fs::remove_dir_all(&policy.dir).ok();
+    let (interval, rewire_secs) = clock.first_progress.expect("rewiring ran");
+    assert!(
+        rewire_secs >= 0.9 * interval.as_secs_f64(),
+        "rewire_secs {rewire_secs:.6} s covers too little of the {:.6} s \
+         between the construct checkpoint and the first progress report",
+        interval.as_secs_f64()
+    );
+}

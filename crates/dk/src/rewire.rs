@@ -50,9 +50,9 @@
 //!
 //! All per-attempt working memory lives in epoch-stamped scratch arenas
 //! ([`sgr_util::scratch::ScratchAccum`]) sized once at engine
-//! construction, so rejected attempts perform **zero heap allocations**
-//! (accepted swaps may rarely trigger an amortized index-vec growth when
-//! they introduce a new distinct neighbor; everything else is in-place).
+//! construction, and the graph and the multiplicity index update in place
+//! inside fixed per-node extents, so every attempt — rejected or
+//! accepted — performs **zero heap allocations**.
 //!
 //! # Per-attempt complexity
 //!
@@ -60,9 +60,9 @@
 //! scans, each a branchless merge-intersection over the two endpoints'
 //! sorted neighbor slices
 //! ([`sgr_graph::index::MultiplicityIndex::for_each_common`]) — O(d̃_u +
-//! d̃_v) with no hashing or binary search in the typical
-//! both-under-threshold case, falling back to O(1) hash probes against
-//! hub nodes — plus an O(τ log τ) fold over the τ ≤ O(k̄) touched nodes.
+//! d̃_v) for balanced degrees and O(d̃_small · log(d̃_hub / d̃_small))
+//! against a hub, with no hashing — plus an O(τ log τ) fold over the
+//! τ ≤ O(k̄) touched nodes.
 //! An accepted attempt adds four scan-free structural toggles and O(1)
 //! slot/bucket bookkeeping. The apply-rollback reference pays an
 //! iterate-and-probe evaluation *plus* eight mutating toggles (four of

@@ -288,10 +288,10 @@ fn parallel_worker_evaluations_are_allocation_free_on_reject() {
 
 #[test]
 fn rejected_attempts_perform_zero_heap_allocations() {
-    // The acceptance-criterion guarantee: a rejected attempt touches no
-    // shared state and performs zero heap allocations. (Accepted swaps
-    // may rarely grow an index vec when they introduce a new distinct
-    // neighbor — amortized, and irrelevant to the reject-dominated tail.)
+    // The acceptance-criterion guarantee: every attempt performs zero
+    // heap allocations. A rejected attempt touches no shared state; an
+    // accepted one rewrites the graph and the multiplicity index in
+    // place, inside per-node extents fixed at engine construction.
     let g = messy_graph(4);
     let props = LocalProperties::compute(&g);
     let target: Vec<f64> = props
@@ -305,11 +305,12 @@ fn rejected_attempts_perform_zero_heap_allocations() {
     let (mut accepts, mut rejects) = (0u64, 0u64);
     for i in 0..20_000u64 {
         let (allocs, accepted) = count_allocs(|| eng.attempt(&mut rng));
+        let verdict = if accepted { "accepted" } else { "rejected" };
+        assert_eq!(allocs, 0, "{verdict} attempt {i} allocated {allocs} times");
         if accepted {
             accepts += 1;
         } else {
             rejects += 1;
-            assert_eq!(allocs, 0, "rejected attempt {i} allocated {allocs} times");
         }
     }
     assert!(accepts > 0, "want a mix of accepts and rejects");

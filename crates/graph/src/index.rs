@@ -1,169 +1,57 @@
-//! O(1)-amortized adjacency-multiplicity index with a hybrid per-node
-//! representation.
+//! Adjacency-multiplicity index over one flat arena.
 //!
 //! Triangle counting, the clustering-coefficient estimator
 //! (`A_{x_{i-1}, x_{i+1}}` lookups), and the rewiring engine all need many
-//! `A_uv` queries. Scanning neighbor lists makes each query O(deg); this
-//! index trades one pass of preprocessing and O(m) memory for constant-time
-//! queries, and supports incremental updates so the rewiring engine can
-//! keep it consistent while mutating the graph.
+//! `A_uv` queries and common-neighbor scans. Scanning raw neighbor lists
+//! makes each query O(deg); this index spends one pass of preprocessing
+//! and O(m) memory on per-node sorted `(neighbor, A_uv)` lists, and
+//! supports incremental updates so the rewiring engine can keep it
+//! consistent while mutating the graph.
 //!
-//! **Representation.** Social-graph degree distributions are heavy-tailed:
-//! almost every node has a small neighborhood, while a few hubs are huge.
-//! A hash map per node — the obvious choice — makes the *common* case pay
-//! hashing, probing, and cache-unfriendly layout on every query. Instead,
-//! each node stores its `(neighbor, multiplicity)` pairs in one of two
-//! forms:
+//! # Storage model
 //!
-//! * [`NodeRep::Sorted`] — a sorted `Vec<(NodeId, u32)>`, queried by
-//!   branch-light binary search. Used while the node has at most
-//!   [`SMALL_THRESHOLD`] distinct neighbors; at those sizes the whole list
-//!   spans a few cache lines and beats hashing in both latency and memory.
-//! * [`NodeRep::Hashed`] — an `FxHashMap`, used above the threshold so hub
-//!   updates stay O(1) instead of O(deg) vector shifts.
+//! Three flat arrays hold the whole index:
 //!
-//! Nodes promote to `Hashed` when they outgrow the threshold and never
-//! demote (degree is invariant under rewiring, the heaviest user). The
-//! iteration order of [`MultiplicityIndex::entries`] is unspecified — it
-//! differs between the two representations — so consumers must not rely on
-//! it; every algorithm in this workspace folds entries commutatively.
+//! * `starts` — `n + 1` offsets; node `u` owns the extent
+//!   `starts[u] .. starts[u + 1]` of `slots`, sized to `deg(u)` at build;
+//! * `lens` — the live distinct-neighbor count of each node: the first
+//!   `lens[u]` slots of `u`'s extent are in use;
+//! * `slots` — `(neighbor, A_uv)` pairs, each extent's live prefix kept
+//!   **strictly ascending** by neighbor.
+//!
+//! Every node, leaf or hub, uses the same layout: lookups binary-search
+//! the live prefix, updates binary-search and shift within the extent
+//! (`copy_within`), and [`MultiplicityIndex::for_each_common`] merges two
+//! ascending prefixes with a galloping catch-up ([`merge_common`]). No
+//! node owns a heap object, no path hashes, and nothing branches on node
+//! size; a built index never allocates again.
+//!
+//! # Degree-preservation invariant
+//!
+//! Extents never grow or move. That is sound because a node's
+//! distinct-neighbor count is at most its degree, and no user of the index
+//! lets a node's degree exceed its value at build time: read-only
+//! consumers never mutate, and rewiring swaps — in the evaluate-then-commit
+//! engines and the apply-rollback reference alike, on commit and on
+//! rollback — remove both old edges before adding the two new ones. So at
+//! every step `lens[u] ≤ deg(u) ≤` the extent size. An
+//! [`add_edge`](MultiplicityIndex::add_edge) into a full extent means a
+//! caller broke this invariant, and panics.
 
 use crate::view::GraphView;
 use crate::NodeId;
-use sgr_util::FxHashMap;
 
-/// Maximum number of distinct neighbors stored in sorted-vec form.
-///
-/// Confirmed by measurement (the `small_threshold_sweep` bench in
-/// `crates/bench/benches/threshold.rs`; single-core container, release
-/// build, 2026-07; median ns/op over cutoffs {16, 32, 64, 128, 256}).
-/// Three degree profiles × three workloads showed the cutoff is a real
-/// trade-off, not a free parameter:
-///
-/// * Erdős–Rényi k̄ ≈ 8 (every node below every cutoff): flat — lookup
-///   ≈ 24 ns, churn ≈ 104 ns, iterate ≈ 29 ns at all cutoffs.
-/// * Holme–Kim m = 8 heavy tail: point lookups favor hashing *early*
-///   (18 → 31 → 40 ns at 16 / 64 / 256) and edge churn mildly agrees
-///   (92 → 106 → 131 ns), but full `entries()` iteration — the triangle
-///   and shared-partner mix — favors sorted vecs *late* (126 → 78 →
-///   43 ns at 16 / 64 / 256).
-/// * Watts–Strogatz k = 100 (≈ 200 distinct neighbors per node, all on
-///   one side of each cutoff): hashed nodes iterate 3.4× slower
-///   (627 vs 186 ns) while sorted-vec nodes churn 2.3× slower
-///   (403 vs 176 ns) — each extreme has a ≥ 2.3× pathology.
-///
-/// No cutoff dominates; 64 is the bounded-regret middle: on the
-/// heavy-tailed profile (the case this workspace actually runs) every
-/// workload stays within ≈ 1.8× of its per-workload best, whereas 16
-/// costs 2.9× on iteration and 256 costs 2.2× on lookups plus the
-/// mid-degree churn pathology. 128 measures within noise of 64 except a
-/// further lookup regression (31 → 35 ns), so the lower value stands.
-pub const SMALL_THRESHOLD: usize = 64;
-
-/// Per-node storage for `(neighbor, A_uv)` pairs. See the module docs for
-/// the size policy.
-#[derive(Clone, Debug)]
-pub enum NodeRep {
-    /// Sorted by neighbor id; binary-searched.
-    Sorted(Vec<(NodeId, u32)>),
-    /// Hash-mapped; used above [`SMALL_THRESHOLD`] distinct neighbors.
-    Hashed(FxHashMap<NodeId, u32>),
-}
-
-impl Default for NodeRep {
-    fn default() -> Self {
-        NodeRep::Sorted(Vec::new())
-    }
-}
-
-impl NodeRep {
-    #[inline]
-    fn get(&self, v: NodeId) -> u32 {
-        match self {
-            NodeRep::Sorted(list) => match list.binary_search_by_key(&v, |&(w, _)| w) {
-                Ok(i) => list[i].1,
-                Err(_) => 0,
-            },
-            NodeRep::Hashed(map) => map.get(&v).copied().unwrap_or(0),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            NodeRep::Sorted(list) => list.len(),
-            NodeRep::Hashed(map) => map.len(),
-        }
-    }
-
-    /// Adds `by` to the entry for `v`, creating it if absent. Returns the
-    /// new distinct-neighbor count so the caller can decide on promotion.
-    fn increment(&mut self, v: NodeId, by: u32) -> usize {
-        match self {
-            NodeRep::Sorted(list) => {
-                match list.binary_search_by_key(&v, |&(w, _)| w) {
-                    Ok(i) => list[i].1 += by,
-                    Err(i) => list.insert(i, (v, by)),
-                }
-                list.len()
-            }
-            NodeRep::Hashed(map) => {
-                *map.entry(v).or_insert(0) += by;
-                map.len()
-            }
-        }
-    }
-
-    /// Subtracts `by` from the entry for `v`, removing it at zero.
-    ///
-    /// # Panics
-    /// Panics if the entry is absent; debug-asserts it holds at least `by`.
-    fn decrement(&mut self, v: NodeId, by: u32) {
-        match self {
-            NodeRep::Sorted(list) => {
-                let i = list
-                    .binary_search_by_key(&v, |&(w, _)| w)
-                    .unwrap_or_else(|_| panic!("removing a non-existent edge from the index"));
-                debug_assert!(list[i].1 >= by);
-                list[i].1 -= by;
-                if list[i].1 == 0 {
-                    list.remove(i);
-                }
-            }
-            NodeRep::Hashed(map) => {
-                let entry = map
-                    .get_mut(&v)
-                    .expect("removing a non-existent edge from the index");
-                debug_assert!(*entry >= by);
-                *entry -= by;
-                if *entry == 0 {
-                    map.remove(&v);
-                }
-            }
-        }
-    }
-
-    /// Converts a sorted list into hashed form (promotion).
-    fn promote(&mut self) {
-        if let NodeRep::Sorted(list) = self {
-            let mut map = sgr_util::hash::fx_map_with_capacity(list.len() * 2);
-            for &(v, c) in list.iter() {
-                map.insert(v, c);
-            }
-            *self = NodeRep::Hashed(map);
-        }
-    }
-}
-
-/// Hybrid per-node index from neighbor id to adjacency-matrix entry `A_uv`
-/// (multiplicity; `A_uu` = 2 × loop count).
+/// Index from `(u, v)` to the adjacency-matrix entry `A_uv`
+/// (multiplicity; `A_uu` = 2 × loop count). See the module docs for the
+/// storage model.
 #[derive(Clone, Debug)]
 pub struct MultiplicityIndex {
-    nodes: Vec<NodeRep>,
-    /// Sorted-vec/hash cutoff; [`SMALL_THRESHOLD`] unless overridden by
-    /// [`MultiplicityIndex::build_with_threshold`] (used by the bench that
-    /// sweeps the cutoff).
-    threshold: usize,
+    /// Extent offsets into `slots` (`n + 1` entries).
+    starts: Vec<u32>,
+    /// Live distinct-neighbor count per node.
+    lens: Vec<u32>,
+    /// `(neighbor, A_uv)` pairs; each extent's live prefix ascending.
+    slots: Vec<(NodeId, u32)>,
     /// Total structural mutations (`add_edge` + `remove_edge` calls),
     /// maintained only in debug builds. The rewiring engine asserts this
     /// is unchanged across rejected swap attempts.
@@ -171,57 +59,45 @@ pub struct MultiplicityIndex {
     mutations: u64,
 }
 
-impl Default for MultiplicityIndex {
-    fn default() -> Self {
-        Self::with_nodes(0)
-    }
-}
-
 impl MultiplicityIndex {
-    /// Builds the index from any read-only view in O(n + m log k̄); nodes
-    /// above [`SMALL_THRESHOLD`] distinct neighbors go straight to hashed
-    /// form.
+    /// Builds the index from any read-only view in O(n + m log k̄): each
+    /// node's neighbor list is sorted in one reused scratch buffer and
+    /// run-length encoded into its extent.
+    ///
+    /// # Panics
+    /// Panics if the view holds more than `u32::MAX` neighbor entries.
     pub fn build<G: GraphView + ?Sized>(g: &G) -> Self {
-        Self::build_with_threshold(g, SMALL_THRESHOLD)
-    }
-
-    /// As [`build`](Self::build), with an explicit sorted-vec/hash cutoff.
-    /// Exists so the `small_threshold_sweep` bench can measure candidate
-    /// cutoffs; production code should use [`build`](Self::build).
-    pub fn build_with_threshold<G: GraphView + ?Sized>(g: &G, threshold: usize) -> Self {
-        let mut nodes: Vec<NodeRep> = Vec::with_capacity(g.num_nodes());
+        let n = g.num_nodes();
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0u32);
+        let mut total = 0usize;
+        for u in g.nodes() {
+            total += g.neighbors(u).len();
+            starts.push(u32::try_from(total).expect("index too large for u32 extent offsets"));
+        }
+        let mut slots = vec![(0, 0); total];
+        let mut lens = Vec::with_capacity(n);
         let mut scratch: Vec<NodeId> = Vec::new();
         for u in g.nodes() {
             scratch.clear();
             scratch.extend_from_slice(g.neighbors(u));
             scratch.sort_unstable();
-            // Run-length encode the sorted neighbor list.
-            let mut list: Vec<(NodeId, u32)> = Vec::new();
-            for &v in scratch.iter() {
-                match list.last_mut() {
-                    Some(last) if last.0 == v => last.1 += 1,
-                    _ => list.push((v, 1)),
+            let extent = &mut slots[starts[u as usize] as usize..starts[u as usize + 1] as usize];
+            let mut len = 0usize;
+            for &v in &scratch {
+                if len > 0 && extent[len - 1].0 == v {
+                    extent[len - 1].1 += 1;
+                } else {
+                    extent[len] = (v, 1);
+                    len += 1;
                 }
             }
-            let mut rep = NodeRep::Sorted(list);
-            if rep.len() > threshold {
-                rep.promote();
-            }
-            nodes.push(rep);
+            lens.push(len as u32);
         }
         Self {
-            nodes,
-            threshold,
-            #[cfg(debug_assertions)]
-            mutations: 0,
-        }
-    }
-
-    /// Creates an empty index over `n` nodes (all entries zero).
-    pub fn with_nodes(n: usize) -> Self {
-        Self {
-            nodes: (0..n).map(|_| NodeRep::default()).collect(),
-            threshold: SMALL_THRESHOLD,
+            starts,
+            lens,
+            slots,
             #[cfg(debug_assertions)]
             mutations: 0,
         }
@@ -229,20 +105,40 @@ impl MultiplicityIndex {
 
     /// Number of nodes covered.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.lens.len()
+    }
+
+    /// Start of `u`'s extent in `slots`, and its live length.
+    #[inline]
+    fn span(&self, u: NodeId) -> (usize, usize) {
+        (
+            self.starts[u as usize] as usize,
+            self.lens[u as usize] as usize,
+        )
+    }
+
+    /// The live, strictly ascending `(neighbor, A_uv)` slice of `u`.
+    #[inline]
+    fn list(&self, u: NodeId) -> &[(NodeId, u32)] {
+        let (s, len) = self.span(u);
+        &self.slots[s..s + len]
     }
 
     /// Number of distinct neighbors of `u` (counting `u` itself if it has
     /// a loop).
     #[inline]
     pub fn num_distinct(&self, u: NodeId) -> usize {
-        self.nodes[u as usize].len()
+        self.lens[u as usize] as usize
     }
 
     /// `A_uv` (0 when absent).
     #[inline]
     pub fn get(&self, u: NodeId, v: NodeId) -> u32 {
-        self.nodes[u as usize].get(v)
+        let list = self.list(u);
+        match list.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => list[i].1,
+            Err(_) => 0,
+        }
     }
 
     /// Whether any edge `{u, v}` exists.
@@ -251,63 +147,24 @@ impl MultiplicityIndex {
         self.get(u, v) > 0
     }
 
-    /// Iterates `(neighbor, A_uv)` pairs of `u` (each neighbor once).
-    /// Iteration order is unspecified and differs between representations.
-    pub fn entries(&self, u: NodeId) -> Entries<'_> {
-        match &self.nodes[u as usize] {
-            NodeRep::Sorted(list) => Entries::Sorted(list.iter()),
-            NodeRep::Hashed(map) => Entries::Hashed(map.iter()),
-        }
-    }
-
-    /// The sorted `(neighbor, A_uv)` slice of `u`, if `u` is stored in
-    /// small-vec form (`None` for hub nodes promoted to hashed form).
-    ///
-    /// The slice is strictly ascending in neighbor id — the invariant
-    /// [`for_each_common`](Self::for_each_common)'s merge-intersection
-    /// fast path relies on.
+    /// Iterates `(neighbor, A_uv)` pairs of `u` (each neighbor once), in
+    /// ascending neighbor order.
     #[inline]
-    pub fn sorted_entries(&self, u: NodeId) -> Option<&[(NodeId, u32)]> {
-        match &self.nodes[u as usize] {
-            NodeRep::Sorted(list) => Some(list),
-            NodeRep::Hashed(_) => None,
-        }
+    pub fn entries(&self, u: NodeId) -> std::iter::Copied<std::slice::Iter<'_, (NodeId, u32)>> {
+        self.list(u).iter().copied()
     }
 
     /// Calls `f(w, A_xw, A_yw)` once for every **distinct common
-    /// neighbor** `w` of `x` and `y` (i.e. `A_xw > 0` and `A_yw > 0`).
-    /// Visit order is unspecified, like [`entries`](Self::entries).
+    /// neighbor** `w` of `x` and `y` (i.e. `A_xw > 0` and `A_yw > 0`), in
+    /// ascending order of `w`.
     ///
     /// This is the hot kernel of the rewiring engines' swap evaluation
-    /// (four common-neighbor scans per attempt). Representation-aware:
-    ///
-    /// * both nodes sorted (the overwhelmingly common case under
-    ///   [`SMALL_THRESHOLD`]) — a branchless [`merge_common`] over the two
-    ///   ascending slices, O(d̃_x + d̃_y) with no hashing or binary search;
-    /// * either node hashed — iterate the side with fewer distinct
-    ///   neighbors (using its sorted slice when available, so probes walk
-    ///   memory in order) and probe the other in O(1).
-    pub fn for_each_common<F: FnMut(NodeId, u32, u32)>(&self, x: NodeId, y: NodeId, mut f: F) {
-        match (self.sorted_entries(x), self.sorted_entries(y)) {
-            (Some(a), Some(b)) => merge_common(a, b, f),
-            _ => {
-                if self.num_distinct(x) <= self.num_distinct(y) {
-                    for (w, a_xw) in self.entries(x) {
-                        let a_yw = self.get(y, w);
-                        if a_yw > 0 {
-                            f(w, a_xw, a_yw);
-                        }
-                    }
-                } else {
-                    for (w, a_yw) in self.entries(y) {
-                        let a_xw = self.get(x, w);
-                        if a_xw > 0 {
-                            f(w, a_xw, a_yw);
-                        }
-                    }
-                }
-            }
-        }
+    /// (four common-neighbor scans per attempt): one [`merge_common`] over
+    /// the two ascending slices, O(d̃_x + d̃_y) for balanced degrees and
+    /// O(d̃_small · log(d̃_hub / d̃_small)) for a leaf against a hub.
+    #[inline]
+    pub fn for_each_common<F: FnMut(NodeId, u32, u32)>(&self, x: NodeId, y: NodeId, f: F) {
+        merge_common(self.list(x), self.list(y), f)
     }
 
     /// Structural mutation count (debug builds only; always 0 in release).
@@ -334,6 +191,11 @@ impl MultiplicityIndex {
     }
 
     /// Registers the addition of edge `{u, v}` (loop adds 2 to `A_uu`).
+    ///
+    /// # Panics
+    /// Panics if `u` or `v` gains a distinct neighbor while its extent is
+    /// full — only possible when its degree exceeds its build-time value
+    /// (see the module docs' degree-preservation invariant).
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
         self.note_mutation();
         if u == v {
@@ -344,12 +206,24 @@ impl MultiplicityIndex {
         }
     }
 
+    /// Adds `by` to `A_uv` in `u`'s extent, inserting the entry in order
+    /// when absent.
     #[inline]
     fn bump(&mut self, u: NodeId, v: NodeId, by: u32) {
-        let rep = &mut self.nodes[u as usize];
-        let len = rep.increment(v, by);
-        if len > self.threshold {
-            rep.promote();
+        let (s, len) = self.span(u);
+        match self.slots[s..s + len].binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => self.slots[s + i].1 += by,
+            Err(i) => {
+                let cap = self.starts[u as usize + 1] as usize - s;
+                assert!(
+                    len < cap,
+                    "node {u} gained a distinct neighbor beyond its {cap}-slot index extent: \
+                     its degree grew past its value when the index was built"
+                );
+                self.slots.copy_within(s + i..s + len, s + i + 1);
+                self.slots[s + i] = (v, by);
+                self.lens[u as usize] += 1;
+            }
         }
     }
 
@@ -360,42 +234,51 @@ impl MultiplicityIndex {
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) {
         self.note_mutation();
         if u == v {
-            self.nodes[u as usize].decrement(u, 2);
+            self.drop_by(u, u, 2);
         } else {
-            self.nodes[u as usize].decrement(v, 1);
-            self.nodes[v as usize].decrement(u, 1);
+            self.drop_by(u, v, 1);
+            self.drop_by(v, u, 1);
+        }
+    }
+
+    /// Subtracts `by` from `A_uv` in `u`'s extent, deleting the entry at
+    /// zero; debug-asserts the entry holds at least `by`.
+    #[inline]
+    fn drop_by(&mut self, u: NodeId, v: NodeId, by: u32) {
+        let (s, len) = self.span(u);
+        let i = self.slots[s..s + len]
+            .binary_search_by_key(&v, |&(w, _)| w)
+            .unwrap_or_else(|_| panic!("removing a non-existent edge from the index"));
+        let entry = &mut self.slots[s + i].1;
+        debug_assert!(*entry >= by);
+        *entry -= by;
+        if *entry == 0 {
+            self.slots.copy_within(s + i + 1..s + len, s + i);
+            self.lens[u as usize] -= 1;
         }
     }
 
     /// Consistency check against a graph; returns the first mismatch.
     pub fn validate_against<G: GraphView + ?Sized>(&self, g: &G) -> Result<(), String> {
-        if self.nodes.len() != g.num_nodes() {
+        if self.num_nodes() != g.num_nodes() {
             return Err(format!(
                 "index covers {} nodes, graph has {}",
-                self.nodes.len(),
+                self.num_nodes(),
                 g.num_nodes()
             ));
         }
+        // A fresh build is the canonical form: strictly ascending,
+        // run-length-encoded neighbor lists.
+        let fresh = Self::build(g);
         for u in g.nodes() {
-            let mut counts: FxHashMap<NodeId, u32> = FxHashMap::default();
-            for &v in g.neighbors(u) {
-                *counts.entry(v).or_insert(0) += 1;
-            }
-            if counts.len() != self.num_distinct(u) {
-                return Err(format!("node {u}: neighbor-set size mismatch"));
-            }
-            for (&v, &c) in counts.iter() {
-                if self.get(u, v) != c {
-                    return Err(format!(
-                        "A_{{{u},{v}}} mismatch: index {} vs graph {c}",
-                        self.get(u, v)
-                    ));
-                }
-            }
-            if let NodeRep::Sorted(list) = &self.nodes[u as usize] {
-                if !list.windows(2).all(|w| w[0].0 < w[1].0) {
-                    return Err(format!("node {u}: sorted list out of order"));
-                }
+            let (have, want) = (self.list(u), fresh.list(u));
+            if have != want {
+                let i = have.iter().zip(want).take_while(|(a, b)| a == b).count();
+                return Err(format!(
+                    "node {u}: entry {i} is {:?} in the index but {:?} in the graph",
+                    have.get(i),
+                    want.get(i)
+                ));
             }
         }
         Ok(())
@@ -403,15 +286,14 @@ impl MultiplicityIndex {
 }
 
 /// Branchless sorted-slice intersection: calls `f(w, a_w, b_w)` for every
-/// key present in both ascending `(key, value)` slices.
+/// key present in both ascending `(key, value)` slices, in ascending key
+/// order.
 ///
-/// Cursor advancement is a data-dependent add (`cmp as usize`), not a
-/// branch, so mispredict stalls disappear from the balanced-merge case.
-/// When one cursor falls behind, a 4-wide unrolled catch-up loop counts
-/// how many of the next four keys are still below the bound with four
-/// independent compares — a form the autovectorizer can lift to SIMD —
-/// and jumps the cursor by that count, giving galloping-style skips over
-/// hub-vs-leaf skew without a branchy binary search.
+/// Cursor advancement on a match is unconditional, and a lagging cursor
+/// catches up through `advance4`: four independent compares per quad
+/// (a form the autovectorizer can lift to SIMD), then a galloping search
+/// once a whole quad falls below the bound, so hub-vs-leaf skew costs a
+/// logarithmic skip per leaf key instead of a linear walk.
 pub fn merge_common<F: FnMut(NodeId, u32, u32)>(
     a: &[(NodeId, u32)],
     b: &[(NodeId, u32)],
@@ -435,11 +317,15 @@ pub fn merge_common<F: FnMut(NodeId, u32, u32)>(
     }
 }
 
-/// Advances `i` past every key of `list` strictly below `bound`,
-/// consuming quads with four branchless compares per step.
+/// Advances `i` past every key of `list` strictly below `bound`.
+///
+/// One branchless quad first — the bound usually sits within a few
+/// slots. If the whole quad is below it, gallop: double the stride while
+/// the probed key stays below the bound, then `partition_point` the last
+/// window.
 #[inline]
 fn advance4(list: &[(NodeId, u32)], mut i: usize, bound: NodeId) -> usize {
-    while i + 4 <= list.len() {
+    if i + 4 <= list.len() {
         let adv = (list[i].0 < bound) as usize
             + (list[i + 1].0 < bound) as usize
             + (list[i + 2].0 < bound) as usize
@@ -448,43 +334,20 @@ fn advance4(list: &[(NodeId, u32)], mut i: usize, bound: NodeId) -> usize {
         if adv < 4 {
             return i;
         }
+        // Invariant: every key in `list[..i]` is below `bound`.
+        let mut step = 4usize;
+        while i + step <= list.len() && list[i + step - 1].0 < bound {
+            i += step;
+            step *= 2;
+        }
+        let hi = (i + step).min(list.len());
+        return i + list[i..hi].partition_point(|&(w, _)| w < bound);
     }
     while i < list.len() && list[i].0 < bound {
         i += 1;
     }
     i
 }
-
-/// Iterator over one node's `(neighbor, A_uv)` pairs; see
-/// [`MultiplicityIndex::entries`].
-pub enum Entries<'a> {
-    /// Over a sorted small-vec node.
-    Sorted(std::slice::Iter<'a, (NodeId, u32)>),
-    /// Over a hashed hub node.
-    Hashed(std::collections::hash_map::Iter<'a, NodeId, u32>),
-}
-
-impl Iterator for Entries<'_> {
-    type Item = (NodeId, u32);
-
-    #[inline]
-    fn next(&mut self) -> Option<(NodeId, u32)> {
-        match self {
-            Entries::Sorted(it) => it.next().copied(),
-            Entries::Hashed(it) => it.next().map(|(&v, &c)| (v, c)),
-        }
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Entries::Sorted(it) => it.size_hint(),
-            Entries::Hashed(it) => it.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for Entries<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -508,13 +371,10 @@ mod tests {
 
     #[test]
     fn incremental_updates_stay_consistent() {
-        let mut g = Graph::from_edges(4, &[(0, 1), (1, 2)]);
+        // Removes before adds, as rewiring does: degrees never exceed
+        // their build-time values.
+        let mut g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 3)]);
         let mut idx = MultiplicityIndex::build(&g);
-        g.add_edge(2, 3);
-        idx.add_edge(2, 3);
-        g.add_edge(3, 3);
-        idx.add_edge(3, 3);
-        idx.validate_against(&g).unwrap();
         g.remove_edge(0, 1);
         idx.remove_edge(0, 1);
         g.remove_edge(3, 3);
@@ -522,19 +382,25 @@ mod tests {
         idx.validate_against(&g).unwrap();
         assert_eq!(idx.get(0, 1), 0);
         assert_eq!(idx.get(3, 3), 0);
+        g.add_edge(0, 3);
+        idx.add_edge(0, 3);
+        g.add_edge(1, 3);
+        idx.add_edge(1, 3);
+        idx.validate_against(&g).unwrap();
+        assert_eq!(idx.get(3, 0), 1);
+        assert_eq!(idx.entries(3).collect::<Vec<_>>(), [(0, 1), (1, 1), (2, 1)]);
     }
 
     #[test]
     fn entries_iterate_each_neighbor_once() {
-        let g = Graph::from_edges(3, &[(0, 1), (0, 1), (0, 2)]);
+        let g = Graph::from_edges(4, &[(0, 3), (0, 1), (0, 3), (0, 2), (0, 1)]);
         let idx = MultiplicityIndex::build(&g);
-        let mut entries: Vec<_> = idx.entries(0).collect();
-        entries.sort_unstable();
-        assert_eq!(entries, vec![(1, 2), (2, 1)]);
+        assert_eq!(idx.entries(0).collect::<Vec<_>>(), [(1, 2), (2, 1), (3, 2)]);
+        assert_eq!(idx.entries(0).len(), idx.num_distinct(0));
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "non-existent edge")]
     fn removing_absent_edge_panics() {
         let g = Graph::from_edges(2, &[(0, 1)]);
         let mut idx = MultiplicityIndex::build(&g);
@@ -543,91 +409,105 @@ mod tests {
     }
 
     #[test]
-    fn validate_detects_mismatch() {
-        let g = Graph::from_edges(2, &[(0, 1)]);
-        let idx = MultiplicityIndex::with_nodes(2);
-        assert!(idx.validate_against(&g).is_err());
+    #[should_panic(expected = "beyond its 1-slot index extent")]
+    fn adding_into_a_full_extent_panics() {
+        // Node 0 has degree 1 at build; a second distinct neighbor
+        // cannot fit.
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        let mut idx = MultiplicityIndex::build(&g);
+        idx.add_edge(0, 2);
     }
 
     #[test]
-    fn hub_nodes_promote_to_hashed_and_stay_consistent() {
-        // A star whose hub exceeds SMALL_THRESHOLD distinct neighbors.
-        let n = SMALL_THRESHOLD + 20;
+    fn extra_copies_of_a_present_neighbor_need_no_slot() {
+        // A_01 grows in place: no new distinct neighbor, no overflow.
+        let g = Graph::from_edges(2, &[(0, 1)]);
+        let mut idx = MultiplicityIndex::build(&g);
+        idx.add_edge(0, 1);
+        assert_eq!(idx.get(0, 1), 2);
+        assert_eq!(idx.num_distinct(0), 1);
+    }
+
+    #[test]
+    fn validate_detects_mismatch() {
+        let g = Graph::from_edges(3, &[(0, 1)]);
+        let other = Graph::from_edges(3, &[(0, 2)]);
+        let idx = MultiplicityIndex::build(&other);
+        let err = idx.validate_against(&g).unwrap_err();
+        assert!(err.contains("node 0"), "{err}");
+        assert!(idx.validate_against(&Graph::with_nodes(2)).is_err());
+    }
+
+    /// A star whose hub has `n` distinct leaves `1..=n`.
+    fn star(n: usize) -> Graph {
         let edges: Vec<(NodeId, NodeId)> = (1..=n as NodeId).map(|v| (0, v)).collect();
-        let g = Graph::from_edges(n + 1, &edges);
-        let idx = MultiplicityIndex::build(&g);
-        assert!(matches!(idx.nodes[0], NodeRep::Hashed(_)));
-        assert!(matches!(idx.nodes[1], NodeRep::Sorted(_)));
+        Graph::from_edges(n + 1, &edges)
+    }
+
+    #[test]
+    fn hub_nodes_share_the_layout_and_stay_consistent() {
+        let n = 300;
+        let mut g = star(n);
+        let mut idx = MultiplicityIndex::build(&g);
         idx.validate_against(&g).unwrap();
         assert_eq!(idx.num_distinct(0), n);
-        assert_eq!(idx.entries(0).count(), n);
+        assert!(idx.entries(0).map(|(w, _)| w).eq(1..=n as NodeId));
         for v in 1..=n as NodeId {
             assert_eq!(idx.get(0, v), 1);
             assert_eq!(idx.get(v, 0), 1);
         }
-    }
-
-    #[test]
-    fn incremental_growth_promotes_at_threshold() {
-        let n = SMALL_THRESHOLD + 5;
-        let mut g = Graph::with_nodes(n + 1);
-        let mut idx = MultiplicityIndex::with_nodes(n + 1);
-        for v in 1..=n as NodeId {
-            g.add_edge(0, v);
-            idx.add_edge(0, v);
-            idx.validate_against(&g).unwrap();
-        }
-        assert!(matches!(idx.nodes[0], NodeRep::Hashed(_)));
-        // Removals keep hashed form consistent (no demotion).
-        for v in 1..=n as NodeId {
+        // Hub churn: drop every odd leaf, then double the edges to the
+        // even ones (existing neighbors: their counts grow in place).
+        for v in (1..=n as NodeId).step_by(2) {
             g.remove_edge(0, v);
             idx.remove_edge(0, v);
         }
         idx.validate_against(&g).unwrap();
-        assert_eq!(idx.num_distinct(0), 0);
+        assert_eq!(idx.num_distinct(0), n / 2);
+        for v in (2..=n as NodeId).step_by(2) {
+            g.add_edge(0, v);
+            idx.add_edge(0, v);
+        }
+        idx.validate_against(&g).unwrap();
+        assert_eq!(idx.get(0, 2), 2);
+        assert_eq!(idx.get(0, 1), 0);
     }
 
     /// Common-neighbor reference: probe every node of the graph.
     fn naive_common(idx: &MultiplicityIndex, x: NodeId, y: NodeId) -> Vec<(NodeId, u32, u32)> {
-        let mut out: Vec<(NodeId, u32, u32)> = (0..idx.num_nodes() as NodeId)
+        (0..idx.num_nodes() as NodeId)
             .filter_map(|w| {
                 let (a, b) = (idx.get(x, w), idx.get(y, w));
                 (a > 0 && b > 0).then_some((w, a, b))
             })
-            .collect();
-        out.sort_unstable();
-        out
+            .collect()
     }
 
     fn collected_common(idx: &MultiplicityIndex, x: NodeId, y: NodeId) -> Vec<(NodeId, u32, u32)> {
         let mut out = Vec::new();
         idx.for_each_common(x, y, |w, a, b| out.push((w, a, b)));
-        out.sort_unstable();
         out
     }
 
     #[test]
-    fn sorted_entries_only_for_small_nodes() {
-        let n = SMALL_THRESHOLD + 10;
-        let edges: Vec<(NodeId, NodeId)> = (1..=n as NodeId).map(|v| (0, v)).collect();
-        let g = Graph::from_edges(n + 1, &edges);
-        let idx = MultiplicityIndex::build(&g);
-        assert!(idx.sorted_entries(0).is_none(), "hub should be hashed");
-        let leaf = idx.sorted_entries(1).expect("leaf should be sorted");
-        assert_eq!(leaf, &[(0, 1)]);
-    }
-
-    #[test]
     fn for_each_common_matches_naive_on_all_pairs() {
-        // Mixed representations: node 0 is a hashed hub, everyone else
-        // sorted; multi-edges and self-loops included.
-        let n = SMALL_THRESHOLD + 8;
+        // A hub against leaves, multi-edges and a self-loop.
+        let n = 120;
         let mut edges: Vec<(NodeId, NodeId)> = (1..=n as NodeId).map(|v| (0, v)).collect();
-        edges.extend([(1, 2), (1, 2), (2, 3), (3, 4), (1, 4), (2, 2)]);
+        edges.extend([
+            (1, 2),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (1, 4),
+            (2, 2),
+            (5, 90),
+            (5, 119),
+        ]);
         let g = Graph::from_edges(n + 1, &edges);
         let idx = MultiplicityIndex::build(&g);
-        for x in [0, 1, 2, 3, 4, 5] {
-            for y in [0, 1, 2, 3, 4, 5] {
+        for x in [0, 1, 2, 3, 4, 5, 90] {
+            for y in [0, 1, 2, 3, 4, 5, 90] {
                 assert_eq!(
                     collected_common(&idx, x, y),
                     naive_common(&idx, x, y),
@@ -639,8 +519,8 @@ mod tests {
 
     #[test]
     fn merge_common_handles_skew_and_runs() {
-        // Hand-built slices exercising the 4-wide catch-up: long run of
-        // low keys on one side, sparse high keys on the other.
+        // Hand-built slices exercising the quad step and the gallop: long
+        // run of low keys on one side, sparse high keys on the other.
         let a: Vec<(NodeId, u32)> = (0..40).map(|k| (k, k + 1)).collect();
         let b: Vec<(NodeId, u32)> = vec![(3, 9), (17, 2), (38, 5), (39, 1), (90, 7)];
         let mut got = Vec::new();
@@ -658,12 +538,27 @@ mod tests {
     }
 
     #[test]
+    fn advance4_gallops_to_the_first_key_at_or_above_the_bound() {
+        let list: Vec<(NodeId, u32)> = (0..1000).map(|k| (2 * k, 1)).collect();
+        for start in [0, 1, 5, 17, 500, 996, 999, 1000] {
+            for bound in [0, 1, 7, 8, 9, 63, 64, 1001, 1998, 1999, 5000] {
+                let want = start.max(list.partition_point(|&(w, _)| w < bound));
+                assert_eq!(
+                    advance4(&list, start, bound),
+                    want,
+                    "start {start}, bound {bound}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn mutation_counter_tracks_updates_in_debug() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let mut idx = MultiplicityIndex::build(&g);
         let before = idx.mutation_count();
-        idx.add_edge(0, 2);
         idx.remove_edge(0, 2);
+        idx.add_edge(0, 2);
         if cfg!(debug_assertions) {
             assert_eq!(idx.mutation_count(), before + 2);
         }

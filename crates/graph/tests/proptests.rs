@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use sgr_graph::components::{connected_components, is_connected, largest_component};
 use sgr_graph::index::MultiplicityIndex;
 use sgr_graph::{CsrGraph, Graph, GraphView, NodeId};
+use sgr_util::FxHashMap;
 
 /// Strategy: a small random multigraph as (n, edge list).
 fn arb_multigraph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
@@ -11,6 +12,107 @@ fn arb_multigraph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
         let edge = (0..n as NodeId, 0..n as NodeId);
         (Just(n), proptest::collection::vec(edge, 0..120))
     })
+}
+
+/// The hub of [`arb_hub_multigraph_with_swaps`].
+const HUB: NodeId = 0;
+
+/// Strategy: a multigraph whose node 0 is a hub of at least 200 distinct
+/// neighbors, with a dense core of self-loops and multi-edges on the
+/// first 12 nodes and sparse random edges elsewhere, plus a list of swap
+/// picks `(edge index, edge index, orientation)`.
+#[allow(clippy::type_complexity)]
+fn arb_hub_multigraph_with_swaps(
+) -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>, Vec<(usize, usize, bool)>)> {
+    (201usize..260).prop_flat_map(|n| {
+        let core = proptest::collection::vec((0..12 as NodeId, 0..12 as NodeId), 10..60);
+        let sparse = proptest::collection::vec((0..n as NodeId, 0..n as NodeId), 0..80);
+        let swap = (
+            0usize..1 << 20,
+            0usize..1 << 20,
+            (0u8..2).prop_map(|b| b == 1),
+        );
+        (core, sparse, proptest::collection::vec(swap, 1..60)).prop_map(
+            move |(core, sparse, swaps)| {
+                let mut edges: Vec<(NodeId, NodeId)> = (1..n as NodeId).map(|v| (HUB, v)).collect();
+                edges.extend(core);
+                edges.extend(sparse);
+                (n, edges, swaps)
+            },
+        )
+    })
+}
+
+/// Naive per-node `FxHashMap` model of the adjacency matrix.
+struct Model(Vec<FxHashMap<NodeId, u32>>);
+
+impl Model {
+    fn new(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
+        let mut m = Model(vec![FxHashMap::default(); n]);
+        for &(u, v) in edges {
+            m.toggle(u, v, 1);
+        }
+        m
+    }
+
+    /// Adds (`sign = 1`) or removes (`-1`) one copy of `{u, v}`.
+    fn toggle(&mut self, u: NodeId, v: NodeId, sign: i64) {
+        let halves: &[(NodeId, NodeId)] = if u == v {
+            &[(u, u), (u, u)]
+        } else {
+            &[(u, v), (v, u)]
+        };
+        for &(x, y) in halves {
+            let a = self.0[x as usize].entry(y).or_insert(0);
+            *a = (*a as i64 + sign) as u32;
+            if *a == 0 {
+                self.0[x as usize].remove(&y);
+            }
+        }
+    }
+
+    fn sorted(&self, u: NodeId) -> Vec<(NodeId, u32)> {
+        let mut list: Vec<_> = self.0[u as usize].iter().map(|(&w, &a)| (w, a)).collect();
+        list.sort_unstable();
+        list
+    }
+
+    /// The entries, distinct count and lookups (neighbors plus a few
+    /// probe keys) of every `nodes` member must match the model, and so
+    /// must the common neighbors of each `focus` node with the focus set
+    /// and with every 23rd node.
+    fn check(
+        &self,
+        idx: &MultiplicityIndex,
+        nodes: impl Iterator<Item = NodeId>,
+        focus: &[NodeId],
+    ) {
+        let n = self.0.len() as NodeId;
+        for u in nodes {
+            let want = self.sorted(u);
+            assert_eq!(idx.entries(u).collect::<Vec<_>>(), want, "entries of {u}");
+            assert_eq!(idx.num_distinct(u), want.len(), "distinct of {u}");
+            for &(w, a) in &want {
+                assert_eq!(idx.get(u, w), a, "A_{{{u},{w}}}");
+            }
+            for w in [0, u, n / 2, n - 1] {
+                let a = self.0[u as usize].get(&w).copied().unwrap_or(0);
+                assert_eq!(idx.get(u, w), a, "A_{{{u},{w}}}");
+            }
+        }
+        for &x in focus {
+            let xs = self.sorted(x);
+            for y in focus.iter().copied().chain((0..n).step_by(23)) {
+                let mut got = Vec::new();
+                idx.for_each_common(x, y, |w, a, b| got.push((w, a, b)));
+                let want: Vec<_> = xs
+                    .iter()
+                    .filter_map(|&(w, a)| self.0[y as usize].get(&w).map(|&b| (w, a, b)))
+                    .collect();
+                assert_eq!(got, want, "common neighbors of {x} and {y}");
+            }
+        }
+    }
 }
 
 proptest! {
@@ -182,6 +284,43 @@ proptest! {
         let csr = CsrGraph::freeze(&g);
         let idx = MultiplicityIndex::build(&csr);
         prop_assert!(idx.validate_against(&g).is_ok());
+    }
+
+    #[test]
+    fn multiplicity_index_tracks_a_naive_model_under_swaps(
+        (n, edges, swaps) in arb_hub_multigraph_with_swaps()
+    ) {
+        let g = Graph::from_edges(n, &edges);
+        let mut idx = MultiplicityIndex::build(&g);
+        let mut model = Model::new(n, &edges);
+        let mut edges = edges;
+        let all = 0..n as NodeId;
+        model.check(&idx, all.clone(), &[HUB, 1, 2, 3]);
+        for (i, j, flip) in swaps {
+            let (e1, e2) = (i % edges.len(), j % edges.len());
+            if e1 == e2 {
+                continue;
+            }
+            // (a, b), (c, d) -> (a, d), (c, b): every degree is preserved,
+            // loops and multi-edges included. Removes go first, as in
+            // rewiring.
+            let (a, b) = edges[e1];
+            let (c, d) = if flip { (edges[e2].1, edges[e2].0) } else { edges[e2] };
+            for (u, v) in [(a, b), (c, d)] {
+                idx.remove_edge(u, v);
+                model.toggle(u, v, -1);
+            }
+            for (u, v) in [(a, d), (c, b)] {
+                idx.add_edge(u, v);
+                model.toggle(u, v, 1);
+            }
+            edges[e1] = (a, d);
+            edges[e2] = (c, b);
+            let touched = [a, b, c, d, HUB];
+            model.check(&idx, touched.into_iter(), &touched);
+        }
+        // A final sweep catches writes that strayed into other extents.
+        model.check(&idx, all, &[HUB]);
     }
 
     #[test]

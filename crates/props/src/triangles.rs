@@ -7,8 +7,8 @@
 //!
 //! The kernel marks `A_i·` in an epoch-stamped
 //! [`sgr_util::scratch::ScratchAccum`] and folds each neighbor's entry
-//! list against the dense marks, replacing the per-pair binary-search /
-//! hash probes of the naive double loop with O(1) array reads. The arena
+//! list against the dense marks, replacing the per-pair binary searches
+//! of the naive double loop with O(1) array reads. The arena
 //! is sized once, so steady-state counting performs no per-node heap
 //! allocation.
 

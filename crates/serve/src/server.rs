@@ -30,6 +30,7 @@
 //! can still react, rather than OOM-killing the server later.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io::{self, Cursor};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -42,6 +43,7 @@ use sgr_core::{
 };
 use sgr_graph::io::read_edge_list;
 use sgr_graph::snapshot::write_csr;
+use sgr_graph::SnapshotError;
 use sgr_util::Xoshiro256pp;
 
 use crate::job::{ckpt_dir, job_dir, result_path, scan_jobs, Adoption, JobSpec, TerminalStatus};
@@ -229,10 +231,14 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
                 // rejected (they were admitted once already), so the
                 // committed total may transiently exceed the budget
                 // after a restart — new submissions then wait it out.
-                let (g, _) = read_edge_list(Cursor::new(&job.spec.edges[..]))
-                    .map_err(|e| io::Error::other(e.to_string()))?;
-                let estimate =
-                    estimate_job_bytes(job.spec.edges.len(), g.num_nodes(), g.num_edges());
+                // An edge list that no longer parses fails its job when
+                // a worker runs it, not the whole restart.
+                let estimate = match read_edge_list(Cursor::new(&job.spec.edges[..])) {
+                    Ok((g, _)) => {
+                        estimate_job_bytes(job.spec.edges.len(), g.num_nodes(), g.num_edges())
+                    }
+                    Err(_) => 0,
+                };
                 committed += estimate;
                 JobRecord {
                     tenant: job.spec.tenant.clone(),
@@ -618,7 +624,7 @@ fn run_job(
             rec.attempts_total = restored.stats.rewire_stats.attempts;
             rec.checkpoints = restored.stats.checkpoints_written;
         }
-        Err(RestoreError::Interrupted { checkpoint }) => {
+        Err(JobError::Restore(RestoreError::Interrupted { checkpoint })) => {
             // The fault-injection hook fired: a simulated crash. Nothing
             // terminal is persisted — exactly like a real kill, the job
             // stays adoptable from its durable checkpoint.
@@ -646,6 +652,43 @@ fn run_job(
     drop(st);
 }
 
+/// Why a job stopped short of `Completed`; its `Display` form becomes the
+/// job's status message.
+#[derive(Debug)]
+enum JobError {
+    /// The submitted edge-list bytes do not parse.
+    EdgeList(String),
+    /// The crawl could not run on the parsed graph.
+    Crawl(String),
+    /// The restoration pipeline failed, or the fault injector stopped it.
+    Restore(RestoreError),
+    /// The result snapshot or the terminal status could not be written.
+    Persist(SnapshotError),
+}
+
+impl fmt::Display for JobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobError::EdgeList(e) => write!(f, "edge list: {e}"),
+            JobError::Crawl(e) => write!(f, "crawl failed: {e}"),
+            JobError::Restore(e) => e.fmt(f),
+            JobError::Persist(e) => write!(f, "persisting the job result failed: {e}"),
+        }
+    }
+}
+
+impl From<RestoreError> for JobError {
+    fn from(e: RestoreError) -> Self {
+        JobError::Restore(e)
+    }
+}
+
+impl From<SnapshotError> for JobError {
+    fn from(e: SnapshotError) -> Self {
+        JobError::Persist(e)
+    }
+}
+
 /// The pipeline proper: replays exactly the `sgr restore` code path
 /// (edge list → seeded RNG → crawl → staged restoration), then persists
 /// the result snapshot and the terminal status, in that order.
@@ -656,7 +699,7 @@ fn execute(
     resume_from: Option<PathBuf>,
     dir: &Path,
     scratch: &mut ConstructScratch,
-) -> Result<Restored, RestoreError> {
+) -> Result<Restored, JobError> {
     let mut observer = StatusObserver { shared, id };
     let restored = match resume_from {
         Some(ckpt) => {
@@ -670,12 +713,11 @@ fn execute(
             resume_from_checkpoint_observed(&ckpt, None, Some(&policy), scratch, &mut observer)?
         }
         None => {
-            let (g, _) = read_edge_list(Cursor::new(&spec.edges[..])).map_err(|e| {
-                RestoreError::Snapshot(sgr_graph::SnapshotError::Corrupt(format!("edge list: {e}")))
-            })?;
+            let (g, _) = read_edge_list(Cursor::new(&spec.edges[..]))
+                .map_err(|e| JobError::EdgeList(e.to_string()))?;
             let mut rng = Xoshiro256pp::seed_from_u64(spec.seed);
-            let outcome = sgr_sample::run_crawl(&g, &spec.crawl_spec(), &mut rng)
-                .map_err(|e| RestoreError::Snapshot(sgr_graph::SnapshotError::Corrupt(e)))?;
+            let outcome =
+                sgr_sample::run_crawl(&g, &spec.crawl_spec(), &mut rng).map_err(JobError::Crawl)?;
             drop(g);
             let policy = CheckpointPolicy {
                 dir: ckpt_dir(dir),

@@ -362,3 +362,36 @@ fn admission_rejects_jobs_past_the_memory_budget() {
     handle.join();
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// A job whose edge list does not parse ends `Failed` with a message
+/// naming the edge list, not a checkpoint. Admission rejects such bytes
+/// at submit time, so the job reaches a worker through adoption: its
+/// spec sits in the state root when the server starts.
+#[test]
+fn unparsable_edge_list_fails_the_job_with_an_edge_list_error() {
+    let root = state_root("bad-edges");
+    let req = SubmitRequest {
+        edges: b"0 1\n1 two\n".to_vec(),
+        ..submit_req(7, 1, "tenant-a", 0)
+    };
+    let spec = sgr_serve::job::JobSpec::from_request(req.clone(), 500).unwrap();
+    let dir = sgr_serve::job::job_dir(&root, 1);
+    std::fs::create_dir_all(&dir).unwrap();
+    spec.persist(&dir).unwrap();
+
+    let handle = sgr_serve::start(serve_cfg(root.clone())).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let s = wait_for(&mut client, 1, JobState::Failed);
+    assert!(s.message.starts_with("edge list"), "{}", s.message);
+    assert!(!s.message.contains("checkpoint"), "{}", s.message);
+    match client.submit(&req) {
+        Err(ClientError::Server { code, .. }) => {
+            assert_eq!(code, sgr_serve::protocol::ERR_MALFORMED)
+        }
+        other => panic!("submit of an unparsable edge list: {other:?}"),
+    }
+
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+}
