@@ -194,6 +194,17 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
+    /// Builds the engine state from scratch: the multiplicity index, the
+    /// per-node triangle counts `t` from one degree-ordered triangle pass
+    /// ([`sgr_props::triangles`] — each triangle found once, O(m̃ √m̃)
+    /// rather than O(Σ d̃²)), the per-degree sums `S(k)` and distance
+    /// folded from the exact integer `t`, and the degree buckets over the
+    /// candidate endpoints.
+    ///
+    /// Buckets are sized from a per-degree count before they are filled,
+    /// and filled in `(slot, side)` order: within-bucket order is
+    /// checkpointed state (see [`bucket_state`](Self::bucket_state)), so
+    /// a fresh engine's order must never depend on how it was allocated.
     pub(crate) fn new(graph: Graph, candidates: Vec<(NodeId, NodeId)>, target_c: &[f64]) -> Self {
         let idx = MultiplicityIndex::build(&graph);
         let t: Vec<i64> = triangle_counts_with_index(&graph, &idx)
@@ -226,8 +237,14 @@ impl EngineCore {
                 (cur - target[k]).abs()
             })
             .sum();
-        // Buckets over candidate endpoints.
-        let mut buckets: Vec<Vec<(u32, u8)>> = vec![Vec::new(); k_cap + 1];
+        // Buckets over candidate endpoints, each reserved to its exact
+        // size.
+        let mut sizes = vec![0usize; k_cap + 1];
+        for &(a, b) in &candidates {
+            sizes[deg[a as usize] as usize] += 1;
+            sizes[deg[b as usize] as usize] += 1;
+        }
+        let mut buckets: Vec<Vec<(u32, u8)>> = sizes.into_iter().map(Vec::with_capacity).collect();
         let mut pos = vec![[0u32; 2]; candidates.len()];
         for (slot, &(a, b)) in candidates.iter().enumerate() {
             for (side, node) in [(0u8, a), (1u8, b)] {
@@ -250,6 +267,14 @@ impl EngineCore {
             buckets,
             pos,
         }
+    }
+
+    /// Most nodes one swap evaluation can touch: its common-neighbor
+    /// scans stay inside `N(v_i) ∪ N(v_{i'})`, plus the four endpoints.
+    /// Sizes the per-attempt `(node, Δt)` lists.
+    pub(crate) fn max_touched(&self) -> usize {
+        let k_max = self.deg.iter().copied().max().unwrap_or(0) as usize;
+        self.deg.len().min(2 * k_max + 4)
     }
 
     pub(crate) fn distance(&self) -> f64 {
@@ -609,11 +634,12 @@ impl RewireEngine {
         let core = EngineCore::new(graph, candidates, target_c);
         let n = core.graph.num_nodes();
         let degrees = core.s.len();
+        let touched = core.max_touched();
         Self {
             core,
             scratch_t: ScratchAccum::with_keys(n),
             scratch_s: ScratchAccum::with_keys(degrees),
-            pairs: Vec::with_capacity(n),
+            pairs: Vec::with_capacity(touched),
         }
     }
 

@@ -250,6 +250,7 @@ impl ParallelRewireEngine {
         let shard = ShardPartitioner::new(&weights, threads);
         let n = core.graph.num_nodes();
         let degrees = core.s.len();
+        let touched = core.max_touched();
         let mut engine = Self {
             st: EngineState {
                 core,
@@ -259,7 +260,7 @@ impl ParallelRewireEngine {
             coord: CoordState {
                 rng_before: Vec::new(),
                 repair_t: ScratchAccum::with_keys(n),
-                repair_pairs: Vec::with_capacity(n),
+                repair_pairs: Vec::with_capacity(touched),
                 scratch_s: ScratchAccum::with_keys(degrees),
                 dirty: DirtyStampSet::with_keys(n),
             },

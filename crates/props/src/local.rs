@@ -1,16 +1,18 @@
 //! Local structural properties (1)–(7) of §V-B.
 //!
 //! Generic over [`GraphView`], so the same code runs on the mutable
-//! adjacency lists and on a frozen [`sgr_graph::CsrGraph`] snapshot. The
-//! shared-partner pass keeps `A_u·` marked in an epoch-stamped
-//! [`sgr_util::scratch::ScratchAccum`] for the duration of `u`'s edge run
-//! (the edge iterator groups edges by ascending `u`), replacing per-edge
-//! index probes with dense array reads and allocating nothing per edge.
+//! adjacency lists and on a frozen [`sgr_graph::CsrGraph`] snapshot.
+//! Triangle counts and edgewise shared partners come from one
+//! degree-ordered triangle pass ([`crate::triangles`]): each triangle is
+//! found once, adds its weight to the `t` of its three nodes, and adds
+//! the product of two of its multiplicities to the `sp` of the third
+//! pair. The shared-partner histogram then folds one accumulator per
+//! distinct non-loop pair — weighted by that pair's multiplicity — so
+//! no edge's neighbor lists are scanned twice.
 
-use crate::triangles::triangle_counts_with_index;
+use crate::triangles::Oriented;
 use sgr_graph::index::MultiplicityIndex;
 use sgr_graph::{GraphView, NodeId};
-use sgr_util::scratch::ScratchAccum;
 
 /// The degree-indexed local properties, computed in one pass.
 #[derive(Clone, Debug)]
@@ -63,8 +65,22 @@ impl LocalProperties {
             .map(|(&s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
             .collect();
 
+        // One triangle pass: t_i per node, and sp(u, v) =
+        // Σ_{w≠u,v} A_uw A_vw per distinct non-loop pair.
+        let census = Oriented::build(&idx);
+        let mut t = vec![0u64; n];
+        let mut sp = vec![0u64; census.num_pairs()];
+        census.for_each_triangle(|nodes, pairs, a| {
+            let w = a[0] * a[1] * a[2];
+            for x in nodes {
+                t[x as usize] += w;
+            }
+            sp[pairs[0]] += a[1] * a[2];
+            sp[pairs[1]] += a[0] * a[2];
+            sp[pairs[2]] += a[0] * a[1];
+        });
+
         // Clustering (mean and degree-dependent) from triangle counts.
-        let t = triangle_counts_with_index(g, &idx);
         let mut c_sum_by_k = vec![0.0f64; kmax + 1];
         let mut c_total = 0.0f64;
         for u in g.nodes() {
@@ -82,40 +98,18 @@ impl LocalProperties {
             .map(|(&s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
             .collect();
 
-        // Edgewise shared partners: for each non-loop edge (per copy),
-        // sp(i,j) = Σ_{k≠i,j} A_ik A_jk. The edge iterator yields edges
-        // grouped by ascending u, so A_u· stays marked in the scratch
-        // arena across u's whole run and the inner sum folds v's entry
-        // list against dense marks.
+        // Edgewise shared partners, one count per edge copy: a pair of
+        // multiplicity A_uv puts A_uv edges into bin sp(u, v). Loops have
+        // no well-defined shared partners and are not in the census.
         let mut sp_counts: Vec<u64> = Vec::new();
         let mut m_eff = 0u64;
-        let mut marks: ScratchAccum<i64> = ScratchAccum::with_keys(n);
-        let mut marked_u: Option<NodeId> = None;
-        for (u, v) in g.edges() {
-            if u == v {
-                continue; // loops have no well-defined shared partners
+        for (&s, a) in sp.iter().zip(census.multiplicities()) {
+            let s = s as usize;
+            if sp_counts.len() <= s {
+                sp_counts.resize(s + 1, 0);
             }
-            if marked_u != Some(u) {
-                marks.begin();
-                for (w, a_uw) in idx.entries(u) {
-                    marks.add(w, a_uw as i64);
-                }
-                marked_u = Some(u);
-            }
-            let mut sp = 0usize;
-            for (w, a_vw) in idx.entries(v) {
-                if w != u && w != v {
-                    let a_uw = marks.get(w);
-                    if a_uw > 0 {
-                        sp += a_vw as usize * a_uw as usize;
-                    }
-                }
-            }
-            if sp_counts.len() <= sp {
-                sp_counts.resize(sp + 1, 0);
-            }
-            sp_counts[sp] += 1;
-            m_eff += 1;
+            sp_counts[s] += a as u64;
+            m_eff += a as u64;
         }
         let shared_partner_dist: Vec<f64> = if m_eff == 0 {
             vec![0.0]
@@ -169,9 +163,8 @@ pub fn degree_assortativity<G: GraphView>(g: &G) -> f64 {
 /// neighbors. Iterates the smaller neighbor map.
 ///
 /// This is the point-query form (and the reference the tests hold the
-/// batched pass to); [`LocalProperties::compute`] uses an equivalent
-/// [`ScratchAccum`]-marked loop that amortizes `A_u·` across each node's
-/// whole edge run instead of probing per pair.
+/// batched pass to); [`LocalProperties::compute`] gets every edge's `sp`
+/// at once from the triangle pass instead of probing per pair.
 pub fn shared_partners(idx: &MultiplicityIndex, u: NodeId, v: NodeId) -> usize {
     let (a, b) = (u, v);
     let count_from = |x: NodeId, y: NodeId| -> usize {
@@ -245,7 +238,7 @@ mod tests {
 
     #[test]
     fn batched_sp_pass_matches_point_query_reference() {
-        // The marks-arena loop inside compute() and the public
+        // The triangle-pass histogram inside compute() and the public
         // shared_partners() point query must never drift apart.
         let mut g = Graph::from_edges(
             7,

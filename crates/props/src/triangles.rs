@@ -4,20 +4,47 @@
 //! `t_i = Σ_{j<l, j≠i, l≠i} A_ij A_il A_jl` — triangles through `v_i`,
 //! counted with edge multiplicities. Self-loops never contribute (the sum
 //! excludes `j = i` and `l = i`, and `A_jl` with `j ≠ l` ignores loops).
+//! Equivalently: every triangle `{u, v, w}` of distinct nodes adds its
+//! weight `A_uv·A_uw·A_vw` to each of `t_u`, `t_v` and `t_w`.
 //!
-//! The kernel marks `A_i·` in an epoch-stamped
-//! [`sgr_util::scratch::ScratchAccum`] and folds each neighbor's entry
-//! list against the dense marks, replacing the per-pair binary searches
-//! of the naive double loop with O(1) array reads. The arena
-//! is sized once, so steady-state counting performs no per-node heap
-//! allocation.
+//! # The oriented pass
+//!
+//! Rank the nodes by the strict total order `(d̃, id)`, where `d̃` is the
+//! distinct-neighbor count, and store every distinct non-loop pair
+//! `{u, v}` **once**, in the out-list of its lower-ranked endpoint.
+//! Every triangle then has exactly one lowest node `u`, and its other two
+//! nodes `v < w` (in rank) satisfy `v, w ∈ out(u)` and `w ∈ out(v)`. So
+//! the pass marks `out(u)` in a dense array, scans `out(v)` for every
+//! `v ∈ out(u)` against the marks, and finds each triangle exactly once,
+//! from `u` through `v` — no pair is revisited and no `/2` or `/3`
+//! correction is needed.
+//!
+//! The weights are exact integers and integer addition is associative,
+//! so `t` does not depend on the order in which triangles are found: the
+//! pass returns the same `t`, bit for bit, as any other exact count,
+//! such as the wedge enumeration the `triangle_census` tests hold it to.
+//! Everything derived from `t` in floating point (clustering, the rewire
+//! engine's `S(k)` and distance) is therefore bitwise unchanged too.
+//!
+//! Cost: the out-lists are built in two passes over the
+//! [`MultiplicityIndex`] entries (count, then fill) into one flat arena,
+//! O(n + m̃) time and memory for m̃ distinct non-loop pairs. Enumeration
+//! costs `Σ_{(u,v)} (1 + |out(v)|)` over oriented pairs. A node of rank
+//! above `v` has at least `d̃_v` neighbors, so `|out(v)| ≤ min(d̃_v,
+//! √(2m̃))`, and the pass is O(m̃ √m̃) — against O(Σ_i d̃_i²) for
+//! scanning every neighbor's full list from every node, which a single
+//! hub makes quadratic.
+//!
+//! The same enumeration yields **shared partners**: a triangle contributes
+//! `A_uw·A_vw` to `sp(u, v)`, and likewise for its other two pairs, so one
+//! accumulator per out-entry collects `sp` of every edge at once
+//! ([`crate::local::LocalProperties::compute`] uses this).
 
 use sgr_graph::index::MultiplicityIndex;
-use sgr_graph::GraphView;
-use sgr_util::scratch::ScratchAccum;
+use sgr_graph::{GraphView, NodeId};
 
 /// Computes `t_i` for every node of any [`GraphView`] backend.
-/// O(Σ_i d̃_i²) (distinct-neighbor degrees) with O(1) adjacency reads.
+/// O(m̃ √m̃) over m̃ distinct non-loop pairs; see the module docs.
 pub fn triangle_counts<G: GraphView + ?Sized>(g: &G) -> Vec<u64> {
     let idx = MultiplicityIndex::build(g);
     triangle_counts_with_index(g, &idx)
@@ -28,40 +55,14 @@ pub fn triangle_counts_with_index<G: GraphView + ?Sized>(
     g: &G,
     idx: &MultiplicityIndex,
 ) -> Vec<u64> {
-    let n = g.num_nodes();
-    debug_assert_eq!(n, idx.num_nodes());
-    let mut t = vec![0u64; n];
-    // marks.get(l) = A_il while node i is being processed.
-    let mut marks: ScratchAccum<i64> = ScratchAccum::with_keys(n);
-    for i in g.nodes() {
-        marks.begin();
-        for (l, a_il) in idx.entries(i) {
-            if l != i {
-                marks.add(l, a_il as i64);
-            }
+    debug_assert_eq!(g.num_nodes(), idx.num_nodes());
+    let mut t = vec![0u64; idx.num_nodes()];
+    Oriented::build(idx).for_each_triangle(|nodes, _, a| {
+        let w = a[0] * a[1] * a[2];
+        for x in nodes {
+            t[x as usize] += w;
         }
-        // Each unordered pair {j, l} of distinct marked neighbors is seen
-        // twice (once from j's list, once from l's), hence the final /2.
-        let mut acc = 0u64;
-        for (j, a_ij) in idx.entries(i) {
-            if j == i {
-                continue;
-            }
-            let mut through_j = 0u64;
-            for (l, a_jl) in idx.entries(j) {
-                if l == i || l == j {
-                    continue;
-                }
-                let a_il = marks.get(l);
-                if a_il > 0 {
-                    through_j += a_jl as u64 * a_il as u64;
-                }
-            }
-            acc += a_ij as u64 * through_j;
-        }
-        debug_assert!(acc.is_multiple_of(2));
-        t[i as usize] = acc / 2;
-    }
+    });
     t
 }
 
@@ -70,10 +71,89 @@ pub fn total_triangles<G: GraphView + ?Sized>(g: &G) -> u64 {
     triangle_counts(g).iter().sum::<u64>() / 3
 }
 
+/// The degree-ordered orientation of a multigraph's distinct non-loop
+/// pairs: `out(u)` holds `(v, A_uv)` for every neighbor `v` ranked above
+/// `u` under `(d̃, id)`, ascending by `v`. See the module docs.
+pub(crate) struct Oriented {
+    /// `n + 1` offsets into `out`.
+    offs: Vec<u32>,
+    /// Every distinct non-loop pair once, as `(upper endpoint, A)`.
+    out: Vec<(NodeId, u32)>,
+}
+
+impl Oriented {
+    /// Orients `idx` in two passes: count each node's out-degree, then
+    /// fill the arena from the (ascending) index entries.
+    pub(crate) fn build(idx: &MultiplicityIndex) -> Self {
+        let n = idx.num_nodes();
+        let below = |u: NodeId, v: NodeId| (idx.num_distinct(u), u) < (idx.num_distinct(v), v);
+        let mut offs = Vec::with_capacity(n + 1);
+        offs.push(0u32);
+        let mut total = 0u32;
+        for u in 0..n as NodeId {
+            total += idx.entries(u).filter(|&(v, _)| below(u, v)).count() as u32;
+            offs.push(total);
+        }
+        let mut out = Vec::with_capacity(total as usize);
+        for u in 0..n as NodeId {
+            out.extend(idx.entries(u).filter(|&(v, _)| below(u, v)));
+        }
+        Self { offs, out }
+    }
+
+    /// Number of oriented pairs (distinct non-loop pairs of the graph).
+    pub(crate) fn num_pairs(&self) -> usize {
+        self.out.len()
+    }
+
+    /// The multiplicity `A` of every oriented pair, in pair-index order.
+    pub(crate) fn multiplicities(&self) -> impl Iterator<Item = u32> + '_ {
+        self.out.iter().map(|&(_, a)| a)
+    }
+
+    /// Calls `f(nodes, pairs, a)` once per triangle `{u, v, w}` (ranked
+    /// `u < v < w`) with `nodes = [u, v, w]`, the pair indices
+    /// `pairs = [uv, uw, vw]` into the orientation (`0..num_pairs()`) and
+    /// their multiplicities `a = [A_uv, A_uw, A_vw]`.
+    pub(crate) fn for_each_triangle<F>(&self, mut f: F)
+    where
+        F: FnMut([NodeId; 3], [usize; 3], [u64; 3]),
+    {
+        let n = self.offs.len() - 1;
+        // mark[w] = 1 + pair index of (u, w) while u's out-list is marked.
+        let mut mark = vec![0u32; n];
+        let range = |x: usize| self.offs[x] as usize..self.offs[x + 1] as usize;
+        for u in 0..n {
+            let ru = range(u);
+            for e in ru.clone() {
+                mark[self.out[e].0 as usize] = e as u32 + 1;
+            }
+            for uv in ru.clone() {
+                let (v, a_uv) = self.out[uv];
+                for vw in range(v as usize) {
+                    let (w, a_vw) = self.out[vw];
+                    let m = mark[w as usize];
+                    if m != 0 {
+                        let uw = m as usize - 1;
+                        f(
+                            [u as NodeId, v, w],
+                            [uv, uw, vw],
+                            [a_uv as u64, self.out[uw].1 as u64, a_vw as u64],
+                        );
+                    }
+                }
+            }
+            for e in ru {
+                mark[self.out[e].0 as usize] = 0;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgr_gen::classic::{complete, complete_bipartite, cycle};
+    use sgr_gen::classic::{complete, complete_bipartite, cycle, star};
     use sgr_graph::{CsrGraph, Graph};
 
     #[test]
@@ -128,5 +208,28 @@ mod tests {
         let csr = CsrGraph::freeze(&g);
         assert_eq!(triangle_counts(&g), triangle_counts(&csr));
         assert_eq!(total_triangles(&g), total_triangles(&csr));
+    }
+
+    #[test]
+    fn orientation_stores_each_pair_once_below_its_upper_endpoint() {
+        // Star hub 0 with leaves 1..=4, a doubled leaf edge (1,2), a loop.
+        let mut g = star(4);
+        g.add_edge(1, 2);
+        g.add_edge(1, 2);
+        g.add_edge(3, 3);
+        let idx = MultiplicityIndex::build(&g);
+        let o = Oriented::build(&idx);
+        // Ranks (d̃, id): 4 (d̃ 1) < 1 < 2 < 3 (d̃ 2, ties broken by id;
+        // node 3's loop counts as a distinct neighbor) < 0 (d̃ 4).
+        let out = |u: usize| &o.out[o.offs[u] as usize..o.offs[u + 1] as usize];
+        assert_eq!(out(0), []);
+        assert_eq!(out(1), [(0, 1), (2, 2)]);
+        assert_eq!(out(2), [(0, 1)]);
+        assert_eq!(out(3), [(0, 1)]);
+        assert_eq!(out(4), [(0, 1)]);
+        assert_eq!(o.num_pairs(), 5);
+        let mut seen = Vec::new();
+        o.for_each_triangle(|nodes, pairs, a| seen.push((nodes, pairs, a)));
+        assert_eq!(seen, [([1, 2, 0], [1, 0, 2], [2, 1, 1])]);
     }
 }
