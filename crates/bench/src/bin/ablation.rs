@@ -141,32 +141,19 @@ fn main() {
         for run in 0..args.runs {
             let mut rng = Xoshiro256pp::seed_from_u64(args.seed ^ 0xab3 ^ (run as u64) << 20);
             let crawl = random_walk_until_fraction(&g, 0.10, &mut rng);
-            let (graph, secs) = if proposed {
-                let r = restore(
-                    &crawl,
-                    &RestoreConfig {
-                        rewiring_coefficient: args.rc,
-                        ..RestoreConfig::default()
-                    },
-                    &mut rng,
-                )
-                .expect("restore failed");
-                (r.graph, r.stats.total_secs())
+            let generate = if proposed {
+                restore
             } else {
-                let o = sgr_core::gjoka::generate(
-                    &crawl,
-                    &RestoreConfig {
-                        rewiring_coefficient: args.rc,
-                        ..RestoreConfig::default()
-                    },
-                    &mut rng,
-                )
-                .expect("gjoka failed");
-                (o.graph, o.stats.total_secs())
+                sgr_core::gjoka::generate
             };
-            let props = StructuralProperties::compute(&graph, &props_cfg);
+            let cfg = RestoreConfig {
+                rewiring_coefficient: args.rc,
+                ..RestoreConfig::default()
+            };
+            let r = generate(&crawl, &cfg, &mut rng).expect("restoration failed");
+            let props = StructuralProperties::compute(&r.graph, &props_cfg);
             avg_acc += sgr_util::stats::mean(&orig.l1_distances(&props));
-            time_acc += secs;
+            time_acc += r.stats.total_secs();
         }
         let label = if proposed {
             "with subgraph (proposed)"

@@ -175,31 +175,23 @@ pub fn run_all_methods(
         0.0,
     ));
 
-    let gjoka_cfg = RestoreConfig {
-        rewiring_coefficient: rc,
-        ..RestoreConfig::default()
-    };
-    let gj = gjoka::generate(&rw_crawl, &gjoka_cfg, rng).expect("gjoka generation failed");
-    out.push(MethodOutput {
-        method: Method::Gjoka,
-        graph: gj.graph,
-        snapshot: gj.snapshot,
-        total_secs: gj.stats.total_secs(),
-        rewire_secs: gj.stats.rewire_secs,
-    });
-
+    // Both run the same staged pipeline; the baseline on an empty
+    // subgraph.
     let cfg = RestoreConfig {
         rewiring_coefficient: rc,
         ..RestoreConfig::default()
     };
+    let gj = gjoka::generate(&rw_crawl, &cfg, rng).expect("gjoka generation failed");
     let rs = restore(&rw_crawl, &cfg, rng).expect("proposed restoration failed");
-    out.push(MethodOutput {
-        method: Method::Proposed,
-        graph: rs.graph,
-        snapshot: rs.snapshot,
-        total_secs: rs.stats.total_secs(),
-        rewire_secs: rs.stats.rewire_secs,
-    });
+    for (method, r) in [(Method::Gjoka, gj), (Method::Proposed, rs)] {
+        out.push(MethodOutput {
+            method,
+            graph: r.graph,
+            snapshot: r.snapshot,
+            total_secs: r.stats.total_secs(),
+            rewire_secs: r.stats.rewire_secs,
+        });
+    }
 
     out
 }

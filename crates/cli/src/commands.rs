@@ -248,14 +248,16 @@ pub fn restore(argv: &[String]) -> i32 {
             "checkpoint-every",
         ],
         |o| {
-            let g = load(o.req("graph")?)?;
-            let mut rng = Xoshiro256pp::seed_from_u64(o.get_or("seed", 42u64)?);
-            let crawl = do_crawl(&g, o, &mut rng)?;
             let cfg = RestoreConfig {
                 rewiring_coefficient: o.get_or("rc", 500.0)?,
                 rewire: !o.get_or("no-rewire", false)?,
                 threads: o.get_or("threads", 1usize)?,
             };
+            cfg.validate()
+                .map_err(|e| CliError::Usage(format!("--rc: {e}")))?;
+            let g = load(o.req("graph")?)?;
+            let mut rng = Xoshiro256pp::seed_from_u64(o.get_or("seed", 42u64)?);
+            let crawl = do_crawl(&g, o, &mut rng)?;
             let r = match checkpoint_policy(o)? {
                 None => core_restore(&crawl, &cfg, &mut rng)?,
                 Some(policy) => restore_with_checkpoints(
@@ -731,6 +733,36 @@ mod tests {
         // --help exits 0 without doing work.
         assert_eq!(generate(&argv(&["--help"])), 0);
         assert_eq!(restore(&argv(&["-h"])), 0);
+    }
+
+    #[test]
+    fn restore_rejects_an_invalid_rc_as_a_usage_error() {
+        let g_path = tmp("rc_g.edges");
+        assert_eq!(
+            generate(&argv(&[
+                "--model", "hk", "--nodes", "300", "--m", "3", "--pt", "0.5", "--out", &g_path,
+            ])),
+            0
+        );
+        let r_path = tmp("rc_restored.edges");
+        // NaN and negative come first: without the check they exit 0
+        // after zero rewiring attempts, while infinity would hang.
+        for rc in ["nan", "-3", "inf"] {
+            assert_eq!(
+                restore(&argv(&[
+                    "--graph",
+                    &g_path,
+                    "--rc",
+                    rc,
+                    "--out",
+                    &r_path,
+                    "--fraction",
+                    "0.1",
+                ])),
+                2,
+                "--rc {rc} was not a usage error"
+            );
+        }
     }
 
     #[test]

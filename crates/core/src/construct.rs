@@ -38,23 +38,10 @@ pub struct Built {
 /// 4. give every node `d*_i − d'_i` free half-edges;
 /// 5. for each `k ≤ k'`, wire `m*(k,k') − m'(k,k')` uniformly random
 ///    stub pairs between the degree classes.
-pub fn extend_subgraph(
-    sg: &Subgraph,
-    dv: &TargetDv,
-    jdm: &TargetJdm,
-    rng: &mut Xoshiro256pp,
-) -> Result<Built, DkError> {
-    extend_subgraph_with(sg, dv, jdm, rng, &mut ConstructScratch::new())
-}
-
-/// [`extend_subgraph`] against caller-owned stub-matching scratch.
 ///
-/// Behaviorally identical (the scratch never changes results — see the
-/// determinism model in [`sgr_dk::construct`]); a warm scratch makes the
-/// stub-matching step allocation-free, which is what the restore loop
-/// wants when it generates many graphs back to back
-/// ([`crate::restore_with`] / [`crate::gjoka::generate_with`] thread one
-/// through).
+/// Results never depend on the caller-owned `scratch` (see the
+/// determinism model in [`sgr_dk::construct`]); a warm one makes stub
+/// matching allocation-free across back-to-back generations.
 pub fn extend_subgraph_with(
     sg: &Subgraph,
     dv: &TargetDv,
@@ -164,7 +151,9 @@ mod tests {
             let mut rng = Xoshiro256pp::seed_from_u64(seed + 70);
             let mut dv = target_dv::build(&sg, &est, &mut rng);
             let jdm = target_jdm::build(&sg, &est, &mut dv).unwrap();
-            let built = extend_subgraph(&sg, &dv, &jdm, &mut rng).unwrap();
+            let built =
+                extend_subgraph_with(&sg, &dv, &jdm, &mut rng, &mut ConstructScratch::new())
+                    .unwrap();
             let g = &built.graph;
             g.validate().unwrap();
 
@@ -207,7 +196,8 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(80);
         let mut dv = target_dv::build(&sg, &est, &mut rng);
         let jdm = target_jdm::build(&sg, &est, &mut dv).unwrap();
-        let built = extend_subgraph(&sg, &dv, &jdm, &mut rng).unwrap();
+        let built =
+            extend_subgraph_with(&sg, &dv, &jdm, &mut rng, &mut ConstructScratch::new()).unwrap();
         for (u, &d) in built.target_deg.iter().enumerate() {
             assert_eq!(
                 built.graph.degree(u as NodeId),
@@ -230,7 +220,7 @@ mod tests {
             .find(|&k| dv.n_prime[k] > 0)
             .expect("subgraph assigns at least one target degree");
         dv.n_star[k] = dv.n_prime[k] - 1;
-        match extend_subgraph(&sg, &dv, &jdm, &mut rng) {
+        match extend_subgraph_with(&sg, &dv, &jdm, &mut rng, &mut ConstructScratch::new()) {
             Err(DkError::DvDominanceViolated { k: ek, .. }) => {
                 assert_eq!(ek as usize, k)
             }
@@ -254,7 +244,7 @@ mod tests {
             .expect("some populated cell");
         // Request far more edges of this class pair than stubs exist.
         jdm.set(k, k2, star + 1_000_000);
-        match extend_subgraph(&sg, &dv, &jdm, &mut rng) {
+        match extend_subgraph_with(&sg, &dv, &jdm, &mut rng, &mut ConstructScratch::new()) {
             Err(DkError::OutOfStubs {
                 k: ek,
                 k2: ek2,
@@ -277,7 +267,8 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(84);
         let mut dv = target_dv::build(&sg, &est, &mut rng);
         let jdm = target_jdm::build(&sg, &est, &mut dv).unwrap();
-        let built = extend_subgraph(&sg, &dv, &jdm, &mut rng).unwrap();
+        let built =
+            extend_subgraph_with(&sg, &dv, &jdm, &mut rng, &mut ConstructScratch::new()).unwrap();
         assert_eq!(built.match_stats.edges, built.added_edges.len());
         // The subgraph is simple, so every self-loop in the result came
         // from the matcher and must be accounted.
@@ -298,7 +289,7 @@ mod tests {
             .find(|&(k, _, star, _)| k > 0 && star > 0)
             .expect("some populated cell");
         jdm.set_prime(k, k2, star + 3);
-        match extend_subgraph(&sg, &dv, &jdm, &mut rng) {
+        match extend_subgraph_with(&sg, &dv, &jdm, &mut rng, &mut ConstructScratch::new()) {
             Err(DkError::JdmDominanceViolated {
                 k: ek,
                 k2: ek2,

@@ -1,142 +1,51 @@
 //! The reproducible version of Gjoka et al.'s 2.5K generation method
-//! (Appendix B of the paper).
+//! (Appendix B of the paper): the proposed pipeline run on an empty
+//! subgraph.
 //!
-//! Same estimates, same machinery — but **no use of the sampled
-//! subgraph**: the target degree vector and joint degree matrix skip their
-//! modification steps, the graph is built from an empty graph, and every
-//! edge is a rewiring candidate (`Ẽ_rew = Ẽ`). The contrast with
-//! [`crate::restore`] is exactly the paper's proposed-vs-baseline
-//! comparison (and the source of both the accuracy gap on `c̄(k)` and the
-//! several-fold rewiring-time gap).
+//! Appendix B is the proposed method without the sampled subgraph, and
+//! `V' = ∅` is exactly that: Algorithm 2 has no node to assign (no RNG
+//! draw, `n' = 0`, empty `d*`), Algorithm 4 has no `m'` to dominate,
+//! construction starts from an empty graph, and every edge is added, so
+//! rewiring runs over `Ẽ_rew = Ẽ`. The contrast with [`crate::restore`]
+//! is the paper's proposed-vs-baseline comparison (the accuracy gap on
+//! `c̄(k)` and the several-fold rewiring-time gap). The Gjoka goldens in
+//! `crates/core/tests/pipeline_golden.rs` pin the baseline's RNG stream.
 
-use crate::{RestoreConfig, RestoreError, RestoreStats};
-use sgr_dk::construct::{wire_stubs_with, ConstructScratch};
-use sgr_dk::extract::JointDegreeMatrix;
-use sgr_dk::rewire::RewireStats;
-use sgr_estimate::{estimate_all, Estimates};
-use sgr_graph::Graph;
-use sgr_sample::Crawl;
-use sgr_util::{FxHashMap, Xoshiro256pp};
-
-/// Output of the Gjoka et al. baseline.
-#[derive(Debug)]
-pub struct GjokaOutput {
-    /// The generated graph.
-    pub graph: Graph,
-    /// An order-preserving CSR snapshot of `graph`, frozen after rewiring
-    /// (see [`crate::Restored::snapshot`]).
-    pub snapshot: sgr_graph::CsrGraph,
-    /// The estimates used as targets.
-    pub estimates: Estimates,
-    /// Phase timings and counters (same shape as the proposed method's).
-    pub stats: RestoreStats,
-}
+use crate::{NoopObserver, RestoreConfig, RestoreError, Restored};
+use sgr_dk::ConstructScratch;
+use sgr_sample::{Crawl, Subgraph};
+use sgr_util::Xoshiro256pp;
 
 /// Runs Gjoka et al.'s method (Appendix B) from a random-walk crawl.
 ///
 /// Shares [`RestoreConfig`] with the proposed method:
 /// `rewiring_coefficient` is `R_C` (500 in the paper), `rewire: false`
 /// stops after construction, and `threads` selects the rewiring engine
-/// (results are identical at every thread count).
+/// (results are identical at every thread count). The returned
+/// [`Restored::subgraph`] is empty.
 pub fn generate(
     crawl: &Crawl,
     cfg: &RestoreConfig,
     rng: &mut Xoshiro256pp,
-) -> Result<GjokaOutput, RestoreError> {
-    generate_with(crawl, cfg, rng, &mut ConstructScratch::new())
-}
-
-/// [`generate`] against caller-owned stub-matching scratch (identical
-/// results; a warm scratch makes the construction phase's stub matching
-/// allocation-free — see [`crate::restore_with`]).
-pub fn generate_with(
-    crawl: &Crawl,
-    cfg: &RestoreConfig,
-    rng: &mut Xoshiro256pp,
-    scratch: &mut ConstructScratch,
-) -> Result<GjokaOutput, RestoreError> {
-    if crawl.num_queried() == 0 {
-        return Err(RestoreError::EmptyCrawl);
-    }
-    let te = std::time::Instant::now();
-    let estimates = estimate_all(crawl)?;
-    let estimate_secs = te.elapsed().as_secs_f64();
-    // Targets without subgraph modification steps.
-    let t0 = std::time::Instant::now();
-    let mut dv = crate::target_dv::build_gjoka(&estimates);
-    let jdm = crate::target_jdm::build_gjoka(&estimates, &mut dv)?;
-    let target_secs = t0.elapsed().as_secs_f64();
-
-    // Construction from an empty graph: every node takes its degree from
-    // the target degree sequence; every edge comes from stub matching.
-    let t1 = std::time::Instant::now();
-    let n_total = dv.num_nodes() as usize;
-    let mut g = Graph::with_nodes(n_total);
-    let mut dseq: Vec<u32> = Vec::with_capacity(n_total);
-    for k in 1..=dv.k_max {
-        for _ in 0..dv.n_star[k] {
-            dseq.push(k as u32);
-        }
-    }
-    sgr_util::sampling::shuffle(&mut dseq, rng);
-    let mut add: JointDegreeMatrix = FxHashMap::default();
-    for (k, k2, star, _) in jdm.upper_entries() {
-        if star > 0 {
-            add.insert((k as u32, k2 as u32), star);
-        }
-    }
-    let tm = std::time::Instant::now();
-    wire_stubs_with(&mut g, &dseq, &add, rng, scratch)?;
-    let stub_matching_secs = tm.elapsed().as_secs_f64();
-    // Move the edge list out of the scratch instead of copying it.
-    let candidates = scratch.take_added();
-    let construct_secs = t1.elapsed().as_secs_f64();
-
-    // Rewiring with every edge as a candidate (Ẽ_rew = Ẽ).
-    let t2 = std::time::Instant::now();
-    let candidate_edges = candidates.len();
-    let (graph, rewire_stats) = if cfg.rewire && candidate_edges > 0 {
-        let mut target_c = estimates.clustering.clone();
-        target_c.resize(dv.k_max + 1, 0.0);
-        crate::run_rewiring(
-            g,
-            candidates,
-            &target_c,
-            cfg.rewiring_coefficient,
-            cfg.threads,
-            rng,
-        )
-    } else {
-        (g, RewireStats::default())
-    };
-    let rewire_secs = t2.elapsed().as_secs_f64();
-
-    let stats = RestoreStats {
-        estimate_secs,
-        target_secs,
-        construct_secs,
-        stub_matching_secs,
-        rewire_secs,
-        rewire_stats,
-        nodes: graph.num_nodes(),
-        edges: graph.num_edges(),
-        candidate_edges,
-        // The baseline stays a monolith: no staging, no checkpoints.
-        ..RestoreStats::default()
-    };
-    let snapshot = graph.freeze();
-    Ok(GjokaOutput {
-        graph,
-        snapshot,
-        estimates,
-        stats,
-    })
+) -> Result<Restored, RestoreError> {
+    let mut scratch = ConstructScratch::new();
+    let empty = |_: &Crawl| Subgraph::empty();
+    crate::restore_impl(
+        crawl,
+        empty,
+        cfg,
+        rng,
+        &mut scratch,
+        None,
+        &mut NoopObserver,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sgr_dk::extract::joint_degree_matrix;
+    use sgr_graph::Graph;
     use sgr_sample::random_walk_until_fraction;
 
     fn cfg(rc: f64) -> RestoreConfig {
@@ -146,7 +55,7 @@ mod tests {
         }
     }
 
-    fn run(n: usize, frac: f64, seed: u64, rc: f64) -> (Graph, GjokaOutput) {
+    fn run(n: usize, frac: f64, seed: u64, rc: f64) -> (Graph, Restored) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let g = sgr_gen::holme_kim(n, 4, 0.5, &mut rng).unwrap();
         let crawl = random_walk_until_fraction(&g, frac, &mut rng);
@@ -185,6 +94,7 @@ mod tests {
     fn all_edges_are_candidates() {
         let (_, out) = run(500, 0.1, 3, 2.0);
         assert_eq!(out.stats.candidate_edges, out.stats.edges);
+        assert_eq!(out.subgraph.num_nodes(), 0);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!    the *added* edges only (`Ẽ_rew = Ẽ \ E'`), greedily minimizing the
 //!    L1 distance to `{ĉ̄(k)}` (Algorithm 6).
 //!
-//! [`gjoka::generate`] implements the baseline with the same machinery
-//! but no subgraph: target construction skips the modification steps, the
-//! graph is built from an empty graph, and every edge is rewirable.
+//! [`gjoka::generate`] is the baseline: the same stages on an empty
+//! subgraph. Appendix B is the proposed method without `G'`, and with
+//! `V' = ∅` every subgraph step is a no-op and every edge is rewirable.
 
 pub mod construct;
 pub mod gjoka;
@@ -33,7 +33,7 @@ pub mod target_jdm;
 
 mod checkpoint;
 
-/// Re-exported so downstream callers of [`restore_with`] /
+/// Re-exported so downstream callers of [`restore_with_checkpoints`] /
 /// [`resume_from_checkpoint`] can own a scratch without depending on
 /// `sgr_dk` directly.
 pub use sgr_dk::ConstructScratch;
@@ -77,32 +77,24 @@ impl Default for RestoreConfig {
     }
 }
 
-/// Phase-4 rewiring shared by [`restore`] and [`gjoka::generate`]:
-/// dispatches to the sequential or speculative-parallel engine per
-/// `threads` (see [`RestoreConfig::threads`]; results are identical
-/// either way).
-pub(crate) fn run_rewiring(
-    graph: Graph,
-    candidates: Vec<(NodeId, NodeId)>,
-    target_c: &[f64],
-    rc: f64,
-    threads: usize,
-    rng: &mut Xoshiro256pp,
-) -> (Graph, RewireStats) {
-    if threads == 1 {
-        let mut engine = RewireEngine::new(graph, candidates, target_c);
-        let stats = engine.run(rc, rng);
-        (engine.into_graph(), stats)
-    } else {
-        let mut engine = ParallelRewireEngine::new(graph, candidates, target_c, threads);
-        let stats = engine.run(rc, rng);
-        (engine.into_graph(), stats)
+impl RestoreConfig {
+    /// Requires a finite, non-negative `R_C`: NaN or negative would
+    /// silently skip rewiring, infinity would never finish.
+    pub fn validate(&self) -> Result<(), RestoreError> {
+        let rc = self.rewiring_coefficient;
+        if rc.is_finite() && rc >= 0.0 {
+            Ok(())
+        } else {
+            Err(RestoreError::InvalidRewiringCoefficient(rc))
+        }
     }
 }
 
 /// Errors from the restoration pipeline.
 #[derive(Debug)]
 pub enum RestoreError {
+    /// `R_C` is NaN, infinite or negative.
+    InvalidRewiringCoefficient(f64),
     /// The walk was too short for the estimators.
     Estimate(EstimateError),
     /// Target construction failed (Algorithm 3 non-convergence —
@@ -129,6 +121,10 @@ pub enum RestoreError {
 impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RestoreError::InvalidRewiringCoefficient(rc) => write!(
+                f,
+                "rewiring coefficient must be finite and non-negative, got {rc}"
+            ),
             RestoreError::Estimate(e) => write!(f, "estimation failed: {e}"),
             RestoreError::Target(e) => write!(f, "target construction failed: {e}"),
             RestoreError::Construct(e) => write!(f, "construction failed: {e}"),
@@ -626,14 +622,19 @@ fn run_after_construct(
     Ok(finish(driver.stats, subgraph, estimates, graph))
 }
 
-fn restore_impl(
+/// The whole staged pipeline. `induce` is the method choice: the
+/// proposed method induces `G'` from the crawl ([`Crawl::subgraph`]),
+/// the Gjoka baseline passes an empty subgraph ([`gjoka::generate`]).
+pub(crate) fn restore_impl(
     crawl: &Crawl,
+    induce: fn(&Crawl) -> Subgraph,
     cfg: &RestoreConfig,
     rng: &mut Xoshiro256pp,
     scratch: &mut sgr_dk::ConstructScratch,
     policy: Option<&CheckpointPolicy>,
     observer: &mut dyn PipelineObserver,
 ) -> Result<Restored, RestoreError> {
+    cfg.validate()?;
     if crawl.num_queried() == 0 {
         return Err(RestoreError::EmptyCrawl);
     }
@@ -647,7 +648,7 @@ fn restore_impl(
     driver.observer.stage_started("estimate");
     let t = Instant::now();
     let estimates = estimate_all(crawl)?;
-    let subgraph = crawl.subgraph();
+    let subgraph = induce(crawl);
     driver.stats.estimate_secs += t.elapsed().as_secs_f64();
     driver.checkpoint(rng, &subgraph, &estimates, StageRef::Estimated)?;
     run_after_estimate(&mut driver, subgraph, estimates, rng, scratch)
@@ -659,26 +660,21 @@ pub fn restore(
     cfg: &RestoreConfig,
     rng: &mut Xoshiro256pp,
 ) -> Result<Restored, RestoreError> {
-    restore_with(crawl, cfg, rng, &mut sgr_dk::ConstructScratch::new())
+    let mut scratch = ConstructScratch::new();
+    restore_impl(
+        crawl,
+        Crawl::subgraph,
+        cfg,
+        rng,
+        &mut scratch,
+        None,
+        &mut NoopObserver,
+    )
 }
 
-/// [`restore`] against caller-owned stub-matching scratch.
-///
-/// Results are identical (the scratch never changes the RNG stream — see
-/// the determinism model in [`sgr_dk::construct`]); holding one scratch
-/// across repeated restorations makes each run's stub-matching phase
-/// allocation-free after the first.
-pub fn restore_with(
-    crawl: &Crawl,
-    cfg: &RestoreConfig,
-    rng: &mut Xoshiro256pp,
-    scratch: &mut sgr_dk::ConstructScratch,
-) -> Result<Restored, RestoreError> {
-    restore_impl(crawl, cfg, rng, scratch, None, &mut NoopObserver)
-}
-
-/// [`restore_with`] under a [`CheckpointPolicy`]: identical results (the
-/// staged driver and checkpoint chunking are bitwise-neutral), plus
+/// [`restore`] under a [`CheckpointPolicy`], against caller-owned
+/// stub-matching scratch: identical results (the staged driver,
+/// checkpoint chunking and scratch reuse are bitwise-neutral), plus
 /// durable intermediate state for [`resume_from_checkpoint`].
 pub fn restore_with_checkpoints(
     crawl: &Crawl,
@@ -687,7 +683,7 @@ pub fn restore_with_checkpoints(
     scratch: &mut sgr_dk::ConstructScratch,
     policy: &CheckpointPolicy,
 ) -> Result<Restored, RestoreError> {
-    restore_impl(crawl, cfg, rng, scratch, Some(policy), &mut NoopObserver)
+    restore_with_checkpoints_observed(crawl, cfg, rng, scratch, policy, &mut NoopObserver)
 }
 
 /// [`restore_with_checkpoints`] with a [`PipelineObserver`] attached:
@@ -701,7 +697,15 @@ pub fn restore_with_checkpoints_observed(
     policy: &CheckpointPolicy,
     observer: &mut dyn PipelineObserver,
 ) -> Result<Restored, RestoreError> {
-    restore_impl(crawl, cfg, rng, scratch, Some(policy), observer)
+    restore_impl(
+        crawl,
+        Crawl::subgraph,
+        cfg,
+        rng,
+        scratch,
+        Some(policy),
+        observer,
+    )
 }
 
 /// Continues an interrupted restoration from a checkpoint file, producing
@@ -881,6 +885,38 @@ mod tests {
             restore(&crawl, &RestoreConfig::default(), &mut rng),
             Err(RestoreError::EmptyCrawl)
         ));
+    }
+
+    #[test]
+    fn invalid_rewiring_coefficients_are_rejected() {
+        let mut rng = Xoshiro256pp::seed_from_u64(10);
+        let g = sgr_gen::holme_kim(300, 3, 0.5, &mut rng).unwrap();
+        let crawl = random_walk_until_fraction(&g, 0.1, &mut rng);
+        // NaN and negative come first: without the check they finish
+        // (zero attempts), while infinity would run u64::MAX attempts.
+        for rc in [f64::NAN, -1.0, f64::INFINITY] {
+            let cfg = RestoreConfig {
+                rewiring_coefficient: rc,
+                ..RestoreConfig::default()
+            };
+            assert!(cfg.validate().is_err(), "R_C = {rc} validated");
+            for result in [
+                restore(&crawl, &cfg, &mut rng.clone()),
+                gjoka::generate(&crawl, &cfg, &mut rng.clone()),
+            ] {
+                assert!(
+                    matches!(result, Err(RestoreError::InvalidRewiringCoefficient(_))),
+                    "R_C = {rc} was not rejected"
+                );
+            }
+        }
+        for rc in [0.0, 500.0] {
+            let cfg = RestoreConfig {
+                rewiring_coefficient: rc,
+                ..RestoreConfig::default()
+            };
+            assert!(cfg.validate().is_ok(), "R_C = {rc} rejected");
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub struct TargetDv {
     /// `n'(k)` — number of subgraph nodes already assigned target degree
     /// `k`. Always `n'(k) ≤ n*(k)` (condition DV-3).
     pub n_prime: Vec<u64>,
-    /// `d*_i` for each subgraph node (dense subgraph ids). Empty for the
-    /// Gjoka baseline, which uses no subgraph.
+    /// `d*_i` for each subgraph node (dense subgraph ids). Empty for an
+    /// empty subgraph (the Gjoka baseline).
     pub d_star: Vec<u32>,
     /// Target maximum degree `k*_max`.
     pub k_max: usize,
@@ -66,10 +66,11 @@ impl TargetDv {
     }
 }
 
-/// Builds the target degree vector for the **proposed method**:
-/// initialization, adjustment (Algorithm 1), modification constrained by
-/// the subgraph (Algorithm 2), and a final re-adjustment if the
-/// modification broke the even-sum condition.
+/// Builds the target degree vector: initialization, adjustment
+/// (Algorithm 1), modification constrained by the subgraph (Algorithm 2),
+/// and a final re-adjustment if the modification broke the even-sum
+/// condition. On an empty subgraph (Gjoka et al.'s baseline, Appendix B)
+/// only initialization and adjustment do anything, and no RNG is drawn.
 pub fn build(subgraph: &Subgraph, est: &Estimates, rng: &mut Xoshiro256pp) -> TargetDv {
     let mut dv = initialize(est, subgraph_max_degree(subgraph));
     adjust_even_sum(&mut dv);
@@ -80,15 +81,6 @@ pub fn build(subgraph: &Subgraph, est: &Estimates, rng: &mut Xoshiro256pp) -> Ta
         .iter()
         .zip(dv.n_star.iter())
         .all(|(&np, &ns)| np <= ns));
-    dv
-}
-
-/// Builds the target degree vector for **Gjoka et al.'s baseline**
-/// (Appendix B): initialization and adjustment only — the subgraph's
-/// structure is not used.
-pub fn build_gjoka(est: &Estimates) -> TargetDv {
-    let mut dv = initialize(est, 0);
-    adjust_even_sum(&mut dv);
     dv
 }
 
@@ -288,7 +280,8 @@ mod tests {
     #[test]
     fn gjoka_variant_skips_modification() {
         let (_, _, est) = setup(400, 0.1, 11);
-        let dv = build_gjoka(&est);
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        let dv = build(&Subgraph::empty(), &est, &mut rng);
         assert!(dv.d_star.is_empty());
         assert_eq!(dv.degree_sum() % 2, 0);
     }

@@ -142,7 +142,7 @@ pub struct TargetJdm {
     /// error terms `Δ±(k,k')` reference (0 where `P̂ = 0`).
     m_hat: Vec<f64>,
     /// `m'(k, k')` — the subgraph's edge counts between *target*-degree
-    /// classes (all zero for the Gjoka baseline). Doubles as the lower
+    /// classes (all zero on an empty subgraph). Doubles as the lower
     /// limit `m_min` in the final adjustment.
     m_prime: Vec<u64>,
     /// Degree range.
@@ -164,7 +164,7 @@ fn tri_idx(k: usize, k2: usize) -> usize {
 
 impl TargetJdm {
     /// An all-zero matrix over degrees `0..=k_max` (tests and tools; the
-    /// pipeline goes through [`build`] / [`build_gjoka`]).
+    /// pipeline goes through [`build`]).
     pub fn new(k_max: usize) -> Self {
         Self {
             m_star: vec![0; tri_len(k_max)],
@@ -336,10 +336,11 @@ impl TargetJdm {
     }
 }
 
-/// Builds the target JDM for the **proposed method**: initialization,
-/// adjustment toward the marginals `k·n*(k)` (Algorithm 3 with zero lower
-/// limits), modification to dominate the subgraph's JDM (Algorithm 4),
-/// and re-adjustment with the subgraph as the lower limit.
+/// Builds the target JDM: initialization, adjustment toward the
+/// marginals `k·n*(k)` (Algorithm 3 with zero lower limits), modification
+/// to dominate the subgraph's JDM (Algorithm 4), and re-adjustment with
+/// the subgraph as the lower limit. On an empty subgraph (Gjoka et al.'s
+/// baseline) `m' = 0`, so the last two steps change nothing.
 ///
 /// `dv` is mutated: Algorithm 3 may raise `n*(k)` when a marginal cannot
 /// be met by decreasing matrix entries.
@@ -375,14 +376,6 @@ pub fn build_with_stats(
     adjust(&mut jdm, dv, true)?;
     stats.readjust_secs = t.elapsed().as_secs_f64();
     Ok((jdm, stats))
-}
-
-/// Builds the target JDM for **Gjoka et al.'s baseline**: initialization
-/// and adjustment only (no subgraph information).
-pub fn build_gjoka(est: &Estimates, dv: &mut TargetDv) -> Result<TargetJdm, TargetError> {
-    let mut jdm = initialize(est, dv.k_max);
-    adjust(&mut jdm, dv, false)?;
-    Ok(jdm)
 }
 
 /// Initialization step (§IV-C-1): `m*(k,k') = max(NearInt(m̂), 1)`
@@ -947,8 +940,10 @@ mod tests {
     #[test]
     fn gjoka_conditions_hold() {
         let (_, est) = setup(500, 0.1, 20);
-        let mut dv = target_dv::build_gjoka(&est);
-        let jdm = build_gjoka(&est, &mut dv).unwrap();
+        let empty = Subgraph::empty();
+        let mut rng = Xoshiro256pp::seed_from_u64(20);
+        let mut dv = target_dv::build(&empty, &est, &mut rng);
+        let jdm = build(&empty, &est, &mut dv).unwrap();
         // JDM-2 and JDM-3 hold; m_prime is all zeros.
         let s = jdm.marginals();
         #[allow(clippy::needless_range_loop)]

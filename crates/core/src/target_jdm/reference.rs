@@ -50,14 +50,6 @@ pub fn build(
     Ok(jdm)
 }
 
-/// Per-unit build for Gjoka et al.'s baseline — the oracle counterpart
-/// of [`super::build_gjoka`].
-pub fn build_gjoka(est: &Estimates, dv: &mut TargetDv) -> Result<TargetJdm, TargetError> {
-    let mut jdm = initialize(est, dv.k_max);
-    adjust(&mut jdm, dv, false)?;
-    Ok(jdm)
-}
-
 /// Adjustment step (Algorithm 3), one unit per iteration: make every
 /// marginal `s(k)` equal its target `s*(k) = k·n*(k)`, processing degrees
 /// in decreasing order, never decreasing an entry below its lower limit

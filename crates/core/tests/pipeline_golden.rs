@@ -101,3 +101,26 @@ fn construction_only_stream_matches_committed_golden() {
         r.graph.num_edges()
     );
 }
+
+#[test]
+fn gjoka_construction_only_stream_matches_committed_golden() {
+    // The baseline's phases 1-3 alone. The baseline is the proposed
+    // pipeline on an empty subgraph, so if this breaks along with the
+    // proposed construction-only golden, a shared stage moved; if only
+    // the Gjoka full-stream golden breaks, rewiring's own stream moved.
+    let (crawl, mut rng) = fixed_crawl(400, 37);
+    let cfg = RestoreConfig {
+        rewiring_coefficient: 10.0,
+        rewire: false,
+        threads: 1,
+    };
+    let out = gjoka::generate(&crawl, &cfg, &mut rng).unwrap();
+    assert_eq!(
+        edge_multiset_hash(&out.graph),
+        0x6ea6_8320_d5b3_f113,
+        "the Gjoka baseline's pre-rewiring (construction) RNG stream changed \
+         (nodes {}, edges {})",
+        out.graph.num_nodes(),
+        out.graph.num_edges()
+    );
+}

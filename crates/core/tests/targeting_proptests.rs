@@ -115,39 +115,45 @@ proptest! {
 
     #[test]
     fn engines_are_invariant_equivalent((sg, est, seed) in arb_crawl()) {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x3F);
-        let dv0 = target_dv::build(&sg, &est, &mut rng);
-        let mut dv_fast = dv0.clone();
-        let mut dv_ref = dv0.clone();
-        let fast = target_jdm::build(&sg, &est, &mut dv_fast).unwrap();
-        let oracle = target_jdm::reference::build(&sg, &est, &mut dv_ref).unwrap();
-        prop_assert_eq!(&dv_fast.n_star, &dv_ref.n_star, "n* diverged");
-        prop_assert_eq!(fast.marginals(), oracle.marginals(), "marginals diverged");
-        prop_assert_eq!(fast.num_edges(), oracle.num_edges(), "edge totals diverged");
-        // The shared cost functions and tie rule make the engines agree
-        // cell-for-cell, not just on the aggregates the contract names.
-        for k in 1..=fast.k_max {
-            for k2 in k..=fast.k_max {
-                prop_assert_eq!(
-                    fast.get(k, k2),
-                    oracle.get(k, k2),
-                    "m*({}, {}) diverged",
-                    k,
-                    k2
-                );
+        // The empty subgraph is Gjoka et al.'s baseline (Appendix B),
+        // which runs the same builders with `V' = ∅`.
+        for sg in [&sg, &Subgraph::empty()] {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x3F);
+            let dv0 = target_dv::build(sg, &est, &mut rng);
+            let mut dv_fast = dv0.clone();
+            let mut dv_ref = dv0.clone();
+            let fast = target_jdm::build(sg, &est, &mut dv_fast).unwrap();
+            let oracle = target_jdm::reference::build(sg, &est, &mut dv_ref).unwrap();
+            prop_assert_eq!(&dv_fast.n_star, &dv_ref.n_star, "n* diverged");
+            prop_assert_eq!(fast.marginals(), oracle.marginals(), "marginals diverged");
+            prop_assert_eq!(fast.num_edges(), oracle.num_edges(), "edge totals diverged");
+            // The shared cost functions and tie rule make the engines agree
+            // cell-for-cell, not just on the aggregates the contract names.
+            for k in 1..=fast.k_max {
+                for k2 in k..=fast.k_max {
+                    prop_assert_eq!(
+                        fast.get(k, k2),
+                        oracle.get(k, k2),
+                        "m*({}, {}) diverged",
+                        k,
+                        k2
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn gjoka_engines_are_invariant_equivalent((_sg, est, _seed) in arb_crawl()) {
-        let mut dv_fast = target_dv::build_gjoka(&est);
-        let mut dv_ref = dv_fast.clone();
-        let fast = target_jdm::build_gjoka(&est, &mut dv_fast).unwrap();
-        let oracle = target_jdm::reference::build_gjoka(&est, &mut dv_ref).unwrap();
-        prop_assert_eq!(&dv_fast.n_star, &dv_ref.n_star);
-        prop_assert_eq!(fast.marginals(), oracle.marginals());
-        prop_assert_eq!(fast.num_edges(), oracle.num_edges());
+    fn dv_on_an_empty_subgraph_draws_no_rng((_sg, est, seed) in arb_crawl()) {
+        // The Gjoka baseline reuses the proposed method's RNG stream only
+        // because Algorithm 2 has nothing to assign when `V' = ∅`.
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x4A);
+        let before = rng.state();
+        let dv = target_dv::build(&Subgraph::empty(), &est, &mut rng);
+        prop_assert_eq!(rng.state(), before, "Algorithm 2 drew from the RNG");
+        prop_assert!(dv.n_prime.iter().all(|&c| c == 0), "n' not all zero");
+        prop_assert!(dv.d_star.is_empty(), "d* not empty");
+        check_dv(&dv, &Subgraph::empty());
     }
 }
 

@@ -164,8 +164,8 @@ pub struct MatchStats {
 /// per-class stub counts, the sorted pair worklist, and the output edge
 /// list. A warm scratch (one whose buffers have grown to the workload's
 /// high-water mark) makes the matcher allocation-free; keep one alive
-/// across the repeated `construct` / `gjoka::generate` calls of a restore
-/// loop (`sgr_core::restore_with` and `generate_with` thread it through).
+/// across repeated constructions (`sgr_core::restore_with_checkpoints`
+/// threads one through).
 #[derive(Clone, Debug, Default)]
 pub struct ConstructScratch {
     /// Free-stub pools, one class per target degree, in one flat arena.

@@ -26,6 +26,12 @@ pub struct Subgraph {
 }
 
 impl Subgraph {
+    /// The empty subgraph (`V' = ∅`): what Gjoka et al.'s baseline
+    /// restores from, since it uses no sampled structure.
+    pub fn empty() -> Self {
+        Self::from_crawl(&Crawl::default())
+    }
+
     /// Builds `G'` from a crawl. The hidden graphs of the paper are simple,
     /// so `E'` deduplicates edges reported by both endpoints.
     pub fn from_crawl(crawl: &Crawl) -> Self {

@@ -21,6 +21,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use sgr_core::RestoreConfig;
 use sgr_graph::snapshot::{
     read_section, write_section, PayloadReader, PayloadWriter, KIND_JOB_SPEC, KIND_JOB_STATE,
 };
@@ -64,9 +65,6 @@ impl JobSpec {
     pub fn from_request(req: SubmitRequest, default_every: u64) -> Result<Self, String> {
         let walk = WalkKind::from_code(req.walk_code)
             .ok_or_else(|| format!("unknown walk code {}", req.walk_code))?;
-        if !req.rewiring_coefficient.is_finite() || req.rewiring_coefficient < 0.0 {
-            return Err("rewiring coefficient must be finite and non-negative".into());
-        }
         let spec = JobSpec {
             tenant: req.tenant,
             walk,
@@ -88,6 +86,9 @@ impl JobSpec {
             edges: req.edges,
         };
         spec.crawl_spec().validate()?;
+        spec.restore_config()
+            .validate()
+            .map_err(|e| e.to_string())?;
         Ok(spec)
     }
 
@@ -98,6 +99,15 @@ impl JobSpec {
             fraction: self.fraction,
             snowball_k: self.snowball_k,
             burn_prob: self.burn_prob,
+        }
+    }
+
+    /// The restore half of the spec.
+    pub fn restore_config(&self) -> RestoreConfig {
+        RestoreConfig {
+            rewiring_coefficient: self.rewiring_coefficient,
+            rewire: self.rewire,
+            threads: self.threads,
         }
     }
 
@@ -405,9 +415,14 @@ mod tests {
         assert!(JobSpec::from_request(bad_walk, 1).is_err());
         let bad_fraction = SubmitRequest {
             fraction: 2.0,
-            ..req
+            ..req.clone()
         };
         assert!(JobSpec::from_request(bad_fraction, 1).is_err());
+        let nan_rc = SubmitRequest {
+            rewiring_coefficient: f64::NAN,
+            ..req
+        };
+        assert!(JobSpec::from_request(nan_rc, 1).is_err());
     }
 
     #[test]

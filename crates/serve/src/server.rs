@@ -735,14 +735,9 @@ fn execute(
                 every: spec.checkpoint_every,
                 abort_after: (spec.abort_after > 0).then_some(spec.abort_after),
             };
-            let cfg = sgr_core::RestoreConfig {
-                rewiring_coefficient: spec.rewiring_coefficient,
-                rewire: spec.rewire,
-                threads: spec.threads,
-            };
             restore_with_checkpoints_observed(
                 &outcome.crawl,
-                &cfg,
+                &spec.restore_config(),
                 &mut rng,
                 scratch,
                 &policy,
