@@ -1,6 +1,7 @@
 //! Rewiring-throughput harness: measures swap attempts/sec for the
 //! evaluate-then-commit engine against the apply-rollback reference, plus
-//! a thread-scaling section for the sharded parallel engine, on the
+//! a thread-scaling section for the parallel engine (the sequential
+//! engine driven by a round-robin worker pool), on the
 //! same graph, target, and RNG seed. Writes `BENCH_rewire.json` so future
 //! PRs have a perf trajectory to defend.
 //!
@@ -32,8 +33,9 @@ const RNG_SEED: u64 = 10;
 /// Pinned speculation block size for the scaling entries: the engine's
 /// adaptive sizing reacts to the accept trajectory, so pinning keeps the
 /// measured work identical across thread counts and across runs. (A
-/// single-worker engine steps sequentially and ignores the block size,
-/// so `parallel1` measures the dispatch overhead alone.)
+/// single-worker engine runs its wrapped sequential engine directly and
+/// ignores the block size, so `parallel1` measures the wrapper's
+/// dispatch alone.)
 const BENCH_BLOCK: usize = 4096;
 
 struct Measurement {
@@ -171,7 +173,7 @@ fn main() {
     };
     assert_equivalent(&fast, &slow);
 
-    // Thread scaling of the sharded parallel engine, normalized to the
+    // Thread scaling of the parallel engine, normalized to the
     // sequential evaluate-then-commit engine.
     let scaling: Vec<Measurement> = thread_counts
         .iter()

@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use checkpoint::{StageData, StageRef};
 use sgr_dk::rewire::parallel::ParallelRewireEngine;
-use sgr_dk::rewire::{RewireEngine, RewireStats};
+use sgr_dk::rewire::RewireStats;
 use sgr_estimate::{estimate_all, EstimateError, Estimates};
 use sgr_graph::{CsrGraph, Graph, NodeId, SnapshotError};
 use sgr_sample::{Crawl, Subgraph};
@@ -59,11 +59,13 @@ pub struct RestoreConfig {
     pub rewiring_coefficient: f64,
     /// Set false to stop after Phase 3 (used by ablations).
     pub rewire: bool,
-    /// Rewiring worker threads: `1` (default) runs the sequential
-    /// [`RewireEngine`]; any other value runs the speculative-parallel
-    /// [`ParallelRewireEngine`] with that many workers (`0` = all
-    /// available cores). The engines are seed-for-seed bitwise
-    /// equivalent, so this knob changes wall time only, never results.
+    /// Rewiring worker threads for the [`ParallelRewireEngine`] that runs
+    /// Algorithm 6 (`0` = all available cores). At `1` (default) it runs
+    /// its wrapped sequential
+    /// [`RewireEngine`](sgr_dk::rewire::RewireEngine) directly; wider, a
+    /// worker pool evaluates picks speculatively in round-robin order.
+    /// Results are seed-for-seed bitwise identical at every width, so
+    /// this knob changes wall time only.
     pub threads: usize,
 }
 
@@ -404,94 +406,6 @@ fn stage_construct(
     Ok((dv.k_max, built.graph, built.added_edges))
 }
 
-/// Either rewiring engine behind one face: the engines are seed-for-seed
-/// bitwise equivalent and expose identical checkpoint state, so the
-/// driver (and the checkpoint format) never cares which one is running.
-enum Engine {
-    Sequential(Box<RewireEngine>),
-    Parallel(Box<ParallelRewireEngine>),
-}
-
-impl Engine {
-    fn new(
-        graph: Graph,
-        candidates: Vec<(NodeId, NodeId)>,
-        target_c: &[f64],
-        threads: usize,
-    ) -> Self {
-        if threads == 1 {
-            Engine::Sequential(Box::new(RewireEngine::new(graph, candidates, target_c)))
-        } else {
-            Engine::Parallel(Box::new(ParallelRewireEngine::new(
-                graph, candidates, target_c, threads,
-            )))
-        }
-    }
-
-    fn run_attempts(&mut self, attempts: u64, rng: &mut Xoshiro256pp) -> RewireStats {
-        match self {
-            Engine::Sequential(e) => e.run_attempts(attempts, rng),
-            Engine::Parallel(e) => e.run_attempts(attempts, rng),
-        }
-    }
-
-    fn into_graph(self) -> Graph {
-        match self {
-            Engine::Sequential(e) => e.into_graph(),
-            Engine::Parallel(e) => e.into_graph(),
-        }
-    }
-
-    fn graph(&self) -> &Graph {
-        match self {
-            Engine::Sequential(e) => e.graph(),
-            Engine::Parallel(e) => e.graph(),
-        }
-    }
-
-    fn slots(&self) -> &[(NodeId, NodeId)] {
-        match self {
-            Engine::Sequential(e) => e.slots(),
-            Engine::Parallel(e) => e.slots(),
-        }
-    }
-
-    fn clustering_sums(&self) -> &[f64] {
-        match self {
-            Engine::Sequential(e) => e.clustering_sums(),
-            Engine::Parallel(e) => e.clustering_sums(),
-        }
-    }
-
-    fn dist_raw(&self) -> f64 {
-        match self {
-            Engine::Sequential(e) => e.dist_raw(),
-            Engine::Parallel(e) => e.dist_raw(),
-        }
-    }
-
-    fn bucket_state(&self) -> Vec<Vec<(u32, u8)>> {
-        match self {
-            Engine::Sequential(e) => e.bucket_state(),
-            Engine::Parallel(e) => e.bucket_state(),
-        }
-    }
-
-    fn restore_float_state(&mut self, s: &[f64], dist_raw: f64) -> Result<(), String> {
-        match self {
-            Engine::Sequential(e) => e.restore_float_state(s, dist_raw),
-            Engine::Parallel(e) => e.restore_float_state(s, dist_raw),
-        }
-    }
-
-    fn restore_bucket_state(&mut self, buckets: Vec<Vec<(u32, u8)>>) -> Result<(), String> {
-        match self {
-            Engine::Sequential(e) => e.restore_bucket_state(buckets),
-            Engine::Parallel(e) => e.restore_bucket_state(buckets),
-        }
-    }
-}
-
 /// The rewiring loop: runs `total` attempts in checkpoint-sized chunks.
 /// Chunking is bitwise-neutral (`run_attempts` in pieces reproduces one
 /// big run exactly — the engines' own equivalence tests pin this), so
@@ -503,7 +417,7 @@ fn run_rewire_loop(
     subgraph: &Subgraph,
     estimates: &Estimates,
     k_max: usize,
-    mut engine: Engine,
+    mut engine: ParallelRewireEngine,
     total: u64,
     rng: &mut Xoshiro256pp,
 ) -> Result<Graph, RestoreError> {
@@ -531,17 +445,18 @@ fn run_rewire_loop(
         if driver.stats.rewire_stats.attempts >= total {
             return Ok(engine.into_graph());
         }
+        let state = engine.engine();
         driver.checkpoint(
             rng,
             subgraph,
             estimates,
             StageRef::Rewiring {
                 k_max,
-                graph: engine.graph(),
-                slots: engine.slots(),
-                clustering_sums: engine.clustering_sums(),
-                dist_raw: engine.dist_raw(),
-                buckets: engine.bucket_state(),
+                graph: state.graph(),
+                slots: state.slots(),
+                clustering_sums: state.clustering_sums(),
+                dist_raw: state.dist_raw(),
+                buckets: state.bucket_state(),
                 total_attempts: total,
             },
         )?;
@@ -616,7 +531,7 @@ fn run_after_construct(
     let total = (driver.cfg.rewiring_coefficient * candidate_edges as f64).ceil() as u64;
     let t = Instant::now();
     let target_c = clustering_target(&estimates, k_max);
-    let engine = Engine::new(graph, added_edges, &target_c, driver.cfg.threads);
+    let engine = ParallelRewireEngine::new(graph, added_edges, &target_c, driver.cfg.threads);
     driver.stats.rewire_secs += t.elapsed().as_secs_f64();
     let graph = run_rewire_loop(driver, &subgraph, &estimates, k_max, engine, total, rng)?;
     Ok(finish(driver.stats, subgraph, estimates, graph))
@@ -712,10 +627,10 @@ pub fn restore_with_checkpoints_observed(
 /// a result bitwise-identical to the run that was interrupted (same final
 /// edge multiset, same RNG stream, same stats counters).
 ///
-/// `threads` optionally overrides the checkpointed engine choice — safe
-/// because the engines are seed-for-seed equivalent. A `policy` makes the
-/// resumed run itself checkpointable (file numbering continues where the
-/// interrupted run stopped).
+/// `threads` optionally overrides the checkpointed worker count — safe
+/// because results are seed-for-seed identical at every width. A
+/// `policy` makes the resumed run itself checkpointable (file numbering
+/// continues where the interrupted run stopped).
 pub fn resume_from_checkpoint(
     path: &Path,
     threads: Option<usize>,
@@ -781,11 +696,12 @@ pub fn resume_from_checkpoint_observed(
         } => {
             let t = Instant::now();
             let target_c = clustering_target(&estimates, k_max);
-            let mut engine = Engine::new(graph, slots, &target_c, driver.cfg.threads);
-            engine
+            let mut engine = ParallelRewireEngine::new(graph, slots, &target_c, driver.cfg.threads);
+            let inner = engine.engine_mut();
+            inner
                 .restore_float_state(&clustering_sums, dist_raw)
                 .map_err(SnapshotError::Corrupt)?;
-            engine
+            inner
                 .restore_bucket_state(buckets)
                 .map_err(SnapshotError::Corrupt)?;
             driver.stats.rewire_secs += t.elapsed().as_secs_f64();

@@ -7,9 +7,9 @@
 //! The `Interrupted` abort drops all in-memory pipeline state, so these
 //! tests prove the checkpoint payload is *complete*: adjacency order,
 //! RNG stream position, incremental float accumulators, and degree-bucket
-//! order all survive the round trip, for the sequential and the
-//! speculative-parallel engine alike (`SGR_REWIRE_TEST_THREADS` narrows
-//! the matrix to one width, as in the dk suite).
+//! order all survive the round trip, with one rewiring worker and with a
+//! pool alike (`SGR_REWIRE_TEST_THREADS` narrows the matrix to one
+//! width, as in the dk suite).
 
 use std::path::PathBuf;
 

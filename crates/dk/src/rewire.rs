@@ -41,7 +41,8 @@
 //! 2. **Decision.** `Δt` is folded into per-degree candidate sums `S'(k)`
 //!    and a predicted distance `D'` (`EngineCore::fold_decide`, shared
 //!    verbatim with the reference so accept/reject decisions and the final
-//!    distance are bitwise identical).
+//!    distance are bitwise identical; `EngineCore::decide` wraps it with
+//!    the commit).
 //! 3. **Commit.** Only when `D' < D` are the graph, the index, `t`,
 //!    `S(k)`, and the candidate-slot bookkeeping mutated — four structural
 //!    toggles with **no** common-neighbor scans, since the deltas are
@@ -72,9 +73,10 @@
 //! # Determinism model
 //!
 //! Three engines produce **bitwise-identical** results for the same seed:
-//! the apply-rollback reference, the sequential [`RewireEngine`], and the
-//! sharded [`parallel::ParallelRewireEngine`] at every thread count.
-//! The contract rests on three pillars:
+//! the apply-rollback reference, the sequential [`RewireEngine`], and
+//! [`parallel::ParallelRewireEngine`] — a `RewireEngine` driven by a
+//! worker pool — at every thread count. The contract rests on three
+//! pillars:
 //!
 //! 1. **One RNG stream, drawn in attempt order.** Every candidate pick
 //!    flows through `EngineCore::pick_swap` against the current
@@ -90,7 +92,7 @@
 //!    input, so accept/reject decisions — and therefore the distance
 //!    trajectory — are bit-for-bit reproducible.
 //!
-//! The parallel engine adds **draw-order commit with conflict replay** on
+//! The parallel path adds **draw-order commit with conflict replay** on
 //! top: a coordinator pre-draws a block of picks, workers evaluate them
 //! read-only against the block-start snapshot, and commits happen
 //! strictly in draw order. The first in-block commit invalidates the
@@ -99,22 +101,20 @@
 //! when the replayed pick is identical *and* none of its four endpoints
 //! is in the stamped dirty-node set of already-committed swaps.
 //!
-//! **Why ownership sharding preserves the stream.** The sharded engine
-//! routes each pick to the one worker owning its degree class
-//! ([`shard::ShardPartitioner`]), so sharding decides only *which thread
-//! computes* a pick's integer `Δt` list — never which picks exist, in
-//! what order they are decided, or what they evaluate to. The picks
-//! themselves come from the single sequential RNG stream drawn by the
-//! coordinator (pillar 1); the owned evaluation is the same exact
-//! integer computation regardless of worker (pillar 2); and the commit
-//! scan walks the block strictly in draw order on the coordinator,
-//! fetching each pick's result from its owner's buffer and running the
-//! one float fold there (pillar 3). The ownership map is itself a pure
-//! function of the degree-bucket lengths — invariant under commits — so
-//! it cannot drift mid-run and introduce routing-dependent behavior.
-//! Cross-shard conflicts (a commit dirtying endpoints another shard's
-//! pick reads) are detected exactly as before and repaired by inline
-//! re-evaluation, which is equality with re-execution, not an
+//! **Why round-robin ownership preserves the stream.** Pick `i` of a
+//! block is evaluated by worker `i mod T`, so ownership decides only
+//! *which thread computes* a pick's integer `Δt` list — never which
+//! picks exist, in what order they are decided, or what they evaluate
+//! to. The picks themselves come from the single sequential RNG stream
+//! drawn by the coordinator (pillar 1); the evaluation is the same exact
+//! integer computation on any worker (pillar 2); and the commit scan
+//! walks the block strictly in draw order on the coordinator, fetching
+//! each pick's result from its owner's buffer and deciding it in the
+//! wrapped engine, the one place the float fold runs (pillar 3).
+//! Ownership is a function of the pick's index alone, so it cannot drift
+//! with the graph. Conflicts (a commit dirtying endpoints a later pick
+//! reads) are detected exactly as above and repaired by re-evaluation in
+//! the wrapped engine, which is equality with re-execution, not an
 //! approximation (see [`mod@parallel`] for the full argument).
 
 use sgr_graph::index::MultiplicityIndex;
@@ -125,7 +125,6 @@ use sgr_util::{FxHashMap, Xoshiro256pp};
 
 pub mod parallel;
 pub mod reference;
-pub mod shard;
 
 /// Statistics from a rewiring run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -391,6 +390,31 @@ impl EngineCore {
             self.s[d as usize] = new_s.get(d);
         }
         self.dist_raw = new_raw;
+    }
+
+    /// Decides an evaluated swap: folds its node-sorted `Δt` list into a
+    /// predicted distance and, iff that lowers `D`, commits it — cached
+    /// quantities, four scan-free structural toggles, and the slot swap.
+    /// Returns whether the swap was accepted. The sequential engine and
+    /// the parallel engine's commit scan both decide here.
+    pub(crate) fn decide(
+        &mut self,
+        p: &SwapPick,
+        touched: &[(NodeId, i64)],
+        new_s: &mut ScratchAccum<f64>,
+    ) -> bool {
+        let new_raw = self.fold_decide(touched, new_s);
+        if new_raw < self.dist_raw {
+            self.commit_decision(touched, new_s, new_raw);
+            apply_structural(self, p.vi, p.vj, -1);
+            apply_structural(self, p.vi2, p.vj2, -1);
+            apply_structural(self, p.vi, p.vj2, 1);
+            apply_structural(self, p.vi2, p.vj, 1);
+            self.commit_slot_swap(p);
+            true
+        } else {
+            false
+        }
     }
 
     /// Updates slots and degree buckets after an accepted swap: slot `e1`
@@ -699,26 +723,14 @@ impl RewireEngine {
         };
 
         // --- Evaluate: predict every Δt_i by read-only scans.
+        self.pairs.clear();
         evaluate_swap(&self.core, &pick, &mut self.scratch_t, &mut self.pairs);
 
-        // --- Decide: fold node-sorted deltas into a predicted distance.
-        let new_raw = self.core.fold_decide(&self.pairs, &mut self.scratch_s);
-
-        if new_raw < self.core.dist_raw {
-            // --- Commit: structural toggles (scan-free) + cached state.
-            self.core
-                .commit_decision(&self.pairs, &self.scratch_s, new_raw);
-            apply_structural(&mut self.core, pick.vi, pick.vj, -1);
-            apply_structural(&mut self.core, pick.vi2, pick.vj2, -1);
-            apply_structural(&mut self.core, pick.vi, pick.vj2, 1);
-            apply_structural(&mut self.core, pick.vi2, pick.vj, 1);
-            self.core.commit_slot_swap(&pick);
-            true
-        } else {
-            // Rejected: nothing was mutated — assert it.
-            debug_assert_eq!(self.core.idx.mutation_count(), mutations_before);
-            false
-        }
+        // --- Decide, and commit on accept.
+        let accepted = self.core.decide(&pick, &self.pairs, &mut self.scratch_s);
+        // Rejected: nothing was mutated — assert it.
+        debug_assert!(accepted || self.core.idx.mutation_count() == mutations_before);
+        accepted
     }
 
     /// Releases the rewired graph.
@@ -782,8 +794,8 @@ impl RewireEngine {
 
 /// Evaluates `pick` **read-only** against `core`: emulates the four edge
 /// toggles, accumulating per-node triangle deltas into `scratch_t`, and
-/// leaves the node-sorted `(node, Δt)` list in `pairs`, ready for
-/// `EngineCore::fold_decide`.
+/// appends the node-sorted `(node, Δt)` list to `pairs`, ready for
+/// `EngineCore::decide`.
 ///
 /// Shared verbatim by the sequential engine and the parallel engine's
 /// workers — evaluation touches no engine state beyond the two scratch
@@ -834,7 +846,6 @@ pub(crate) fn evaluate_swap(
         &specials,
     );
     scratch_t.sort_touched();
-    pairs.clear();
     for i in 0..scratch_t.touched().len() {
         let node = scratch_t.touched()[i];
         pairs.push((node, scratch_t.get(node)));

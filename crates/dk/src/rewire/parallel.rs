@@ -1,58 +1,57 @@
-//! Sharded parallel rewiring: a persistent worker pool, ownership
-//! partitioning of the evaluation space, draw-order commit with conflict
+//! Parallel rewiring: a [`RewireEngine`] driven by a persistent worker
+//! pool, with round-robin evaluation, draw-order commit with conflict
 //! replay, and adaptive speculation blocks.
 //!
 //! `BENCH_rewire.json` shows the production regime of §IV-E rewiring:
-//! fewer than 1% of swap attempts are accepted, and PR 1 made every
-//! rejected attempt a pure **read-only** evaluation. Read-only work
-//! scales across threads; the rare accepts are what must stay sequential
-//! to preserve the engine contract. [`ParallelRewireEngine`] exploits
-//! exactly that split while remaining **bitwise-identical** to the
-//! sequential [`RewireEngine`](crate::rewire::RewireEngine) — same final
-//! graph, same accepted count, same distance trajectory — for the same
-//! seed at every thread count.
+//! fewer than 1% of swap attempts are accepted, and every rejected
+//! attempt is a pure **read-only** evaluation. Read-only work scales
+//! across threads; the rare accepts are what must stay sequential to
+//! preserve the engine contract. [`ParallelRewireEngine`] exploits
+//! exactly that split. It is not a second engine: it owns one
+//! [`RewireEngine`] — the only owner of the engine state — and decides
+//! and commits every pick through it, so it is **bitwise-identical** to
+//! running that engine alone (same final graph, same accepted count,
+//! same distance trajectory) for the same seed at every thread count.
+//! Everything else — the graph, the candidate slots, the checkpoint
+//! state, the consistency check — is read through
+//! [`engine`](ParallelRewireEngine::engine).
+//!
+//! # One worker
+//!
+//! With `threads <= 1` there is no evaluation to overlap, so
+//! [`run_attempts`] calls [`RewireEngine::run_attempts`] and nothing
+//! else: no pool, no speculation blocks, and no pool buffers allocated.
 //!
 //! # Persistent worker pool
 //!
 //! Workers are spawned **once per [`run_attempts`] call** inside a single
-//! `std::thread::scope` that wraps the whole block loop; its predecessor
-//! spawned and joined a fresh scope per 1024-pick block, and those
-//! per-block spawn/join costs were what kept parallel throughput *below*
-//! sequential. Each worker sits in a blocking `recv` on its own mpsc job
-//! channel; the coordinator feeds one `Job` per worker per block and
-//! collects one `Ack` per worker on a shared completion channel. Job
-//! and ack carry the worker's result buffers and scratch arena by move,
-//! so per-block coordination is two channel messages per worker and no
-//! other allocation or synchronization.
+//! `std::thread::scope` that wraps the whole block loop, so per-block
+//! spawn/join costs never eat the evaluation speedup. Each worker sits
+//! in a blocking `recv` on its own mpsc job channel; the coordinator
+//! feeds one `Job` per worker per block and collects one `Ack` per
+//! worker on a shared completion channel. Job and ack carry the
+//! worker's result buffers and scratch arena by move, so per-block
+//! coordination is two channel messages per worker.
 //!
-//! The shared engine state (`EngineState`: the core, the speculative
-//! picks, and the shard map) is handed to workers as a raw pointer
-//! (`StatePtr`). Safety rests on strict temporal alternation, enforced
-//! by the channel protocol: a worker dereferences the pointer (shared,
-//! read-only) only between receiving a job and sending its ack, and the
-//! coordinator dereferences it (mutably, for draws and commits) only
-//! while every worker is blocked between ack and next job. The mpsc
-//! send/recv pairs provide the happens-before edges, and inside the
-//! scope the coordinator reaches the shared state *only* through the
-//! same pointer, so no reference ever aliases a concurrent access.
+//! The state the workers read — the wrapped engine and the block's
+//! speculative picks — sits behind an `RwLock` for the duration of the
+//! call. The channel protocol already alternates access strictly:
+//! workers hold the read lock only between receiving a job and sending
+//! its ack, and the coordinator takes the write lock (to draw and to
+//! commit) only while every worker is idle between ack and next job. The
+//! lock therefore never waits; it is what lets the compiler check that
+//! alternation, with no `unsafe`.
 //!
-//! A single-worker engine (`threads <= 1`) skips the pool *and* the
-//! speculation machinery entirely and steps sequentially on the calling
-//! thread: with no evaluation to overlap, per-pick RNG checkpoints and
-//! post-commit tail replay would be pure overhead, so `threads = 1`
-//! matches the sequential engine's cost as well as its results.
+//! # Round-robin ownership
 //!
-//! # Ownership sharding
-//!
-//! Every pick is owned by exactly one worker, decided by the degree
-//! class of its first endpoint through the engine's
-//! [`ShardPartitioner`]: workers scan the whole block but evaluate only
-//! their owned picks, writing into disjoint entries of their own result
-//! buffers. Routing is a pure function of the pick and a class → shard
-//! map frozen at construction (bucket lengths are invariant under
-//! commits, so the map's weights stay exact), which gives the commit
-//! scan a trivial lookup for where a pick's speculative result lives —
-//! and keeps workers from ever contending on a result slot.
+//! Pick `i` of a block is evaluated by worker `i % T` (with `T`
+//! workers), which stores the result as its `i / T`-th extent in one
+//! flat per-worker arena. Every worker therefore gets exactly
+//! `⌈b / T⌉` or `⌊b / T⌋` of a block's `b` picks — some get none when
+//! `b < T` — and the pool as a whole stores one block of results, not
+//! one block per worker. Ownership is a pure function of the pick's
+//! index, so the commit scan finds each result without a lookup table,
+//! and no two workers ever write the same buffer.
 //!
 //! # Block pipeline
 //!
@@ -61,17 +60,15 @@
 //! 1. **Speculative draw (coordinator).** `b` candidate picks are drawn
 //!    from the *sequential* RNG stream against the current committed
 //!    state, saving a pre-draw RNG checkpoint per pick.
-//! 2. **Evaluation (workers).** Each worker runs the engines' shared
-//!    read-only `evaluate_swap` over its owned picks against the
-//!    block-start snapshot, accumulating triangle deltas in its own
-//!    epoch-stamped [`ScratchAccum`] arena and leaving the node-sorted
-//!    `(node, Δt)` list in its per-pick result buffer. Workers never
-//!    touch shared state, and steady-state evaluation performs no heap
+//! 2. **Evaluation (workers).** Each worker runs the engine's read-only
+//!    `evaluate_swap` over its picks against the block-start snapshot,
+//!    accumulating triangle deltas in its own epoch-stamped
+//!    [`ScratchAccum`] arena and appending each node-sorted `(node, Δt)`
+//!    list to its result arena. Steady-state evaluation performs no heap
 //!    allocation.
 //! 3. **Commit scan (coordinator).** Picks are decided **in draw order**
-//!    through the same `EngineCore::fold_decide` float fold the
-//!    sequential engine uses, and accepted swaps are committed
-//!    immediately.
+//!    through the same `EngineCore::decide` the sequential engine uses,
+//!    and accepted swaps are committed immediately.
 //!
 //! # Conflict replay
 //!
@@ -91,8 +88,9 @@
 //!   endpoints in a stamped dirty-node set ([`DirtyStampSet`]); a
 //!   speculative result is reused iff the replayed pick is identical to
 //!   the speculative one **and** none of its endpoints is dirty.
-//!   Otherwise the coordinator discards it and re-evaluates inline
-//!   against the current state.
+//!   Otherwise the coordinator discards it and re-evaluates against the
+//!   current state in the wrapped engine's own scratch buffers — the
+//!   very evaluation the sequential engine would run.
 //!
 //! # Adaptive blocks
 //!
@@ -116,12 +114,12 @@
 //! [`run_attempts`]: ParallelRewireEngine::run_attempts
 //! [`with_block_size`]: ParallelRewireEngine::with_block_size
 
-use super::shard::ShardPartitioner;
-use super::{apply_structural, evaluate_swap, EngineCore, RewireStats, SwapPick};
+use super::{evaluate_swap, RewireEngine, RewireStats, SwapPick};
 use sgr_graph::{Graph, NodeId};
 use sgr_util::scratch::{DirtyStampSet, ScratchAccum};
 use sgr_util::Xoshiro256pp;
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::RwLock;
 
 /// Smallest adaptive block: accept-heavy phases shrink to this.
 pub const ADAPTIVE_MIN_BLOCK: usize = 64;
@@ -133,48 +131,38 @@ pub const ADAPTIVE_START_BLOCK: usize = 256;
 /// also the allocated per-block capacity of an adaptive engine.
 pub const ADAPTIVE_MAX_BLOCK: usize = 8192;
 
-/// Initial per-pick result-buffer capacity; buffers grow amortized on
-/// the rare evaluation that touches more nodes.
+/// Initial result-arena capacity per pick, in `(node, Δt)` entries; an
+/// arena grows amortized on the rare block whose evaluations touch more
+/// nodes on average.
 const RESULT_CAP: usize = 64;
 
-/// Everything the evaluation workers read: the committed engine core,
-/// the current block's speculative picks, and the ownership map. Shared
-/// with workers through [`StatePtr`] under the temporal-alternation
-/// protocol described in the module docs.
-struct EngineState {
-    core: EngineCore,
+/// Everything the evaluation workers read: the wrapped engine and the
+/// current block's speculative picks.
+struct Shared {
+    engine: RewireEngine,
     /// Speculative picks of the current block, in draw order.
     picks: Vec<Option<SwapPick>>,
-    /// Degree-class → worker ownership map, frozen at construction.
-    shard: ShardPartitioner,
 }
 
-/// Coordinator-only working state, disjoint from [`EngineState`] so the
-/// commit scan can hold `&mut` to both halves at once.
-struct CoordState {
-    /// RNG state snapshot taken immediately before each pick's draws.
-    rng_before: Vec<Xoshiro256pp>,
-    /// Coordinator-side arena for inline re-evaluations after conflicts.
-    repair_t: ScratchAccum<i64>,
-    repair_pairs: Vec<(NodeId, i64)>,
-    /// Per-degree predicted sums for the shared decision fold.
-    scratch_s: ScratchAccum<f64>,
-    /// Endpoints of swaps committed in the current block.
-    dirty: DirtyStampSet,
-}
-
-/// One worker's owned buffers: its triangle-delta arena and its per-pick
-/// result slots. Travels worker ⇄ coordinator by move inside [`Job`] /
-/// [`Ack`] messages, so no shared mutable access is ever needed for
-/// results.
+/// One worker's owned buffers: its triangle-delta arena and its results.
+/// Travels worker ⇄ coordinator by move inside [`Job`] / [`Ack`]
+/// messages, so no shared mutable access is ever needed for results.
 #[derive(Default)]
 struct WorkerBuf {
-    /// Node-sorted `(node, Δt)` evaluation result per owned pick.
-    results: Vec<Vec<(NodeId, i64)>>,
+    /// The `(node, Δt)` lists of the worker's picks, back to back.
+    results: Vec<(NodeId, i64)>,
+    /// `results[ends[k]..ends[k + 1]]` is the worker's `k`-th pick.
+    ends: Vec<usize>,
     arena: ScratchAccum<i64>,
 }
 
-/// "Evaluate your owned picks among the first `b`."
+impl WorkerBuf {
+    fn result(&self, k: usize) -> &[(NodeId, i64)] {
+        &self.results[self.ends[k]..self.ends[k + 1]]
+    }
+}
+
+/// "Evaluate your picks among the first `b`."
 struct Job {
     b: usize,
     buf: WorkerBuf,
@@ -186,32 +174,51 @@ struct Ack {
     buf: WorkerBuf,
 }
 
-/// Raw pointer to the shared [`EngineState`], copied into every worker.
-///
-/// Sendable because the channel protocol serializes all access (see the
-/// module docs): workers dereference it shared-only between job receipt
-/// and ack, the coordinator dereferences it mutably only while all
-/// workers are idle, and mpsc send/recv provide the happens-before
-/// ordering between those windows.
-#[derive(Clone, Copy)]
-struct StatePtr(*mut EngineState);
+/// Worker count an engine built with `threads` runs: `0` means every
+/// available core.
+fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+}
 
-// SAFETY: see StatePtr's docs — access is serialized by the job/ack
-// channel protocol, and the pointee outlives the thread scope because it
-// lives in the engine while `run_attempts` (which owns the scope) holds
-// `&mut self`.
-unsafe impl Send for StatePtr {}
+/// Heap bytes an adaptive [`ParallelRewireEngine`] over `nodes` nodes
+/// allocates for its worker pool on top of the wrapped engine, with
+/// `threads` as passed to [`ParallelRewireEngine::new`]: zero for one
+/// worker, otherwise the per-pick checkpoints and result arenas of one
+/// [`ADAPTIVE_MAX_BLOCK`] block plus a node-indexed arena per worker.
+/// Saturates instead of overflowing, so an absurd width yields an
+/// estimate no budget admits.
+pub fn pool_bytes(nodes: usize, threads: usize) -> u64 {
+    let threads = resolve_threads(threads) as u64;
+    if threads <= 1 {
+        return 0;
+    }
+    let (nodes, cap) = (nodes as u64, ADAPTIVE_MAX_BLOCK as u64);
+    let per_pick = (std::mem::size_of::<Option<SwapPick>>()
+        + std::mem::size_of::<Xoshiro256pp>()
+        + std::mem::size_of::<usize>()
+        + RESULT_CAP * std::mem::size_of::<(NodeId, i64)>()) as u64;
+    // Dirty set (stamp + marked list) and each worker's ScratchAccum
+    // (value + stamp + touched list) per node.
+    let dirty = 8 * nodes;
+    let per_worker = nodes.saturating_mul(16);
+    (cap * per_pick + dirty).saturating_add(threads.saturating_mul(per_worker))
+}
 
-/// The sharded parallel rewiring engine; see the module docs.
-///
-/// Drop-in equivalent of [`RewireEngine`](crate::rewire::RewireEngine):
-/// same constructor shape plus a thread count, bitwise-identical
-/// results.
+/// A [`RewireEngine`] run by a pool of evaluation workers; see the
+/// module docs. Same constructor shape plus a thread count,
+/// bitwise-identical results.
 pub struct ParallelRewireEngine {
-    st: EngineState,
-    coord: CoordState,
+    st: Shared,
+    /// RNG state snapshot taken immediately before each pick's draws.
+    rng_before: Vec<Xoshiro256pp>,
+    /// Endpoints of swaps committed in the current block.
+    dirty: DirtyStampSet,
     /// One buffer set per worker, held here between runs and lent to the
-    /// workers by move while a block is in flight.
+    /// workers by move while a block is in flight. Empty with one worker.
     bufs: Vec<WorkerBuf>,
     threads: usize,
     /// Allocated per-block capacity; the live block size never exceeds it.
@@ -227,57 +234,42 @@ impl ParallelRewireEngine {
     /// `candidates` and target clustering `target_c`, evaluating with
     /// `threads` workers (`0` = all available cores).
     ///
-    /// Argument semantics match
-    /// [`RewireEngine::new`](crate::rewire::RewireEngine::new).
+    /// Argument semantics match [`RewireEngine::new`]. Pool buffers are
+    /// allocated only when more than one worker runs.
     pub fn new(
         graph: Graph,
         candidates: Vec<(NodeId, NodeId)>,
         target_c: &[f64],
         threads: usize,
     ) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+        let threads = resolve_threads(threads);
+        let engine = RewireEngine::new(graph, candidates, target_c);
+        // One worker runs the wrapped engine directly: no pool buffers.
+        let (workers, n) = if threads > 1 {
+            (threads, engine.graph().num_nodes())
         } else {
-            threads
+            (0, 0)
         };
-        let core = EngineCore::new(graph, candidates, target_c);
-        // Pick probability of degree class k is proportional to bucket
-        // k's length, which commits never change — the weights are exact
-        // for the whole run.
-        let weights: Vec<u64> = core.buckets.iter().map(|b| b.len() as u64).collect();
-        let shard = ShardPartitioner::new(&weights, threads);
-        let n = core.graph.num_nodes();
-        let degrees = core.s.len();
-        let touched = core.max_touched();
-        let mut engine = Self {
-            st: EngineState {
-                core,
+        let mut par = Self {
+            st: Shared {
+                engine,
                 picks: Vec::new(),
-                shard,
             },
-            coord: CoordState {
-                rng_before: Vec::new(),
-                repair_t: ScratchAccum::with_keys(n),
-                repair_pairs: Vec::with_capacity(touched),
-                scratch_s: ScratchAccum::with_keys(degrees),
-                dirty: DirtyStampSet::with_keys(n),
-            },
-            bufs: (0..threads)
+            rng_before: Vec::new(),
+            dirty: DirtyStampSet::with_keys(n),
+            bufs: (0..workers)
                 .map(|_| WorkerBuf {
-                    results: Vec::new(),
                     arena: ScratchAccum::with_keys(n),
+                    ..WorkerBuf::default()
                 })
                 .collect(),
             threads,
             cap: 0,
-            block: 0,
+            block: ADAPTIVE_START_BLOCK,
             adaptive: true,
         };
-        engine.set_capacity(ADAPTIVE_MAX_BLOCK);
-        engine.block = ADAPTIVE_START_BLOCK;
-        engine
+        par.set_capacity(ADAPTIVE_MAX_BLOCK);
+        par
     }
 
     /// Pins a fixed speculation block size (picks drawn per round),
@@ -285,7 +277,8 @@ impl ParallelRewireEngine {
     /// (tiny blocks force the replay machinery) and benchmarks (a fixed
     /// size keeps runs comparable); results are identical at any value
     /// ≥ 1 — and identical to the adaptive default. A single-worker
-    /// engine steps sequentially and never consults the block size.
+    /// engine runs the wrapped engine directly and never consults the
+    /// block size.
     pub fn with_block_size(mut self, block: usize) -> Self {
         let block = block.max(1);
         self.adaptive = false;
@@ -294,17 +287,20 @@ impl ParallelRewireEngine {
         self
     }
 
-    /// (Re)allocates the per-block buffers to hold `cap` picks.
+    /// (Re)allocates the per-block buffers to hold `cap` picks; a no-op
+    /// beyond recording `cap` with one worker.
     fn set_capacity(&mut self, cap: usize) {
-        let cap = cap.max(1);
-        self.cap = cap;
-        self.st.picks.resize(cap, None);
-        self.coord
-            .rng_before
-            .resize(cap, Xoshiro256pp::seed_from_u64(0));
+        self.cap = cap.max(1);
+        if self.threads <= 1 {
+            return;
+        }
+        self.st.picks.resize(self.cap, None);
+        self.rng_before
+            .resize(self.cap, Xoshiro256pp::seed_from_u64(0));
+        let per_worker = self.cap.div_ceil(self.threads);
         for buf in &mut self.bufs {
-            buf.results
-                .resize_with(cap, || Vec::with_capacity(RESULT_CAP));
+            buf.ends.resize(per_worker + 1, 0);
+            buf.results.reserve(per_worker * RESULT_CAP);
         }
     }
 
@@ -320,117 +316,56 @@ impl ParallelRewireEngine {
         self.block
     }
 
-    /// The degree-class ownership map routing evaluations to workers.
-    pub fn shard_partitioner(&self) -> &ShardPartitioner {
-        &self.st.shard
+    /// The wrapped engine: distance, graph, slots, checkpoint state and
+    /// the consistency check all live there.
+    pub fn engine(&self) -> &RewireEngine {
+        &self.st.engine
     }
 
-    /// Current normalized distance `D`.
-    pub fn distance(&self) -> f64 {
-        self.st.core.distance()
+    /// Mutable access to the wrapped engine (checkpoint resume injects
+    /// its float and bucket state through it).
+    pub fn engine_mut(&mut self) -> &mut RewireEngine {
+        &mut self.st.engine
     }
 
-    /// Number of rewirable edge slots `|Ẽ_rew|`.
-    pub fn num_candidates(&self) -> usize {
-        self.st.core.slots.len()
-    }
-
-    /// Current `c̄(k)` of the evolving graph.
-    pub fn current_clustering(&self) -> Vec<f64> {
-        self.st.core.current_clustering()
-    }
-
-    /// Runs `R = ceil(rc · |Ẽ_rew|)` attempts (§IV-E).
-    pub fn run(&mut self, rc: f64, rng: &mut Xoshiro256pp) -> RewireStats {
-        let attempts = (rc * self.st.core.slots.len() as f64).ceil() as u64;
-        self.run_attempts(attempts, rng)
+    /// Releases the rewired graph.
+    pub fn into_graph(self) -> Graph {
+        self.st.engine.into_graph()
     }
 
     /// Runs exactly `attempts` swap attempts: in speculation blocks
-    /// across the worker pool, or — with a single worker — by plain
-    /// sequential stepping (same results, none of the overhead).
+    /// across the worker pool, or — with a single worker, or fewer than
+    /// two candidate slots — by the wrapped engine alone.
     pub fn run_attempts(&mut self, attempts: u64, rng: &mut Xoshiro256pp) -> RewireStats {
+        if self.threads <= 1 || self.st.engine.num_candidates() < 2 {
+            return self.st.engine.run_attempts(attempts, rng);
+        }
         let mut stats = RewireStats {
             attempts,
-            initial_distance: self.distance(),
+            initial_distance: self.st.engine.distance(),
             ..Default::default()
         };
-        if self.st.core.slots.len() < 2 {
-            stats.skipped = attempts;
-            stats.final_distance = self.distance();
-            return stats;
-        }
-        if self.threads <= 1 {
-            self.run_attempts_inline(attempts, rng, &mut stats);
-        } else {
-            self.run_attempts_pooled(attempts, rng, &mut stats);
-        }
-        stats.final_distance = self.distance();
+        self.run_pooled(attempts, rng, &mut stats);
+        stats.final_distance = self.st.engine.distance();
         stats
-    }
-
-    /// Single-worker path: plain sequential stepping on the coordinator
-    /// thread — draw, evaluate, decide, one attempt at a time. With one
-    /// worker there is no evaluation to overlap, so the speculation
-    /// machinery (per-pick RNG checkpoints, result buffers, tail replay
-    /// after each commit) would be pure overhead; this loop is the very
-    /// sequential execution the block pipeline's induction is anchored
-    /// to, so it is bitwise-identical by construction and `threads = 1`
-    /// costs the sequential engine plus only the dispatch. It runs the
-    /// same `evaluate_swap` kernel the scoped workers run, into the
-    /// coordinator's reused repair buffers, which is what lets the
-    /// counting-allocator tests observe the evaluation path
-    /// thread-locally.
-    fn run_attempts_inline(
-        &mut self,
-        attempts: u64,
-        rng: &mut Xoshiro256pp,
-        stats: &mut RewireStats,
-    ) {
-        let Self { st, coord, .. } = self;
-        let core = &mut st.core;
-        for _ in 0..attempts {
-            let Some(p) = core.pick_swap(rng) else {
-                stats.skipped += 1;
-                continue;
-            };
-            evaluate_swap(core, &p, &mut coord.repair_t, &mut coord.repair_pairs);
-            let new_raw = core.fold_decide(&coord.repair_pairs, &mut coord.scratch_s);
-            if new_raw < core.dist_raw {
-                core.commit_decision(&coord.repair_pairs, &coord.scratch_s, new_raw);
-                apply_structural(core, p.vi, p.vj, -1);
-                apply_structural(core, p.vi2, p.vj2, -1);
-                apply_structural(core, p.vi, p.vj2, 1);
-                apply_structural(core, p.vi2, p.vj, 1);
-                core.commit_slot_swap(&p);
-                stats.accepted += 1;
-            } else {
-                stats.skipped += 1;
-            }
-        }
     }
 
     /// Multi-worker path: one `std::thread::scope` wraps the whole block
     /// loop, so workers persist across blocks and per-block coordination
     /// is one job and one ack message per worker.
-    fn run_attempts_pooled(
-        &mut self,
-        attempts: u64,
-        rng: &mut Xoshiro256pp,
-        stats: &mut RewireStats,
-    ) {
+    fn run_pooled(&mut self, attempts: u64, rng: &mut Xoshiro256pp, stats: &mut RewireStats) {
         let Self {
             st,
-            coord,
+            rng_before,
+            dirty,
             bufs,
+            threads,
+            cap,
             block,
             adaptive,
-            cap,
-            threads,
-            ..
         } = self;
         let threads = *threads;
-        let ptr = StatePtr(std::ptr::from_mut::<EngineState>(st));
+        let shared = RwLock::new(st);
         std::thread::scope(|scope| {
             let (ack_tx, ack_rx) = std::sync::mpsc::channel::<Ack>();
             let mut job_txs = Vec::with_capacity(threads);
@@ -438,22 +373,17 @@ impl ParallelRewireEngine {
                 let (tx, rx) = std::sync::mpsc::channel::<Job>();
                 job_txs.push(tx);
                 let ack = ack_tx.clone();
-                scope.spawn(move || worker_loop(ptr, w, rx, ack));
+                let shared = &shared;
+                scope.spawn(move || worker_loop(shared, w, threads, rx, ack));
             }
             drop(ack_tx);
-            // NOTE: from here to the end of the scope, the shared state
-            // is reached only through `ptr` — never through `st` — so the
-            // workers' pointer copies stay valid.
             let mut done = 0u64;
             while done < attempts {
                 let b = (attempts - done).min(*block as u64) as usize;
-                {
-                    // SAFETY: every worker is idle (blocked in `recv`
-                    // with no job in flight), so this is the only live
-                    // access to the engine state.
-                    let st = unsafe { &mut *ptr.0 };
-                    draw_block(st, coord, b, rng);
-                }
+                // The write lock never waits: every worker is idle here.
+                let mut st = shared.write().expect("rewire worker panicked");
+                draw_block(&mut st, rng_before, b, rng);
+                drop(st);
                 for (w, tx) in job_txs.iter().enumerate() {
                     let buf = std::mem::take(&mut bufs[w]);
                     tx.send(Job { b, buf }).expect("rewire worker hung up");
@@ -462,12 +392,9 @@ impl ParallelRewireEngine {
                     let Ack { w, buf } = ack_rx.recv().expect("rewire worker died");
                     bufs[w] = buf;
                 }
-                let accepted = {
-                    // SAFETY: all acks are in — every worker is idle
-                    // again, so the coordinator holds the only access.
-                    let st = unsafe { &mut *ptr.0 };
-                    commit_scan(st, coord, bufs, b, rng, stats)
-                };
+                let mut st = shared.write().expect("rewire worker panicked");
+                let accepted = commit_scan(&mut st, rng_before, dirty, bufs, b, rng, stats);
+                drop(st);
                 done += b as u64;
                 if *adaptive {
                     *block = next_block_size(*block, accepted, b, *cap);
@@ -476,71 +403,21 @@ impl ParallelRewireEngine {
             drop(job_txs); // workers' `recv` errors out; the scope joins them
         });
     }
-
-    /// Releases the rewired graph.
-    pub fn into_graph(self) -> Graph {
-        self.st.core.graph
-    }
-
-    /// The evolving graph (checkpoint serialization reads the adjacency
-    /// lists in place).
-    pub fn graph(&self) -> &Graph {
-        &self.st.core.graph
-    }
-
-    /// The candidate slots `Ẽ_rew` in their current (mutated-by-swaps)
-    /// state.
-    pub fn slots(&self) -> &[(NodeId, NodeId)] {
-        &self.st.core.slots
-    }
-
-    /// The incrementally-maintained per-degree clustering sums `S(k)`.
-    pub fn clustering_sums(&self) -> &[f64] {
-        &self.st.core.s
-    }
-
-    /// The incrementally-maintained unnormalized distance.
-    pub fn dist_raw(&self) -> f64 {
-        self.st.core.dist_raw
-    }
-
-    /// Injects checkpointed float state into a freshly reconstructed
-    /// engine (see
-    /// [`RewireEngine::restore_float_state`](crate::rewire::RewireEngine::restore_float_state)).
-    pub fn restore_float_state(&mut self, s: &[f64], dist_raw: f64) -> Result<(), String> {
-        self.st.core.restore_float_state(s, dist_raw)
-    }
-
-    /// The degree-bucket arrays (see
-    /// [`RewireEngine::bucket_state`](crate::rewire::RewireEngine::bucket_state)).
-    pub fn bucket_state(&self) -> Vec<Vec<(u32, u8)>> {
-        self.st.core.bucket_state()
-    }
-
-    /// Injects a checkpointed bucket ordering into a freshly
-    /// reconstructed engine.
-    pub fn restore_bucket_state(&mut self, buckets: Vec<Vec<(u32, u8)>>) -> Result<(), String> {
-        self.st.core.restore_bucket_state(buckets)
-    }
-
-    /// Consistency check used by tests: recomputes every maintained
-    /// quantity from scratch and compares.
-    pub fn validate(&self) -> Result<(), String> {
-        self.st.core.validate()
-    }
 }
 
-/// One worker's life: evaluate owned picks per job, ack, repeat until
-/// the coordinator drops the job channel.
-fn worker_loop(ptr: StatePtr, w: usize, rx: Receiver<Job>, ack: Sender<Ack>) {
+/// One worker's life: evaluate its picks per job, ack, repeat until the
+/// coordinator drops the job channel.
+fn worker_loop(
+    shared: &RwLock<&mut Shared>,
+    w: usize,
+    threads: usize,
+    rx: Receiver<Job>,
+    ack: Sender<Ack>,
+) {
     while let Ok(Job { b, mut buf }) = rx.recv() {
         {
-            // SAFETY: the coordinator never touches the engine state
-            // while a job is unacked, and never sends a job while it
-            // holds a reference — see StatePtr. This shared borrow ends
-            // before the ack below hands control back.
-            let st = unsafe { &*ptr.0 };
-            evaluate_owned(st, &mut buf, b, w as u32);
+            let st = shared.read().expect("rewire coordinator panicked");
+            evaluate_owned(&st, &mut buf, b, w, threads);
         }
         if ack.send(Ack { w, buf }).is_err() {
             return;
@@ -550,26 +427,29 @@ fn worker_loop(ptr: StatePtr, w: usize, rx: Receiver<Job>, ack: Sender<Ack>) {
 
 /// Phase 1: draws `b` speculative picks from the sequential RNG stream,
 /// checkpointing the RNG before each pick for conflict replay.
-fn draw_block(st: &mut EngineState, coord: &mut CoordState, b: usize, rng: &mut Xoshiro256pp) {
-    let EngineState { core, picks, .. } = st;
-    for (pick, ckpt) in picks[..b].iter_mut().zip(coord.rng_before[..b].iter_mut()) {
+fn draw_block(st: &mut Shared, rng_before: &mut [Xoshiro256pp], b: usize, rng: &mut Xoshiro256pp) {
+    let core = &st.engine.core;
+    for (pick, ckpt) in st.picks[..b].iter_mut().zip(rng_before[..b].iter_mut()) {
         *ckpt = rng.clone();
         *pick = core.pick_swap(rng);
     }
 }
 
-/// Phase 2 (per worker): evaluates the block's picks owned by `worker`
-/// read-only into its result slots. Unowned slots keep stale data, which
-/// the commit scan never reads: ownership is a pure function of the
-/// pick, so the result it fetches was always written this block.
-fn evaluate_owned(st: &EngineState, buf: &mut WorkerBuf, b: usize, worker: u32) {
-    let WorkerBuf { results, arena } = buf;
-    for (pick, out) in st.picks[..b].iter().zip(results[..b].iter_mut()) {
+/// Phase 2 (per worker): evaluates picks `w, w + threads, …` of the
+/// block read-only, appending the `k`-th one's result as the `k`-th
+/// extent of the worker's result arena (empty for a skipped pick).
+fn evaluate_owned(st: &Shared, buf: &mut WorkerBuf, b: usize, w: usize, threads: usize) {
+    let WorkerBuf {
+        results,
+        ends,
+        arena,
+    } = buf;
+    results.clear();
+    for (k, pick) in st.picks[..b].iter().skip(w).step_by(threads).enumerate() {
         if let Some(p) = pick {
-            if st.shard.shard_of(st.core.deg[p.vi as usize] as usize) == worker {
-                evaluate_swap(&st.core, p, arena, out);
-            }
+            evaluate_swap(&st.engine.core, p, arena, results);
         }
+        ends[k + 1] = results.len();
     }
 }
 
@@ -580,18 +460,25 @@ fn evaluate_owned(st: &EngineState, buf: &mut WorkerBuf, b: usize, worker: u32) 
 /// block is commit-free (speculation exact); after the first commit it
 /// carries the authoritative sequential RNG stream.
 fn commit_scan(
-    st: &mut EngineState,
-    coord: &mut CoordState,
+    st: &mut Shared,
+    rng_before: &[Xoshiro256pp],
+    dirty: &mut DirtyStampSet,
     bufs: &[WorkerBuf],
     b: usize,
     rng: &mut Xoshiro256pp,
     stats: &mut RewireStats,
 ) -> u64 {
-    let EngineState { core, picks, shard } = st;
-    coord.dirty.clear();
+    let RewireEngine {
+        core,
+        scratch_t,
+        scratch_s,
+        pairs,
+    } = &mut st.engine;
+    let threads = bufs.len();
+    dirty.clear();
     let mut accepted = 0u64;
     let mut cursor: Option<Xoshiro256pp> = None;
-    for (i, &spec_pick) in picks[..b].iter().enumerate() {
+    for (i, &spec_pick) in st.picks[..b].iter().enumerate() {
         let (pick, spec_ok) = match cursor.as_mut() {
             None => (spec_pick, true),
             Some(cur) => {
@@ -604,34 +491,26 @@ fn commit_scan(
             continue;
         };
         let endpoints = [p.vi, p.vj, p.vi2, p.vj2];
-        let clean = !coord.dirty.contains_any(&endpoints);
-        let pairs: &[(NodeId, i64)] = if spec_ok && clean {
-            let owner = shard.shard_of(core.deg[p.vi as usize] as usize) as usize;
-            &bufs[owner].results[i]
+        let result = if spec_ok && !dirty.contains_any(&endpoints) {
+            bufs[i % threads].result(i / threads)
         } else {
             // Conflict (or replayed pick diverged): discard the
-            // speculative result and re-evaluate inline against the
-            // current committed state.
-            evaluate_swap(core, &p, &mut coord.repair_t, &mut coord.repair_pairs);
-            &coord.repair_pairs
+            // speculative result and re-evaluate against the current
+            // committed state.
+            pairs.clear();
+            evaluate_swap(core, &p, scratch_t, pairs);
+            &pairs[..]
         };
-        let new_raw = core.fold_decide(pairs, &mut coord.scratch_s);
-        if new_raw < core.dist_raw {
-            core.commit_decision(pairs, &coord.scratch_s, new_raw);
-            apply_structural(core, p.vi, p.vj, -1);
-            apply_structural(core, p.vi2, p.vj2, -1);
-            apply_structural(core, p.vi, p.vj2, 1);
-            apply_structural(core, p.vi2, p.vj, 1);
-            core.commit_slot_swap(&p);
+        if core.decide(&p, result, scratch_s) {
             for &x in &endpoints {
-                coord.dirty.mark(x);
+                dirty.mark(x);
             }
             if cursor.is_none() {
                 // The sequential stream position after this pick's
                 // draws: the next pick's checkpoint, or — for the
                 // block's last pick — the phase-1 end state.
                 cursor = Some(if i + 1 < b {
-                    coord.rng_before[i + 1].clone()
+                    rng_before[i + 1].clone()
                 } else {
                     rng.clone()
                 });
@@ -666,7 +545,6 @@ fn next_block_size(block: usize, accepted: u64, b: usize, cap: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rewire::RewireEngine;
     use sgr_props::local::LocalProperties;
 
     fn social(seed: u64) -> Graph {
@@ -705,13 +583,13 @@ mod tests {
             assert_eq!(ss.skipped, sp.skipped, "skipped diverged at chunk {c}");
             assert_eq!(
                 seq.distance().to_bits(),
-                par.distance().to_bits(),
+                par.engine().distance().to_bits(),
                 "distance diverged at chunk {c}: {} vs {}",
                 seq.distance(),
-                par.distance()
+                par.engine().distance()
             );
         }
-        par.validate().unwrap();
+        par.engine().validate().unwrap();
         assert_eq!(
             sorted_edges(&seq.into_graph()),
             sorted_edges(&par.into_graph()),
@@ -762,10 +640,14 @@ mod tests {
     fn tiny_blocks_force_replay_and_still_match() {
         // Zero-clustering target accepts aggressively early on, so with
         // block sizes this small nearly every block replays its tail.
+        // Widths 3 and 4 leave some workers without picks in the smaller
+        // blocks, and do not divide every block size.
         let g = social(2);
         let target = vec![0.0; g.max_degree() + 1];
-        for block in [1, 2, 3, 7] {
-            assert_matches_sequential(g.clone(), &target, 7, 2, Some(block), &[900, 350]);
+        for threads in [2, 3, 4] {
+            for block in [1, 2, 3, 7] {
+                assert_matches_sequential(g.clone(), &target, 7, threads, Some(block), &[900, 350]);
+            }
         }
     }
 
@@ -782,9 +664,9 @@ mod tests {
         let target = vec![0.0; g.max_degree() + 1];
         let edges: Vec<_> = g.edges().collect();
         let eng = ParallelRewireEngine::new(g, edges, &target, 0);
+        assert_eq!(eng.num_threads(), resolve_threads(0));
         assert!(eng.num_threads() >= 1);
         assert_eq!(eng.block_size(), ADAPTIVE_START_BLOCK);
-        assert_eq!(eng.shard_partitioner().num_shards(), eng.num_threads());
     }
 
     #[test]
@@ -794,35 +676,69 @@ mod tests {
         let target = vec![0.0; g.max_degree() + 1];
         let mut eng = ParallelRewireEngine::new(g, Vec::new(), &target, 4);
         let mut rng = Xoshiro256pp::seed_from_u64(11);
-        let stats = eng.run(500.0, &mut rng);
+        let stats = eng.run_attempts(500, &mut rng);
         assert_eq!(stats.accepted, 0);
+        assert_eq!(stats.skipped, 500);
         assert_eq!(sorted_edges(&eng.into_graph()), before);
     }
 
     #[test]
-    fn run_scales_attempts_by_rc() {
+    fn pooled_stats_account_for_every_attempt() {
         let g = social(6);
         let m = g.num_edges() as u64;
         let edges: Vec<_> = g.edges().collect();
         let target = vec![0.0; g.max_degree() + 1];
         let mut eng = ParallelRewireEngine::new(g, edges, &target, 2);
         let mut rng = Xoshiro256pp::seed_from_u64(13);
-        let stats = eng.run(2.0, &mut rng);
+        let stats = eng.run_attempts(2 * m, &mut rng);
         assert_eq!(stats.attempts, 2 * m);
         assert_eq!(stats.accepted + stats.skipped, 2 * m);
+        assert!(stats.final_distance < stats.initial_distance);
     }
 
     #[test]
-    fn shard_routing_covers_every_pick() {
-        // Every drawable degree class must be owned by a real shard.
+    fn round_robin_results_land_where_the_commit_scan_reads() {
+        // Reject-only workload (own clustering is the target): the state
+        // after the run is the state the last block was evaluated
+        // against, so every stored result must equal a fresh evaluation
+        // of its pick. Widths 3 and 4 leave workers without picks in the
+        // smaller blocks.
         let g = social(7);
+        let props = LocalProperties::compute(&g);
+        let edges: Vec<_> = g.edges().collect();
+        for (threads, block) in [(2, 64), (3, 7), (4, 2), (4, 1)] {
+            let mut eng = ParallelRewireEngine::new(
+                g.clone(),
+                edges.clone(),
+                &props.clustering_by_degree,
+                threads,
+            )
+            .with_block_size(block);
+            let stats = eng.run_attempts(block as u64, &mut Xoshiro256pp::seed_from_u64(19));
+            assert_eq!(stats.accepted, 0);
+            let core = &eng.st.engine.core;
+            let mut arena = ScratchAccum::with_keys(core.graph.num_nodes());
+            let mut want = Vec::new();
+            for (i, pick) in eng.st.picks[..block].iter().enumerate() {
+                want.clear();
+                if let Some(p) = pick {
+                    evaluate_swap(core, p, &mut arena, &mut want);
+                }
+                assert_eq!(eng.bufs[i % threads].result(i / threads), &want[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn single_worker_allocates_no_pool() {
+        let g = social(8);
         let edges: Vec<_> = g.edges().collect();
         let target = vec![0.0; g.max_degree() + 1];
-        let eng = ParallelRewireEngine::new(g, edges, &target, 4);
-        let p = eng.shard_partitioner();
-        assert_eq!(p.num_shards(), 4);
-        for k in 0..p.num_classes() {
-            assert!(p.shard_of(k) < 4);
-        }
+        let eng = ParallelRewireEngine::new(g, edges, &target, 1);
+        assert!(eng.bufs.is_empty() && eng.st.picks.is_empty() && eng.rng_before.is_empty());
+        assert_eq!(eng.dirty.num_keys(), 0);
+        assert_eq!(pool_bytes(1_000, 1), 0);
+        assert!(pool_bytes(1_000, 2) > 0);
+        assert_eq!(pool_bytes(1_000, usize::MAX), u64::MAX);
     }
 }

@@ -162,7 +162,7 @@ fn test_thread_counts() -> Vec<usize> {
     }
 }
 
-/// Sequential vs speculative-parallel, same seed: accepted counts and the
+/// Sequential vs parallel, same seed: accepted counts and the
 /// distance trajectory (sampled every `chunk` attempts) must agree
 /// bitwise, and the final edge multiset exactly.
 fn assert_parallel_equivalent(
@@ -188,14 +188,14 @@ fn assert_parallel_equivalent(
         );
         assert_eq!(
             seq.distance().to_bits(),
-            par.distance().to_bits(),
+            par.engine().distance().to_bits(),
             "distance diverged at chunk {c} (threads {threads}, block {block}): {} vs {}",
             seq.distance(),
-            par.distance()
+            par.engine().distance()
         );
     }
     seq.validate().unwrap();
-    par.validate().unwrap();
+    par.engine().validate().unwrap();
     assert_eq!(
         sorted_edges(&seq.into_graph()),
         sorted_edges(&par.into_graph()),
@@ -261,13 +261,13 @@ fn conflict_replay_is_correct_under_high_acceptance() {
 
 #[test]
 fn parallel_worker_evaluations_are_allocation_free_on_reject() {
-    // Same guarantee as the sequential engine, now for the parallel
-    // engine's evaluation kernel: a reject-only run performs zero heap
-    // allocations once buffers are warm. Run with one worker so
-    // evaluation happens on the (armed) coordinator thread — the
-    // counting allocator is thread-local, and the single-worker path
-    // runs the exact `evaluate_swap` kernel the scoped workers run,
-    // into the same kind of reused arena + pair buffers.
+    // Same guarantee as the sequential engine, through the parallel
+    // engine's single-worker path: a reject-only run performs zero heap
+    // allocations once buffers are warm. With one worker the parallel
+    // engine runs its wrapped `RewireEngine` on the calling (armed)
+    // thread — the counting allocator is thread-local — so this pins
+    // that the dispatch adds no allocation to the `evaluate_swap` kernel
+    // the scoped workers also run.
     let g = messy_graph(24);
     let props = LocalProperties::compute(&g);
     // The graph's own clustering as target: D = 0 is already the floor,
@@ -275,15 +275,19 @@ fn parallel_worker_evaluations_are_allocation_free_on_reject() {
     let target = props.clustering_by_degree.clone();
     let edges: Vec<_> = g.edges().collect();
     let mut eng = ParallelRewireEngine::new(g, edges, &target, 1);
-    assert!(eng.distance() < 1e-9, "D = {}", eng.distance());
+    assert!(
+        eng.engine().distance() < 1e-9,
+        "D = {}",
+        eng.engine().distance()
+    );
     let mut rng = Xoshiro256pp::seed_from_u64(37);
-    // Warm-up: let result buffers reach their steady-state capacities.
+    // Warm-up: let the pair buffer reach its steady-state capacity.
     let warm = eng.run_attempts(4_096, &mut rng);
     let (allocs, stats) = count_allocs(|| eng.run_attempts(4_096, &mut rng));
     assert_eq!(warm.accepted + stats.accepted, 0, "fixed point accepted?");
     assert_eq!(allocs, 0, "reject-only rewiring allocated {allocs} times");
     assert_eq!(stats.skipped, 4_096);
-    eng.validate().unwrap();
+    eng.engine().validate().unwrap();
 }
 
 #[test]

@@ -42,6 +42,7 @@ use sgr_core::{
     restore_with_checkpoints_observed, resume_from_checkpoint_observed, CheckpointPolicy,
     ConstructScratch, PipelineObserver, RestoreError, RestoreStats, Restored,
 };
+use sgr_dk::rewire::parallel::pool_bytes;
 use sgr_graph::io::read_edge_list;
 use sgr_graph::snapshot::write_csr;
 use sgr_graph::SnapshotError;
@@ -107,8 +108,15 @@ impl Default for ServeConfig {
 /// `admission_estimate` test pins estimate ≥ peak): the peak is 0.84 of
 /// the estimate at 10k nodes, 0.85 at 100k and 0.75 at 1M, where a
 /// 52 MB edge list (4M edges) estimates to 1.07 GB.
-pub fn estimate_job_bytes(blob_len: usize, nodes: usize, edges: usize) -> u64 {
-    4 * blob_len as u64 + 96 * nodes as u64 + 192 * edges as u64
+///
+/// Those coefficients hold for one rewiring worker. `threads` is the
+/// job's `RestoreConfig::threads` (`0` = every core, resolved as the
+/// engine resolves it); a wider job adds the worker pool's speculation
+/// buffers ([`pool_bytes`]). The sum saturates, so an absurd width
+/// estimates to `u64::MAX` and no budget admits it.
+pub fn estimate_job_bytes(blob_len: usize, nodes: usize, edges: usize, threads: usize) -> u64 {
+    (4 * blob_len as u64 + 96 * nodes as u64 + 192 * edges as u64)
+        .saturating_add(pool_bytes(nodes, threads))
 }
 
 /// One job's in-memory record. The spec (with its edge blob) is present
@@ -245,9 +253,12 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
                 // An edge list that no longer parses fails its job when
                 // a worker runs it, not the whole restart.
                 let estimate = match read_edge_list(Cursor::new(&job.spec.edges[..])) {
-                    Ok((g, _)) => {
-                        estimate_job_bytes(job.spec.edges.len(), g.num_nodes(), g.num_edges())
-                    }
+                    Ok((g, _)) => estimate_job_bytes(
+                        job.spec.edges.len(),
+                        g.num_nodes(),
+                        g.num_edges(),
+                        job.spec.threads,
+                    ),
                     Err(_) => 0,
                 };
                 committed += estimate;
@@ -473,7 +484,7 @@ fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     }
     let (g, _) = read_edge_list(Cursor::new(&spec.edges[..]))
         .map_err(|e| (ERR_MALFORMED, format!("edge list: {e}")))?;
-    let estimate = estimate_job_bytes(spec.edges.len(), g.num_nodes(), g.num_edges());
+    let estimate = estimate_job_bytes(spec.edges.len(), g.num_nodes(), g.num_edges(), spec.threads);
     drop(g);
 
     let id = {

@@ -8,7 +8,8 @@
 //! restoration with mid-rewire checkpoints (multiplicity index and
 //! triangle pass included) and the result write. The peak of modeled
 //! heap bytes over that span, above the level before the submit, must
-//! stay under `estimate_job_bytes` for the job at every size.
+//! stay under `estimate_job_bytes` for the job at every size, with one
+//! rewiring worker and with a pool of two.
 
 use std::io::Cursor;
 use std::net::TcpStream;
@@ -36,9 +37,14 @@ fn edge_list_bytes(nodes: usize) -> Vec<u8> {
 /// Submits one job over a raw frame (the payload is encoded before the
 /// measured span starts, so the client's copy is not counted), waits for
 /// it to complete, and returns (estimate, measured peak bytes).
-fn measure_job(client: &mut Client, addr: std::net::SocketAddr, edges: Vec<u8>) -> (u64, u64) {
+fn measure_job(
+    client: &mut Client,
+    addr: std::net::SocketAddr,
+    edges: Vec<u8>,
+    threads: usize,
+) -> (u64, u64) {
     let (g, _) = read_edge_list(Cursor::new(&edges[..])).unwrap();
-    let estimate = estimate_job_bytes(edges.len(), g.num_nodes(), g.num_edges());
+    let estimate = estimate_job_bytes(edges.len(), g.num_nodes(), g.num_edges(), threads);
     // Two or three mid-rewire checkpoints per job.
     let checkpoint_every = g.num_edges() as u64 / 2;
     drop(g);
@@ -50,7 +56,7 @@ fn measure_job(client: &mut Client, addr: std::net::SocketAddr, edges: Vec<u8>) 
         burn_prob: 0.7,
         rewiring_coefficient: 1.0,
         rewire: true,
-        threads: 1,
+        threads: threads as u64,
         seed: 5,
         checkpoint_every,
         abort_after: 0,
@@ -92,16 +98,22 @@ fn admission_estimate_bounds_the_measured_job_peak() {
     .unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    for (id, nodes) in [(1, 2_000), (2, 8_000), (3, 30_000)] {
-        let (estimate, peak) = measure_job(&mut client, handle.addr(), edge_list_bytes(nodes));
+    // One rewiring worker, then a two-worker pool, whose speculation
+    // buffers the estimate must cover too.
+    let jobs = [1, 2]
+        .into_iter()
+        .flat_map(|threads| [2_000, 8_000, 30_000].map(|nodes| (threads, nodes)));
+    for (id, (threads, nodes)) in (1..).zip(jobs) {
+        let (estimate, peak) =
+            measure_job(&mut client, handle.addr(), edge_list_bytes(nodes), threads);
         eprintln!(
-            "{nodes} nodes: estimate {estimate} B, measured peak {peak} B ({:.3})",
+            "{nodes} nodes, {threads} threads: estimate {estimate} B, measured peak {peak} B ({:.3})",
             peak as f64 / estimate as f64
         );
         std::fs::remove_dir_all(sgr_serve::job::job_dir(&root, id)).ok();
         assert!(
             estimate >= peak,
-            "{nodes}-node job: estimate {estimate} B < measured peak {peak} B"
+            "{nodes}-node job at {threads} threads: estimate {estimate} B < measured peak {peak} B"
         );
     }
 

@@ -84,8 +84,8 @@ fn submit_req(seed: u64, threads: u64, tenant: &str, abort_after: u64) -> Submit
 /// What `sgr restore` would produce locally from the same submission —
 /// the exact CLI code path (edge list → seeded RNG → `run_crawl` →
 /// restore), encoded as the snapshot section `sgr fetch` returns.
-/// `threads` may differ from the job's: the engines are seed-for-seed
-/// equivalent, so the bytes must not change.
+/// `threads` may differ from the job's: rewiring is seed-for-seed
+/// identical at every width, so the bytes must not change.
 fn local_restore_bytes(req: &SubmitRequest, threads: usize) -> Vec<u8> {
     let (g, _) = read_edge_list(Cursor::new(&req.edges[..])).unwrap();
     let mut rng = Xoshiro256pp::seed_from_u64(req.seed);
@@ -357,6 +357,33 @@ fn admission_rejects_jobs_past_the_memory_budget() {
     }
     // Rejected submissions leave no job behind.
     assert!(client.list().unwrap().is_empty());
+
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Under the default (uncapped) per-job thread limit, a client picks its
+/// job's rewiring width, and every worker costs speculation buffers. The
+/// admission estimate counts them, so an absurd width is rejected at
+/// submit time instead of allocating one buffer set per requested thread
+/// — while the same job at a sane width is admitted and completes.
+#[test]
+fn admission_rejects_an_absurd_thread_count() {
+    let root = state_root("absurd-threads");
+    let handle = sgr_serve::start(serve_cfg(root.clone())).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    match client.submit(&submit_req(7, u64::MAX, "t", 0)) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, sgr_serve::protocol::ERR_REJECTED);
+            assert!(message.contains("memory budget"), "{message}");
+        }
+        other => panic!("submit with u64::MAX threads: {other:?}"),
+    }
+    assert!(client.list().unwrap().is_empty());
+    let id = client.submit(&submit_req(7, 2, "t", 0)).unwrap();
+    wait_for(&mut client, id, JobState::Completed);
 
     client.shutdown_server().unwrap();
     handle.join();
