@@ -6,8 +6,7 @@
 //! `BENCH_props.json` (read-only kernels).
 //!
 //! Phases per size (each on the same fixed crawl):
-//! * `estimate` — the five §III estimators via [`estimate_all_with`] on a
-//!   reused [`EstimateScratch`] (the arena-backed path);
+//! * `estimate` — the five §III estimators via [`estimate_all`];
 //! * `targeting` — target degree vector + joint degree matrix
 //!   (Algorithms 1–4 with the subgraph modification steps), reported
 //!   both as a total and as a per-phase split: `dv` (Algorithms 1–2),
@@ -55,7 +54,7 @@
 use sgr_bench::harness::load_or_generate_hidden;
 use sgr_core::{construct, target_dv, target_jdm};
 use sgr_dk::ConstructScratch;
-use sgr_estimate::{estimate_all_with, EstimateScratch};
+use sgr_estimate::estimate_all;
 use sgr_graph::reference::ReferenceGraph;
 use sgr_sample::random_walk_until_fraction;
 use sgr_util::{alloc, Xoshiro256pp};
@@ -95,7 +94,7 @@ struct SizeResult {
     peak_construct_bytes: u64,
 }
 
-fn run_size(n: usize, scratch: &mut EstimateScratch) -> SizeResult {
+fn run_size(n: usize) -> SizeResult {
     let (g, regenerated) =
         load_or_generate_hidden(&format!("holme_kim_n{n}_m4_pt0.5_seed{GRAPH_SEED}"), || {
             sgr_gen::holme_kim(n, 4, 0.5, &mut Xoshiro256pp::seed_from_u64(GRAPH_SEED)).unwrap()
@@ -105,7 +104,7 @@ fn run_size(n: usize, scratch: &mut EstimateScratch) -> SizeResult {
     let subgraph = crawl.subgraph();
 
     let t = Instant::now();
-    let estimates = estimate_all_with(&crawl, scratch).expect("estimation failed");
+    let estimates = estimate_all(&crawl).expect("estimation failed");
     let estimate_secs = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
@@ -206,17 +205,12 @@ fn main() {
         .map(|t| t.trim().parse().expect("sizes must be integers"))
         .collect();
 
-    // One estimate scratch across every size: the arena-reuse path the
-    // experiment harness takes when it re-estimates per run. (The
-    // construct scratch is deliberately per-size so the cold timing
-    // stays cold; see run_size.)
-    let mut scratch = EstimateScratch::new();
     let mut entries: Vec<String> = Vec::new();
     for &n in &sizes {
         eprintln!(
             "bench_construct: hidden n={n} (graph seed {GRAPH_SEED}, crawl fraction {CRAWL_FRACTION})"
         );
-        let r = run_size(n, &mut scratch);
+        let r = run_size(n);
         let total = r.estimate_secs + r.targeting_secs + r.construct_secs;
         let edges_per_sec = r.built_edges as f64 / r.construct_secs;
         let stub_rate = r.added_edges as f64 / r.stub_matching_secs;

@@ -4,10 +4,7 @@ use std::path::{Path, PathBuf};
 
 use crate::args::Opts;
 use crate::error::CliError;
-use sgr_core::{
-    restore as core_restore, restore_with_checkpoints, resume_from_checkpoint, CheckpointPolicy,
-    ConstructScratch, RestoreConfig, Restored,
-};
+use sgr_core::{CheckpointPolicy, NoopObserver, RestoreConfig, Restored};
 use sgr_graph::io::{read_edge_list_file, write_edge_list_file};
 use sgr_graph::Graph;
 use sgr_props::{PropsConfig, StructuralProperties, PROPERTY_NAMES};
@@ -258,16 +255,8 @@ pub fn restore(argv: &[String]) -> i32 {
             let g = load(o.req("graph")?)?;
             let mut rng = Xoshiro256pp::seed_from_u64(o.get_or("seed", 42u64)?);
             let crawl = do_crawl(&g, o, &mut rng)?;
-            let r = match checkpoint_policy(o)? {
-                None => core_restore(&crawl, &cfg, &mut rng)?,
-                Some(policy) => restore_with_checkpoints(
-                    &crawl,
-                    &cfg,
-                    &mut rng,
-                    &mut ConstructScratch::new(),
-                    &policy,
-                )?,
-            };
+            let policy = checkpoint_policy(o)?;
+            let r = sgr_core::run(&crawl, &cfg, &mut rng, policy.as_ref(), &mut NoopObserver)?;
             write_restored(&r, o.req("out")?, "wrote")
         },
     )
@@ -279,7 +268,7 @@ pub fn resume(argv: &[String]) -> i32 {
   [--threads N] [--checkpoint-dir DIR] [--checkpoint-every ATTEMPTS]
   (continues an interrupted `sgr restore --checkpoint-dir ...` run; the
    output is bitwise-identical to the uninterrupted run. --threads may
-   override the checkpointed engine choice — results never change.)";
+   override the checkpointed worker count — results never change.)";
     run(
         argv,
         USAGE,
@@ -297,12 +286,7 @@ pub fn resume(argv: &[String]) -> i32 {
                 Some(_) => Some(o.get_req::<usize>("threads")?),
             };
             let policy = checkpoint_policy(o)?;
-            let r = resume_from_checkpoint(
-                Path::new(ckpt),
-                threads,
-                policy.as_ref(),
-                &mut ConstructScratch::new(),
-            )?;
+            let r = sgr_core::resume(Path::new(ckpt), threads, policy.as_ref(), &mut NoopObserver)?;
             write_restored(&r, o.req("out")?, "resumed and wrote")
         },
     )

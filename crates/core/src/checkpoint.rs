@@ -23,13 +23,11 @@
 //!    of `P̂(k,k')` as sorted `(k, k', value)` triples (the symmetric half
 //!    is re-mirrored on load — targeting reads cells point-wise, so map
 //!    iteration order never matters);
-//! 7. **stage-specific state** (see [`StageData`]). Mid-rewire
-//!    checkpoints carry the evolving graph's adjacency *in list order*,
-//!    the candidate slots, the incremental clustering sums and distance
-//!    accumulator as exact bit patterns, and the degree buckets in their
-//!    *current* order — all five are required for bitwise-identical
-//!    resumption (fresh recomputation would diverge in ULPs, and
-//!    fresh slot-order buckets would desynchronize the partner draws).
+//! 7. **stage-specific state** (see [`StageData`]). A mid-rewire
+//!    checkpoint stores `k*_max`, then the rewiring engine's own
+//!    encoding of its resumable state ([`RewireState`], written by
+//!    [`RewireEngine::encode_state`]), then the attempt budget; this
+//!    module never looks inside the engine's part.
 //!
 //! Every slice length is cross-validated on load; any inconsistency is a
 //! typed [`SnapshotError::Corrupt`], never a panic.
@@ -63,7 +61,7 @@ use std::path::Path;
 use crate::target_dv::TargetDv;
 use crate::target_jdm::TargetJdm;
 use crate::{RestoreConfig, RestoreStats};
-use sgr_dk::rewire::RewireStats;
+use sgr_dk::rewire::{RewireEngine, RewireState, RewireStats};
 use sgr_estimate::Estimates;
 use sgr_graph::snapshot::{
     read_section, write_section, PayloadReader, PayloadWriter, KIND_RESTORE_CHECKPOINT,
@@ -95,14 +93,11 @@ pub(crate) enum StageRef<'a> {
         graph: &'a Graph,
         added_edges: &'a [(NodeId, NodeId)],
     },
-    /// Mid-Phase-4: the rewiring engine's complete resumable state.
+    /// Mid-Phase-4: the live rewiring engine, which encodes its own
+    /// resumable state.
     Rewiring {
         k_max: usize,
-        graph: &'a Graph,
-        slots: &'a [(NodeId, NodeId)],
-        clustering_sums: &'a [f64],
-        dist_raw: f64,
-        buckets: Vec<Vec<(u32, u8)>>,
+        engine: &'a RewireEngine,
         total_attempts: u64,
     },
 }
@@ -128,7 +123,8 @@ impl StageRef<'_> {
     }
 }
 
-/// Owned stage-specific state, as loaded from disk.
+/// Owned stage-specific state: what a checkpoint loads, and what the
+/// stage loop carries from one stage to the next.
 pub(crate) enum StageData {
     Estimated,
     Targeted {
@@ -142,11 +138,7 @@ pub(crate) enum StageData {
     },
     Rewiring {
         k_max: usize,
-        graph: Graph,
-        slots: Vec<(NodeId, NodeId)>,
-        clustering_sums: Vec<f64>,
-        dist_raw: f64,
-        buckets: Vec<Vec<(u32, u8)>>,
+        state: RewireState,
         total_attempts: u64,
     },
 }
@@ -162,59 +154,15 @@ pub(crate) struct Checkpoint {
     pub stage: StageData,
 }
 
-fn put_graph(w: &mut PayloadWriter, g: &Graph) {
-    let n = g.num_nodes();
-    let mut degrees: Vec<u32> = Vec::with_capacity(n);
-    let mut flat: Vec<u32> = Vec::with_capacity(2 * g.num_edges());
-    for u in 0..n {
-        let nbrs = g.neighbors(u as NodeId);
-        degrees.push(nbrs.len() as u32);
-        flat.extend_from_slice(nbrs);
-    }
-    w.put_u32_slice(&degrees);
-    w.put_u32_slice(&flat);
-}
-
-fn get_graph(r: &mut PayloadReader) -> Result<Graph, SnapshotError> {
-    let degrees = r.get_u32_slice()?;
-    let flat = r.get_u32_slice()?;
-    // The on-disk layout (degrees + one neighbor slab in node order) is
-    // exactly the arena layout, so the slab is adopted wholesale — no
-    // intermediate per-node `Vec`s. Validation (degree/slab consistency,
-    // symmetry, loop pairing) happens inside `from_flat`; any violation
-    // is a typed `GraphError` surfaced as checkpoint corruption.
-    Graph::from_flat(&degrees, flat).map_err(|e| SnapshotError::Corrupt(e.to_string()))
-}
-
-fn put_pairs(w: &mut PayloadWriter, pairs: &[(NodeId, NodeId)]) {
-    let mut flat: Vec<u32> = Vec::with_capacity(2 * pairs.len());
-    for &(u, v) in pairs {
-        flat.push(u);
-        flat.push(v);
-    }
-    w.put_u32_slice(&flat);
-}
-
-fn get_pairs(r: &mut PayloadReader) -> Result<Vec<(NodeId, NodeId)>, SnapshotError> {
-    let flat = r.get_u32_slice()?;
-    if flat.len() % 2 != 0 {
-        return Err(SnapshotError::Corrupt(format!(
-            "pair arena has odd length {}",
-            flat.len()
-        )));
-    }
-    Ok(flat.chunks_exact(2).map(|c| (c[0], c[1])).collect())
-}
-
 fn put_subgraph(w: &mut PayloadWriter, sg: &Subgraph) {
-    put_graph(w, &sg.graph);
+    w.put_graph(&sg.graph);
     w.put_u32_slice(&sg.orig_id);
     let flags: Vec<u32> = sg.queried.iter().map(|&q| q as u32).collect();
     w.put_u32_slice(&flags);
 }
 
 fn get_subgraph(r: &mut PayloadReader) -> Result<Subgraph, SnapshotError> {
-    let graph = get_graph(r)?;
+    let graph = r.get_graph()?;
     let orig_id = r.get_u32_slice()?;
     let flags = r.get_u32_slice()?;
     if orig_id.len() != graph.num_nodes() || flags.len() != graph.num_nodes() {
@@ -382,31 +330,16 @@ pub(crate) fn write_checkpoint(
             added_edges,
         } => {
             w.put_u64(*k_max as u64);
-            put_graph(&mut w, graph);
-            put_pairs(&mut w, added_edges);
+            w.put_graph(graph);
+            w.put_pairs(added_edges);
         }
         StageRef::Rewiring {
             k_max,
-            graph,
-            slots,
-            clustering_sums,
-            dist_raw,
-            buckets,
+            engine,
             total_attempts,
         } => {
             w.put_u64(*k_max as u64);
-            put_graph(&mut w, graph);
-            put_pairs(&mut w, slots);
-            w.put_f64_slice(clustering_sums);
-            w.put_f64(*dist_raw);
-            w.put_u64(buckets.len() as u64);
-            for bucket in buckets {
-                let packed: Vec<u64> = bucket
-                    .iter()
-                    .map(|&(slot, side)| ((slot as u64) << 32) | side as u64)
-                    .collect();
-                w.put_u64_slice(&packed);
-            }
+            engine.encode_state(&mut w);
             w.put_u64(*total_attempts);
         }
     }
@@ -467,8 +400,8 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> 
         }
         STAGE_CONSTRUCTED => {
             let k_max = r.get_u64()? as usize;
-            let graph = get_graph(&mut r)?;
-            let added_edges = get_pairs(&mut r)?;
+            let graph = r.get_graph()?;
+            let added_edges = r.get_pairs()?;
             StageData::Constructed {
                 k_max,
                 graph,
@@ -477,26 +410,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> 
         }
         STAGE_REWIRING => {
             let k_max = r.get_u64()? as usize;
-            let graph = get_graph(&mut r)?;
-            let slots = get_pairs(&mut r)?;
-            let clustering_sums = r.get_f64_slice()?;
-            let dist_raw = r.get_f64()?;
-            let n_buckets = r.get_u64()? as usize;
-            let mut buckets: Vec<Vec<(u32, u8)>> = Vec::with_capacity(n_buckets);
-            for _ in 0..n_buckets {
-                let packed = r.get_u64_slice()?;
-                let mut bucket = Vec::with_capacity(packed.len());
-                for p in packed {
-                    let side = p & 0xffff_ffff;
-                    if side > 1 {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "bucket entry side must be 0 or 1, found {side}"
-                        )));
-                    }
-                    bucket.push(((p >> 32) as u32, side as u8));
-                }
-                buckets.push(bucket);
-            }
+            let state = RewireState::decode(&mut r)?;
             let total_attempts = r.get_u64()?;
             if stats.rewire_stats.attempts > total_attempts {
                 return Err(SnapshotError::Corrupt(format!(
@@ -506,11 +420,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> 
             }
             StageData::Rewiring {
                 k_max,
-                graph,
-                slots,
-                clustering_sums,
-                dist_raw,
-                buckets,
+                state,
                 total_attempts,
             }
         }

@@ -12,7 +12,6 @@
 //! `crates/core/tests/pipeline_golden.rs` pin the baseline's RNG stream.
 
 use crate::{NoopObserver, RestoreConfig, RestoreError, Restored};
-use sgr_dk::ConstructScratch;
 use sgr_sample::{Crawl, Subgraph};
 use sgr_util::Xoshiro256pp;
 
@@ -28,17 +27,8 @@ pub fn generate(
     cfg: &RestoreConfig,
     rng: &mut Xoshiro256pp,
 ) -> Result<Restored, RestoreError> {
-    let mut scratch = ConstructScratch::new();
     let empty = |_: &Crawl| Subgraph::empty();
-    crate::restore_impl(
-        crawl,
-        empty,
-        cfg,
-        rng,
-        &mut scratch,
-        None,
-        &mut NoopObserver,
-    )
+    crate::start(crawl, empty, cfg, rng, None, &mut NoopObserver)
 }
 
 #[cfg(test)]

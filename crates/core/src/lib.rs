@@ -4,7 +4,7 @@
 //! random-walk sample** (§IV), plus the reproducible version of Gjoka et
 //! al.'s 2.5K baseline (Appendix B).
 //!
-//! Given a [`Crawl`] produced by a simple random walk, [`restore`] runs
+//! Given a [`Crawl`] produced by a simple random walk, [`run`] executes
 //! the four phases of the proposed method:
 //!
 //! 1. **Target degree vector** `{n*(k)}` ([`target_dv`]) — initialize
@@ -25,6 +25,16 @@
 //! [`gjoka::generate`] is the baseline: the same stages on an empty
 //! subgraph. Appendix B is the proposed method without `G'`, and with
 //! `V' = ∅` every subgraph step is a no-op and every edge is rewirable.
+//!
+//! # Entry points
+//!
+//! There are two general ones. [`run`] restores from a crawl, and
+//! [`resume`] continues from a checkpoint file; both take an optional
+//! [`CheckpointPolicy`] and a [`PipelineObserver`]. Both drive one stage
+//! loop over the owned stage state: a fresh run enters it after
+//! estimation, a resumed run at the stage its checkpoint stores, and each
+//! stage consumes its inputs and yields the next. [`restore`] and
+//! [`restore_with_checkpoints`] are shorthands for [`run`].
 
 pub mod construct;
 pub mod gjoka;
@@ -33,9 +43,9 @@ pub mod target_jdm;
 
 mod checkpoint;
 
-/// Re-exported so downstream callers of [`restore_with_checkpoints`] /
-/// [`resume_from_checkpoint`] can own a scratch without depending on
-/// `sgr_dk` directly.
+/// Re-exported for callers of [`construct::extend_subgraph_with`], and of
+/// [`restore_with_checkpoints`] (whose signature still takes one), so
+/// they need not depend on `sgr_dk` directly.
 pub use sgr_dk::ConstructScratch;
 
 use std::path::{Path, PathBuf};
@@ -45,7 +55,7 @@ use checkpoint::{StageData, StageRef};
 use sgr_dk::rewire::parallel::ParallelRewireEngine;
 use sgr_dk::rewire::RewireStats;
 use sgr_estimate::{estimate_all, EstimateError, Estimates};
-use sgr_graph::{CsrGraph, Graph, NodeId, SnapshotError};
+use sgr_graph::{CsrGraph, Graph, SnapshotError};
 use sgr_sample::{Crawl, Subgraph};
 use sgr_util::Xoshiro256pp;
 use target_dv::TargetDv;
@@ -183,9 +193,9 @@ pub struct RestoreStats {
     /// half-edges class by class), excluding node addition and
     /// degree-sequence shuffling.
     pub stub_matching_secs: f64,
-    /// Wall time of Phase 4 (rewiring), including the engine set-up:
-    /// building the multiplicity index, triangle counts and degree
-    /// buckets, and on resume restoring the checkpointed engine state.
+    /// Wall time of Phase 4 (rewiring), including the engine set-up —
+    /// the multiplicity index and triangle counts of a fresh engine, or
+    /// the restore of a checkpointed one.
     pub rewire_secs: f64,
     /// Rewiring detail.
     pub rewire_stats: RewireStats,
@@ -286,8 +296,9 @@ pub trait PipelineObserver {
     fn checkpoint_written(&mut self, _path: &Path, _stats: &RestoreStats) {}
 }
 
-/// The do-nothing observer behind the plain (non-`_observed`) entry
-/// points.
+/// The do-nothing observer, for callers of [`run`] and [`resume`] that
+/// want no progress reports; [`restore`] and [`restore_with_checkpoints`]
+/// pass it.
 pub struct NoopObserver;
 
 impl PipelineObserver for NoopObserver {}
@@ -302,7 +313,25 @@ struct Driver<'a> {
     observer: &'a mut dyn PipelineObserver,
 }
 
-impl Driver<'_> {
+impl<'a> Driver<'a> {
+    /// Validates `cfg` before any stage runs. Fresh and resumed runs
+    /// both come through here, so a checkpoint's configuration (after
+    /// the `threads` override) is held to the same rules as a caller's.
+    fn new(
+        cfg: RestoreConfig,
+        policy: Option<&'a CheckpointPolicy>,
+        stats: RestoreStats,
+        observer: &'a mut dyn PipelineObserver,
+    ) -> Result<Self, RestoreError> {
+        cfg.validate()?;
+        Ok(Self {
+            cfg,
+            policy,
+            stats,
+            observer,
+        })
+    }
+
     /// Persists a checkpoint if a policy is active; returns the
     /// fault-injected `Interrupted` error when this write is the
     /// configured crash point.
@@ -352,6 +381,50 @@ fn clustering_target(estimates: &Estimates, k_max: usize) -> Vec<f64> {
     target_c
 }
 
+/// The stage loop: runs the pipeline from `stage` — `Estimated` for a
+/// fresh run, the checkpointed stage for a resumed one — to the end.
+/// Each arm consumes its stage's state and yields the next stage, so the
+/// targets and the stub-matching scratch are freed before the rewiring
+/// engine is built.
+fn run_stages(
+    mut driver: Driver<'_>,
+    subgraph: Subgraph,
+    estimates: Estimates,
+    mut stage: StageData,
+    rng: &mut Xoshiro256pp,
+) -> Result<Restored, RestoreError> {
+    loop {
+        stage = match stage {
+            StageData::Estimated => stage_target(&mut driver, &subgraph, &estimates, rng)?,
+            StageData::Targeted { dv, jdm } => {
+                stage_construct(&mut driver, &subgraph, &estimates, dv, jdm, rng)?
+            }
+            StageData::Constructed {
+                k_max,
+                graph,
+                added_edges,
+            } => {
+                let candidates = added_edges.len();
+                driver.stats.candidate_edges = candidates;
+                if !driver.cfg.rewire || candidates == 0 {
+                    return Ok(finish(driver.stats, subgraph, estimates, graph));
+                }
+                let total = (driver.cfg.rewiring_coefficient * candidates as f64).ceil() as u64;
+                let fresh = |c: &[f64], t| Ok(ParallelRewireEngine::new(graph, added_edges, c, t));
+                return stage_rewire(driver, subgraph, estimates, k_max, total, rng, fresh);
+            }
+            StageData::Rewiring {
+                k_max,
+                state,
+                total_attempts: total,
+            } => {
+                let resumed = |c: &[f64], t| ParallelRewireEngine::resume(state, c, t);
+                return stage_rewire(driver, subgraph, estimates, k_max, total, rng, resumed);
+            }
+        };
+    }
+}
+
 /// Stage 1 → 2: target degree vector + joint degree matrix
 /// (Algorithms 1–4).
 fn stage_target(
@@ -359,7 +432,7 @@ fn stage_target(
     subgraph: &Subgraph,
     estimates: &Estimates,
     rng: &mut Xoshiro256pp,
-) -> Result<(TargetDv, TargetJdm), RestoreError> {
+) -> Result<StageData, RestoreError> {
     driver.observer.stage_started("target");
     let t = Instant::now();
     let mut dv = target_dv::build(subgraph, estimates, rng);
@@ -371,56 +444,68 @@ fn stage_target(
         estimates,
         StageRef::Targeted { dv: &dv, jdm: &jdm },
     )?;
-    Ok((dv, jdm))
+    Ok(StageData::Targeted { dv, jdm })
 }
 
-/// What [`stage_construct`] hands to the rewiring stage: the target
-/// `k_max`, the constructed graph, and the added-edge candidate set.
-type ConstructedStage = (usize, Graph, Vec<(NodeId, NodeId)>);
-
-/// Stage 2 → 3: node addition + stub matching (Algorithm 5).
+/// Stage 2 → 3: node addition + stub matching (Algorithm 5). The
+/// targets and the stub-matching scratch die here, before the
+/// checkpoint write.
 fn stage_construct(
     driver: &mut Driver<'_>,
     subgraph: &Subgraph,
     estimates: &Estimates,
-    dv: &TargetDv,
-    jdm: &TargetJdm,
+    dv: TargetDv,
+    jdm: TargetJdm,
     rng: &mut Xoshiro256pp,
-    scratch: &mut sgr_dk::ConstructScratch,
-) -> Result<ConstructedStage, RestoreError> {
+) -> Result<StageData, RestoreError> {
     driver.observer.stage_started("construct");
     let t = Instant::now();
-    let built = construct::extend_subgraph_with(subgraph, dv, jdm, rng, scratch)?;
+    let built =
+        construct::extend_subgraph_with(subgraph, &dv, &jdm, rng, &mut ConstructScratch::new())?;
     driver.stats.construct_secs += t.elapsed().as_secs_f64();
     driver.stats.stub_matching_secs += built.stub_matching_secs;
+    let k_max = dv.k_max;
+    drop((dv, jdm));
     driver.checkpoint(
         rng,
         subgraph,
         estimates,
         StageRef::Constructed {
-            k_max: dv.k_max,
+            k_max,
             graph: &built.graph,
             added_edges: &built.added_edges,
         },
     )?;
-    Ok((dv.k_max, built.graph, built.added_edges))
+    Ok(StageData::Constructed {
+        k_max,
+        graph: built.graph,
+        added_edges: built.added_edges,
+    })
 }
 
-/// The rewiring loop: runs `total` attempts in checkpoint-sized chunks.
-/// Chunking is bitwise-neutral (`run_attempts` in pieces reproduces one
-/// big run exactly — the engines' own equivalence tests pin this), so
+/// Stage 4 (rewiring over the added edges only, Algorithm 6) and
+/// completion. `engine` is how the engine is obtained — built fresh
+/// after construction or resumed from a mid-rewire checkpoint — and its
+/// set-up counts toward `rewire_secs` either way.
+///
+/// The `total` attempts run in checkpoint-sized chunks. Chunking is
+/// bitwise-neutral (`run_attempts` in pieces reproduces one big run
+/// exactly — the engines' own equivalence tests pin this), so
 /// checkpointed, resumed, and straight-through runs all land on the same
 /// graph. `driver.stats.rewire_stats.attempts` is the committed-attempt
 /// cursor, carried across processes by the checkpoint.
-fn run_rewire_loop(
-    driver: &mut Driver<'_>,
-    subgraph: &Subgraph,
-    estimates: &Estimates,
+fn stage_rewire(
+    mut driver: Driver<'_>,
+    subgraph: Subgraph,
+    estimates: Estimates,
     k_max: usize,
-    mut engine: ParallelRewireEngine,
     total: u64,
     rng: &mut Xoshiro256pp,
-) -> Result<Graph, RestoreError> {
+    engine: impl FnOnce(&[f64], usize) -> Result<ParallelRewireEngine, SnapshotError>,
+) -> Result<Restored, RestoreError> {
+    let t = Instant::now();
+    let mut engine = engine(&clustering_target(&estimates, k_max), driver.cfg.threads)?;
+    driver.stats.rewire_secs += t.elapsed().as_secs_f64();
     driver.observer.stage_started("rewire");
     loop {
         let done = driver.stats.rewire_stats.attempts;
@@ -443,20 +528,20 @@ fn run_rewire_loop(
             .observer
             .rewire_progress(driver.stats.rewire_stats.attempts, total, &driver.stats);
         if driver.stats.rewire_stats.attempts >= total {
-            return Ok(engine.into_graph());
+            return Ok(finish(
+                driver.stats,
+                subgraph,
+                estimates,
+                engine.into_graph(),
+            ));
         }
-        let state = engine.engine();
         driver.checkpoint(
             rng,
-            subgraph,
-            estimates,
+            &subgraph,
+            &estimates,
             StageRef::Rewiring {
                 k_max,
-                graph: state.graph(),
-                slots: state.slots(),
-                clustering_sums: state.clustering_sums(),
-                dist_raw: state.dist_raw(),
-                buckets: state.bucket_state(),
+                engine: engine.engine(),
                 total_attempts: total,
             },
         )?;
@@ -485,170 +570,86 @@ fn finish(
     }
 }
 
-/// Stages 2..4 (after estimation).
-fn run_after_estimate(
-    driver: &mut Driver<'_>,
-    subgraph: Subgraph,
-    estimates: Estimates,
-    rng: &mut Xoshiro256pp,
-    scratch: &mut sgr_dk::ConstructScratch,
-) -> Result<Restored, RestoreError> {
-    let (dv, jdm) = stage_target(driver, &subgraph, &estimates, rng)?;
-    run_after_target(driver, subgraph, estimates, dv, jdm, rng, scratch)
-}
-
-/// Stages 3..4 (after targeting).
-fn run_after_target(
-    driver: &mut Driver<'_>,
-    subgraph: Subgraph,
-    estimates: Estimates,
-    dv: TargetDv,
-    jdm: TargetJdm,
-    rng: &mut Xoshiro256pp,
-    scratch: &mut sgr_dk::ConstructScratch,
-) -> Result<Restored, RestoreError> {
-    let (k_max, graph, added) =
-        stage_construct(driver, &subgraph, &estimates, &dv, &jdm, rng, scratch)?;
-    run_after_construct(driver, subgraph, estimates, k_max, graph, added, rng)
-}
-
-/// Stage 4 (rewiring over the added edges only, Algorithm 6) and
-/// completion.
-fn run_after_construct(
-    driver: &mut Driver<'_>,
-    subgraph: Subgraph,
-    estimates: Estimates,
-    k_max: usize,
-    graph: Graph,
-    added_edges: Vec<(NodeId, NodeId)>,
-    rng: &mut Xoshiro256pp,
-) -> Result<Restored, RestoreError> {
-    let candidate_edges = added_edges.len();
-    driver.stats.candidate_edges = candidate_edges;
-    if !driver.cfg.rewire || candidate_edges == 0 {
-        return Ok(finish(driver.stats, subgraph, estimates, graph));
-    }
-    let total = (driver.cfg.rewiring_coefficient * candidate_edges as f64).ceil() as u64;
-    let t = Instant::now();
-    let target_c = clustering_target(&estimates, k_max);
-    let engine = ParallelRewireEngine::new(graph, added_edges, &target_c, driver.cfg.threads);
-    driver.stats.rewire_secs += t.elapsed().as_secs_f64();
-    let graph = run_rewire_loop(driver, &subgraph, &estimates, k_max, engine, total, rng)?;
-    Ok(finish(driver.stats, subgraph, estimates, graph))
-}
-
-/// The whole staged pipeline. `induce` is the method choice: the
-/// proposed method induces `G'` from the crawl ([`Crawl::subgraph`]),
-/// the Gjoka baseline passes an empty subgraph ([`gjoka::generate`]).
-pub(crate) fn restore_impl(
+/// A fresh run: validation, stage 1 (estimation and subgraph
+/// induction, which consume no RNG), then the stage loop from
+/// `Estimated`. `induce` is the method choice: the proposed method
+/// induces `G'` from the crawl ([`Crawl::subgraph`]), the Gjoka baseline
+/// passes an empty subgraph ([`gjoka::generate`]).
+pub(crate) fn start(
     crawl: &Crawl,
     induce: fn(&Crawl) -> Subgraph,
     cfg: &RestoreConfig,
     rng: &mut Xoshiro256pp,
-    scratch: &mut sgr_dk::ConstructScratch,
     policy: Option<&CheckpointPolicy>,
     observer: &mut dyn PipelineObserver,
 ) -> Result<Restored, RestoreError> {
-    cfg.validate()?;
+    let mut driver = Driver::new(*cfg, policy, RestoreStats::default(), observer)?;
     if crawl.num_queried() == 0 {
         return Err(RestoreError::EmptyCrawl);
     }
-    let mut driver = Driver {
-        cfg: *cfg,
-        policy,
-        stats: RestoreStats::default(),
-        observer,
-    };
-    // Stage 1: estimation + subgraph induction (consumes no RNG).
     driver.observer.stage_started("estimate");
     let t = Instant::now();
     let estimates = estimate_all(crawl)?;
     let subgraph = induce(crawl);
     driver.stats.estimate_secs += t.elapsed().as_secs_f64();
     driver.checkpoint(rng, &subgraph, &estimates, StageRef::Estimated)?;
-    run_after_estimate(&mut driver, subgraph, estimates, rng, scratch)
+    run_stages(driver, subgraph, estimates, StageData::Estimated, rng)
 }
 
-/// Runs the full proposed method (§IV) on a random-walk crawl.
+/// Runs the proposed method (§IV) on a random-walk crawl: the general
+/// fresh entry point. A `policy` persists a checkpoint after each stage
+/// (and every `policy.every` rewiring attempts) for [`resume`]; the
+/// `observer` receives live stage and progress reports. Neither changes
+/// the result: the output is a function of `crawl`, `cfg` and the RNG
+/// alone.
+pub fn run(
+    crawl: &Crawl,
+    cfg: &RestoreConfig,
+    rng: &mut Xoshiro256pp,
+    policy: Option<&CheckpointPolicy>,
+    observer: &mut dyn PipelineObserver,
+) -> Result<Restored, RestoreError> {
+    start(crawl, Crawl::subgraph, cfg, rng, policy, observer)
+}
+
+/// [`run`] with no checkpoints and no observer.
 pub fn restore(
     crawl: &Crawl,
     cfg: &RestoreConfig,
     rng: &mut Xoshiro256pp,
 ) -> Result<Restored, RestoreError> {
-    let mut scratch = ConstructScratch::new();
-    restore_impl(
-        crawl,
-        Crawl::subgraph,
-        cfg,
-        rng,
-        &mut scratch,
-        None,
-        &mut NoopObserver,
-    )
+    run(crawl, cfg, rng, None, &mut NoopObserver)
 }
 
-/// [`restore`] under a [`CheckpointPolicy`], against caller-owned
-/// stub-matching scratch: identical results (the staged driver,
-/// checkpoint chunking and scratch reuse are bitwise-neutral), plus
-/// durable intermediate state for [`resume_from_checkpoint`].
+/// [`run`] under a [`CheckpointPolicy`], with no observer. `_scratch` is
+/// unused — the construct stage owns its stub-matching scratch — and is
+/// kept only so existing callers of this signature still compile.
 pub fn restore_with_checkpoints(
     crawl: &Crawl,
     cfg: &RestoreConfig,
     rng: &mut Xoshiro256pp,
-    scratch: &mut sgr_dk::ConstructScratch,
+    _scratch: &mut ConstructScratch,
     policy: &CheckpointPolicy,
 ) -> Result<Restored, RestoreError> {
-    restore_with_checkpoints_observed(crawl, cfg, rng, scratch, policy, &mut NoopObserver)
-}
-
-/// [`restore_with_checkpoints`] with a [`PipelineObserver`] attached:
-/// identical results (the observer only receives notifications), plus
-/// live stage/progress callbacks for long-running hosts.
-pub fn restore_with_checkpoints_observed(
-    crawl: &Crawl,
-    cfg: &RestoreConfig,
-    rng: &mut Xoshiro256pp,
-    scratch: &mut sgr_dk::ConstructScratch,
-    policy: &CheckpointPolicy,
-    observer: &mut dyn PipelineObserver,
-) -> Result<Restored, RestoreError> {
-    restore_impl(
-        crawl,
-        Crawl::subgraph,
-        cfg,
-        rng,
-        scratch,
-        Some(policy),
-        observer,
-    )
+    run(crawl, cfg, rng, Some(policy), &mut NoopObserver)
 }
 
 /// Continues an interrupted restoration from a checkpoint file, producing
 /// a result bitwise-identical to the run that was interrupted (same final
-/// edge multiset, same RNG stream, same stats counters).
+/// edge multiset, same RNG stream, same stats counters): the general
+/// resume entry point. The run re-enters the stage loop at the stage the
+/// checkpoint stores.
 ///
 /// `threads` optionally overrides the checkpointed worker count — safe
-/// because results are seed-for-seed identical at every width. A
-/// `policy` makes the resumed run itself checkpointable (file numbering
-/// continues where the interrupted run stopped).
-pub fn resume_from_checkpoint(
+/// because results are seed-for-seed identical at every width. The
+/// checkpointed configuration is validated like a fresh one. A `policy`
+/// makes the resumed run itself checkpointable (file numbering continues
+/// where the interrupted run stopped); the `observer` sees the resumed
+/// stages only.
+pub fn resume(
     path: &Path,
     threads: Option<usize>,
     policy: Option<&CheckpointPolicy>,
-    scratch: &mut sgr_dk::ConstructScratch,
-) -> Result<Restored, RestoreError> {
-    resume_from_checkpoint_observed(path, threads, policy, scratch, &mut NoopObserver)
-}
-
-/// [`resume_from_checkpoint`] with a [`PipelineObserver`] attached —
-/// same bitwise-identical resume guarantee, plus live progress
-/// callbacks (the `sgr serve` job server resumes adopted jobs through
-/// this).
-pub fn resume_from_checkpoint_observed(
-    path: &Path,
-    threads: Option<usize>,
-    policy: Option<&CheckpointPolicy>,
-    scratch: &mut sgr_dk::ConstructScratch,
     observer: &mut dyn PipelineObserver,
 ) -> Result<Restored, RestoreError> {
     let ckpt = checkpoint::read_checkpoint(path)?;
@@ -656,67 +657,9 @@ pub fn resume_from_checkpoint_observed(
     if let Some(t) = threads {
         cfg.threads = t;
     }
+    let driver = Driver::new(cfg, policy, ckpt.stats, observer)?;
     let mut rng = Xoshiro256pp::from_state(ckpt.rng_state);
-    let mut driver = Driver {
-        cfg,
-        policy,
-        stats: ckpt.stats,
-        observer,
-    };
-    let subgraph = ckpt.subgraph;
-    let estimates = ckpt.estimates;
-    match ckpt.stage {
-        StageData::Estimated => {
-            run_after_estimate(&mut driver, subgraph, estimates, &mut rng, scratch)
-        }
-        StageData::Targeted { dv, jdm } => {
-            run_after_target(&mut driver, subgraph, estimates, dv, jdm, &mut rng, scratch)
-        }
-        StageData::Constructed {
-            k_max,
-            graph,
-            added_edges,
-        } => run_after_construct(
-            &mut driver,
-            subgraph,
-            estimates,
-            k_max,
-            graph,
-            added_edges,
-            &mut rng,
-        ),
-        StageData::Rewiring {
-            k_max,
-            graph,
-            slots,
-            clustering_sums,
-            dist_raw,
-            buckets,
-            total_attempts,
-        } => {
-            let t = Instant::now();
-            let target_c = clustering_target(&estimates, k_max);
-            let mut engine = ParallelRewireEngine::new(graph, slots, &target_c, driver.cfg.threads);
-            let inner = engine.engine_mut();
-            inner
-                .restore_float_state(&clustering_sums, dist_raw)
-                .map_err(SnapshotError::Corrupt)?;
-            inner
-                .restore_bucket_state(buckets)
-                .map_err(SnapshotError::Corrupt)?;
-            driver.stats.rewire_secs += t.elapsed().as_secs_f64();
-            let graph = run_rewire_loop(
-                &mut driver,
-                &subgraph,
-                &estimates,
-                k_max,
-                engine,
-                total_attempts,
-                &mut rng,
-            )?;
-            Ok(finish(driver.stats, subgraph, estimates, graph))
-        }
-    }
+    run_stages(driver, ckpt.subgraph, ckpt.estimates, ckpt.stage, &mut rng)
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 use sgr_core::{
-    restore, restore_with_checkpoints, resume_from_checkpoint, CheckpointPolicy, RestoreConfig,
+    restore, restore_with_checkpoints, resume, CheckpointPolicy, NoopObserver, RestoreConfig,
     RestoreError,
 };
+use sgr_graph::snapshot::{read_section, write_section, KIND_RESTORE_CHECKPOINT};
 use sgr_graph::{Graph, NodeId, SnapshotError};
 use sgr_sample::random_walk_until_fraction;
 use sgr_util::rng::SplitMix64;
@@ -158,8 +159,7 @@ fn kill_and_resume_at_every_checkpoint_matches_golden() {
         for n in 1..=total_checkpoints {
             let dir = ckpt_dir(&format!("kill-{threads}-{n}"));
             let checkpoint = run_until_crash(threads, EVERY, n, dir.clone());
-            let mut scratch = sgr_dk::ConstructScratch::new();
-            let resumed = resume_from_checkpoint(&checkpoint, None, None, &mut scratch)
+            let resumed = resume(&checkpoint, None, None, &mut NoopObserver)
                 .unwrap_or_else(|e| panic!("resume from checkpoint {n} failed: {e}"));
             assert_eq!(
                 edge_multiset_hash(&resumed.graph),
@@ -198,9 +198,7 @@ fn checkpoint_resumes_across_engines() {
             "expected a mid-rewire checkpoint, got {}",
             checkpoint.display()
         );
-        let mut scratch = sgr_dk::ConstructScratch::new();
-        let resumed =
-            resume_from_checkpoint(&checkpoint, Some(resume_threads), None, &mut scratch).unwrap();
+        let resumed = resume(&checkpoint, Some(resume_threads), None, &mut NoopObserver).unwrap();
         assert_eq!(
             edge_multiset_hash(&resumed.graph),
             GOLDEN,
@@ -224,13 +222,12 @@ fn resumed_run_can_itself_be_killed_and_resumed() {
         // The first resume gets two checkpoints in and crashes again.
         abort_after: Some(first_checkpoint_count(&first) + 2),
     };
-    let mut scratch = sgr_dk::ConstructScratch::new();
-    let second = match resume_from_checkpoint(&first, None, Some(&policy), &mut scratch) {
+    let second = match resume(&first, None, Some(&policy), &mut NoopObserver) {
         Err(RestoreError::Interrupted { checkpoint }) => checkpoint,
         Ok(_) => panic!("second crash never fired"),
         Err(other) => panic!("unexpected error: {other}"),
     };
-    let resumed = resume_from_checkpoint(&second, None, None, &mut scratch).unwrap();
+    let resumed = resume(&second, None, None, &mut NoopObserver).unwrap();
     assert_eq!(edge_multiset_hash(&resumed.graph), GOLDEN);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&dir_b).ok();
@@ -253,7 +250,6 @@ fn corrupted_checkpoints_fail_with_typed_errors() {
     let dir = ckpt_dir("corrupt");
     let checkpoint = run_until_crash(1, EVERY, 3, dir.clone());
     let bytes = std::fs::read(&checkpoint).unwrap();
-    let mut scratch = sgr_dk::ConstructScratch::new();
 
     // Payload bit flip → checksum mismatch.
     let mut flipped = bytes.clone();
@@ -261,7 +257,7 @@ fn corrupted_checkpoints_fail_with_typed_errors() {
     flipped[mid] ^= 0x01;
     let path = dir.join("flipped.sgrsnap");
     std::fs::write(&path, &flipped).unwrap();
-    match resume_from_checkpoint(&path, None, None, &mut scratch) {
+    match resume(&path, None, None, &mut NoopObserver) {
         Err(RestoreError::Snapshot(SnapshotError::ChecksumMismatch)) => {}
         other => panic!("expected ChecksumMismatch, got {:?}", other.err()),
     }
@@ -269,7 +265,7 @@ fn corrupted_checkpoints_fail_with_typed_errors() {
     // Truncation → Truncated.
     let path = dir.join("truncated.sgrsnap");
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-    match resume_from_checkpoint(&path, None, None, &mut scratch) {
+    match resume(&path, None, None, &mut NoopObserver) {
         Err(RestoreError::Snapshot(SnapshotError::Truncated)) => {}
         other => panic!("expected Truncated, got {:?}", other.err()),
     }
@@ -279,15 +275,44 @@ fn corrupted_checkpoints_fail_with_typed_errors() {
     versioned[8] = versioned[8].wrapping_add(1);
     let path = dir.join("versioned.sgrsnap");
     std::fs::write(&path, &versioned).unwrap();
-    match resume_from_checkpoint(&path, None, None, &mut scratch) {
+    match resume(&path, None, None, &mut NoopObserver) {
         Err(RestoreError::Snapshot(SnapshotError::UnsupportedVersion(_))) => {}
         other => panic!("expected UnsupportedVersion, got {:?}", other.err()),
     }
 
     // Missing file → Io.
-    match resume_from_checkpoint(&dir.join("nope.sgrsnap"), None, None, &mut scratch) {
+    match resume(&dir.join("nope.sgrsnap"), None, None, &mut NoopObserver) {
         Err(RestoreError::Snapshot(SnapshotError::Io(_))) => {}
         other => panic!("expected Io, got {:?}", other.err()),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint's configuration is validated like a caller's: an `R_C`
+/// patched to NaN or −1 must not resume into a silently unrewired graph,
+/// and +∞ must not resume into a run that never finishes.
+#[test]
+fn resumed_config_is_validated() {
+    let dir = ckpt_dir("invalid-rc");
+    let checkpoint = run_until_crash(1, EVERY, 1, dir.clone());
+    let payload = read_section(&checkpoint, KIND_RESTORE_CHECKPOINT).unwrap();
+    // NaN and −1 first: unvalidated, they finish (with zero attempts)
+    // instead of hanging like +∞.
+    for rc in [f64::NAN, -1.0, f64::INFINITY] {
+        let mut patched = payload.clone();
+        // R_C follows the u32 stage tag and the four u64 RNG words.
+        patched[36..44].copy_from_slice(&rc.to_bits().to_le_bytes());
+        let path = dir.join("patched.sgrsnap");
+        write_section(&path, KIND_RESTORE_CHECKPOINT, &patched).unwrap();
+        match resume(&path, None, None, &mut NoopObserver) {
+            Err(RestoreError::InvalidRewiringCoefficient(got)) => {
+                assert_eq!(got.to_bits(), rc.to_bits())
+            }
+            other => panic!(
+                "R_C = {rc}: expected InvalidRewiringCoefficient, got {:?}",
+                other.map(|r| r.stats.rewire_stats.attempts)
+            ),
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -307,8 +332,7 @@ proptest! {
         // the mid-rewire sequence (cadence `every` keeps it in range).
         let checkpoint = run_until_crash(1, every, 4 + extra, dir.clone());
         prop_assert!(checkpoint.to_string_lossy().contains("rewiring"));
-        let mut scratch = sgr_dk::ConstructScratch::new();
-        let resumed = resume_from_checkpoint(&checkpoint, None, None, &mut scratch).unwrap();
+        let resumed = resume(&checkpoint, None, None, &mut NoopObserver).unwrap();
         prop_assert_eq!(edge_multiset_hash(&resumed.graph), GOLDEN);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -163,9 +163,10 @@ pub struct MatchStats {
 /// Reusable buffers for [`wire_stubs_with`]: the flat stub arena, the
 /// per-class stub counts, the sorted pair worklist, and the output edge
 /// list. A warm scratch (one whose buffers have grown to the workload's
-/// high-water mark) makes the matcher allocation-free; keep one alive
-/// across repeated constructions (`sgr_core::restore_with_checkpoints`
-/// threads one through).
+/// high-water mark) makes the matcher allocation-free, so callers that
+/// construct in a loop keep one alive across calls. A single restoration
+/// constructs once: `sgr_core`'s construct stage owns its scratch and
+/// frees it before rewiring starts.
 #[derive(Clone, Debug, Default)]
 pub struct ConstructScratch {
     /// Free-stub pools, one class per target degree, in one flat arena.

@@ -118,7 +118,8 @@
 //! approximation (see [`mod@parallel`] for the full argument).
 
 use sgr_graph::index::MultiplicityIndex;
-use sgr_graph::{Graph, NodeId};
+use sgr_graph::snapshot::{PayloadReader, PayloadWriter};
+use sgr_graph::{Graph, NodeId, SnapshotError};
 use sgr_props::triangles::triangle_counts_with_index;
 use sgr_util::scratch::ScratchAccum;
 use sgr_util::{FxHashMap, Xoshiro256pp};
@@ -202,8 +203,8 @@ impl EngineCore {
     ///
     /// Buckets are sized from a per-degree count before they are filled,
     /// and filled in `(slot, side)` order: within-bucket order is
-    /// checkpointed state (see [`bucket_state`](Self::bucket_state)), so
-    /// a fresh engine's order must never depend on how it was allocated.
+    /// checkpointed state (see [`RewireState`]), so a fresh engine's
+    /// order must never depend on how it was allocated.
     pub(crate) fn new(graph: Graph, candidates: Vec<(NodeId, NodeId)>, target_c: &[f64]) -> Self {
         let idx = MultiplicityIndex::build(&graph);
         let t: Vec<i64> = triangle_counts_with_index(&graph, &idx)
@@ -282,14 +283,6 @@ impl EngineCore {
         } else {
             self.dist_raw
         }
-    }
-
-    pub(crate) fn current_clustering(&self) -> Vec<f64> {
-        self.s
-            .iter()
-            .zip(self.nk.iter())
-            .map(|(&s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
-            .collect()
     }
 
     /// Draws a candidate swap. `None` means the attempt is structurally
@@ -453,7 +446,7 @@ impl EngineCore {
     /// maintained values or its accept/reject trajectory could diverge
     /// from the uninterrupted run — checkpoints therefore serialize the
     /// raw `f64` bit patterns and inject them here after reconstruction.
-    pub(crate) fn restore_float_state(&mut self, s: &[f64], dist_raw: f64) -> Result<(), String> {
+    fn restore_float_state(&mut self, s: &[f64], dist_raw: f64) -> Result<(), String> {
         if s.len() != self.s.len() {
             return Err(format!(
                 "clustering-sum length mismatch: checkpoint has {}, engine expects {}",
@@ -466,24 +459,16 @@ impl EngineCore {
         Ok(())
     }
 
-    /// Clones the degree-bucket arrays for checkpointing.
+    /// Replaces the freshly constructed degree buckets with a checkpointed
+    /// ordering, validating consistency with the current slots/degrees and
+    /// rebuilding the position index.
     ///
     /// Bucket *membership* is recomputable from (slots, degrees), but the
     /// order of entries within a bucket is not: `commit_slot_swap` moves
     /// entries between buckets in place, and `pick_swap`'s partner draw
     /// indexes into a bucket — so the within-bucket order is part of the
     /// resume-fidelity state.
-    pub(crate) fn bucket_state(&self) -> Vec<Vec<(u32, u8)>> {
-        self.buckets.clone()
-    }
-
-    /// Replaces the freshly constructed degree buckets with a checkpointed
-    /// ordering, validating consistency with the current slots/degrees and
-    /// rebuilding the position index.
-    pub(crate) fn restore_bucket_state(
-        &mut self,
-        buckets: Vec<Vec<(u32, u8)>>,
-    ) -> Result<(), String> {
+    fn restore_bucket_state(&mut self, buckets: Vec<Vec<(u32, u8)>>) -> Result<(), String> {
         if buckets.len() != self.buckets.len() {
             return Err(format!(
                 "bucket count mismatch: checkpoint has {}, engine expects {}",
@@ -678,11 +663,6 @@ impl RewireEngine {
         self.core.slots.len()
     }
 
-    /// Current `c̄(k)` of the evolving graph.
-    pub fn current_clustering(&self) -> Vec<f64> {
-        self.core.current_clustering()
-    }
-
     /// Runs `R = ceil(rc · |Ẽ_rew|)` attempts (§IV-E; the paper uses
     /// `R_C = 500`).
     pub fn run(&mut self, rc: f64, rng: &mut Xoshiro256pp) -> RewireStats {
@@ -738,57 +718,106 @@ impl RewireEngine {
         self.core.graph
     }
 
-    /// The evolving graph (checkpoint serialization reads the adjacency
-    /// lists in place).
-    pub fn graph(&self) -> &Graph {
-        &self.core.graph
+    /// Appends the engine's resumable state to a checkpoint payload, read
+    /// in place (no copy of the graph); [`RewireState::decode`] reads it
+    /// back.
+    pub fn encode_state(&self, w: &mut PayloadWriter) {
+        let core = &self.core;
+        w.put_graph(&core.graph);
+        w.put_pairs(&core.slots);
+        w.put_f64_slice(&core.s);
+        w.put_f64(core.dist_raw);
+        w.put_u64(core.buckets.len() as u64);
+        for bucket in &core.buckets {
+            let packed: Vec<u64> = bucket
+                .iter()
+                .map(|&(slot, side)| ((slot as u64) << 32) | side as u64)
+                .collect();
+            w.put_u64_slice(&packed);
+        }
     }
 
-    /// The candidate slots `Ẽ_rew` in their current (mutated-by-swaps)
-    /// state; together with the graph and target this is the engine's
-    /// complete integer state.
-    pub fn slots(&self) -> &[(NodeId, NodeId)] {
-        &self.core.slots
-    }
-
-    /// The incrementally-maintained per-degree clustering sums `S(k)`;
-    /// checkpoints store their exact bit patterns (see
-    /// [`restore_float_state`](Self::restore_float_state)).
-    pub fn clustering_sums(&self) -> &[f64] {
-        &self.core.s
-    }
-
-    /// The incrementally-maintained unnormalized distance.
-    pub fn dist_raw(&self) -> f64 {
-        self.core.dist_raw
-    }
-
-    /// Injects checkpointed float state into a freshly reconstructed
-    /// engine so resumed runs continue bitwise-identically; errors on a
-    /// length mismatch (wrong graph/target for this checkpoint).
-    pub fn restore_float_state(&mut self, s: &[f64], dist_raw: f64) -> Result<(), String> {
-        self.core.restore_float_state(s, dist_raw)
-    }
-
-    /// The degree-bucket arrays (`buckets[k]` lists the candidate
-    /// (slot, side) pairs whose endpoint has degree `k`). Within-bucket
-    /// *order* is mutated by accepted swaps and consumed by the partner
-    /// draw, so it is part of the resume-fidelity state.
-    pub fn bucket_state(&self) -> Vec<Vec<(u32, u8)>> {
-        self.core.bucket_state()
-    }
-
-    /// Injects a checkpointed bucket ordering into a freshly
-    /// reconstructed engine; errors if it is inconsistent with the
-    /// current slots and degrees.
-    pub fn restore_bucket_state(&mut self, buckets: Vec<Vec<(u32, u8)>>) -> Result<(), String> {
-        self.core.restore_bucket_state(buckets)
+    /// Rebuilds the engine a [`RewireState`] was captured from, against
+    /// the same target: the integer state is recomputed from the graph,
+    /// then the checkpointed float sums and bucket order are injected.
+    /// A state that does not fit the target or its own slots is
+    /// [`SnapshotError::Corrupt`].
+    pub(crate) fn resume(state: RewireState, target_c: &[f64]) -> Result<Self, SnapshotError> {
+        let RewireState {
+            graph,
+            slots,
+            s,
+            dist_raw,
+            buckets,
+        } = state;
+        let mut engine = Self::new(graph, slots, target_c);
+        let core = &mut engine.core;
+        core.restore_float_state(&s, dist_raw)
+            .map_err(SnapshotError::Corrupt)?;
+        core.restore_bucket_state(buckets)
+            .map_err(SnapshotError::Corrupt)?;
+        Ok(engine)
     }
 
     /// Consistency check used by tests: recomputes every maintained
     /// quantity from scratch and compares.
     pub fn validate(&self) -> Result<(), String> {
         self.core.validate()
+    }
+}
+
+/// A rewiring engine's resumable state, as a mid-rewire checkpoint
+/// carries it: the evolving graph's adjacency *in list order*, the
+/// candidate slots, the incrementally maintained `S(k)` and distance as
+/// exact bit patterns, and the degree buckets in their *current* order.
+/// All five are needed for a bitwise-identical resume — sums recomputed
+/// from the graph can differ in final ULPs, and fresh slot-order buckets
+/// would desynchronize the partner draws.
+///
+/// [`RewireEngine::encode_state`] writes it straight from a live engine,
+/// [`decode`](Self::decode) reads it back, and
+/// [`ParallelRewireEngine::resume`](parallel::ParallelRewireEngine::resume)
+/// continues from it at any worker count.
+pub struct RewireState {
+    graph: Graph,
+    slots: Vec<(NodeId, NodeId)>,
+    s: Vec<f64>,
+    dist_raw: f64,
+    buckets: Vec<Vec<(u32, u8)>>,
+}
+
+impl RewireState {
+    /// Reads a state written by [`RewireEngine::encode_state`]. Lengths
+    /// and bucket entries are checked against the target only on
+    /// resume; here a malformed entry is [`SnapshotError::Corrupt`].
+    pub fn decode(r: &mut PayloadReader<'_>) -> Result<Self, SnapshotError> {
+        let graph = r.get_graph()?;
+        let slots = r.get_pairs()?;
+        let s = r.get_f64_slice()?;
+        let dist_raw = r.get_f64()?;
+        let n_buckets = r.get_u64()? as usize;
+        let mut buckets: Vec<Vec<(u32, u8)>> = Vec::with_capacity(n_buckets);
+        for _ in 0..n_buckets {
+            let packed = r.get_u64_slice()?;
+            let mut bucket = Vec::with_capacity(packed.len());
+            for p in packed {
+                let side = p & 0xffff_ffff;
+                if side > 1 {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "bucket entry side must be 0 or 1, found {side}"
+                    )));
+                }
+                bucket.push(((p >> 32) as u32, side as u8));
+            }
+            buckets.push(bucket);
+        }
+        Ok(Self {
+            graph,
+            slots,
+            s,
+            dist_raw,
+            buckets,
+        })
     }
 }
 
@@ -1091,11 +1120,22 @@ mod tests {
         assert_eq!(stats.attempts, 2 * m);
     }
 
-    /// Reconstructing an engine from its serializable state mid-run —
-    /// graph adjacency (order-preserving), slots, and the float state's
-    /// exact bit patterns — continues the run bitwise-identically. This is
-    /// the fidelity contract the crash-safe checkpoints in `sgr-core`
-    /// build on.
+    /// A state's trip through a checkpoint payload: encode, then decode.
+    fn round_trip(eng: &RewireEngine) -> RewireState {
+        let mut w = PayloadWriter::new();
+        eng.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = PayloadReader::new(&bytes);
+        let state = RewireState::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        state
+    }
+
+    /// Resuming an engine from its encoded state mid-run — graph
+    /// adjacency (order-preserving), slots, the float state's exact bit
+    /// patterns and the bucket order — continues the run
+    /// bitwise-identically. This is the fidelity contract the crash-safe
+    /// checkpoints in `sgr-core` build on.
     #[test]
     fn snapshot_and_resume_is_bitwise_identical() {
         let g = social(16);
@@ -1117,23 +1157,12 @@ mod tests {
         let mut first = RewireEngine::new(g, edges, &target);
         let mut rng = Xoshiro256pp::seed_from_u64(17);
         first.run_attempts(2_500, &mut rng);
-        let adj: Vec<Vec<NodeId>> = first
-            .graph()
-            .nodes()
-            .map(|u| first.graph().neighbors(u).to_vec())
-            .collect();
-        let slots = first.slots().to_vec();
-        let s = first.clustering_sums().to_vec();
-        let dist_raw = first.dist_raw();
-        let buckets = first.bucket_state();
+        let state = round_trip(&first);
         let rng_state = rng.state();
         drop(first); // …the "crash"
 
         // …and resume from the captured state only.
-        let graph = Graph::from_adjacency(adj).unwrap();
-        let mut resumed = RewireEngine::new(graph, slots, &target);
-        resumed.restore_float_state(&s, dist_raw).unwrap();
-        resumed.restore_bucket_state(buckets).unwrap();
+        let mut resumed = RewireEngine::resume(state, &target).unwrap();
         let mut rng = Xoshiro256pp::from_state(rng_state);
         resumed.run_attempts(3_500, &mut rng);
         resumed.validate().unwrap();
@@ -1151,9 +1180,14 @@ mod tests {
         let g = social(18);
         let edges: Vec<_> = g.edges().collect();
         let target = vec![0.0; g.max_degree() + 1];
-        let mut eng = RewireEngine::new(g, edges, &target);
-        let wrong = vec![0.0; eng.clustering_sums().len() + 1];
-        assert!(eng.restore_float_state(&wrong, 0.0).is_err());
+        let eng = RewireEngine::new(g, edges, &target);
+        let state = round_trip(&eng);
+        // A longer target widens S(k): the checkpointed sums no longer fit.
+        let wider = vec![0.0; target.len() + 1];
+        assert!(matches!(
+            RewireEngine::resume(state, &wider),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! and commits every pick through it, so it is **bitwise-identical** to
 //! running that engine alone (same final graph, same accepted count,
 //! same distance trajectory) for the same seed at every thread count.
-//! Everything else — the graph, the candidate slots, the checkpoint
-//! state, the consistency check — is read through
-//! [`engine`](ParallelRewireEngine::engine).
+//! Everything else — the distance, the checkpoint state, the consistency
+//! check — is read through [`engine`](ParallelRewireEngine::engine), and
+//! [`resume`](ParallelRewireEngine::resume) continues from a checkpointed
+//! [`RewireState`] at any width.
 //!
 //! # One worker
 //!
@@ -114,8 +115,8 @@
 //! [`run_attempts`]: ParallelRewireEngine::run_attempts
 //! [`with_block_size`]: ParallelRewireEngine::with_block_size
 
-use super::{evaluate_swap, RewireEngine, RewireStats, SwapPick};
-use sgr_graph::{Graph, NodeId};
+use super::{evaluate_swap, RewireEngine, RewireState, RewireStats, SwapPick};
+use sgr_graph::{Graph, NodeId, SnapshotError};
 use sgr_util::scratch::{DirtyStampSet, ScratchAccum};
 use sgr_util::Xoshiro256pp;
 use std::sync::mpsc::{Receiver, Sender};
@@ -242,11 +243,26 @@ impl ParallelRewireEngine {
         target_c: &[f64],
         threads: usize,
     ) -> Self {
+        Self::wrap(RewireEngine::new(graph, candidates, target_c), threads)
+    }
+
+    /// Continues the engine a checkpointed [`RewireState`] was captured
+    /// from, against the same target, with `threads` workers — any
+    /// width, since results do not depend on it. A state that does not
+    /// fit the target is [`SnapshotError::Corrupt`].
+    pub fn resume(
+        state: RewireState,
+        target_c: &[f64],
+        threads: usize,
+    ) -> Result<Self, SnapshotError> {
+        Ok(Self::wrap(RewireEngine::resume(state, target_c)?, threads))
+    }
+
+    fn wrap(engine: RewireEngine, threads: usize) -> Self {
         let threads = resolve_threads(threads);
-        let engine = RewireEngine::new(graph, candidates, target_c);
         // One worker runs the wrapped engine directly: no pool buffers.
         let (workers, n) = if threads > 1 {
-            (threads, engine.graph().num_nodes())
+            (threads, engine.core.graph.num_nodes())
         } else {
             (0, 0)
         };
@@ -304,11 +320,6 @@ impl ParallelRewireEngine {
         }
     }
 
-    /// Worker-thread count in use.
-    pub fn num_threads(&self) -> usize {
-        self.threads
-    }
-
     /// Current speculation block size: the pinned size after
     /// [`with_block_size`](Self::with_block_size), otherwise the
     /// adaptive size as of the last block.
@@ -316,16 +327,10 @@ impl ParallelRewireEngine {
         self.block
     }
 
-    /// The wrapped engine: distance, graph, slots, checkpoint state and
-    /// the consistency check all live there.
+    /// The wrapped engine: distance, checkpoint state and the
+    /// consistency check all live there.
     pub fn engine(&self) -> &RewireEngine {
         &self.st.engine
-    }
-
-    /// Mutable access to the wrapped engine (checkpoint resume injects
-    /// its float and bucket state through it).
-    pub fn engine_mut(&mut self) -> &mut RewireEngine {
-        &mut self.st.engine
     }
 
     /// Releases the rewired graph.
@@ -664,8 +669,8 @@ mod tests {
         let target = vec![0.0; g.max_degree() + 1];
         let edges: Vec<_> = g.edges().collect();
         let eng = ParallelRewireEngine::new(g, edges, &target, 0);
-        assert_eq!(eng.num_threads(), resolve_threads(0));
-        assert!(eng.num_threads() >= 1);
+        assert_eq!(eng.threads, resolve_threads(0));
+        assert!(eng.threads >= 1);
         assert_eq!(eng.block_size(), ADAPTIVE_START_BLOCK);
     }
 

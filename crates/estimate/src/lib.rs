@@ -23,18 +23,13 @@
 //! [`Estimates`] bundles all five; [`estimate_all`] computes them in one
 //! pass over the walk.
 //!
-//! # Scratch reuse
+//! # Scratch arenas
 //!
 //! The accumulator-heavy estimators (the size estimator's observed-node
-//! fallback, the JDD's IE/TE tallies) run on reusable epoch-stamped
-//! arenas from [`sgr_util::scratch`] instead of per-call hash
-//! sets/maps, the same discipline the rewiring engine and the property
-//! kernels follow. [`EstimateScratch`] owns the arenas;
-//! [`estimate_all_with`] (and the `_with` variants of the individual
-//! estimators) share one across calls, so repeated estimation — the
-//! experiment harness re-estimates per run — performs no steady-state
-//! accumulator allocations. The plain entry points allocate a fresh
-//! scratch internally and are unchanged in behavior: results are
+//! fallback, the JDD's IE/TE tallies) run on epoch-stamped arenas from
+//! [`sgr_util::scratch`] instead of hash sets/maps, the same discipline
+//! the rewiring engine and the property kernels follow; [`estimate_all`]
+//! shares one set of arenas across its estimators. Results are
 //! bitwise-identical to the hash-map implementation because every
 //! per-key accumulation order is preserved.
 
@@ -72,11 +67,10 @@ pub const PAIR_GAP_FRACTION: f64 = 0.025;
 /// without the dense-arena speed.
 const MAX_DENSE_PAIR_KEYS: usize = 1 << 21;
 
-/// Reusable epoch-stamped scratch for the estimators; see the module
-/// docs. One instance serves any number of walks — arenas grow to the
-/// largest walk seen and are O(1)-cleared per call.
+/// Epoch-stamped scratch for the estimators; see the module docs.
+/// Arenas are sized per walk and O(1)-cleared per call.
 #[derive(Debug, Default)]
-pub struct EstimateScratch {
+struct EstimateScratch {
     /// Observed-node marks (size-estimator collision-free fallback).
     observed: DirtyStampSet,
     /// Walk degree → dense rank, assigned in first-visit order.
@@ -87,13 +81,6 @@ pub struct EstimateScratch {
     ie: ScratchAccum<f64>,
     /// Traversed-edge tallies keyed by packed rank pair.
     te: ScratchAccum<f64>,
-}
-
-impl EstimateScratch {
-    /// Creates an empty scratch; arenas are sized lazily per walk.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// The bundle of all five local-property estimates the restoration
@@ -164,14 +151,10 @@ fn num_gap_pairs(r: usize, m: usize) -> u64 {
 /// lower bound, which keeps short-walk pipelines total. Errors only when
 /// the walk is empty.
 pub fn estimate_num_nodes(crawl: &Crawl) -> Result<f64, EstimateError> {
-    estimate_num_nodes_with(crawl, &mut EstimateScratch::new())
+    num_nodes(crawl, &mut EstimateScratch::default())
 }
 
-/// As [`estimate_num_nodes`], reusing the caller's scratch arenas.
-pub fn estimate_num_nodes_with(
-    crawl: &Crawl,
-    scratch: &mut EstimateScratch,
-) -> Result<f64, EstimateError> {
+fn num_nodes(crawl: &Crawl, scratch: &mut EstimateScratch) -> Result<f64, EstimateError> {
     let r = crawl.len();
     if r == 0 {
         return Err(EstimateError::WalkTooShort { len: 0, need: 1 });
@@ -279,10 +262,10 @@ pub fn estimate_degree_distribution(crawl: &Crawl) -> Result<Vec<f64>, EstimateE
 /// Needs `r ≥ 2` (TE uses consecutive pairs) and uses the same gap
 /// threshold `M` as the size estimator for IE pairs.
 pub fn estimate_jdd(crawl: &Crawl) -> Result<FxHashMap<(u32, u32), f64>, EstimateError> {
-    estimate_jdd_with(crawl, &mut EstimateScratch::new())
+    jdd(crawl, &mut EstimateScratch::default())
 }
 
-/// As [`estimate_jdd`], reusing the caller's scratch arenas.
+/// [`estimate_jdd`] on the given arenas.
 ///
 /// The IE/TE tallies accumulate in dense epoch-stamped arenas keyed by
 /// *degree rank* (walk degrees remapped to `0..num_ranks` in first-visit
@@ -290,7 +273,7 @@ pub fn estimate_jdd(crawl: &Crawl) -> Result<FxHashMap<(u32, u32), f64>, Estimat
 /// a social-graph walk — instead of `k_max²`. Walks with so many
 /// distinct degrees that `num_ranks²` exceeds `MAX_DENSE_PAIR_KEYS`
 /// take a hash-map fallback with identical results.
-pub fn estimate_jdd_with(
+fn jdd(
     crawl: &Crawl,
     scratch: &mut EstimateScratch,
 ) -> Result<FxHashMap<(u32, u32), f64>, EstimateError> {
@@ -298,7 +281,7 @@ pub fn estimate_jdd_with(
     if r < 2 {
         return Err(EstimateError::WalkTooShort { len: r, need: 2 });
     }
-    let n_hat = estimate_num_nodes_with(crawl, scratch)?;
+    let n_hat = num_nodes(crawl, scratch)?;
     let k_hat = estimate_average_degree(crawl)?;
     let m = pair_gap(r);
     let num_pairs = num_gap_pairs(r, m);
@@ -403,7 +386,7 @@ pub fn estimate_jdd_with(
     Ok(out)
 }
 
-/// Hash-map accumulation path of [`estimate_jdd_with`], for walks whose
+/// Hash-map accumulation path of [`estimate_jdd`], for walks whose
 /// distinct-degree count overflows the dense rank-pair arena. Values are
 /// identical — per-key accumulation order matches the arena path.
 #[cold]
@@ -541,20 +524,12 @@ pub fn estimate_global_clustering(crawl: &Crawl) -> Result<f64, EstimateError> {
 
 /// Computes all five estimates (§III-E) from one walk.
 pub fn estimate_all(crawl: &Crawl) -> Result<Estimates, EstimateError> {
-    estimate_all_with(crawl, &mut EstimateScratch::new())
-}
-
-/// As [`estimate_all`], reusing the caller's scratch arenas — the entry
-/// point for harnesses that estimate many walks in a loop.
-pub fn estimate_all_with(
-    crawl: &Crawl,
-    scratch: &mut EstimateScratch,
-) -> Result<Estimates, EstimateError> {
+    let mut scratch = EstimateScratch::default();
     Ok(Estimates {
-        n_hat: estimate_num_nodes_with(crawl, scratch)?,
+        n_hat: num_nodes(crawl, &mut scratch)?,
         avg_degree_hat: estimate_average_degree(crawl)?,
         degree_dist: estimate_degree_distribution(crawl)?,
-        jdd: estimate_jdd_with(crawl, scratch)?,
+        jdd: jdd(crawl, &mut scratch)?,
         clustering: estimate_clustering(crawl)?,
     })
 }
@@ -762,46 +737,17 @@ mod tests {
     }
 
     #[test]
-    fn reused_scratch_is_bitwise_identical_to_fresh() {
-        // One scratch across several different walks must give exactly
-        // the per-call results: stale epochs and previously grown arenas
-        // can leak nothing.
-        let mut scratch = EstimateScratch::new();
-        for seed in [1u64, 5, 9] {
-            let g =
-                sgr_gen::holme_kim(700, 3, 0.5, &mut Xoshiro256pp::seed_from_u64(seed)).unwrap();
-            let crawl = walk_on(&g, 150, seed ^ 0x77);
-            let fresh = estimate_all(&crawl).unwrap();
-            let reused = estimate_all_with(&crawl, &mut scratch).unwrap();
-            assert_eq!(fresh.n_hat.to_bits(), reused.n_hat.to_bits());
-            assert_eq!(fresh.degree_dist, reused.degree_dist);
-            assert_eq!(fresh.clustering, reused.clustering);
-            assert_eq!(fresh.jdd.len(), reused.jdd.len());
-            for (k, v) in fresh.jdd.iter() {
-                assert_eq!(
-                    reused.jdd.get(k).copied().unwrap_or(f64::NAN).to_bits(),
-                    v.to_bits(),
-                    "jdd diverged at {k:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn no_collision_fallback_reuses_observed_marks() {
-        // Exercise the observed-node fallback twice through one scratch.
+        // The observed-node fallback on two different short walks: each
+        // call counts its own walk's nodes and nothing of the other's.
         let g = sgr_gen::classic::path(10);
-        let mut scratch = EstimateScratch::new();
         for (a, b, expect) in [(4u32, 5u32, 4.0), (1, 2, 4.0)] {
             let mut crawl = Crawl::default();
             for x in [a, b] {
                 crawl.seq.push(x);
                 crawl.neighbors.insert(x, g.neighbors(x).to_vec());
             }
-            assert_eq!(
-                estimate_num_nodes_with(&crawl, &mut scratch).unwrap(),
-                expect
-            );
+            assert_eq!(estimate_num_nodes(&crawl).unwrap(), expect);
         }
     }
 

@@ -79,7 +79,7 @@
 //! [`KIND_RESTORE_CHECKPOINT`]) on the same primitives; see
 //! `sgr_core::checkpoint`.
 
-use crate::{CsrGraph, NodeId};
+use crate::{CsrGraph, Graph, NodeId};
 use std::io::Write;
 use std::path::Path;
 
@@ -450,6 +450,32 @@ impl PayloadWriter {
     pub fn put_str(&mut self, s: &str) {
         self.put_byte_slice(s.as_bytes());
     }
+
+    /// Appends a [`Graph`]'s adjacency *in list order*: a degree slice,
+    /// then one neighbor slice in node order — the arena layout, so
+    /// [`PayloadReader::get_graph`] adopts it without re-sorting.
+    pub fn put_graph(&mut self, g: &Graph) {
+        let n = g.num_nodes();
+        let mut degrees: Vec<u32> = Vec::with_capacity(n);
+        let mut flat: Vec<u32> = Vec::with_capacity(2 * g.num_edges());
+        for u in 0..n {
+            let nbrs = g.neighbors(u as NodeId);
+            degrees.push(nbrs.len() as u32);
+            flat.extend_from_slice(nbrs);
+        }
+        self.put_u32_slice(&degrees);
+        self.put_u32_slice(&flat);
+    }
+
+    /// Appends node pairs as one flat `u32` slice `u0, v0, u1, v1, …`.
+    pub fn put_pairs(&mut self, pairs: &[(NodeId, NodeId)]) {
+        let mut flat: Vec<u32> = Vec::with_capacity(2 * pairs.len());
+        for &(u, v) in pairs {
+            flat.push(u);
+            flat.push(v);
+        }
+        self.put_u32_slice(&flat);
+    }
 }
 
 /// Little-endian payload reader; the read-side half of [`PayloadWriter`].
@@ -571,6 +597,28 @@ impl<'a> PayloadReader<'a> {
     pub fn get_str(&mut self) -> Result<String, SnapshotError> {
         String::from_utf8(self.get_byte_slice()?)
             .map_err(|_| SnapshotError::Corrupt("string field is not valid UTF-8".into()))
+    }
+
+    /// Reads a graph written by [`PayloadWriter::put_graph`]. The neighbor
+    /// slab is adopted wholesale as the arena; [`Graph::from_flat`]
+    /// validates it (degree/slab consistency, symmetry, loop pairing) and
+    /// any violation is reported as [`SnapshotError::Corrupt`].
+    pub fn get_graph(&mut self) -> Result<Graph, SnapshotError> {
+        let degrees = self.get_u32_slice()?;
+        let flat = self.get_u32_slice()?;
+        Graph::from_flat(&degrees, flat).map_err(|e| SnapshotError::Corrupt(e.to_string()))
+    }
+
+    /// Reads node pairs written by [`PayloadWriter::put_pairs`].
+    pub fn get_pairs(&mut self) -> Result<Vec<(NodeId, NodeId)>, SnapshotError> {
+        let flat = self.get_u32_slice()?;
+        if flat.len() % 2 != 0 {
+            return Err(SnapshotError::Corrupt(format!(
+                "pair arena has odd length {}",
+                flat.len()
+            )));
+        }
+        Ok(flat.chunks_exact(2).map(|c| (c[0], c[1])).collect())
     }
 }
 

@@ -62,8 +62,8 @@
 //! and thread-count identity on the full property surface.
 //!
 //! **Scratch reuse.** All traversal state lives in a reusable
-//! [`BfsScratch`] (the same pattern as `ConstructScratch` and
-//! `EstimateScratch`): buffers are sized once per graph and the warm path
+//! [`BfsScratch`] (the same pattern as `ConstructScratch`): buffers are
+//! sized once per graph and the warm path
 //! performs **zero heap allocations** (proven by
 //! `tests/bfs_zero_alloc.rs` with the counting global allocator). Bitsets
 //! and mask arrays are bulk-cleared — at BFS scale a linear `fill(0)` of

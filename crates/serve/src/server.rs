@@ -38,10 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use sgr_core::{
-    restore_with_checkpoints_observed, resume_from_checkpoint_observed, CheckpointPolicy,
-    ConstructScratch, PipelineObserver, RestoreError, RestoreStats, Restored,
-};
+use sgr_core::{CheckpointPolicy, PipelineObserver, RestoreError, RestoreStats, Restored};
 use sgr_dk::rewire::parallel::pool_bytes;
 use sgr_graph::io::read_edge_list;
 use sgr_graph::snapshot::write_csr;
@@ -461,9 +458,12 @@ fn handle_request(
                 st.shutdown = true;
             }
             shared.cv.notify_all();
+            // Reply before waking the acceptor: once it returns, the
+            // hosting process may exit and cut this connection.
+            let reply = write_frame(stream, RESP_SHUTDOWN_OK, &[]);
             // Wake the blocking acceptor so it observes the flag.
             let _ = TcpStream::connect(shared.addr);
-            write_frame(stream, RESP_SHUTDOWN_OK, &[])
+            reply
         }
         _ => unreachable!("filtered by is_known_frame_type"),
     }
@@ -562,7 +562,6 @@ fn pick_job(st: &State) -> Option<u64> {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    let mut scratch = ConstructScratch::new();
     loop {
         let (id, spec, resume_from) = {
             let mut st = shared.state.lock().unwrap();
@@ -580,7 +579,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 st = shared.cv.wait(st).unwrap();
             }
         };
-        run_job(shared, id, spec, resume_from, &mut scratch);
+        run_job(shared, id, spec, resume_from);
     }
 }
 
@@ -623,15 +622,9 @@ impl PipelineObserver for StatusObserver<'_> {
 
 /// Runs one job to a terminal (or interrupted) state and records the
 /// outcome, in memory and — for terminal states — on disk.
-fn run_job(
-    shared: &Arc<Shared>,
-    id: u64,
-    spec: JobSpec,
-    resume_from: Option<PathBuf>,
-    scratch: &mut ConstructScratch,
-) {
+fn run_job(shared: &Arc<Shared>, id: u64, spec: JobSpec, resume_from: Option<PathBuf>) {
     let dir = job_dir(&shared.cfg.dir, id);
-    let result = execute(shared, id, &spec, resume_from, &dir, scratch);
+    let result = execute(shared, id, &spec, resume_from, &dir);
     let mut st = shared.state.lock().unwrap();
     shared.release(&mut st, id);
     let Some(rec) = st.jobs.get_mut(&id) else {
@@ -720,7 +713,6 @@ fn execute(
     spec: &JobSpec,
     resume_from: Option<PathBuf>,
     dir: &Path,
-    scratch: &mut ConstructScratch,
 ) -> Result<Restored, JobError> {
     let mut observer = StatusObserver { shared, id };
     let restored = match resume_from {
@@ -732,7 +724,7 @@ fn execute(
                 every: spec.checkpoint_every,
                 abort_after: None,
             };
-            resume_from_checkpoint_observed(&ckpt, None, Some(&policy), scratch, &mut observer)?
+            sgr_core::resume(&ckpt, None, Some(&policy), &mut observer)?
         }
         None => {
             let (g, _) = read_edge_list(Cursor::new(&spec.edges[..]))
@@ -746,12 +738,11 @@ fn execute(
                 every: spec.checkpoint_every,
                 abort_after: (spec.abort_after > 0).then_some(spec.abort_after),
             };
-            restore_with_checkpoints_observed(
+            sgr_core::run(
                 &outcome.crawl,
                 &spec.restore_config(),
                 &mut rng,
-                scratch,
-                &policy,
+                Some(&policy),
                 &mut observer,
             )?
         }

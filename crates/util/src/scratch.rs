@@ -27,45 +27,6 @@ pub struct ScratchAccum<T> {
     touched: Vec<u32>,
 }
 
-/// A fixed set of [`ScratchAccum`] arenas, one per worker thread.
-///
-/// The speculative-parallel rewiring engine evaluates a block of swap
-/// picks on several scoped threads at once; each worker needs its own
-/// triangle-delta arena so evaluations never contend. The pool owns all
-/// of them, sized identically up front, and hands out disjoint `&mut`
-/// access via [`ScratchPool::arenas_mut`] (ready for
-/// `chunks_mut`-style splitting across `std::thread::scope` workers).
-#[derive(Clone, Debug)]
-pub struct ScratchPool<T> {
-    arenas: Vec<ScratchAccum<T>>,
-}
-
-impl<T: Copy + Default> ScratchPool<T> {
-    /// Creates `workers` arenas, each covering keys `0..keys`.
-    pub fn new(workers: usize, keys: usize) -> Self {
-        Self {
-            arenas: (0..workers)
-                .map(|_| ScratchAccum::with_keys(keys))
-                .collect(),
-        }
-    }
-
-    /// Number of arenas in the pool.
-    pub fn len(&self) -> usize {
-        self.arenas.len()
-    }
-
-    /// Whether the pool holds no arenas.
-    pub fn is_empty(&self) -> bool {
-        self.arenas.is_empty()
-    }
-
-    /// Mutable access to every arena at once — split this across workers.
-    pub fn arenas_mut(&mut self) -> &mut [ScratchAccum<T>] {
-        &mut self.arenas
-    }
-}
-
 /// Epoch-stamped membership set over keys `0..n`: O(1) mark, query, and
 /// clear, with an explicit marked-key list for iteration.
 ///
@@ -357,23 +318,6 @@ mod tests {
         assert!(!d.contains(7));
         assert!(d.mark(7));
         assert_eq!(d.num_keys(), 8);
-    }
-
-    #[test]
-    fn pool_hands_out_independent_arenas() {
-        let mut pool: ScratchPool<i64> = ScratchPool::new(3, 8);
-        assert_eq!(pool.len(), 3);
-        assert!(!pool.is_empty());
-        let arenas = pool.arenas_mut();
-        for (w, a) in arenas.iter_mut().enumerate() {
-            a.begin();
-            a.add(w as u32, w as i64 + 1);
-        }
-        for (w, a) in pool.arenas_mut().iter().enumerate() {
-            assert_eq!(a.get(w as u32), w as i64 + 1);
-            // Other workers' keys are untouched in this arena.
-            assert_eq!(a.touched().len(), 1);
-        }
     }
 
     #[test]
