@@ -70,6 +70,30 @@
 //! them pure waste on rejection) and two hash maps' worth of allocation
 //! per attempt.
 //!
+//! Once the index outgrows the caches, those operation counts matter
+//! less than *waiting*: a pick's draw is a chain of dependent cold loads
+//! (`slots[e1]`, the degree of `v_i`, a bucket entry, `slots[e2]`), and
+//! its four extents are cold too. About 98% of attempts commit nothing,
+//! so the next picks are almost always exactly the ones the sequential
+//! loop would draw next. [`RewireEngine::run_attempts`] therefore keeps
+//! a ring of `LOOKAHEAD` = 8 drawn picks on the stack and, while the head
+//! is evaluated, issues three software prefetch hints
+//! ([`sgr_util::prefetch`]) for the picks behind it:
+//!
+//! 1. when a pick is drawn, the extent headers (`starts`, `lens`) of its
+//!    four endpoints ([`MultiplicityIndex::prefetch_header`]);
+//! 2. when it is halfway to the head, the first four cache lines of each
+//!    endpoint's extent ([`MultiplicityIndex::prefetch_extent`]);
+//! 3. before it is drawn, its draw chain: an RNG peek
+//!    (`EngineCore::prefetch_draws`) replays the next four picks' draws
+//!    on a clone of the generator and hints one link of each chain, the
+//!    nearer the pick the deeper the link, so every load of a draw finds
+//!    its line warm.
+//!
+//! A hint reads nothing the program sees and cannot change a result; a
+//! wrong guess (a peeked draw count that was off, a pick voided by a
+//! commit) costs only the wasted prefetch.
+//!
 //! # Determinism model
 //!
 //! Three engines produce **bitwise-identical** results for the same seed:
@@ -81,7 +105,14 @@
 //! 1. **One RNG stream, drawn in attempt order.** Every candidate pick
 //!    flows through `EngineCore::pick_swap` against the current
 //!    committed state; no engine consumes draws any other engine would
-//!    not.
+//!    not. The sequential engine's drawn-ahead picks are the stream's
+//!    own: each is drawn against the state every earlier pick left, for
+//!    as long as none of those earlier picks commits. A commit voids the
+//!    picks in flight, and the ring rewinds the RNG to the first one's
+//!    checkpoint and redraws them against the new state. The ring never
+//!    draws past its attempt budget, so every call ends at the stream
+//!    position the pick-by-pick loop reaches. (The RNG peek of hint 3
+//!    draws on a clone and consumes nothing.)
 //! 2. **Integer evaluation.** A swap's effect is a set of per-node
 //!    triangle deltas `Δt_i` — exact `i64`s, so the *order* in which a
 //!    scan discovers common neighbors is irrelevant. Engines are free to
@@ -121,6 +152,7 @@ use sgr_graph::index::MultiplicityIndex;
 use sgr_graph::snapshot::{PayloadReader, PayloadWriter};
 use sgr_graph::{Graph, NodeId, SnapshotError};
 use sgr_props::triangles::triangle_counts_with_index;
+use sgr_util::prefetch::prefetch_read;
 use sgr_util::scratch::ScratchAccum;
 use sgr_util::{FxHashMap, Xoshiro256pp};
 
@@ -159,6 +191,26 @@ pub(crate) struct SwapPick {
     vj: NodeId,
     vi2: NodeId,
     vj2: NodeId,
+}
+
+impl SwapPick {
+    /// The four endpoints `[v_i, v_j, v_{i'}, v_{j'}]` an evaluation reads.
+    #[inline]
+    pub(crate) fn endpoints(&self) -> [NodeId; 4] {
+        [self.vi, self.vj, self.vi2, self.vj2]
+    }
+}
+
+/// Picks [`RewireEngine::run_attempts`] keeps drawn ahead of the one it
+/// decides (the head included).
+const LOOKAHEAD: usize = 8;
+
+/// One entry of the lookahead ring: a drawn pick (`None` = structurally
+/// skipped) and the RNG state from before its draws.
+#[derive(Clone, Copy)]
+struct Drawn {
+    rng_before: [u64; 4],
+    pick: Option<SwapPick>,
 }
 
 /// State shared by the evaluate-then-commit engine and the apply-rollback
@@ -326,6 +378,42 @@ impl EngineCore {
             vi2,
             vj2,
         })
+    }
+
+    /// Hints the cold reads of the next picks the ring will draw. One
+    /// pick's draw is a chain of dependent loads — `slots[e1]`,
+    /// `deg[v_i]`, the partner's bucket entry, `slots[e2]` — so the pick
+    /// `d` draws ahead gets the hint for link `3 - d` of its chain, and
+    /// each link is warm by the time the next one needs it. The draws are
+    /// replayed on a clone of `rng`, assuming each pick takes the three
+    /// draws almost every pick takes. Consumes nothing from `rng`.
+    #[inline]
+    pub(crate) fn prefetch_draws(&self, rng: &Xoshiro256pp) {
+        let mut peek = rng.clone();
+        // `warm`: links of this pick's chain already in cache.
+        for warm in (0..4).rev() {
+            let e1 = peek.gen_range(self.slots.len());
+            if warm == 0 {
+                prefetch_read(&self.slots[e1]);
+                break;
+            }
+            let vi = endpoint(self.slots[e1], peek.gen_range(2) as u8);
+            if warm == 1 {
+                prefetch_read(&self.deg[vi as usize]);
+                peek.next_u64();
+                continue;
+            }
+            let bucket = &self.buckets[self.deg[vi as usize] as usize];
+            if bucket.len() < 2 {
+                continue;
+            }
+            let entry = &bucket[peek.gen_range(bucket.len())];
+            if warm == 2 {
+                prefetch_read(entry);
+            } else {
+                prefetch_read(&self.slots[entry.0 as usize]);
+            }
+        }
     }
 
     /// Folds sorted per-node triangle deltas into predicted per-degree
@@ -670,7 +758,16 @@ impl RewireEngine {
         self.run_attempts(attempts, rng)
     }
 
-    /// Runs exactly `attempts` swap attempts.
+    /// Runs exactly `attempts` swap attempts, with the same picks,
+    /// decisions and final RNG position as `attempts` calls of
+    /// [`attempt`](Self::attempt).
+    ///
+    /// Up to `LOOKAHEAD` = 8 drawn picks wait in a stack ring while the
+    /// head is evaluated and decided as `attempt` does, so the waiting
+    /// picks' cold reads can be prefetched (see the module docs'
+    /// per-attempt complexity). An accept voids the waiting picks: `rng`
+    /// rewinds to the first one's checkpoint. The ring never draws past
+    /// `attempts`.
     pub fn run_attempts(&mut self, attempts: u64, rng: &mut Xoshiro256pp) -> RewireStats {
         let mut stats = RewireStats {
             attempts,
@@ -682,9 +779,52 @@ impl RewireEngine {
             stats.final_distance = self.distance();
             return stats;
         }
-        for _ in 0..attempts {
-            if self.attempt(rng) {
+        let mut ring = [Drawn {
+            rng_before: [0; 4],
+            pick: None,
+        }; LOOKAHEAD];
+        let (mut head, mut in_flight, mut undrawn) = (0usize, 0usize, attempts);
+        loop {
+            // Top the ring up, never past the budget.
+            while in_flight < LOOKAHEAD && undrawn > 0 {
+                let slot = &mut ring[(head + in_flight) % LOOKAHEAD];
+                slot.rng_before = rng.state();
+                slot.pick = self.core.pick_swap(rng);
+                if let Some(p) = &slot.pick {
+                    for u in p.endpoints() {
+                        self.core.idx.prefetch_header(u);
+                    }
+                }
+                in_flight += 1;
+                undrawn -= 1;
+            }
+            if in_flight == 0 {
+                break;
+            }
+            // The pick halfway to the head: its extents next.
+            if in_flight > LOOKAHEAD / 2 {
+                if let Some(p) = &ring[(head + LOOKAHEAD / 2) % LOOKAHEAD].pick {
+                    for u in p.endpoints() {
+                        self.core.idx.prefetch_extent(u);
+                    }
+                }
+            }
+            if undrawn > 0 {
+                self.core.prefetch_draws(rng);
+            }
+            let pick = ring[head].pick;
+            head = (head + 1) % LOOKAHEAD;
+            in_flight -= 1;
+            if pick.is_some_and(|p| self.evaluate_and_decide(&p)) {
                 stats.accepted += 1;
+                if in_flight > 0 {
+                    // The commit moved slots and bucket entries, so the
+                    // picks drawn against the old state are void: redraw
+                    // them from the first one's checkpoint.
+                    *rng = Xoshiro256pp::from_state(ring[head].rng_before);
+                    undrawn += in_flight as u64;
+                    in_flight = 0;
+                }
             } else {
                 stats.skipped += 1; // rejected or structurally skipped
             }
@@ -697,17 +837,19 @@ impl RewireEngine {
     /// attempts perform no graph/index/cache mutations and no heap
     /// allocations.
     pub fn attempt(&mut self, rng: &mut Xoshiro256pp) -> bool {
+        self.core
+            .pick_swap(rng)
+            .is_some_and(|p| self.evaluate_and_decide(&p))
+    }
+
+    /// Evaluates `pick` read-only against the live state, then decides
+    /// it, committing on accept. The step both [`attempt`](Self::attempt)
+    /// and [`run_attempts`](Self::run_attempts) take per pick.
+    fn evaluate_and_decide(&mut self, pick: &SwapPick) -> bool {
         let mutations_before = self.core.idx.mutation_count();
-        let Some(pick) = self.core.pick_swap(rng) else {
-            return false;
-        };
-
-        // --- Evaluate: predict every Δt_i by read-only scans.
         self.pairs.clear();
-        evaluate_swap(&self.core, &pick, &mut self.scratch_t, &mut self.pairs);
-
-        // --- Decide, and commit on accept.
-        let accepted = self.core.decide(&pick, &self.pairs, &mut self.scratch_s);
+        evaluate_swap(&self.core, pick, &mut self.scratch_t, &mut self.pairs);
+        let accepted = self.core.decide(pick, &self.pairs, &mut self.scratch_s);
         // Rejected: nothing was mutated — assert it.
         debug_assert!(accepted || self.core.idx.mutation_count() == mutations_before);
         accepted
@@ -837,7 +979,7 @@ pub(crate) fn evaluate_swap(
 ) {
     scratch_t.begin();
     let mut pending = PendingDeltas::default();
-    let specials = [pick.vi, pick.vj, pick.vi2, pick.vj2];
+    let specials = pick.endpoints();
     eval_toggle(
         core,
         scratch_t,

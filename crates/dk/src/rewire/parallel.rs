@@ -19,9 +19,15 @@
 //!
 //! # One worker
 //!
-//! With `threads <= 1` there is no evaluation to overlap, so
-//! [`run_attempts`] calls [`RewireEngine::run_attempts`] and nothing
+//! With `threads <= 1` there is no evaluation to overlap across cores,
+//! so [`run_attempts`] calls [`RewireEngine::run_attempts`] and nothing
 //! else: no pool, no speculation blocks, and no pool buffers allocated.
+//! That loop overlaps work on one core instead: it keeps a small ring of
+//! picks drawn ahead and prefetches what they will read (see the
+//! per-attempt complexity section of [`mod@super`]). Only its *picks*
+//! are speculative, never its evaluations, so it needs none of the dirty
+//! set or replay machinery below. The library, CLI and server default
+//! (one worker) all run it.
 //!
 //! # Persistent worker pool
 //!
@@ -495,7 +501,7 @@ fn commit_scan(
             stats.skipped += 1;
             continue;
         };
-        let endpoints = [p.vi, p.vj, p.vi2, p.vj2];
+        let endpoints = p.endpoints();
         let result = if spec_ok && !dirty.contains_any(&endpoints) {
             bufs[i % threads].result(i / threads)
         } else {

@@ -114,6 +114,72 @@ fn engines_agree_toward_inflated_clustering() {
     assert_equivalent(g, &target, 9, 8_000);
 }
 
+/// `RewireEngine::run_attempts` in chunks of varied sizes against the
+/// reference stepped one attempt at a time. After every chunk the two
+/// must agree on accepted and skipped counts, on the distance bitwise,
+/// and on the RNG position: the lookahead ring draws picks ahead of the
+/// one it decides, so this pins that it rewinds after every accept and
+/// never draws past the chunk's budget. Returns the accepts in total.
+fn assert_run_attempts_matches_oracle(g: Graph, target: &[f64], rng_seed: u64) -> u64 {
+    const CHUNKS: [u64; 8] = [1, 2, 3, 7, 8, 9, 17, 500];
+    let edges: Vec<_> = g.edges().collect();
+    let mut ring = RewireEngine::new(g.clone(), edges.clone(), target);
+    let mut oracle = ApplyRollbackEngine::new(g, edges, target);
+    let mut rng_r = Xoshiro256pp::seed_from_u64(rng_seed);
+    let mut rng_o = Xoshiro256pp::seed_from_u64(rng_seed);
+    let mut total = 0u64;
+    for round in 0..3 {
+        for chunk in CHUNKS {
+            let stats = ring.run_attempts(chunk, &mut rng_r);
+            let mut accepted = 0u64;
+            for _ in 0..chunk {
+                accepted += u64::from(oracle.attempt(&mut rng_o));
+            }
+            let at = format!("round {round}, chunk {chunk}");
+            assert_eq!(stats.attempts, chunk, "{at}");
+            assert_eq!(stats.accepted, accepted, "accepted diverged at {at}");
+            assert_eq!(stats.skipped, chunk - accepted, "skipped diverged at {at}");
+            assert_eq!(
+                ring.distance().to_bits(),
+                oracle.distance().to_bits(),
+                "distance diverged at {at}: {} vs {}",
+                ring.distance(),
+                oracle.distance()
+            );
+            assert_eq!(
+                rng_r.state(),
+                rng_o.state(),
+                "RNG position diverged at {at}"
+            );
+            total += accepted;
+        }
+    }
+    ring.validate().unwrap();
+    assert_eq!(
+        sorted_edges(&ring.into_graph()),
+        sorted_edges(&oracle.into_graph()),
+        "edge multisets diverged"
+    );
+    total
+}
+
+#[test]
+fn run_attempts_matches_oracle_on_accept_heavy_target() {
+    let g = messy_graph(7);
+    let target = vec![0.0; g.max_degree() + 1];
+    let accepted = assert_run_attempts_matches_oracle(g, &target, 43);
+    assert!(accepted >= 100, "only {accepted} accepts: not accept-heavy");
+}
+
+#[test]
+fn run_attempts_matches_oracle_on_reject_only_target() {
+    // The graph's own clustering: D = 0 is the floor, every attempt
+    // rejects, and the ring never rewinds.
+    let g = messy_graph(8);
+    let target = LocalProperties::compute(&g).clustering_by_degree;
+    assert_eq!(assert_run_attempts_matches_oracle(g, &target, 47), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -319,6 +385,29 @@ fn rejected_attempts_perform_zero_heap_allocations() {
     }
     assert!(accepts > 0, "want a mix of accepts and rejects");
     assert!(rejects > 0, "want a mix of accepts and rejects");
+    eng.validate().unwrap();
+}
+
+#[test]
+fn run_attempts_performs_zero_heap_allocations() {
+    // The same guarantee through the lookahead loop: its ring lives on
+    // the stack, so a warmed-up run of mixed accepts and rejects
+    // allocates nothing.
+    let g = messy_graph(9);
+    let props = LocalProperties::compute(&g);
+    let target: Vec<f64> = props
+        .clustering_by_degree
+        .iter()
+        .map(|&c| c * 0.5)
+        .collect();
+    let edges: Vec<_> = g.edges().collect();
+    let mut eng = RewireEngine::new(g, edges, &target);
+    let mut rng = Xoshiro256pp::seed_from_u64(19);
+    eng.run_attempts(1_000, &mut rng);
+    let (allocs, stats) = count_allocs(|| eng.run_attempts(20_000, &mut rng));
+    assert_eq!(allocs, 0, "run_attempts allocated {allocs} times");
+    assert!(stats.accepted > 0, "want a mix of accepts and rejects");
+    assert!(stats.skipped > 0, "want a mix of accepts and rejects");
     eng.validate().unwrap();
 }
 

@@ -40,6 +40,13 @@
 
 use crate::view::GraphView;
 use crate::NodeId;
+use sgr_util::prefetch::prefetch_read;
+
+/// Cache lines of an extent that
+/// [`MultiplicityIndex::prefetch_extent`] hints: a mean-degree extent
+/// fits in one or two, and past its head a long extent is read as a
+/// stream the hardware prefetcher already follows.
+const PREFETCH_LINES: usize = 4;
 
 /// Index from `(u, v)` to the adjacency-matrix entry `A_uv`
 /// (multiplicity; `A_uu` = 2 × loop count). See the module docs for the
@@ -165,6 +172,32 @@ impl MultiplicityIndex {
     #[inline]
     pub fn for_each_common<F: FnMut(NodeId, u32, u32)>(&self, x: NodeId, y: NodeId, f: F) {
         merge_common(self.list(x), self.list(y), f)
+    }
+
+    /// Hints that `u`'s extent header (`starts[u]`, `lens[u]`) will be
+    /// read soon. Changes nothing; see [`sgr_util::prefetch`].
+    #[inline]
+    pub fn prefetch_header(&self, u: NodeId) {
+        prefetch_read(&self.starts[u as usize]);
+        prefetch_read(&self.lens[u as usize]);
+    }
+
+    /// Hints that the first four cache lines of `u`'s live extent will be
+    /// read soon. Reads the header, so it pays off once
+    /// [`prefetch_header`](Self::prefetch_header) has brought that in.
+    #[inline]
+    pub fn prefetch_extent(&self, u: NodeId) {
+        const PER_LINE: usize = 64 / std::mem::size_of::<(NodeId, u32)>();
+        let (s, len) = self.span(u);
+        let last = len.saturating_sub(1);
+        for line in 0..PREFETCH_LINES {
+            // Clamped rather than cut short, so the loop takes no
+            // length-dependent branch: a short extent re-hints its last
+            // entry.
+            if let Some(entry) = self.slots.get(s + (line * PER_LINE).min(last)) {
+                prefetch_read(entry);
+            }
+        }
     }
 
     /// Structural mutation count (debug builds only; always 0 in release).

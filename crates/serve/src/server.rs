@@ -34,6 +34,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Cursor};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -621,10 +622,33 @@ impl PipelineObserver for StatusObserver<'_> {
 }
 
 /// Runs one job to a terminal (or interrupted) state and records the
-/// outcome, in memory and — for terminal states — on disk.
+/// outcome, in memory and — for terminal states — on disk. A panic in
+/// the pipeline ends the job, not the worker: it is recorded as
+/// `Failed` like any other error, so the reservation is released and
+/// the worker goes back to the queue.
 fn run_job(shared: &Arc<Shared>, id: u64, spec: JobSpec, resume_from: Option<PathBuf>) {
     let dir = job_dir(&shared.cfg.dir, id);
-    let result = execute(shared, id, &spec, resume_from, &dir);
+    let result = guarded(|| execute(shared, id, &spec, resume_from, &dir));
+    record_outcome(shared, id, &dir, result);
+}
+
+/// Runs `job`, turning a panic into [`JobError::Panicked`] with the
+/// panic's message.
+fn guarded(job: impl FnOnce() -> Result<Restored, JobError>) -> Result<Restored, JobError> {
+    panic::catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(JobError::Panicked(message))
+    })
+}
+
+/// Records a finished job's outcome: releases its admission estimate,
+/// updates its record and, for a failure, persists its `Failed`
+/// terminal status (`execute` persists a `Completed` one itself).
+fn record_outcome(shared: &Shared, id: u64, dir: &Path, result: Result<Restored, JobError>) {
     let mut st = shared.state.lock().unwrap();
     shared.release(&mut st, id);
     let Some(rec) = st.jobs.get_mut(&id) else {
@@ -658,7 +682,7 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: JobSpec, resume_from: Option<Pat
                 checkpoints: rec.checkpoints,
             };
             drop(st);
-            if let Err(e) = terminal.persist(&dir) {
+            if let Err(e) = terminal.persist(dir) {
                 eprintln!("sgr serve: persisting failure status for job {id}: {e}");
             }
             return;
@@ -679,6 +703,8 @@ enum JobError {
     Restore(RestoreError),
     /// The result snapshot or the terminal status could not be written.
     Persist(SnapshotError),
+    /// The pipeline panicked; carries the panic message.
+    Panicked(String),
 }
 
 impl fmt::Display for JobError {
@@ -688,6 +714,7 @@ impl fmt::Display for JobError {
             JobError::Crawl(e) => write!(f, "crawl failed: {e}"),
             JobError::Restore(e) => e.fmt(f),
             JobError::Persist(e) => write!(f, "persisting the job result failed: {e}"),
+            JobError::Panicked(e) => write!(f, "job panicked: {e}"),
         }
     }
 }
@@ -760,4 +787,77 @@ fn execute(
     }
     .persist(dir)?;
     Ok(restored)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job table holding one running job with an admission estimate
+    /// committed, under a fresh state root.
+    fn one_running_job(tag: &str, estimate: u64) -> Shared {
+        let dir = std::env::temp_dir().join(format!("sgr-serve-unit-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(job_dir(&dir, 1)).unwrap();
+        let rec = JobRecord {
+            tenant: "t".into(),
+            state: JobState::Running,
+            stage: String::new(),
+            attempts_done: 0,
+            attempts_total: 0,
+            checkpoints: 0,
+            nodes: 0,
+            edges: 0,
+            message: String::new(),
+            spec: None,
+            resume_from: None,
+            seq: 0,
+            estimate,
+        };
+        Shared {
+            cfg: ServeConfig {
+                dir,
+                ..ServeConfig::default()
+            },
+            addr: "127.0.0.1:0".parse().unwrap(),
+            state: Mutex::new(State {
+                jobs: BTreeMap::from([(1, rec)]),
+                next_id: 2,
+                next_seq: 1,
+                committed: estimate,
+                shutdown: false,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_releases_its_reservation() {
+        let shared = one_running_job("panic", 4096);
+        let dir = job_dir(&shared.cfg.dir, 1);
+        let result = guarded(|| panic!("injected fault {}", 7));
+        record_outcome(&shared, 1, &dir, result);
+
+        let st = shared.state.lock().unwrap();
+        let rec = &st.jobs[&1];
+        assert_eq!(rec.state, JobState::Failed);
+        assert_eq!(rec.message, "job panicked: injected fault 7");
+        assert_eq!(rec.estimate, 0);
+        assert_eq!(st.committed, 0, "the reservation leaked");
+        let persisted = TerminalStatus::load(&dir)
+            .unwrap()
+            .expect("no terminal status");
+        assert_eq!(persisted.state, JobState::Failed);
+        assert_eq!(persisted.message, rec.message);
+        drop(st);
+        std::fs::remove_dir_all(&shared.cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn a_static_str_panic_keeps_its_message() {
+        let Err(JobError::Panicked(msg)) = guarded(|| panic!("plain")) else {
+            panic!("the panic was not caught as a job error");
+        };
+        assert_eq!(msg, "plain");
+    }
 }

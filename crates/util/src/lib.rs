@@ -30,11 +30,14 @@
 //!   counting + process-wide modeled live/peak heap bytes) behind the
 //!   zero-allocation warm-path suites and `bench_construct`'s measured
 //!   memory-footprint fields.
+//! * [`prefetch`] — a result-neutral software prefetch hint, the one
+//!   `unsafe` block outside the allocator.
 
 pub mod alloc;
 pub mod arena;
 pub mod bucket;
 pub mod hash;
+pub mod prefetch;
 pub mod rng;
 pub mod sampling;
 pub mod scratch;
