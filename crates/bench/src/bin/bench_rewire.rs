@@ -1,25 +1,16 @@
 //! Rewiring-throughput harness: measures swap attempts/sec for the
-//! evaluate-then-commit engine against the apply-rollback reference, plus
-//! a thread-scaling section for the parallel engine (the sequential
-//! engine driven by a round-robin worker pool), on the
-//! same graph, target, and RNG seed. Writes `BENCH_rewire.json` so future
-//! PRs have a perf trajectory to defend.
+//! evaluate-then-commit engine against the apply-rollback reference on
+//! the same graph, target, and RNG seed. Writes `BENCH_rewire.json` so
+//! future changes have a perf trajectory to defend.
 //!
-//! Every engine and thread count is asserted to produce the **same
-//! accepted count and bitwise-identical final distance** before any
-//! number is reported — a perf number for a wrong engine is worthless.
+//! Both engines are asserted to produce the **same accepted count and
+//! bitwise-identical final distance** before any number is reported — a
+//! perf number for a wrong engine is worthless.
 //!
-//! Usage: `bench_rewire [nodes] [attempts] [out.json] [threads_csv]`
-//! (defaults: 2000 nodes, 200_000 attempts, `BENCH_rewire.json`,
-//! threads `1,2,4,8`; pass `none` to skip the scaling section).
-//! The committed JSON is regenerated by the CI workflow on its 4-vCPU
-//! runner, where the thread-scaling section means something. `host_cpus`
-//! records the cores the measuring host actually had, and the JSON
-//! carries `"scaling_valid": false` whenever `host_cpus == 1`: scaling
-//! numbers from a 1-core container show thread overhead, not speedup,
-//! and say nothing about multi-core behavior.
+//! Usage: `bench_rewire [nodes] [attempts] [out.json]` (defaults: 2000
+//! nodes, 200_000 attempts, `BENCH_rewire.json`). `host_cpus` records
+//! the cores the measuring host had; both engines run on one of them.
 
-use sgr_dk::rewire::parallel::ParallelRewireEngine;
 use sgr_dk::rewire::reference::ApplyRollbackEngine;
 use sgr_dk::rewire::{RewireEngine, RewireStats};
 use sgr_graph::Graph;
@@ -29,14 +20,6 @@ use std::time::Instant;
 
 const GRAPH_SEED: u64 = 6;
 const RNG_SEED: u64 = 10;
-
-/// Pinned speculation block size for the scaling entries: the engine's
-/// adaptive sizing reacts to the accept trajectory, so pinning keeps the
-/// measured work identical across thread counts and across runs. (A
-/// single-worker engine runs its wrapped sequential engine directly and
-/// ignores the block size, so `parallel1` measures the wrapper's
-/// dispatch alone.)
-const BENCH_BLOCK: usize = 4096;
 
 struct Measurement {
     name: String,
@@ -62,7 +45,7 @@ fn measure(
     }
 }
 
-fn json_entry(m: &Measurement, extra: &str) -> String {
+fn json_entry(m: &Measurement) -> String {
     format!(
         concat!(
             "    \"{}\": {{\n",
@@ -71,7 +54,7 @@ fn json_entry(m: &Measurement, extra: &str) -> String {
             "      \"accepted\": {},\n",
             "      \"skipped\": {},\n",
             "      \"initial_distance\": {:.12},\n",
-            "      \"final_distance\": {:.12}{}\n",
+            "      \"final_distance\": {:.12}\n",
             "    }}"
         ),
         m.name,
@@ -81,7 +64,6 @@ fn json_entry(m: &Measurement, extra: &str) -> String {
         m.stats.skipped,
         m.stats.initial_distance,
         m.stats.final_distance,
-        extra,
     )
 }
 
@@ -112,21 +94,9 @@ fn main() {
         .map(|a| a.parse().expect("attempts must be an integer"))
         .unwrap_or(200_000);
     let out = args.next().unwrap_or_else(|| "BENCH_rewire.json".into());
-    // `none` (or an empty list) skips the scaling section entirely —
-    // the evaluate-vs-rollback CI gate reads only `speedup` and should
-    // not pay for parallel measurements it discards.
-    let thread_counts: Vec<usize> = args
-        .next()
-        .unwrap_or_else(|| "1,2,4,8".into())
-        .split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty() && *t != "none")
-        .map(|t| t.parse().expect("threads must be integers"))
-        .collect();
     let host_cpus = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let scaling_valid = host_cpus > 1;
 
     // Fixed workload: a clustered social-ish graph, every edge rewirable,
     // target = half the current clustering (accepts early, a reject-heavy
@@ -152,12 +122,6 @@ fn main() {
         attempts,
         host_cpus,
     );
-    if !scaling_valid && !thread_counts.is_empty() {
-        eprintln!(
-            "bench_rewire: WARNING: host has 1 CPU — thread-scaling numbers below measure \
-             coordination overhead, not speedup; JSON will carry \"scaling_valid\": false"
-        );
-    }
 
     let fast = {
         let mut eng = RewireEngine::new(g.clone(), edges.clone(), &target);
@@ -173,44 +137,14 @@ fn main() {
     };
     assert_equivalent(&fast, &slow);
 
-    // Thread scaling of the parallel engine, normalized to the
-    // sequential evaluate-then-commit engine.
-    let scaling: Vec<Measurement> = thread_counts
-        .iter()
-        .map(|&t| {
-            let mut eng = ParallelRewireEngine::new(g.clone(), edges.clone(), &target, t)
-                .with_block_size(BENCH_BLOCK);
-            let m = measure(format!("parallel{t}"), attempts, |a, rng| {
-                eng.run_attempts(a, rng)
-            });
-            assert_equivalent(&fast, &m);
-            m
-        })
-        .collect();
-
     let speedup = fast.attempts_per_sec / slow.attempts_per_sec;
-    for m in [&fast, &slow].into_iter().chain(scaling.iter()) {
+    for m in [&fast, &slow] {
         eprintln!(
-            "  {:>16}: {:>10.0} attempts/s ({:.3}s, {} accepted, {:.2}x vs sequential)",
-            m.name,
-            m.attempts_per_sec,
-            m.secs,
-            m.stats.accepted,
-            m.attempts_per_sec / fast.attempts_per_sec,
+            "  {:>16}: {:>10.0} attempts/s ({:.3}s, {} accepted)",
+            m.name, m.attempts_per_sec, m.secs, m.stats.accepted,
         );
     }
     eprintln!("  evaluate_commit vs apply_rollback: {speedup:.2}x");
-
-    let scaling_entries: Vec<String> = scaling
-        .iter()
-        .map(|m| {
-            let extra = format!(
-                ",\n      \"speedup_vs_sequential\": {:.3}",
-                m.attempts_per_sec / fast.attempts_per_sec
-            );
-            json_entry(m, &extra)
-        })
-        .collect();
     let json = format!(
         concat!(
             "{{\n",
@@ -220,11 +154,8 @@ fn main() {
             "  \"attempts\": {},\n",
             "  \"rng_seed\": {},\n",
             "  \"host_cpus\": {},\n",
-            "  \"scaling_valid\": {},\n",
             "  \"regenerated\": {},\n",
-            "  \"block_size\": {},\n",
             "  \"engines\": {{\n{},\n{}\n  }},\n",
-            "  \"scaling\": {{\n{}\n  }},\n",
             "  \"speedup\": {:.3}\n",
             "}}\n"
         ),
@@ -234,12 +165,9 @@ fn main() {
         attempts,
         RNG_SEED,
         host_cpus,
-        scaling_valid,
         regenerated,
-        BENCH_BLOCK,
-        json_entry(&fast, ""),
-        json_entry(&slow, ""),
-        scaling_entries.join(",\n"),
+        json_entry(&fast),
+        json_entry(&slow),
         speedup,
     );
     std::fs::write(&out, json).expect("writing benchmark JSON");

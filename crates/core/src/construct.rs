@@ -2,7 +2,7 @@
 
 use crate::target_dv::TargetDv;
 use crate::target_jdm::TargetJdm;
-use sgr_dk::construct::{wire_stubs_with, ConstructScratch, MatchStats};
+use sgr_dk::construct::{wire_stubs, ConstructScratch, MatchStats};
 use sgr_dk::extract::JointDegreeMatrix;
 use sgr_dk::DkError;
 use sgr_graph::{Graph, NodeId};
@@ -108,7 +108,7 @@ pub fn extend_subgraph_with(
     }
 
     let t = std::time::Instant::now();
-    let (_, match_stats) = wire_stubs_with(&mut g, &target_deg, &add, rng, scratch)?;
+    let (_, match_stats) = wire_stubs(&mut g, &target_deg, &add, rng, scratch)?;
     let stub_matching_secs = t.elapsed().as_secs_f64();
     // Move the edge list out of the scratch instead of copying the
     // borrowed slice — these edges outlive the scratch's next use.

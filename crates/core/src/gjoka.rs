@@ -19,8 +19,7 @@ use sgr_util::Xoshiro256pp;
 ///
 /// Shares [`RestoreConfig`] with the proposed method:
 /// `rewiring_coefficient` is `R_C` (500 in the paper), `rewire: false`
-/// stops after construction, and `threads` selects the rewiring engine
-/// (results are identical at every thread count). The returned
+/// stops after construction, and `threads` is ignored. The returned
 /// [`Restored::subgraph`] is empty.
 pub fn generate(
     crawl: &Crawl,

@@ -52,8 +52,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use checkpoint::{StageData, StageRef};
-use sgr_dk::rewire::parallel::ParallelRewireEngine;
-use sgr_dk::rewire::RewireStats;
+use sgr_dk::rewire::{RewireEngine, RewireStats};
 use sgr_estimate::{estimate_all, EstimateError, Estimates};
 use sgr_graph::{CsrGraph, Graph, SnapshotError};
 use sgr_sample::{Crawl, Subgraph};
@@ -69,13 +68,11 @@ pub struct RestoreConfig {
     pub rewiring_coefficient: f64,
     /// Set false to stop after Phase 3 (used by ablations).
     pub rewire: bool,
-    /// Rewiring worker threads for the [`ParallelRewireEngine`] that runs
-    /// Algorithm 6 (`0` = all available cores). At `1` (default) it runs
-    /// its wrapped sequential
-    /// [`RewireEngine`](sgr_dk::rewire::RewireEngine) directly; wider, a
-    /// worker pool evaluates picks speculatively in round-robin order.
-    /// Results are seed-for-seed bitwise identical at every width, so
-    /// this knob changes wall time only.
+    /// Ignored; retire at the next benchmark change. Algorithm 6 runs on
+    /// the one sequential [`RewireEngine`] whatever this holds. The field
+    /// stays because the benchmark harness builds this struct from a
+    /// literal, and checkpoints still record it so their encoding is
+    /// unchanged.
     pub threads: usize,
 }
 
@@ -315,8 +312,8 @@ struct Driver<'a> {
 
 impl<'a> Driver<'a> {
     /// Validates `cfg` before any stage runs. Fresh and resumed runs
-    /// both come through here, so a checkpoint's configuration (after
-    /// the `threads` override) is held to the same rules as a caller's.
+    /// both come through here, so a checkpoint's configuration is held
+    /// to the same rules as a caller's.
     fn new(
         cfg: RestoreConfig,
         policy: Option<&'a CheckpointPolicy>,
@@ -410,7 +407,7 @@ fn run_stages(
                     return Ok(finish(driver.stats, subgraph, estimates, graph));
                 }
                 let total = (driver.cfg.rewiring_coefficient * candidates as f64).ceil() as u64;
-                let fresh = |c: &[f64], t| Ok(ParallelRewireEngine::new(graph, added_edges, c, t));
+                let fresh = |c: &[f64]| Ok(RewireEngine::new(graph, added_edges, c));
                 return stage_rewire(driver, subgraph, estimates, k_max, total, rng, fresh);
             }
             StageData::Rewiring {
@@ -418,7 +415,7 @@ fn run_stages(
                 state,
                 total_attempts: total,
             } => {
-                let resumed = |c: &[f64], t| ParallelRewireEngine::resume(state, c, t);
+                let resumed = |c: &[f64]| RewireEngine::resume(state, c);
                 return stage_rewire(driver, subgraph, estimates, k_max, total, rng, resumed);
             }
         };
@@ -501,10 +498,10 @@ fn stage_rewire(
     k_max: usize,
     total: u64,
     rng: &mut Xoshiro256pp,
-    engine: impl FnOnce(&[f64], usize) -> Result<ParallelRewireEngine, SnapshotError>,
+    engine: impl FnOnce(&[f64]) -> Result<RewireEngine, SnapshotError>,
 ) -> Result<Restored, RestoreError> {
     let t = Instant::now();
-    let mut engine = engine(&clustering_target(&estimates, k_max), driver.cfg.threads)?;
+    let mut engine = engine(&clustering_target(&estimates, k_max))?;
     driver.stats.rewire_secs += t.elapsed().as_secs_f64();
     driver.observer.stage_started("rewire");
     loop {
@@ -541,7 +538,7 @@ fn stage_rewire(
             &estimates,
             StageRef::Rewiring {
                 k_max,
-                engine: engine.engine(),
+                engine: &engine,
                 total_attempts: total,
             },
         )?;
@@ -640,24 +637,17 @@ pub fn restore_with_checkpoints(
 /// resume entry point. The run re-enters the stage loop at the stage the
 /// checkpoint stores.
 ///
-/// `threads` optionally overrides the checkpointed worker count — safe
-/// because results are seed-for-seed identical at every width. The
-/// checkpointed configuration is validated like a fresh one. A `policy`
+/// The checkpointed configuration is validated like a fresh one. A `policy`
 /// makes the resumed run itself checkpointable (file numbering continues
 /// where the interrupted run stopped); the `observer` sees the resumed
 /// stages only.
 pub fn resume(
     path: &Path,
-    threads: Option<usize>,
     policy: Option<&CheckpointPolicy>,
     observer: &mut dyn PipelineObserver,
 ) -> Result<Restored, RestoreError> {
     let ckpt = checkpoint::read_checkpoint(path)?;
-    let mut cfg = ckpt.cfg;
-    if let Some(t) = threads {
-        cfg.threads = t;
-    }
-    let driver = Driver::new(cfg, policy, ckpt.stats, observer)?;
+    let driver = Driver::new(ckpt.cfg, policy, ckpt.stats, observer)?;
     let mut rng = Xoshiro256pp::from_state(ckpt.rng_state);
     run_stages(driver, ckpt.subgraph, ckpt.estimates, ckpt.stage, &mut rng)
 }
@@ -805,9 +795,8 @@ mod tests {
 
     #[test]
     fn threads_knob_never_changes_results() {
-        // The whole point of the parallel engine's contract: the pipeline
-        // output is a function of the seed alone, not of the thread
-        // count.
+        // `threads` is ignored: the pipeline output is a function of the
+        // seed alone.
         let run_with = |threads: usize| {
             let mut rng = Xoshiro256pp::seed_from_u64(8);
             let g = sgr_gen::holme_kim(500, 4, 0.5, &mut rng).unwrap();

@@ -3,8 +3,7 @@
 //! RNG stream, same final edge multiset), events arrive in stage order,
 //! and progress/checkpoint callbacks carry the committed counters — on
 //! fresh runs and on resumed ones, which is how the server adopts
-//! interrupted jobs. `SGR_REWIRE_TEST_THREADS` narrows the rewiring
-//! widths under test to one, as in the checkpoint-resume suite.
+//! interrupted jobs.
 
 use std::path::PathBuf;
 
@@ -32,17 +31,6 @@ fn fixed_crawl() -> (sgr_sample::Crawl, Xoshiro256pp) {
     let g = sgr_gen::holme_kim(300, 4, 0.5, &mut rng).unwrap();
     let crawl = random_walk_until_fraction(&g, 0.1, &mut rng);
     (crawl, rng)
-}
-
-/// Rewiring widths under test: `{1, 4}` by default, or the single width
-/// named by `SGR_REWIRE_TEST_THREADS` (the CI override).
-fn test_thread_counts() -> Vec<usize> {
-    match std::env::var("SGR_REWIRE_TEST_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("SGR_REWIRE_TEST_THREADS must be an integer")],
-        Err(_) => vec![1, 4],
-    }
 }
 
 fn ckpt_dir(tag: &str) -> PathBuf {
@@ -79,70 +67,67 @@ impl PipelineObserver for Recorder {
 /// the recorded events must reflect the pipeline's actual structure.
 #[test]
 fn observer_is_neutral_and_sees_stage_order() {
-    for threads in test_thread_counts() {
-        let cfg = RestoreConfig {
-            rewiring_coefficient: 5.0,
-            rewire: true,
-            threads,
-        };
-        let policy = CheckpointPolicy {
-            dir: ckpt_dir(&format!("plain-{threads}")),
-            every: 2_000,
-            abort_after: None,
-        };
-        let (crawl, mut rng) = fixed_crawl();
-        let plain = restore_with_checkpoints(
-            &crawl,
-            &cfg,
-            &mut rng,
-            &mut sgr_dk::ConstructScratch::new(),
-            &policy,
-        )
-        .unwrap();
-        let plain_end = rng.next_u64();
+    let cfg = RestoreConfig {
+        rewiring_coefficient: 5.0,
+        rewire: true,
+        threads: 1,
+    };
+    let policy = CheckpointPolicy {
+        dir: ckpt_dir("plain"),
+        every: 2_000,
+        abort_after: None,
+    };
+    let (crawl, mut rng) = fixed_crawl();
+    let plain = restore_with_checkpoints(
+        &crawl,
+        &cfg,
+        &mut rng,
+        &mut sgr_dk::ConstructScratch::new(),
+        &policy,
+    )
+    .unwrap();
+    let plain_end = rng.next_u64();
 
-        let policy_obs = CheckpointPolicy {
-            dir: ckpt_dir(&format!("observed-{threads}")),
-            every: 2_000,
-            abort_after: None,
-        };
-        let (crawl2, mut rng2) = fixed_crawl();
-        let mut rec = Recorder::default();
-        let observed =
-            sgr_core::run(&crawl2, &cfg, &mut rng2, Some(&policy_obs), &mut rec).unwrap();
+    let policy_obs = CheckpointPolicy {
+        dir: ckpt_dir("observed"),
+        every: 2_000,
+        abort_after: None,
+    };
+    let (crawl2, mut rng2) = fixed_crawl();
+    let mut rec = Recorder::default();
+    let observed = sgr_core::run(&crawl2, &cfg, &mut rng2, Some(&policy_obs), &mut rec).unwrap();
 
-        // Neutrality: same final graph, same RNG stream position.
-        assert_eq!(
-            edge_multiset_hash(&plain.graph),
-            edge_multiset_hash(&observed.graph)
-        );
-        assert_eq!(plain_end, rng2.next_u64());
+    // Neutrality: same final graph, same RNG stream position.
+    assert_eq!(
+        edge_multiset_hash(&plain.graph),
+        edge_multiset_hash(&observed.graph)
+    );
+    assert_eq!(plain_end, rng2.next_u64());
 
-        // Stage order is the pipeline order.
-        assert_eq!(rec.stages, ["estimate", "target", "construct", "rewire"]);
+    // Stage order is the pipeline order.
+    assert_eq!(rec.stages, ["estimate", "target", "construct", "rewire"]);
 
-        // Progress is monotonic, ends at the total, and mirrors the
-        // stats' committed-attempt cursor.
-        let total = rec.progress.last().unwrap().1;
-        assert!(total > 0);
-        assert!(rec.progress.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(rec.progress.last().unwrap().0, total);
-        assert_eq!(rec.last_stats_attempts, total);
-        assert_eq!(observed.stats.rewire_stats.attempts, total);
+    // Progress is monotonic, ends at the total, and mirrors the
+    // stats' committed-attempt cursor.
+    let total = rec.progress.last().unwrap().1;
+    assert!(total > 0);
+    assert!(rec.progress.windows(2).all(|w| w[0].0 < w[1].0));
+    assert_eq!(rec.progress.last().unwrap().0, total);
+    assert_eq!(rec.last_stats_attempts, total);
+    assert_eq!(observed.stats.rewire_stats.attempts, total);
 
-        // Every durable checkpoint was reported, in file-sequence order.
-        assert_eq!(
-            rec.checkpoints.len() as u64,
-            observed.stats.checkpoints_written
-        );
-        assert!(rec
-            .checkpoints
-            .iter()
-            .all(|p| p.starts_with(&policy_obs.dir)));
+    // Every durable checkpoint was reported, in file-sequence order.
+    assert_eq!(
+        rec.checkpoints.len() as u64,
+        observed.stats.checkpoints_written
+    );
+    assert!(rec
+        .checkpoints
+        .iter()
+        .all(|p| p.starts_with(&policy_obs.dir)));
 
-        for dir in [&policy.dir, &policy_obs.dir] {
-            std::fs::remove_dir_all(dir).ok();
-        }
+    for dir in [&policy.dir, &policy_obs.dir] {
+        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -154,57 +139,55 @@ fn observer_is_neutral_and_sees_stage_order() {
 #[test]
 fn observed_resume_is_neutral_and_continues_from_the_checkpoint() {
     const EVERY: u64 = 1_000;
-    for threads in test_thread_counts() {
-        let cfg = RestoreConfig {
-            rewiring_coefficient: 5.0,
-            rewire: true,
-            threads,
-        };
-        let (crawl, mut rng) = fixed_crawl();
-        let uninterrupted = restore(&crawl, &cfg, &mut rng).unwrap();
+    let cfg = RestoreConfig {
+        rewiring_coefficient: 5.0,
+        rewire: true,
+        threads: 1,
+    };
+    let (crawl, mut rng) = fixed_crawl();
+    let uninterrupted = restore(&crawl, &cfg, &mut rng).unwrap();
 
-        // Crash after the fifth checkpoint: the three stage boundaries,
-        // then two mid-rewire points.
-        let killed = CheckpointPolicy {
-            dir: ckpt_dir(&format!("killed-{threads}")),
-            every: EVERY,
-            abort_after: Some(5),
-        };
-        let (crawl, mut rng) = fixed_crawl();
-        let mut first = Recorder::default();
-        let checkpoint = match sgr_core::run(&crawl, &cfg, &mut rng, Some(&killed), &mut first) {
-            Err(RestoreError::Interrupted { checkpoint }) => checkpoint,
-            other => panic!("expected the injected crash, got {:?}", other.err()),
-        };
-        assert!(
-            checkpoint.to_string_lossy().ends_with("rewiring.sgrsnap"),
-            "expected a mid-rewire checkpoint, got {}",
-            checkpoint.display()
-        );
-        let cursor = *first.checkpoint_attempts.last().unwrap();
-        assert!(cursor > 0);
+    // Crash after the fifth checkpoint: the three stage boundaries,
+    // then two mid-rewire points.
+    let killed = CheckpointPolicy {
+        dir: ckpt_dir("killed"),
+        every: EVERY,
+        abort_after: Some(5),
+    };
+    let (crawl, mut rng) = fixed_crawl();
+    let mut first = Recorder::default();
+    let checkpoint = match sgr_core::run(&crawl, &cfg, &mut rng, Some(&killed), &mut first) {
+        Err(RestoreError::Interrupted { checkpoint }) => checkpoint,
+        other => panic!("expected the injected crash, got {:?}", other.err()),
+    };
+    assert!(
+        checkpoint.to_string_lossy().ends_with("rewiring.sgrsnap"),
+        "expected a mid-rewire checkpoint, got {}",
+        checkpoint.display()
+    );
+    let cursor = *first.checkpoint_attempts.last().unwrap();
+    assert!(cursor > 0);
 
-        let policy = CheckpointPolicy {
-            dir: ckpt_dir(&format!("resumed-{threads}")),
-            every: EVERY,
-            abort_after: None,
-        };
-        let mut rec = Recorder::default();
-        let observed = sgr_core::resume(&checkpoint, None, Some(&policy), &mut rec).unwrap();
-        let plain = sgr_core::resume(&checkpoint, None, None, &mut NoopObserver).unwrap();
+    let policy = CheckpointPolicy {
+        dir: ckpt_dir("resumed"),
+        every: EVERY,
+        abort_after: None,
+    };
+    let mut rec = Recorder::default();
+    let observed = sgr_core::resume(&checkpoint, Some(&policy), &mut rec).unwrap();
+    let plain = sgr_core::resume(&checkpoint, None, &mut NoopObserver).unwrap();
 
-        let want = edge_multiset_hash(&uninterrupted.graph);
-        assert_eq!(edge_multiset_hash(&observed.graph), want);
-        assert_eq!(edge_multiset_hash(&plain.graph), want);
-        assert_eq!(rec.stages.first(), Some(&"rewire"));
-        let (done, total) = rec.progress[0];
-        assert_eq!(total, uninterrupted.stats.rewire_stats.attempts);
-        assert_eq!(done, (cursor + EVERY).min(total));
-        assert_eq!(rec.progress.last().unwrap().0, total);
+    let want = edge_multiset_hash(&uninterrupted.graph);
+    assert_eq!(edge_multiset_hash(&observed.graph), want);
+    assert_eq!(edge_multiset_hash(&plain.graph), want);
+    assert_eq!(rec.stages.first(), Some(&"rewire"));
+    let (done, total) = rec.progress[0];
+    assert_eq!(total, uninterrupted.stats.rewire_stats.attempts);
+    assert_eq!(done, (cursor + EVERY).min(total));
+    assert_eq!(rec.progress.last().unwrap().0, total);
 
-        for dir in [&killed.dir, &policy.dir] {
-            std::fs::remove_dir_all(dir).ok();
-        }
+    for dir in [&killed.dir, &policy.dir] {
+        std::fs::remove_dir_all(dir).ok();
     }
 }
 

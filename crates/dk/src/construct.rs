@@ -10,7 +10,7 @@
 //!
 //! Two engines implement that contract:
 //!
-//! * [`wire_stubs`] / [`wire_stubs_with`] — the production engine. All
+//! * [`wire_stubs`] — the production engine. All
 //!   per-class stub pools live in one flat arena
 //!   ([`sgr_util::arena::FlatPools`]) with per-class offset ranges and
 //!   swap-remove draws against per-class live lengths; every internal
@@ -160,7 +160,7 @@ pub struct MatchStats {
     pub self_loops: usize,
 }
 
-/// Reusable buffers for [`wire_stubs_with`]: the flat stub arena, the
+/// Reusable buffers for [`wire_stubs`]: the flat stub arena, the
 /// per-class stub counts, the sorted pair worklist, and the output edge
 /// list. A warm scratch (one whose buffers have grown to the workload's
 /// high-water mark) makes the matcher allocation-free, so callers that
@@ -185,7 +185,7 @@ impl ConstructScratch {
         Self::default()
     }
 
-    /// Moves the last [`wire_stubs_with`] call's added-edge list out of
+    /// Moves the last [`wire_stubs`] call's added-edge list out of
     /// the scratch, leaving an empty buffer behind (the next wiring call
     /// re-reserves it to exact size).
     ///
@@ -197,6 +197,10 @@ impl ConstructScratch {
     }
 }
 
+/// Successful outcome of [`wire_stubs`]: the added-edge list (borrowing
+/// the scratch until its next use) and the matcher counters.
+pub type WireOutcome<'s> = (&'s [(NodeId, NodeId)], MatchStats);
+
 /// Wires stubs on top of `g` (possibly non-empty), in place.
 ///
 /// * `target_deg[u]` — the target degree `d*_u` of every node;
@@ -204,39 +208,19 @@ impl ConstructScratch {
 ///   degree classes `k` and `k'` (upper-triangular keys `k ≤ k'` are
 ///   read; symmetric duplicates are ignored).
 ///
-/// Returns the list of added edges (the rewiring phase's candidate set).
-/// On success the graph preserves `target_deg` exactly, and its JDM (with
-/// respect to *target* degrees) equals the prior JDM plus `add`.
-///
-/// Convenience wrapper over [`wire_stubs_with`] with a fresh
-/// [`ConstructScratch`]; callers in a loop should hold a scratch and call
-/// `wire_stubs_with` directly to make warm calls allocation-free.
-pub fn wire_stubs(
-    g: &mut Graph,
-    target_deg: &[u32],
-    add: &JointDegreeMatrix,
-    rng: &mut Xoshiro256pp,
-) -> Result<Vec<(NodeId, NodeId)>, DkError> {
-    let mut scratch = ConstructScratch::new();
-    wire_stubs_with(g, target_deg, add, rng, &mut scratch)?;
-    // The scratch is ours alone: move the edge list out instead of
-    // copying it.
-    Ok(std::mem::take(&mut scratch.added))
-}
-
-/// Successful outcome of [`wire_stubs_with`]: the added-edge list
-/// (borrowing the scratch until its next use) and the matcher counters.
-pub type WireOutcome<'s> = (&'s [(NodeId, NodeId)], MatchStats);
-
-/// [`wire_stubs`] against caller-owned scratch: the flat-arena engine.
+/// Returns the list of added edges (the rewiring phase's candidate set)
+/// and the matcher counters. On success the graph preserves `target_deg`
+/// exactly, and its JDM (with respect to *target* degrees) equals the
+/// prior JDM plus `add`.
 ///
 /// Behaviorally identical to [`reference::wire_stubs`] — same RNG draw
 /// sequence, same pair ordering, same errors, bitwise-identical output
 /// (see the module-level determinism model) — but every internal buffer
 /// lives in `scratch`, so a warm call performs zero heap allocations
 /// inside the matcher. The returned edge slice borrows `scratch` and is
-/// valid until its next use.
-pub fn wire_stubs_with<'s>(
+/// valid until its next use; [`ConstructScratch::take_added`] moves it
+/// out.
+pub fn wire_stubs<'s>(
     g: &mut Graph,
     target_deg: &[u32],
     add: &JointDegreeMatrix,
@@ -368,6 +352,18 @@ mod tests {
         Xoshiro256pp::seed_from_u64(99)
     }
 
+    /// [`wire_stubs`] on a fresh scratch and the fixed seed, keeping the
+    /// added edges.
+    fn wire(
+        g: &mut Graph,
+        target: &[u32],
+        add: &JointDegreeMatrix,
+    ) -> Result<Vec<(NodeId, NodeId)>, DkError> {
+        let mut scratch = ConstructScratch::new();
+        wire_stubs(g, target, add, &mut rng(), &mut scratch)?;
+        Ok(scratch.take_added())
+    }
+
     #[test]
     fn build_star_from_empty() {
         let mut g = Graph::with_nodes(5);
@@ -375,7 +371,7 @@ mod tests {
         let mut add: JointDegreeMatrix = FxHashMap::default();
         add.insert((1, 4), 4);
         add.insert((4, 1), 4); // symmetric duplicate must be ignored
-        let edges = wire_stubs(&mut g, &target, &add, &mut rng()).unwrap();
+        let edges = wire(&mut g, &target, &add).unwrap();
         assert_eq!(edges.len(), 4);
         assert_eq!(g.degree(0), 4);
         for u in 1..5 {
@@ -392,7 +388,7 @@ mod tests {
         let target = [2u32, 2, 2, 2, 2];
         let mut add: JointDegreeMatrix = FxHashMap::default();
         add.insert((2, 2), 3); // 5·2/2 = 5 edges total, 2 exist
-        wire_stubs(&mut g, &target, &add, &mut rng()).unwrap();
+        wire(&mut g, &target, &add).unwrap();
         assert!(g.nodes().all(|u| g.degree(u) == 2));
         // Original path edges are still present.
         assert!(g.has_edge(0, 1));
@@ -410,7 +406,7 @@ mod tests {
         add.insert((1, 3), 4); // s(1): 4, s(3): 4
         add.insert((2, 2), 1); // s(2): 2
         add.insert((2, 3), 2); // s(2): +2 = 4, s(3): +2 = 6
-        let added = wire_stubs(&mut g, &target, &add, &mut rng()).unwrap();
+        let added = wire(&mut g, &target, &add).unwrap();
         assert_eq!(added.len(), 7);
         let jdm = joint_degree_matrix(&g);
         // Degrees equal targets, so measured JDM = requested.
@@ -425,7 +421,7 @@ mod tests {
         let mut g = Graph::from_edges(2, &[(0, 1), (0, 1)]);
         let target = [1u32, 2];
         let add: JointDegreeMatrix = FxHashMap::default();
-        match wire_stubs(&mut g, &target, &add, &mut rng()) {
+        match wire(&mut g, &target, &add) {
             Err(DkError::TargetBelowCurrent { node: 0, .. }) => {}
             other => panic!("expected TargetBelowCurrent, got {other:?}"),
         }
@@ -437,7 +433,7 @@ mod tests {
         let target = [1u32, 1];
         let mut add: JointDegreeMatrix = FxHashMap::default();
         add.insert((1, 1), 2); // needs 4 stubs, only 2 exist
-        match wire_stubs(&mut g, &target, &add, &mut rng()) {
+        match wire(&mut g, &target, &add) {
             Err(DkError::OutOfStubs {
                 k: 1,
                 k2: 1,
@@ -456,7 +452,7 @@ mod tests {
         let target = [1u32, 1];
         let mut add: JointDegreeMatrix = FxHashMap::default();
         add.insert((1, 7), 1);
-        match wire_stubs(&mut g, &target, &add, &mut rng()) {
+        match wire(&mut g, &target, &add) {
             Err(DkError::OutOfStubs {
                 k: 1,
                 k2: 7,
@@ -473,7 +469,7 @@ mod tests {
         let target = [1u32, 1];
         let add: JointDegreeMatrix = FxHashMap::default(); // wire nothing
         assert!(matches!(
-            wire_stubs(&mut g, &target, &add, &mut rng()),
+            wire(&mut g, &target, &add),
             Err(DkError::LeftoverStubs { count: 2 })
         ));
     }
@@ -487,7 +483,7 @@ mod tests {
             let mut r = Xoshiro256pp::seed_from_u64(seed);
             let mut add: JointDegreeMatrix = FxHashMap::default();
             add.insert((1, 1), 1);
-            wire_stubs(&mut g, &[1, 1], &add, &mut r).unwrap();
+            wire_stubs(&mut g, &[1, 1], &add, &mut r, &mut ConstructScratch::new()).unwrap();
             assert!(g.has_edge(0, 1));
             assert_eq!(g.num_self_loops(), 0);
         }
@@ -507,8 +503,7 @@ mod tests {
             add.insert((2, 2), 1);
             add.insert((2, 3), 2);
             let mut r = Xoshiro256pp::seed_from_u64(1234);
-            let (edges, stats) =
-                wire_stubs_with(&mut g, &target, &add, &mut r, &mut scratch).unwrap();
+            let (edges, stats) = wire_stubs(&mut g, &target, &add, &mut r, &mut scratch).unwrap();
             let run = (edges.to_vec(), stats);
             if let Some(prev) = &last {
                 assert_eq!(prev, &run, "round {round} diverged under scratch reuse");

@@ -34,6 +34,6 @@ pub mod extract;
 pub mod rewire;
 pub mod series;
 
-pub use construct::{wire_stubs, wire_stubs_with, ConstructScratch, DkError, MatchStats};
+pub use construct::{wire_stubs, ConstructScratch, DkError, MatchStats};
 pub use extract::{joint_degree_matrix, JointDegreeMatrix};
 pub use rewire::{RewireEngine, RewireStats};

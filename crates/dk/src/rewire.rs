@@ -96,57 +96,37 @@
 //!
 //! # Determinism model
 //!
-//! Three engines produce **bitwise-identical** results for the same seed:
-//! the apply-rollback reference, the sequential [`RewireEngine`], and
-//! [`parallel::ParallelRewireEngine`] — a `RewireEngine` driven by a
-//! worker pool — at every thread count. The contract rests on three
-//! pillars:
+//! Two engines produce **bitwise-identical** results for the same seed:
+//! the apply-rollback reference, which draws, applies and rolls back one
+//! pick at a time, and [`RewireEngine`], whose
+//! [`run_attempts`](RewireEngine::run_attempts) is the lookahead ring.
+//! The contract rests on three pillars:
 //!
 //! 1. **One RNG stream, drawn in attempt order.** Every candidate pick
 //!    flows through `EngineCore::pick_swap` against the current
-//!    committed state; no engine consumes draws any other engine would
-//!    not. The sequential engine's drawn-ahead picks are the stream's
-//!    own: each is drawn against the state every earlier pick left, for
-//!    as long as none of those earlier picks commits. A commit voids the
-//!    picks in flight, and the ring rewinds the RNG to the first one's
-//!    checkpoint and redraws them against the new state. The ring never
-//!    draws past its attempt budget, so every call ends at the stream
-//!    position the pick-by-pick loop reaches. (The RNG peek of hint 3
-//!    draws on a clone and consumes nothing.)
+//!    committed state; neither engine consumes draws the other would
+//!    not. The ring's drawn-ahead picks are the stream's own: each is
+//!    drawn against the state every earlier pick left, for as long as
+//!    none of those earlier picks commits. A commit voids the picks in
+//!    flight, and the ring rewinds the RNG to the first one's checkpoint
+//!    and redraws them against the new state. The ring never draws past
+//!    its attempt budget, so every call ends at the stream position the
+//!    pick-by-pick loop reaches. (The RNG peek of hint 3 draws on a clone
+//!    and consumes nothing.)
 //! 2. **Integer evaluation.** A swap's effect is a set of per-node
 //!    triangle deltas `Δt_i` — exact `i64`s, so the *order* in which a
-//!    scan discovers common neighbors is irrelevant. Engines are free to
-//!    iterate, merge-intersect, or farm scans out to worker threads; the
-//!    node-sorted `(node, Δt)` list that feeds the decision is identical.
+//!    scan discovers common neighbors is irrelevant. The reference
+//!    iterates and probes, the engine merge-intersects; the node-sorted
+//!    `(node, Δt)` list that feeds the decision is identical.
 //! 3. **One float fold.** Only `EngineCore::fold_decide` touches floating
-//!    point, always executed on the coordinating thread with node-sorted
+//!    point, always executed on the calling thread with node-sorted
 //!    input, so accept/reject decisions — and therefore the distance
 //!    trajectory — are bit-for-bit reproducible.
 //!
-//! The parallel path adds **draw-order commit with conflict replay** on
-//! top: a coordinator pre-draws a block of picks, workers evaluate them
-//! read-only against the block-start snapshot, and commits happen
-//! strictly in draw order. The first in-block commit invalidates the
-//! speculative RNG tail, so the coordinator re-draws subsequent picks
-//! from a per-pick checkpoint; a speculative evaluation is reused only
-//! when the replayed pick is identical *and* none of its four endpoints
-//! is in the stamped dirty-node set of already-committed swaps.
-//!
-//! **Why round-robin ownership preserves the stream.** Pick `i` of a
-//! block is evaluated by worker `i mod T`, so ownership decides only
-//! *which thread computes* a pick's integer `Δt` list — never which
-//! picks exist, in what order they are decided, or what they evaluate
-//! to. The picks themselves come from the single sequential RNG stream
-//! drawn by the coordinator (pillar 1); the evaluation is the same exact
-//! integer computation on any worker (pillar 2); and the commit scan
-//! walks the block strictly in draw order on the coordinator, fetching
-//! each pick's result from its owner's buffer and deciding it in the
-//! wrapped engine, the one place the float fold runs (pillar 3).
-//! Ownership is a function of the pick's index alone, so it cannot drift
-//! with the graph. Conflicts (a commit dirtying endpoints a later pick
-//! reads) are detected exactly as above and repaired by re-evaluation in
-//! the wrapped engine, which is equality with re-execution, not an
-//! approximation (see [`mod@parallel`] for the full argument).
+//! Only the ring's *picks* are ever speculative, never its evaluations:
+//! the head is evaluated and decided against the live state, exactly as
+//! [`RewireEngine::attempt`] does. So the two engines agree attempt for
+//! attempt, however `run_attempts` calls are chunked.
 
 use sgr_graph::index::MultiplicityIndex;
 use sgr_graph::snapshot::{PayloadReader, PayloadWriter};
@@ -177,11 +157,7 @@ pub struct RewireStats {
 
 /// One picked (and structurally valid) swap: slots `e1`/`e2` with the
 /// chosen orientations, and the four endpoint nodes.
-///
-/// `PartialEq` is how the parallel engine validates a speculative pick
-/// after an in-block commit: the pick is re-drawn from its RNG checkpoint
-/// against the updated state and compared field-for-field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct SwapPick {
     e1: u32,
     side1: u8,
@@ -476,8 +452,7 @@ impl EngineCore {
     /// Decides an evaluated swap: folds its node-sorted `Δt` list into a
     /// predicted distance and, iff that lowers `D`, commits it — cached
     /// quantities, four scan-free structural toggles, and the slot swap.
-    /// Returns whether the swap was accepted. The sequential engine and
-    /// the parallel engine's commit scan both decide here.
+    /// Returns whether the swap was accepted.
     pub(crate) fn decide(
         &mut self,
         p: &SwapPick,
@@ -746,11 +721,6 @@ impl RewireEngine {
         self.core.distance()
     }
 
-    /// Number of rewirable edge slots `|Ẽ_rew|`.
-    pub fn num_candidates(&self) -> usize {
-        self.core.slots.len()
-    }
-
     /// Runs `R = ceil(rc · |Ẽ_rew|)` attempts (§IV-E; the paper uses
     /// `R_C = 500`).
     pub fn run(&mut self, rc: f64, rng: &mut Xoshiro256pp) -> RewireStats {
@@ -884,7 +854,7 @@ impl RewireEngine {
     /// then the checkpointed float sums and bucket order are injected.
     /// A state that does not fit the target or its own slots is
     /// [`SnapshotError::Corrupt`].
-    pub(crate) fn resume(state: RewireState, target_c: &[f64]) -> Result<Self, SnapshotError> {
+    pub fn resume(state: RewireState, target_c: &[f64]) -> Result<Self, SnapshotError> {
         let RewireState {
             graph,
             slots,
@@ -917,9 +887,8 @@ impl RewireEngine {
 /// would desynchronize the partner draws.
 ///
 /// [`RewireEngine::encode_state`] writes it straight from a live engine,
-/// [`decode`](Self::decode) reads it back, and
-/// [`ParallelRewireEngine::resume`](parallel::ParallelRewireEngine::resume)
-/// continues from it at any worker count.
+/// [`decode`](Self::decode) reads it back, and [`RewireEngine::resume`]
+/// continues from it.
 pub struct RewireState {
     graph: Graph,
     slots: Vec<(NodeId, NodeId)>,
@@ -967,11 +936,7 @@ impl RewireState {
 /// toggles, accumulating per-node triangle deltas into `scratch_t`, and
 /// appends the node-sorted `(node, Δt)` list to `pairs`, ready for
 /// `EngineCore::decide`.
-///
-/// Shared verbatim by the sequential engine and the parallel engine's
-/// workers — evaluation touches no engine state beyond the two scratch
-/// buffers, so any thread holding `&EngineCore` can run it.
-pub(crate) fn evaluate_swap(
+fn evaluate_swap(
     core: &EngineCore,
     pick: &SwapPick,
     scratch_t: &mut ScratchAccum<i64>,

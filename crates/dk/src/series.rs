@@ -7,7 +7,7 @@
 //! e.g. the 2K generator exercises the same stub-matching engine as the
 //! paper's Algorithm 5 with an empty subgraph.
 
-use crate::construct::{wire_stubs, DkError};
+use crate::construct::{wire_stubs, ConstructScratch, DkError};
 use crate::extract::joint_degree_matrix;
 use crate::rewire::{RewireEngine, RewireStats};
 use sgr_graph::{DegreeVector, Graph, NodeId};
@@ -67,7 +67,7 @@ pub fn generate_2k(source: &Graph, rng: &mut Xoshiro256pp) -> Result<Graph, DkEr
     let jdm = joint_degree_matrix(source);
     let target_deg: Vec<u32> = source.nodes().map(|u| source.degree(u) as u32).collect();
     let mut g = Graph::with_nodes(source.num_nodes());
-    wire_stubs(&mut g, &target_deg, &jdm, rng)?;
+    wire_stubs(&mut g, &target_deg, &jdm, rng, &mut ConstructScratch::new())?;
     Ok(g)
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the stub-matching construction engines.
 //!
-//! The flat-arena engine ([`sgr_dk::construct::wire_stubs_with`]) must be
+//! The flat-arena engine ([`sgr_dk::construct::wire_stubs`]) must be
 //! **bitwise-equivalent** to the kept per-class-pool implementation
 //! ([`sgr_dk::construct::reference::wire_stubs`]): same RNG draw
 //! sequence, same pair order, same added-edge list (order included), same
@@ -13,7 +13,7 @@
 //! stream.
 
 use proptest::prelude::*;
-use sgr_dk::construct::{reference, wire_stubs_with, ConstructScratch};
+use sgr_dk::construct::{reference, wire_stubs, ConstructScratch};
 use sgr_dk::extract::{joint_degree_matrix, JointDegreeMatrix};
 use sgr_graph::{Graph, NodeId};
 use sgr_util::rng::SplitMix64;
@@ -95,7 +95,7 @@ fn assert_engines_bitwise_equal(p: &Problem, seed: u64, scratch: &mut ConstructS
     let mut g_ref = p.g0.clone();
     let mut rng_flat = Xoshiro256pp::seed_from_u64(seed);
     let mut rng_ref = Xoshiro256pp::seed_from_u64(seed);
-    let flat = wire_stubs_with(&mut g_flat, &p.target, &p.add, &mut rng_flat, scratch);
+    let flat = wire_stubs(&mut g_flat, &p.target, &p.add, &mut rng_flat, scratch);
     let refr = reference::wire_stubs(&mut g_ref, &p.target, &p.add, &mut rng_ref);
     match (flat, refr) {
         (Ok((fe, fs)), Ok((re, rs))) => {
@@ -151,7 +151,7 @@ fn engines_return_identical_out_of_stubs_errors() {
 fn warm_stub_matching_performs_zero_heap_allocations() {
     // The acceptance-criterion guarantee: with a warm scratch and a graph
     // whose neighbor lists are pre-reserved to the target degrees, a
-    // whole wire_stubs_with call allocates nothing.
+    // whole wire_stubs call allocates nothing.
     let p = from_empty_problem(400, 3, 0.5, 21);
     let run = |scratch: &mut ConstructScratch, armed: bool| {
         let mut g = Graph::with_nodes(p.target.len());
@@ -160,7 +160,7 @@ fn warm_stub_matching_performs_zero_heap_allocations() {
         // Summarize the borrowed edge slice in place (the hash allocates
         // nothing) so the armed region contains the matcher alone.
         let mut work = || {
-            let (e, s) = wire_stubs_with(&mut g, &p.target, &p.add, &mut rng, scratch).unwrap();
+            let (e, s) = wire_stubs(&mut g, &p.target, &p.add, &mut rng, scratch).unwrap();
             (edge_list_hash(e), s)
         };
         if armed {
@@ -199,7 +199,7 @@ fn fixed_seed_draw_stream_matches_committed_golden() {
     let mut g = Graph::with_nodes(p.target.len());
     let mut rng = Xoshiro256pp::seed_from_u64(4242);
     let mut scratch = ConstructScratch::new();
-    let (edges, _) = wire_stubs_with(&mut g, &p.target, &p.add, &mut rng, &mut scratch).unwrap();
+    let (edges, _) = wire_stubs(&mut g, &p.target, &p.add, &mut rng, &mut scratch).unwrap();
     assert_eq!(
         edge_list_hash(edges),
         0x72b0_77d9_fa45_ea6d,
@@ -224,7 +224,7 @@ proptest! {
         let mut g = p.g0.clone();
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut scratch = ConstructScratch::new();
-        wire_stubs_with(&mut g, &p.target, &p.add, &mut rng, &mut scratch).unwrap();
+        wire_stubs(&mut g, &p.target, &p.add, &mut rng, &mut scratch).unwrap();
         for u in g.nodes() {
             prop_assert_eq!(
                 g.degree(u),
@@ -249,7 +249,7 @@ proptest! {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut scratch = ConstructScratch::new();
         let (edges, stats) =
-            wire_stubs_with(&mut g, &p.target, &p.add, &mut rng, &mut scratch).unwrap();
+            wire_stubs(&mut g, &p.target, &p.add, &mut rng, &mut scratch).unwrap();
         prop_assert_eq!(edges.len(), stats.edges);
         let mut expected = sorted_edges(&p.g0);
         expected.extend_from_slice(edges);
@@ -279,7 +279,7 @@ proptest! {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut scratch = ConstructScratch::new();
         let (_, stats) =
-            wire_stubs_with(&mut g, &target, &add, &mut rng, &mut scratch).unwrap();
+            wire_stubs(&mut g, &target, &add, &mut rng, &mut scratch).unwrap();
         prop_assert_eq!(g.num_self_loops(), 0);
         prop_assert_eq!(stats.self_loops, 0);
         prop_assert!(g.nodes().all(|u| g.degree(u) == 1));
@@ -302,7 +302,7 @@ proptest! {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut scratch = ConstructScratch::new();
         let (edges, stats) =
-            wire_stubs_with(&mut g, &target, &add, &mut rng, &mut scratch).unwrap();
+            wire_stubs(&mut g, &target, &add, &mut rng, &mut scratch).unwrap();
         prop_assert_eq!(edges.len(), half);
         prop_assert_eq!(g.num_edges(), before + half);
         prop_assert_eq!(g.num_self_loops(), 0);

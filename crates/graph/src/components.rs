@@ -115,24 +115,7 @@ pub fn largest_component_csr<G: GraphView>(g: &G) -> (CsrGraph, Vec<NodeId>) {
     if g.num_nodes() == 0 {
         return (CsrGraph::default(), Vec::new());
     }
-    largest_component_csr_with(g, &connected_components(g))
-}
-
-/// As [`largest_component_csr`], but reusing an already-computed
-/// component labeling of `g` (callers that label for other reasons —
-/// size accounting, engine cross-checks — avoid the second scan).
-///
-/// # Panics
-/// Panics if `comps` has no components (empty labeling of a non-empty
-/// graph) or was computed from a different graph.
-pub fn largest_component_csr_with<G: GraphView>(
-    g: &G,
-    comps: &Components,
-) -> (CsrGraph, Vec<NodeId>) {
-    assert_eq!(comps.label.len(), g.num_nodes(), "labeling/graph mismatch");
-    if g.num_nodes() == 0 {
-        return (CsrGraph::default(), Vec::new());
-    }
+    let comps = connected_components(g);
     let keep = comps.largest() as u32;
     let mut old_to_new = vec![u32::MAX; g.num_nodes()];
     let mut mapping: Vec<NodeId> = Vec::with_capacity(comps.sizes[keep as usize]);
@@ -278,11 +261,9 @@ mod tests {
     #[test]
     fn csr_extraction_with_shared_labeling_and_edge_cases() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4)]);
-        let comps = connected_components(&g);
         let (a, ma) = largest_component_csr(&g);
-        let (b, mb) = largest_component_csr_with(&g, &comps);
-        assert_eq!(ma, mb);
-        assert_eq!(a.neighbors(1), b.neighbors(1));
+        assert_eq!(ma, vec![0, 1, 2]);
+        assert_eq!(a.neighbors(1), &[0, 2]);
 
         let (empty, map) = largest_component_csr(&Graph::with_nodes(0));
         assert_eq!(empty.num_nodes(), 0);

@@ -24,7 +24,7 @@
 
 use crate::bfs::{self, BfsEngine, BfsScratch, BATCH_WIDTH};
 use crate::PropsConfig;
-use sgr_graph::components::{connected_components, largest_component_csr_with};
+use sgr_graph::components::largest_component_csr;
 use sgr_graph::{GraphView, NodeId};
 
 /// Per-node distance distributions, averaged profile, and dispersion.
@@ -42,7 +42,7 @@ pub struct DistanceProfile {
 /// Above `cfg.exact_threshold` nodes, `cfg.num_pivots` sampled sources
 /// are used — an unbiased estimator of both `μ` and the dispersion's
 /// node average. The component is extracted straight into a CSR snapshot
-/// ([`largest_component_csr_with`]) and every BFS reads the flat arena
+/// ([`largest_component_csr`]) and every BFS reads the flat arena
 /// (parallel edges and self-loops never change a distance, so no dedup
 /// copy is needed). Sources run in multi-source batches on the shared
 /// [`crate::bfs`] engine across `cfg.effective_threads()` source chunks;
@@ -50,11 +50,7 @@ pub struct DistanceProfile {
 /// distances alone, so results are bitwise-identical at every thread
 /// count and under [`PropsConfig::bfs`] engine choice.
 pub fn distance_profile<G: GraphView + Sync>(g: &G, cfg: &PropsConfig) -> DistanceProfile {
-    let comps = match cfg.bfs {
-        BfsEngine::DirectionOptimizing => bfs::components(g, &mut BfsScratch::new()),
-        BfsEngine::Reference => connected_components(g),
-    };
-    let (lcc, _) = largest_component_csr_with(g, &comps);
+    let (lcc, _) = largest_component_csr(g);
     let n = lcc.num_nodes();
     if n < 2 {
         return DistanceProfile {

@@ -47,7 +47,8 @@ pub struct JobSpec {
     pub rewiring_coefficient: f64,
     /// Whether to run the rewiring phase.
     pub rewire: bool,
-    /// `RestoreConfig::threads` for this job.
+    /// `SubmitRequest::threads`, carried into `RestoreConfig::threads`
+    /// (both ignored) so the spec encoding is unchanged.
     pub threads: usize,
     /// The RNG seed.
     pub seed: u64,

@@ -12,8 +12,8 @@
 //! `sgr restore` code path — edge list, seeded [`sgr_util::Xoshiro256pp`],
 //! [`sgr_sample::run_crawl`], staged restoration — so a wire-submitted
 //! job is byte-identical to a local run, regardless of worker-pool size,
-//! scheduling order, thread caps, or how many times the server crashed
-//! and resumed in between (pinned by the `server_integration` suite).
+//! scheduling order, or how many times the server crashed and resumed in
+//! between (pinned by the `server_integration` suite).
 //!
 //! ## Protocol
 //!

@@ -222,8 +222,10 @@ pub struct SubmitRequest {
     pub rewiring_coefficient: f64,
     /// Whether to run the rewiring phase.
     pub rewire: bool,
-    /// Rewiring thread cap for this job (`RestoreConfig::threads`; the
-    /// server may clamp it, never changing results).
+    /// Ignored; retire at the next benchmark change. Carried on the wire
+    /// and into `RestoreConfig::threads` unchanged, so the frame, job
+    /// spec and checkpoint encodings stay as they were; rewiring runs on
+    /// one thread whatever it holds.
     pub threads: u64,
     /// The RNG seed; the entire output is a function of it.
     pub seed: u64,

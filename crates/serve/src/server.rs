@@ -40,7 +40,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use sgr_core::{CheckpointPolicy, PipelineObserver, RestoreError, RestoreStats, Restored};
-use sgr_dk::rewire::parallel::pool_bytes;
 use sgr_graph::io::read_edge_list;
 use sgr_graph::snapshot::write_csr;
 use sgr_graph::SnapshotError;
@@ -72,10 +71,6 @@ pub struct ServeConfig {
     pub memory_budget: u64,
     /// `checkpoint_every` for jobs that don't set their own.
     pub default_checkpoint_every: u64,
-    /// Per-job thread cap (0 = uncapped). Clamping never changes
-    /// results — the rewiring engines are seed-for-seed equivalent at
-    /// every width.
-    pub max_threads_per_job: usize,
 }
 
 impl Default for ServeConfig {
@@ -87,7 +82,6 @@ impl Default for ServeConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             memory_budget: 2 << 30,
             default_checkpoint_every: 100_000,
-            max_threads_per_job: 0,
         }
     }
 }
@@ -106,15 +100,8 @@ impl Default for ServeConfig {
 /// `admission_estimate` test pins estimate ≥ peak): the peak is 0.84 of
 /// the estimate at 10k nodes, 0.85 at 100k and 0.75 at 1M, where a
 /// 52 MB edge list (4M edges) estimates to 1.07 GB.
-///
-/// Those coefficients hold for one rewiring worker. `threads` is the
-/// job's `RestoreConfig::threads` (`0` = every core, resolved as the
-/// engine resolves it); a wider job adds the worker pool's speculation
-/// buffers ([`pool_bytes`]). The sum saturates, so an absurd width
-/// estimates to `u64::MAX` and no budget admits it.
-pub fn estimate_job_bytes(blob_len: usize, nodes: usize, edges: usize, threads: usize) -> u64 {
-    (4 * blob_len as u64 + 96 * nodes as u64 + 192 * edges as u64)
-        .saturating_add(pool_bytes(nodes, threads))
+pub fn estimate_job_bytes(blob_len: usize, nodes: usize, edges: usize) -> u64 {
+    4 * blob_len as u64 + 96 * nodes as u64 + 192 * edges as u64
 }
 
 /// One job's in-memory record. The spec (with its edge blob) is present
@@ -251,12 +238,9 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
                 // An edge list that no longer parses fails its job when
                 // a worker runs it, not the whole restart.
                 let estimate = match read_edge_list(Cursor::new(&job.spec.edges[..])) {
-                    Ok((g, _)) => estimate_job_bytes(
-                        job.spec.edges.len(),
-                        g.num_nodes(),
-                        g.num_edges(),
-                        job.spec.threads,
-                    ),
+                    Ok((g, _)) => {
+                        estimate_job_bytes(job.spec.edges.len(), g.num_nodes(), g.num_edges())
+                    }
                     Err(_) => 0,
                 };
                 committed += estimate;
@@ -476,16 +460,11 @@ fn handle_request(
 /// no trace.
 fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     let req = SubmitRequest::decode(payload).map_err(|e| (ERR_MALFORMED, e.to_string()))?;
-    let mut spec = JobSpec::from_request(req, shared.cfg.default_checkpoint_every)
+    let spec = JobSpec::from_request(req, shared.cfg.default_checkpoint_every)
         .map_err(|e| (ERR_MALFORMED, e))?;
-    if shared.cfg.max_threads_per_job > 0
-        && (spec.threads == 0 || spec.threads > shared.cfg.max_threads_per_job)
-    {
-        spec.threads = shared.cfg.max_threads_per_job;
-    }
     let (g, _) = read_edge_list(Cursor::new(&spec.edges[..]))
         .map_err(|e| (ERR_MALFORMED, format!("edge list: {e}")))?;
-    let estimate = estimate_job_bytes(spec.edges.len(), g.num_nodes(), g.num_edges(), spec.threads);
+    let estimate = estimate_job_bytes(spec.edges.len(), g.num_nodes(), g.num_edges());
     drop(g);
 
     let id = {
@@ -751,7 +730,7 @@ fn execute(
                 every: spec.checkpoint_every,
                 abort_after: None,
             };
-            sgr_core::resume(&ckpt, None, Some(&policy), &mut observer)?
+            sgr_core::resume(&ckpt, Some(&policy), &mut observer)?
         }
         None => {
             let (g, _) = read_edge_list(Cursor::new(&spec.edges[..]))

@@ -6,7 +6,7 @@
 //! 1. **Determinism over the wire** — concurrently submitted jobs fetch
 //!    back byte-identical to the same restoration run locally through
 //!    the `sgr restore` code path (edge list → seeded RNG → crawl →
-//!    restore), at any worker count and thread cap.
+//!    restore), at any worker count.
 //! 2. **Crash-safe adoption** — a job killed mid-rewire (fault-injected
 //!    simulated crash) is re-adopted by a fresh server on the same state
 //!    root and finishes bitwise-identical to the never-killed run.
@@ -27,6 +27,7 @@ use sgr_serve::protocol::{
     decode_error, read_frame, write_frame, FRAME_HEADER_LEN, FRAME_MAGIC, REQ_STATUS, REQ_SUBMIT,
     RESP_ERROR, RESP_STATUS,
 };
+use sgr_serve::server::estimate_job_bytes;
 use sgr_serve::{Client, ClientError, JobState, ServeConfig, SubmitRequest};
 use sgr_util::Xoshiro256pp;
 
@@ -64,7 +65,7 @@ fn graph_bytes() -> Vec<u8> {
     bytes
 }
 
-fn submit_req(seed: u64, threads: u64, tenant: &str, abort_after: u64) -> SubmitRequest {
+fn submit_req(seed: u64, tenant: &str, abort_after: u64) -> SubmitRequest {
     SubmitRequest {
         tenant: tenant.into(),
         walk_code: WalkKind::RandomWalk.code(),
@@ -73,7 +74,7 @@ fn submit_req(seed: u64, threads: u64, tenant: &str, abort_after: u64) -> Submit
         burn_prob: 0.7,
         rewiring_coefficient: 10.0,
         rewire: true,
-        threads,
+        threads: 1,
         seed,
         checkpoint_every: 500,
         abort_after,
@@ -84,9 +85,7 @@ fn submit_req(seed: u64, threads: u64, tenant: &str, abort_after: u64) -> Submit
 /// What `sgr restore` would produce locally from the same submission —
 /// the exact CLI code path (edge list → seeded RNG → `run_crawl` →
 /// restore), encoded as the snapshot section `sgr fetch` returns.
-/// `threads` may differ from the job's: rewiring is seed-for-seed
-/// identical at every width, so the bytes must not change.
-fn local_restore_bytes(req: &SubmitRequest, threads: usize) -> Vec<u8> {
+fn local_restore_bytes(req: &SubmitRequest) -> Vec<u8> {
     let (g, _) = read_edge_list(Cursor::new(&req.edges[..])).unwrap();
     let mut rng = Xoshiro256pp::seed_from_u64(req.seed);
     let spec = CrawlSpec {
@@ -99,7 +98,7 @@ fn local_restore_bytes(req: &SubmitRequest, threads: usize) -> Vec<u8> {
     let cfg = RestoreConfig {
         rewiring_coefficient: req.rewiring_coefficient,
         rewire: req.rewire,
-        threads,
+        ..RestoreConfig::default()
     };
     let restored = sgr_core::restore(&outcome.crawl, &cfg, &mut rng).unwrap();
     encode_section(KIND_CSR_GRAPH, &encode_csr(&restored.snapshot))
@@ -127,16 +126,15 @@ fn wait_for(client: &mut Client, job: u64, want: JobState) -> sgr_serve::JobStat
 }
 
 /// Pillar 1: two tenants submit concurrently; each fetched snapshot is
-/// byte-identical to the local `sgr restore`-path run, including a job
-/// whose thread cap differs from the local run's.
+/// byte-identical to the local `sgr restore`-path run.
 #[test]
 fn concurrent_jobs_match_local_restore_bytes() {
     let root = state_root("concurrent");
     let handle = sgr_serve::start(serve_cfg(root.clone())).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    let req_a = submit_req(7, 1, "tenant-a", 0);
-    let req_b = submit_req(8, 2, "tenant-b", 0);
+    let req_a = submit_req(7, "tenant-a", 0);
+    let req_b = submit_req(8, "tenant-b", 0);
     let id_a = client.submit(&req_a).unwrap();
     let id_b = client.submit(&req_b).unwrap();
     assert_ne!(id_a, id_b);
@@ -150,9 +148,8 @@ fn concurrent_jobs_match_local_restore_bytes() {
 
     let fetched_a = client.fetch(id_a).unwrap();
     let fetched_b = client.fetch(id_b).unwrap();
-    assert_eq!(fetched_a, local_restore_bytes(&req_a, 1));
-    // Job B ran with threads = 2 on the server; the local run uses 1.
-    assert_eq!(fetched_b, local_restore_bytes(&req_b, 1));
+    assert_eq!(fetched_a, local_restore_bytes(&req_a));
+    assert_eq!(fetched_b, local_restore_bytes(&req_b));
     assert_ne!(fetched_a, fetched_b, "different seeds must differ");
 
     // The job list sees both tenants.
@@ -175,7 +172,7 @@ fn interrupted_job_is_adopted_and_finishes_identically() {
 
     // 3 stage checkpoints + 2 mid-rewire ones, then the simulated crash:
     // the job dies inside the rewiring loop with durable progress.
-    let req = submit_req(7, 1, "tenant-a", 5);
+    let req = submit_req(7, "tenant-a", 5);
     let id = client.submit(&req).unwrap();
     let s = wait_for(&mut client, id, JobState::Interrupted);
     assert!(s.message.contains("interrupted"), "{}", s.message);
@@ -202,10 +199,10 @@ fn interrupted_job_is_adopted_and_finishes_identically() {
     let done = wait_for(&mut client, id, JobState::Completed);
     assert_eq!(done.attempts_done, done.attempts_total);
     let fetched = client.fetch(id).unwrap();
-    assert_eq!(fetched, local_restore_bytes(&req, 1));
+    assert_eq!(fetched, local_restore_bytes(&req));
 
     // Fresh submissions continue the id sequence past adopted jobs.
-    let id2 = client.submit(&submit_req(9, 1, "tenant-b", 0)).unwrap();
+    let id2 = client.submit(&submit_req(9, "tenant-b", 0)).unwrap();
     assert!(id2 > id);
     wait_for(&mut client, id2, JobState::Completed);
 
@@ -229,7 +226,7 @@ fn hostile_frames_get_typed_errors_without_collateral_damage() {
     let mut client = Client::connect(addr).unwrap();
 
     // A real job rides along; it must be unaffected by everything below.
-    let req = submit_req(7, 1, "bystander", 0);
+    let req = submit_req(7, "bystander", 0);
     let id = client.submit(&req).unwrap();
 
     // Bad magic: typed error, then the connection closes.
@@ -328,7 +325,7 @@ fn hostile_frames_get_typed_errors_without_collateral_damage() {
 
     // The bystander job is untouched by all of the above.
     wait_for(&mut client, id, JobState::Completed);
-    assert_eq!(client.fetch(id).unwrap(), local_restore_bytes(&req, 1));
+    assert_eq!(client.fetch(id).unwrap(), local_restore_bytes(&req));
 
     client.shutdown_server().unwrap();
     handle.join();
@@ -348,7 +345,7 @@ fn admission_rejects_jobs_past_the_memory_budget() {
     let handle = sgr_serve::start(cfg).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    match client.submit(&submit_req(7, 1, "t", 0)) {
+    match client.submit(&submit_req(7, "t", 0)) {
         Err(ClientError::Server { code, message }) => {
             assert_eq!(code, sgr_serve::protocol::ERR_REJECTED);
             assert!(message.contains("memory budget"), "{message}");
@@ -363,27 +360,55 @@ fn admission_rejects_jobs_past_the_memory_budget() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Under the default (uncapped) per-job thread limit, a client picks its
-/// job's rewiring width, and every worker costs speculation buffers. The
-/// admission estimate counts them, so an absurd width is rejected at
-/// submit time instead of allocating one buffer set per requested thread
-/// — while the same job at a sane width is admitted and completes.
+/// `SubmitRequest::threads` is ignored: rewiring runs on one thread. A
+/// `u64::MAX` request is admitted under a budget that fits exactly one
+/// `threads = 1` job, is quoted the same estimate when the budget is one
+/// byte short, and fetches back the `threads = 1` job's bytes.
 #[test]
-fn admission_rejects_an_absurd_thread_count() {
-    let root = state_root("absurd-threads");
-    let handle = sgr_serve::start(serve_cfg(root.clone())).unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+fn admission_ignores_the_thread_count() {
+    let narrow = submit_req(7, "t", 0);
+    let wide = SubmitRequest {
+        threads: u64::MAX,
+        ..narrow.clone()
+    };
+    let (g, _) = read_edge_list(Cursor::new(&narrow.edges[..])).unwrap();
+    let estimate = estimate_job_bytes(narrow.edges.len(), g.num_nodes(), g.num_edges());
 
-    match client.submit(&submit_req(7, u64::MAX, "t", 0)) {
-        Err(ClientError::Server { code, message }) => {
-            assert_eq!(code, sgr_serve::protocol::ERR_REJECTED);
-            assert!(message.contains("memory budget"), "{message}");
+    let root = state_root("threads-short");
+    let handle = sgr_serve::start(ServeConfig {
+        memory_budget: estimate - 1,
+        ..serve_cfg(root.clone())
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for req in [&wide, &narrow] {
+        match client.submit(req) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, sgr_serve::protocol::ERR_REJECTED);
+                let quoted = format!("estimated {estimate} bytes ");
+                assert!(message.starts_with(&quoted), "{message}");
+            }
+            other => panic!("submit with threads = {}: {other:?}", req.threads),
         }
-        other => panic!("submit with u64::MAX threads: {other:?}"),
     }
-    assert!(client.list().unwrap().is_empty());
-    let id = client.submit(&submit_req(7, 2, "t", 0)).unwrap();
-    wait_for(&mut client, id, JobState::Completed);
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+
+    let root = state_root("threads-exact");
+    let handle = sgr_serve::start(ServeConfig {
+        memory_budget: estimate,
+        ..serve_cfg(root.clone())
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let id_wide = client.submit(&wide).unwrap();
+    wait_for(&mut client, id_wide, JobState::Completed);
+    let id_narrow = client.submit(&narrow).unwrap();
+    wait_for(&mut client, id_narrow, JobState::Completed);
+    let fetched = client.fetch(id_wide).unwrap();
+    assert_eq!(fetched, client.fetch(id_narrow).unwrap());
+    assert_eq!(fetched, local_restore_bytes(&narrow));
 
     client.shutdown_server().unwrap();
     handle.join();
@@ -399,7 +424,7 @@ fn unparsable_edge_list_fails_the_job_with_an_edge_list_error() {
     let root = state_root("bad-edges");
     let req = SubmitRequest {
         edges: b"0 1\n1 two\n".to_vec(),
-        ..submit_req(7, 1, "tenant-a", 0)
+        ..submit_req(7, "tenant-a", 0)
     };
     let spec = sgr_serve::job::JobSpec::from_request(req.clone(), 500).unwrap();
     let dir = sgr_serve::job::job_dir(&root, 1);

@@ -31,10 +31,7 @@ pub struct ScratchAccum<T> {
 /// clear, with an explicit marked-key list for iteration.
 ///
 /// This is [`ScratchAccum`] specialized to pure membership (no value per
-/// key). The speculative-parallel rewiring engine uses it as the
-/// **dirty-node set**: every node touched by a committed swap is marked,
-/// and a speculative evaluation is reusable only if none of its four
-/// endpoints is dirty.
+/// key). The estimators use it to dedup the nodes a crawl observed.
 #[derive(Clone, Debug)]
 pub struct DirtyStampSet {
     stamp: Vec<u32>,
@@ -108,12 +105,6 @@ impl DirtyStampSet {
     #[inline]
     pub fn contains(&self, key: u32) -> bool {
         self.epoch != 0 && self.stamp[key as usize] == self.epoch
-    }
-
-    /// Whether any of `keys` is currently marked.
-    #[inline]
-    pub fn contains_any(&self, keys: &[u32]) -> bool {
-        keys.iter().any(|&k| self.contains(k))
     }
 
     /// Keys marked since the last [`clear`](Self::clear), in first-mark
