@@ -30,14 +30,20 @@
 //!
 //! 1. **Read-only evaluation.** The four toggles (remove `(v_i, v_j)`,
 //!    remove `(v_{i'}, v_{j'})`, add `(v_i, v_{j'})`, add `(v_{i'}, v_j)`)
-//!    are emulated in sequence against an *effective adjacency*: `A_uv`
-//!    reads combine the untouched [`MultiplicityIndex`] with a fixed-size
-//!    array of at most four pending pair deltas. The interaction terms
-//!    between toggles (e.g. the `A_{v_j v_{j'}}` and `A_{v_i v_{i'}}`
-//!    corrections) therefore fall out arithmetically — each scan sees
-//!    exactly the intermediate state the sequential reference sees, so the
-//!    per-node triangle deltas `Δt_i` match the reference integer for
-//!    integer.
+//!    change only pairs among the four endpoints. So every other node `w`
+//!    sees raw adjacency throughout, and its triangle delta has a closed
+//!    form, `Δt_w = (A_{v_i w} − A_{v_{i'} w})·(A_{v_{j'} w} − A_{v_j w})`
+//!    up to the removal terms of loop slots, which count nothing. One
+//!    fused pass over the four endpoints' sorted lists
+//!    ([`MultiplicityIndex::for_each_common_of_unions`]) yields every such
+//!    `Δt_w` in ascending `w`, and per toggle the sum `Σ_w A_uw·A_vw`. The
+//!    ≤ 4 endpoints then replay the toggles in sequence against a 4×4
+//!    *effective adjacency* (the index's values among them, with the
+//!    toggles emulated so far applied), so the interaction terms between
+//!    toggles (e.g. the `A_{v_j v_{j'}}` and `A_{v_i v_{i'}}` corrections)
+//!    fall out arithmetically: each toggle sees exactly the intermediate
+//!    state the sequential reference sees, and the per-node triangle
+//!    deltas `Δt_i` match the reference integer for integer.
 //! 2. **Decision.** `Δt` is folded into per-degree candidate sums `S'(k)`
 //!    and a predicted distance `D'` (`EngineCore::fold_decide`, shared
 //!    verbatim with the reference so accept/reject decisions and the final
@@ -49,21 +55,22 @@
 //!    already known. Rejected attempts touch no shared state at all, which
 //!    a debug-build mutation counter on the index asserts.
 //!
-//! All per-attempt working memory lives in epoch-stamped scratch arenas
-//! ([`sgr_util::scratch::ScratchAccum`]) sized once at engine
-//! construction, and the graph and the multiplicity index update in place
+//! All per-attempt working memory is a `(node, Δt)` list reserved once to
+//! its worst case, a per-degree [`sgr_util::scratch::ScratchAccum`] for
+//! the decision, and fixed-size arrays on the stack; nothing is sized by
+//! the node count. The graph and the multiplicity index update in place
 //! inside fixed per-node extents, so every attempt — rejected or
 //! accepted — performs **zero heap allocations**.
 //!
 //! # Per-attempt complexity
 //!
-//! A rejected attempt costs exactly one evaluation: four common-neighbor
-//! scans, each a branchless merge-intersection over the two endpoints'
-//! sorted neighbor slices
-//! ([`sgr_graph::index::MultiplicityIndex::for_each_common`]) — O(d̃_u +
-//! d̃_v) for balanced degrees and O(d̃_small · log(d̃_hub / d̃_small))
-//! against a hub, with no hashing — plus an O(τ log τ) fold over the
-//! τ ≤ O(k̄) touched nodes.
+//! A rejected attempt costs exactly one evaluation: one fused pass that
+//! merges `N(v_i) ∪ N(v_{i'})` against `N(v_j) ∪ N(v_{j'})` over the four
+//! endpoints' sorted slices, reading each extent once —
+//! O(d̃_i + d̃_{i'} + d̃_j + d̃_{j'}), with a galloping catch-up when one
+//! pair is a hub's and the other a leaf's, and no hashing — then at most
+//! six index lookups among the endpoints, and a fold over the τ nonzero
+//! `Δt` entries (O(τ) plus a sort of the few touched degrees).
 //! An accepted attempt adds four scan-free structural toggles and O(1)
 //! slot/bucket bookkeeping. The apply-rollback reference pays an
 //! iterate-and-probe evaluation *plus* eight mutating toggles (four of
@@ -114,10 +121,13 @@
 //!    pick-by-pick loop reaches. (The RNG peek of hint 3 draws on a clone
 //!    and consumes nothing.)
 //! 2. **Integer evaluation.** A swap's effect is a set of per-node
-//!    triangle deltas `Δt_i` — exact `i64`s, so the *order* in which a
-//!    scan discovers common neighbors is irrelevant. The reference
-//!    iterates and probes, the engine merge-intersects; the node-sorted
-//!    `(node, Δt)` list that feeds the decision is identical.
+//!    triangle deltas `Δt_i` — exact `i64`s, so *how* they are summed is
+//!    irrelevant. The reference applies four toggles, iterating and
+//!    probing, and sorts its touched nodes; the engine's fused pass
+//!    produces its list node-sorted by construction (the merge visits
+//!    `w` in ascending order, and the ≤ 4 endpoints are merged into
+//!    place). The decision skips zero deltas, so it sees the same
+//!    node-sorted nonzero `(node, Δt)` entries from both.
 //! 3. **One float fold.** Only `EngineCore::fold_decide` touches floating
 //!    point, always executed on the calling thread with node-sorted
 //!    input, so accept/reject decisions — and therefore the distance
@@ -297,9 +307,9 @@ impl EngineCore {
         }
     }
 
-    /// Most nodes one swap evaluation can touch: its common-neighbor
-    /// scans stay inside `N(v_i) ∪ N(v_{i'})`, plus the four endpoints.
-    /// Sizes the per-attempt `(node, Δt)` lists.
+    /// Most nodes one swap evaluation can report: the fused pass visits
+    /// only nodes of `N(v_i) ∪ N(v_{i'})`, and the four endpoints join
+    /// them. Sizes the per-attempt `(node, Δt)` list.
     pub(crate) fn max_touched(&self) -> usize {
         let k_max = self.deg.iter().copied().max().unwrap_or(0) as usize;
         self.deg.len().min(2 * k_max + 4)
@@ -633,51 +643,6 @@ impl EngineCore {
     }
 }
 
-/// Fixed-capacity record of the evaluation's pending edge-multiplicity
-/// changes: at most the four unordered pairs a swap can touch. Reads cost
-/// a ≤4-element linear probe; no heap.
-#[derive(Clone, Copy, Debug, Default)]
-struct PendingDeltas {
-    pairs: [((NodeId, NodeId), i32); 4],
-    len: usize,
-}
-
-impl PendingDeltas {
-    #[inline]
-    fn key(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-        if u <= v {
-            (u, v)
-        } else {
-            (v, u)
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, u: NodeId, v: NodeId, delta: i32) {
-        let k = Self::key(u, v);
-        for i in 0..self.len {
-            if self.pairs[i].0 == k {
-                self.pairs[i].1 += delta;
-                return;
-            }
-        }
-        debug_assert!(self.len < 4, "a swap touches at most four pairs");
-        self.pairs[self.len] = (k, delta);
-        self.len += 1;
-    }
-
-    #[inline]
-    fn delta(&self, u: NodeId, v: NodeId) -> i32 {
-        let k = Self::key(u, v);
-        for i in 0..self.len {
-            if self.pairs[i].0 == k {
-                return self.pairs[i].1;
-            }
-        }
-        0
-    }
-}
-
 /// The evaluate-then-commit rewiring engine. Owns the graph while
 /// rewiring; [`into_graph`](RewireEngine::into_graph) releases it.
 ///
@@ -686,11 +651,10 @@ impl PendingDeltas {
 /// decisions, final edge multiset, and final distance.
 pub struct RewireEngine {
     core: EngineCore,
-    /// Per-node triangle deltas of the attempt under evaluation.
-    scratch_t: ScratchAccum<i64>,
     /// Predicted per-degree sums `S'(k)` of the attempt under evaluation.
     scratch_s: ScratchAccum<f64>,
-    /// Node-sorted `(node, Δt)` pairs (reused across attempts).
+    /// Node-sorted nonzero `(node, Δt)` pairs of the attempt under
+    /// evaluation (reserved to `EngineCore::max_touched` once).
     pairs: Vec<(NodeId, i64)>,
 }
 
@@ -704,12 +668,10 @@ impl RewireEngine {
     /// edge of the graph.
     pub fn new(graph: Graph, candidates: Vec<(NodeId, NodeId)>, target_c: &[f64]) -> Self {
         let core = EngineCore::new(graph, candidates, target_c);
-        let n = core.graph.num_nodes();
         let degrees = core.s.len();
         let touched = core.max_touched();
         Self {
             core,
-            scratch_t: ScratchAccum::with_keys(n),
             scratch_s: ScratchAccum::with_keys(degrees),
             pairs: Vec::with_capacity(touched),
         }
@@ -817,8 +779,7 @@ impl RewireEngine {
     /// and [`run_attempts`](Self::run_attempts) take per pick.
     fn evaluate_and_decide(&mut self, pick: &SwapPick) -> bool {
         let mutations_before = self.core.idx.mutation_count();
-        self.pairs.clear();
-        evaluate_swap(&self.core, pick, &mut self.scratch_t, &mut self.pairs);
+        evaluate_swap(&self.core, pick, &mut self.pairs);
         let accepted = self.core.decide(pick, &self.pairs, &mut self.scratch_s);
         // Rejected: nothing was mutated — assert it.
         debug_assert!(accepted || self.core.idx.mutation_count() == mutations_before);
@@ -932,135 +893,141 @@ impl RewireState {
     }
 }
 
-/// Evaluates `pick` **read-only** against `core`: emulates the four edge
-/// toggles, accumulating per-node triangle deltas into `scratch_t`, and
-/// appends the node-sorted `(node, Δt)` list to `pairs`, ready for
+/// Evaluates `pick` **read-only** against `core` and fills `pairs` with
+/// the swap's nonzero per-node triangle deltas, node-sorted, ready for
 /// `EngineCore::decide`.
-fn evaluate_swap(
-    core: &EngineCore,
-    pick: &SwapPick,
-    scratch_t: &mut ScratchAccum<i64>,
-    pairs: &mut Vec<(NodeId, i64)>,
-) {
-    scratch_t.begin();
-    let mut pending = PendingDeltas::default();
-    let specials = pick.endpoints();
-    eval_toggle(
-        core,
-        scratch_t,
-        pick.vi,
-        pick.vj,
-        -1,
-        &mut pending,
-        &specials,
-    );
-    eval_toggle(
-        core,
-        scratch_t,
-        pick.vi2,
-        pick.vj2,
-        -1,
-        &mut pending,
-        &specials,
-    );
-    eval_toggle(
-        core,
-        scratch_t,
-        pick.vi,
-        pick.vj2,
-        1,
-        &mut pending,
-        &specials,
-    );
-    eval_toggle(
-        core,
-        scratch_t,
-        pick.vi2,
-        pick.vj,
-        1,
-        &mut pending,
-        &specials,
-    );
-    scratch_t.sort_touched();
-    for i in 0..scratch_t.touched().len() {
-        let node = scratch_t.touched()[i];
-        pairs.push((node, scratch_t.get(node)));
+///
+/// Only pairs among the four endpoints change, so a node `w` that is not
+/// an endpoint sees raw adjacency throughout, and the four toggles move
+/// its triangle count by
+/// `Δt_w = A_{v_i w}·A_{v_{j'} w} + A_{v_{i'} w}·A_{v_j w}
+///        − c1·A_{v_i w}·A_{v_j w} − c2·A_{v_{i'} w}·A_{v_{j'} w}`,
+/// where `c1 = [v_i ≠ v_j]` and `c2 = [v_{i'} ≠ v_{j'}]` (a loop slot takes
+/// part in no triangle). One
+/// [`MultiplicityIndex::for_each_common_of_unions`] pass over
+/// `(N(v_i) ∪ N(v_{i'})) ∩ (N(v_j) ∪ N(v_{j'}))` yields those deltas in
+/// ascending `w` and, per toggle, the sum of `A_uw·A_vw` over the same
+/// `w`. The ≤ 4 endpoints then replay the toggles in sequence against
+/// the effective adjacency (`Endpoints::toggle`), and their nonzero
+/// deltas are merged into place.
+fn evaluate_swap(core: &EngineCore, pick: &SwapPick, pairs: &mut Vec<(NodeId, i64)>) {
+    let SwapPick {
+        vi, vj, vi2, vj2, ..
+    } = *pick;
+    let ends = pick.endpoints();
+    let (c1, c2) = ((vi != vj) as i64, (vi2 != vj2) as i64);
+    // Σ_w A_uw·A_vw over the non-endpoint w, per toggle `{u, v}` in
+    // `toggles` order below.
+    let mut common = [0i64; 4];
+    pairs.clear();
+    core.idx
+        .for_each_common_of_unions(vi, vi2, vj, vj2, |w, a_i, a_i2, a_j, a_j2| {
+            if ends.contains(&w) {
+                return;
+            }
+            let (a_i, a_i2) = (a_i as i64, a_i2 as i64);
+            let (a_j, a_j2) = (a_j as i64, a_j2 as i64);
+            let p = [a_i * a_j, a_i2 * a_j2, a_i * a_j2, a_i2 * a_j];
+            for (sum, prod) in common.iter_mut().zip(p) {
+                *sum += prod;
+            }
+            let dt = p[2] + p[3] - c1 * p[0] - c2 * p[1];
+            if dt != 0 {
+                pairs.push((w, dt));
+            }
+        });
+    let mut endpoints = Endpoints::new(&core.idx, ends);
+    // Toggle `{ends[p], ends[q]}` with sign, as (p, q, sign).
+    let toggles = [(0, 1, -1), (2, 3, -1), (0, 3, 1), (2, 1, 1)];
+    for ((p, q, sign), sum) in toggles.into_iter().zip(common) {
+        endpoints.toggle(p, q, sign, sum);
+    }
+    for (k, &node) in ends.iter().enumerate() {
+        let dt = endpoints.dt[k];
+        if dt != 0 {
+            let at = pairs.partition_point(|&(w, _)| w < node);
+            pairs.insert(at, (node, dt));
+        }
     }
 }
 
-/// Emulates one edge toggle (`sign = ±1` copy of `{u, v}`) against the
-/// effective adjacency (index ⊕ pending deltas), accumulating triangle
-/// deltas into `scratch_t`. Mirrors the reference's mutating
-/// `toggle_edge` exactly: removals are scanned on the state *without*
-/// the removed copy, additions likewise.
-///
-/// Pending deltas only ever involve the swap's four endpoints, so the
-/// scan splits into a **fast path** — the branchless merge-intersection
-/// of the two raw neighbor slices
-/// ([`MultiplicityIndex::for_each_common`]), which needs no pending
-/// probes at all — and a ≤2-node **special path** for the endpoints not
-/// on this edge, probed under the effective adjacency on both sides
-/// (covering neighbors that exist only as pending additions). Every
-/// contribution is an exact integer, so the split changes nothing about
-/// the resulting deltas.
-fn eval_toggle(
-    core: &EngineCore,
-    scratch_t: &mut ScratchAccum<i64>,
-    u: NodeId,
-    v: NodeId,
-    sign: i64,
-    pending: &mut PendingDeltas,
-    specials: &[NodeId; 4],
-) {
-    if u == v {
-        // A self-loop slot being dissolved (or, never in practice,
-        // created): loops take part in no triangle.
-        pending.add(u, u, if sign < 0 { -2 } else { 2 });
-        return;
-    }
-    if sign < 0 {
-        pending.add(u, v, -1);
-    }
-    // The swap's endpoints not on this edge — the only nodes whose
-    // adjacency to u/v can be shifted by pending deltas.
-    let mut o = [u; 2];
-    let mut no = 0usize;
-    for &s in specials {
-        if s != u && s != v && !o[..no].contains(&s) {
-            o[no] = s;
-            no += 1;
+/// The swap's endpoints under evaluation, by position in
+/// [`SwapPick::endpoints`]. A node listed twice (`v_i == v_{i'}`, or a
+/// loop slot's `v_i == v_j`) lives at its first position: `canon` maps
+/// every position there, and only first positions hold entries.
+struct Endpoints {
+    canon: [usize; 4],
+    /// Effective adjacency between endpoints: the index's `A_uv` with the
+    /// toggles emulated so far applied (zero on the diagonal — loops take
+    /// part in no triangle).
+    adj: [[i64; 4]; 4],
+    /// Triangle delta of each endpoint.
+    dt: [i64; 4],
+}
+
+impl Endpoints {
+    /// Reads the raw adjacency among the (at most six) distinct endpoint
+    /// pairs.
+    fn new(idx: &MultiplicityIndex, ends: [NodeId; 4]) -> Self {
+        let mut canon = [0, 1, 2, 3];
+        for k in 1..4 {
+            if let Some(first) = ends[..k].iter().position(|&e| e == ends[k]) {
+                canon[k] = first;
+            }
+        }
+        let mut adj = [[0i64; 4]; 4];
+        for k in 0..4 {
+            for l in k + 1..4 {
+                if canon[k] == k && canon[l] == l {
+                    let a = idx.get(ends[k], ends[l]) as i64;
+                    adj[k][l] = a;
+                    adj[l][k] = a;
+                }
+            }
+        }
+        Self {
+            canon,
+            adj,
+            dt: [0; 4],
         }
     }
-    let (o0, o1) = (o[0], o[no.min(1)]);
-    let mut common = 0i64;
-    // Fast path: raw common neighbors of u and v, excluding the toggled
-    // pair itself and the special nodes (handled below).
-    core.idx.for_each_common(u, v, |w, a_uw, a_vw| {
-        if w == u || w == v || w == o0 || w == o1 {
+
+    /// Emulates one edge toggle (`sign = ±1` copy of `{ends[p], ends[q]}`)
+    /// on the endpoints against the effective adjacency. Mirrors the
+    /// reference's mutating `toggle_edge`: removals are scanned on the
+    /// state *without* the removed copy, additions likewise, so each
+    /// toggle sees exactly the intermediate state the reference sees, and
+    /// the interaction terms between toggles (e.g. the `A_{v_j v_{j'}}`
+    /// and `A_{v_i v_{i'}}` corrections) fall out arithmetically.
+    ///
+    /// `common` is the toggle's `Σ A_uw·A_vw` over the common neighbors
+    /// that are not endpoints, whose adjacency to `u` and `v` is raw; the
+    /// endpoints off this edge add their effective products to it. Every
+    /// contribution is an exact integer.
+    fn toggle(&mut self, p: usize, q: usize, sign: i64, mut common: i64) {
+        let (p, q) = (self.canon[p], self.canon[q]);
+        if p == q {
+            // A self-loop slot being dissolved (or, never in practice,
+            // created): loops take part in no triangle.
             return;
         }
-        let prod = a_uw as i64 * a_vw as i64;
-        common += prod;
-        scratch_t.add(w, sign * prod);
-    });
-    // Special path: effective adjacency (raw ⊕ pending) on both sides.
-    for &w in &o[..no] {
-        let a_uw = core.idx.get(u, w) as i64 + pending.delta(u, w) as i64;
-        if a_uw <= 0 {
-            continue;
+        if sign < 0 {
+            self.adj[p][q] -= 1;
+            self.adj[q][p] -= 1;
         }
-        let a_vw = core.idx.get(v, w) as i64 + pending.delta(v, w) as i64;
-        if a_vw <= 0 {
-            continue;
+        for k in 0..4 {
+            if self.canon[k] == k && k != p && k != q {
+                let prod = self.adj[p][k] * self.adj[q][k];
+                common += prod;
+                self.dt[k] += sign * prod;
+            }
         }
-        let prod = a_uw * a_vw;
-        common += prod;
-        scratch_t.add(w, sign * prod);
-    }
-    scratch_t.add(u, sign * common);
-    scratch_t.add(v, sign * common);
-    if sign > 0 {
-        pending.add(u, v, 1);
+        self.dt[p] += sign * common;
+        self.dt[q] += sign * common;
+        if sign > 0 {
+            self.adj[p][q] += 1;
+            self.adj[q][p] += 1;
+        }
     }
 }
 
@@ -1295,6 +1262,92 @@ mod tests {
             RewireEngine::resume(state, &wider),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    /// Graphs whose picks cover every shape the swap evaluator must get
+    /// right: loop slots and multi-edges (stub-matching artifacts), two
+    /// equal-degree hubs against leaves (so `v_i` is often a hub, and
+    /// `v_i == v_{i'}` when both slots hang off one hub), and a dense
+    /// multigraph where endpoints are common neighbours of each other.
+    fn recount_graphs() -> Vec<Graph> {
+        let mut rng = Xoshiro256pp::seed_from_u64(21);
+        let mut messy = sgr_gen::holme_kim(120, 3, 0.6, &mut rng).unwrap();
+        let loops = [(0, 0), (0, 0), (7, 7), (40, 40)];
+        let multi = [(3, 9), (3, 9), (11, 12), (11, 12)];
+        for (u, v) in loops.into_iter().chain(multi) {
+            messy.add_edge(u, v);
+        }
+        // Hubs 0 and 1 share leaves 32..62; the leaves form a path.
+        let mut hubs: Vec<(NodeId, NodeId)> = vec![(0, 1)];
+        hubs.extend((2..62).map(|v| (0, v)));
+        hubs.extend((32..92).map(|v| (1, v)));
+        hubs.extend((2..91).map(|v| (v, v + 1)));
+        let hubs = Graph::from_edges(92, &hubs);
+        let mut dense = Graph::with_nodes(8);
+        for u in 0..8 {
+            for v in u + 1..8 {
+                dense.add_edge(u, v);
+                if (u + v) % 3 == 0 {
+                    dense.add_edge(u, v);
+                }
+            }
+        }
+        dense.add_edge(2, 2);
+        dense.add_edge(5, 5);
+        vec![messy, hubs, dense]
+    }
+
+    /// For every drawn pick, the evaluator's nonzero node-sorted
+    /// `(node, Δt)` list is `t_after − t_before` from a triangle recount
+    /// of a copy of the graph with the swap applied.
+    #[test]
+    fn evaluate_swap_matches_triangle_recount() {
+        use sgr_props::triangles::triangle_counts;
+        // Picks seen with a loop slot, with v_i == v_{i'}, with an endpoint
+        // adjacent to both ends of a toggle, and with a hub endpoint.
+        let mut seen = [0usize; 4];
+        for (gi, g) in recount_graphs().into_iter().enumerate() {
+            let edges: Vec<_> = g.edges().collect();
+            let hub_degree = 40;
+            let core = EngineCore::new(g.clone(), edges, &[]);
+            let t_before = triangle_counts(&g);
+            let mut rng = Xoshiro256pp::seed_from_u64(22 + gi as u64);
+            let mut pairs = Vec::with_capacity(core.max_touched());
+            for _ in 0..1500 {
+                let Some(p) = core.pick_swap(&mut rng) else {
+                    continue;
+                };
+                evaluate_swap(&core, &p, &mut pairs);
+                let mut h = g.clone();
+                h.remove_edge(p.vi, p.vj);
+                h.remove_edge(p.vi2, p.vj2);
+                h.add_edge(p.vi, p.vj2);
+                h.add_edge(p.vi2, p.vj);
+                let want: Vec<(NodeId, i64)> = triangle_counts(&h)
+                    .iter()
+                    .zip(&t_before)
+                    .enumerate()
+                    .filter(|(_, (after, before))| after != before)
+                    .map(|(u, (&after, &before))| (u as NodeId, after as i64 - before as i64))
+                    .collect();
+                assert_eq!(pairs, want, "graph {gi}, {p:?}");
+
+                let ends = p.endpoints();
+                let toggles = [(p.vi, p.vj), (p.vi2, p.vj2), (p.vi, p.vj2), (p.vi2, p.vj)];
+                seen[0] += (p.vi == p.vj || p.vi2 == p.vj2) as usize;
+                seen[1] += (p.vi == p.vi2) as usize;
+                seen[2] += toggles.iter().any(|&(u, v)| {
+                    ends.iter().any(|&w| {
+                        w != u && w != v && core.idx.has_edge(u, w) && core.idx.has_edge(v, w)
+                    })
+                }) as usize;
+                seen[3] += ends.iter().any(|&u| core.deg[u as usize] >= hub_degree) as usize;
+            }
+        }
+        assert!(
+            seen.iter().all(|&c| c > 0),
+            "uncovered pick shape: {seen:?}"
+        );
     }
 
     #[test]

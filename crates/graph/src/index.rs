@@ -21,10 +21,11 @@
 //!
 //! Every node, leaf or hub, uses the same layout: lookups binary-search
 //! the live prefix, updates binary-search and shift within the extent
-//! (`copy_within`), and [`MultiplicityIndex::for_each_common`] merges two
-//! ascending prefixes with a galloping catch-up ([`merge_common`]). No
-//! node owns a heap object, no path hashes, and nothing branches on node
-//! size; a built index never allocates again.
+//! (`copy_within`), and [`MultiplicityIndex::for_each_common_of_unions`]
+//! merges four ascending prefixes with a galloping catch-up
+//! ([`merge_unions`]; [`MultiplicityIndex::for_each_common`] is its
+//! two-node case). No node owns a heap object, no path hashes, and
+//! nothing branches on node size; a built index never allocates again.
 //!
 //! # Degree-preservation invariant
 //!
@@ -165,13 +166,32 @@ impl MultiplicityIndex {
     /// neighbor** `w` of `x` and `y` (i.e. `A_xw > 0` and `A_yw > 0`), in
     /// ascending order of `w`.
     ///
-    /// This is the hot kernel of the rewiring engines' swap evaluation
-    /// (four common-neighbor scans per attempt): one [`merge_common`] over
-    /// the two ascending slices, O(d̃_x + d̃_y) for balanced degrees and
-    /// O(d̃_small · log(d̃_hub / d̃_small)) for a leaf against a hub.
+    /// One [`merge_common`] over the two ascending slices, O(d̃_x + d̃_y)
+    /// for balanced degrees and O(d̃_small · log(d̃_hub / d̃_small)) for a
+    /// leaf against a hub.
     #[inline]
     pub fn for_each_common<F: FnMut(NodeId, u32, u32)>(&self, x: NodeId, y: NodeId, f: F) {
         merge_common(self.list(x), self.list(y), f)
+    }
+
+    /// Calls `f(w, A_aw, A_a2w, A_bw, A_b2w)` once for every `w` in
+    /// `(N(a) ∪ N(a2)) ∩ (N(b) ∪ N(b2))`, in ascending order of `w`; an
+    /// absent entry reads 0. Aliased nodes (`a == a2`, `a == b`, …) are
+    /// fine.
+    ///
+    /// This is the hot kernel of the rewiring engine's swap evaluation:
+    /// one [`merge_unions`] pass serves all four toggles of a swap, so
+    /// each endpoint's extent is read once per attempt.
+    #[inline]
+    pub fn for_each_common_of_unions<F: FnMut(NodeId, u32, u32, u32, u32)>(
+        &self,
+        a: NodeId,
+        a2: NodeId,
+        b: NodeId,
+        b2: NodeId,
+        f: F,
+    ) {
+        merge_unions(self.list(a), self.list(a2), self.list(b), self.list(b2), f)
     }
 
     /// Hints that `u`'s extent header (`starts[u]`, `lens[u]`) will be
@@ -318,34 +338,74 @@ impl MultiplicityIndex {
     }
 }
 
-/// Branchless sorted-slice intersection: calls `f(w, a_w, b_w)` for every
-/// key present in both ascending `(key, value)` slices, in ascending key
-/// order.
-///
-/// Cursor advancement on a match is unconditional, and a lagging cursor
-/// catches up through `advance4`: four independent compares per quad
-/// (a form the autovectorizer can lift to SIMD), then a galloping search
-/// once a whole quad falls below the bound, so hub-vs-leaf skew costs a
-/// logarithmic skip per leaf key instead of a linear walk.
+/// Sorted-slice intersection: calls `f(w, a_w, b_w)` for every key
+/// present in both ascending `(key, value)` slices, in ascending key
+/// order — [`merge_unions`] with each union of one slice. Keys must be
+/// below [`NodeId::MAX`].
 pub fn merge_common<F: FnMut(NodeId, u32, u32)>(
     a: &[(NodeId, u32)],
     b: &[(NodeId, u32)],
     mut f: F,
 ) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (wa, va) = a[i];
-        let (wb, vb) = b[j];
-        if wa == wb {
-            f(wa, va, vb);
-            i += 1;
-            j += 1;
-            continue;
+    merge_unions(a, a, b, b, |w, va, _, vb, _| f(w, va, vb))
+}
+
+/// Key at `list[i]`, or [`NodeId::MAX`] once the cursor is past the end.
+#[inline]
+fn key_at(list: &[(NodeId, u32)], i: usize) -> NodeId {
+    list.get(i).map_or(NodeId::MAX, |&(w, _)| w)
+}
+
+/// Value at `list[i]` if its key is `w` (stepping the cursor past it),
+/// else 0.
+#[inline]
+fn take(list: &[(NodeId, u32)], i: &mut usize, w: NodeId) -> u32 {
+    match list.get(*i) {
+        Some(&(k, v)) if k == w => {
+            *i += 1;
+            v
         }
-        if wa < wb {
-            i = advance4(a, i + 1, wb);
+        _ => 0,
+    }
+}
+
+/// Union-by-union sorted intersection: calls `f(w, a_w, a2_w, b_w, b2_w)`
+/// for every key `w` present in `a` or `a2` **and** in `b` or `b2` (all
+/// four ascending `(key, value)` slices), in ascending key order, with 0
+/// for a slice that lacks `w`. Keys must be below [`NodeId::MAX`], which
+/// marks an exhausted cursor.
+///
+/// Each side's front is the smaller of its two cursors' keys. Equal
+/// fronts are a hit; otherwise both cursors of the trailing side catch
+/// up to the other front through `advance4`: four independent compares
+/// per quad (a form the autovectorizer can lift to SIMD), then a
+/// galloping search once a whole quad falls below the bound, so a hub
+/// pair against a leaf pair costs a logarithmic skip per leaf key
+/// instead of a linear walk.
+pub fn merge_unions<F: FnMut(NodeId, u32, u32, u32, u32)>(
+    a: &[(NodeId, u32)],
+    a2: &[(NodeId, u32)],
+    b: &[(NodeId, u32)],
+    b2: &[(NodeId, u32)],
+    mut f: F,
+) {
+    let (mut i, mut i2, mut j, mut j2) = (0usize, 0usize, 0usize, 0usize);
+    loop {
+        let left = key_at(a, i).min(key_at(a2, i2));
+        let right = key_at(b, j).min(key_at(b2, j2));
+        if left.max(right) == NodeId::MAX {
+            return; // one side is exhausted
+        }
+        if left == right {
+            let (va, va2) = (take(a, &mut i, left), take(a2, &mut i2, left));
+            let (vb, vb2) = (take(b, &mut j, left), take(b2, &mut j2, left));
+            f(left, va, va2, vb, vb2);
+        } else if left < right {
+            i = advance4(a, i, right);
+            i2 = advance4(a2, i2, right);
         } else {
-            j = advance4(b, j + 1, wa);
+            j = advance4(b, j, left);
+            j2 = advance4(b2, j2, left);
         }
     }
 }
@@ -546,6 +606,59 @@ mod tests {
                     naive_common(&idx, x, y),
                     "pair ({x},{y})"
                 );
+            }
+        }
+    }
+
+    /// Union-intersection reference: probe every node of the graph.
+    fn naive_unions(idx: &MultiplicityIndex, q: [NodeId; 4]) -> Vec<(NodeId, [u32; 4])> {
+        (0..idx.num_nodes() as NodeId)
+            .filter_map(|w| {
+                let v = q.map(|x| idx.get(x, w));
+                (v[0] + v[1] > 0 && v[2] + v[3] > 0).then_some((w, v))
+            })
+            .collect()
+    }
+
+    fn collected_unions(idx: &MultiplicityIndex, q: [NodeId; 4]) -> Vec<(NodeId, [u32; 4])> {
+        let mut out = Vec::new();
+        idx.for_each_common_of_unions(q[0], q[1], q[2], q[3], |w, a, a2, b, b2| {
+            out.push((w, [a, a2, b, b2]))
+        });
+        out
+    }
+
+    #[test]
+    fn merge_unions_matches_naive_on_all_quadruples() {
+        // Two hubs against leaves, multi-edges, self-loops, and every
+        // aliasing of the four nodes (a == a2, a == b, all equal).
+        let n = 150;
+        let mut edges: Vec<(NodeId, NodeId)> = (2..=n as NodeId).map(|v| (0, v)).collect();
+        edges.extend((2..n as NodeId).step_by(3).map(|v| (1, v)));
+        edges.extend([
+            (0, 1),
+            (2, 3),
+            (2, 3),
+            (3, 4),
+            (2, 4),
+            (3, 3),
+            (0, 0),
+            (5, 97),
+            (5, 149),
+            (6, 97),
+            (4, 149),
+        ]);
+        let g = Graph::from_edges(n + 1, &edges);
+        let idx = MultiplicityIndex::build(&g);
+        let nodes = [0, 1, 2, 3, 4, 5, 6, 97, 150];
+        for a in nodes {
+            for a2 in nodes {
+                for b in nodes {
+                    for b2 in nodes {
+                        let q = [a, a2, b, b2];
+                        assert_eq!(collected_unions(&idx, q), naive_unions(&idx, q), "{q:?}");
+                    }
+                }
             }
         }
     }

@@ -1,10 +1,10 @@
 //! Shared BFS traversal engine for the read path.
 //!
 //! Every BFS-heavy property kernel — the shortest-path sweep (properties
-//! 8–10), the dissimilarity `distance_profile`, component labeling — used
-//! to carry its own ad-hoc level-synchronous loop. This module replaces
-//! them with one engine offering two kernels over any
-//! [`GraphView`] (ideally a frozen [`sgr_graph::CsrGraph`] arena):
+//! 8–10), the dissimilarity `distance_profile` — used to carry its own
+//! ad-hoc level-synchronous loop. This module replaces them with one
+//! engine offering two kernels over any [`GraphView`] (ideally a frozen
+//! [`sgr_graph::CsrGraph`] arena):
 //!
 //! * [`BfsScratch::single_source`] — **direction-optimizing** BFS
 //!   (Beamer, Asanović, Patterson, SC'12): frontier, next, and visited
@@ -72,7 +72,6 @@
 //! O(batch width).
 
 use crate::PropsConfig;
-use sgr_graph::components::Components;
 use sgr_graph::{GraphView, NodeId};
 use sgr_util::Xoshiro256pp;
 
@@ -131,8 +130,7 @@ pub struct SingleBfs {
 /// are never shrunk.
 #[derive(Clone, Debug)]
 pub struct BfsScratch {
-    /// Visited bitset (single-source kernel; persists across sources in
-    /// [`components`]).
+    /// Visited bitset (single-source kernel).
     visited: Vec<u64>,
     /// Bottom-up frontier bitset of the current level (single-source).
     front_bits: Vec<u64>,
@@ -253,28 +251,12 @@ impl BfsScratch {
         let n = g.num_nodes();
         self.ensure(n);
         self.visited[..n.div_ceil(64)].fill(0);
-        self.traverse(g, source, 2 * g.num_edges() as u64, |_| {})
-    }
-
-    /// The shared expansion loop: assumes `source` is unvisited, marks
-    /// everything it reaches in `self.visited` (which it does **not**
-    /// clear — [`components`] relies on that), records per-level counts
-    /// in `self.levels`, and calls `on_discover` for every reached node
-    /// (including the source).
-    fn traverse<G: GraphView>(
-        &mut self,
-        g: &G,
-        source: NodeId,
-        total_edge_slots: u64,
-        mut on_discover: impl FnMut(NodeId),
-    ) -> SingleBfs {
-        let n = g.num_nodes();
+        let total_edge_slots = 2 * g.num_edges() as u64;
         self.queue.clear();
         self.levels.clear();
         self.levels.push(0);
         set_bit(&mut self.visited, source);
         self.queue.push(source);
-        on_discover(source);
         // Edge-count bookkeeping for the α/β switch heuristic. These are
         // *heuristics only*: results are level-set determined either way.
         let mut explored_edges = g.degree(source) as u64;
@@ -325,7 +307,6 @@ impl BfsScratch {
                             if get_bit(&self.front_bits, u) {
                                 set_bit(&mut self.visited, v);
                                 self.queue.push(v);
-                                on_discover(v);
                                 new_edges += g.degree(v) as u64;
                                 break;
                             }
@@ -339,7 +320,6 @@ impl BfsScratch {
                         if !get_bit(&self.visited, v) {
                             set_bit(&mut self.visited, v);
                             self.queue.push(v);
-                            on_discover(v);
                             new_edges += g.degree(v) as u64;
                         }
                     }
@@ -525,29 +505,6 @@ fn set_bit(bits: &mut [u64], i: NodeId) {
 #[inline]
 fn get_bit(bits: &[u64], i: NodeId) -> bool {
     bits[i as usize >> 6] & (1u64 << (i & 63)) != 0
-}
-
-/// Labels connected components with the direction-optimizing engine
-/// (identical labels and sizes to
-/// [`sgr_graph::components::connected_components`], which serves as its
-/// oracle: labels are assigned in ascending first-node order, so they are
-/// traversal-order free).
-pub fn components<G: GraphView>(g: &G, scratch: &mut BfsScratch) -> Components {
-    let n = g.num_nodes();
-    scratch.ensure(n);
-    scratch.visited[..n.div_ceil(64)].fill(0);
-    let mut label = vec![u32::MAX; n];
-    let mut sizes = Vec::new();
-    let total_edge_slots = 2 * g.num_edges() as u64;
-    for start in 0..n as NodeId {
-        if get_bit(&scratch.visited, start) {
-            continue;
-        }
-        let c = sizes.len() as u32;
-        let run = scratch.traverse(g, start, total_edge_slots, |v| label[v as usize] = c);
-        sizes.push(run.reached);
-    }
-    Components { label, sizes }
 }
 
 /// Selects the traversal sources for a kernel: every node in exact mode
@@ -749,24 +706,6 @@ mod tests {
         assert_eq!(run.depth, 0);
         assert_eq!(run.far, 2);
         assert_eq!(scratch.levels(), &[0]);
-    }
-
-    #[test]
-    fn components_match_oracle() {
-        let mut g = Graph::from_edges(10, &[(0, 1), (1, 2), (4, 5), (5, 6), (6, 4), (8, 9)]);
-        g.add_edge(9, 9);
-        let mut scratch = BfsScratch::new();
-        let got = components(&g, &mut scratch);
-        let want = sgr_graph::components::connected_components(&g);
-        assert_eq!(got.label, want.label);
-        assert_eq!(got.sizes, want.sizes);
-
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        let g = sgr_gen::erdos_renyi_gnm(400, 420, &mut rng).unwrap();
-        let got = components(&g, &mut scratch);
-        let want = sgr_graph::components::connected_components(&g);
-        assert_eq!(got.label, want.label);
-        assert_eq!(got.sizes, want.sizes);
     }
 
     #[test]

@@ -11,13 +11,12 @@
 //!
 //! Two layers of evidence:
 //! * proptest over random multigraphs (parallel edges, self-loops,
-//!   disconnected pieces) comparing the raw batch kernel and component
-//!   labeling against the reference;
+//!   disconnected pieces) comparing the raw batch and single-source
+//!   kernels against the reference;
 //! * fixed-seed end-to-end runs on a clustered heavy-tailed graph,
 //!   comparing every derived property across engines × thread counts.
 
 use proptest::prelude::*;
-use sgr_graph::components::connected_components;
 use sgr_graph::{CsrGraph, Graph, NodeId};
 use sgr_props::bfs::{self, BfsScratch, BATCH_WIDTH};
 use sgr_props::{betweenness, dissimilarity, paths, BfsEngine, PropsConfig};
@@ -90,18 +89,6 @@ proptest! {
             let reached: u64 = 1 + hist.iter().sum::<u64>();
             prop_assert_eq!(run.reached as u64, reached);
         }
-    }
-
-    /// Engine-driven component labeling is identical to the classic
-    /// sequential flood fill: same labels, same sizes, same order.
-    #[test]
-    fn components_match_flood_fill((n, edges) in arb_multigraph()) {
-        let g = Graph::from_edges(n, &edges);
-        let csr = CsrGraph::freeze(&g);
-        let a = connected_components(&csr);
-        let b = bfs::components(&csr, &mut BfsScratch::new());
-        prop_assert_eq!(a.label, b.label);
-        prop_assert_eq!(a.sizes, b.sizes);
     }
 
     /// End-to-end path properties: engine × thread counts vs reference,

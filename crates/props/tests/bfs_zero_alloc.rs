@@ -12,7 +12,7 @@
 mod common;
 
 use sgr_graph::{CsrGraph, NodeId};
-use sgr_props::bfs::{self, BfsScratch, BATCH_WIDTH};
+use sgr_props::bfs::{BfsScratch, BATCH_WIDTH};
 use sgr_util::Xoshiro256pp;
 
 /// A clustered graph big enough for multi-word bitsets, real bottom-up
@@ -79,21 +79,4 @@ fn warm_batch_is_strictly_zero_alloc() {
     });
     assert_eq!(allocs, 0, "warm batched BFS allocated");
     assert_eq!(warm_levels.0, cold_levels);
-}
-
-#[test]
-fn warm_components_are_zero_alloc_after_label_buffer_exists() {
-    let g = test_graph();
-    let mut scratch = BfsScratch::new();
-    let cold = bfs::components(&g, &mut scratch);
-    // `components` returns fresh label/size Vecs (they are the result,
-    // not scratch), so the warm bound is those two allocations plus the
-    // sizes Vec's growth — the traversals themselves add nothing.
-    let (allocs, warm) = common::count_allocs(|| bfs::components(&g, &mut scratch));
-    assert!(
-        allocs <= 4,
-        "warm component labeling allocated {allocs} times (expected only the result Vecs)"
-    );
-    assert_eq!(cold.label, warm.label);
-    assert_eq!(cold.sizes, warm.sizes);
 }

@@ -1,9 +1,10 @@
 //! Epoch-stamped scratch arenas for allocation-free hot loops.
 //!
-//! The rewiring engine evaluates hundreds of thousands of swap attempts,
-//! each touching a handful of nodes and degrees. A fresh hash map per
-//! attempt pays an allocation, hashing on every access, and a drop; this
-//! module replaces that with a dense accumulator over small integer keys:
+//! The rewiring engine decides hundreds of thousands of swap attempts,
+//! each touching a handful of degrees, and the estimators rank and sum
+//! over the nodes a crawl observed. A fresh hash map per use pays an
+//! allocation, hashing on every access, and a drop; this module replaces
+//! that with a dense accumulator over small integer keys:
 //!
 //! * a `Vec<T>` of values indexed directly by key,
 //! * a parallel `Vec<u32>` of epoch stamps, and
@@ -17,8 +18,8 @@
 
 /// Dense scratch accumulator over keys `0..n` with O(1) epoch-based clear.
 ///
-/// `T` is the per-key accumulator value (e.g. `i64` triangle deltas or
-/// `f64` partial sums).
+/// `T` is the per-key accumulator value (e.g. the rewiring decision's
+/// `f64` per-degree sums, or an estimator's `u32` ranks).
 #[derive(Clone, Debug)]
 pub struct ScratchAccum<T> {
     vals: Vec<T>,
@@ -224,14 +225,6 @@ impl<T: Copy + Default> ScratchAccum<T> {
     }
 }
 
-impl ScratchAccum<i64> {
-    /// Adds `delta` to `key`'s accumulator (zero-initialized).
-    #[inline]
-    pub fn add(&mut self, key: u32, delta: i64) {
-        *self.entry_or(key, 0) += delta;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,9 +233,9 @@ mod tests {
     fn accumulates_and_clears_in_o1() {
         let mut a: ScratchAccum<i64> = ScratchAccum::with_keys(10);
         a.begin();
-        a.add(3, 5);
-        a.add(3, -2);
-        a.add(7, 1);
+        *a.entry_or(3, 0) += 5;
+        *a.entry_or(3, 0) -= 2;
+        *a.entry_or(7, 0) += 1;
         assert_eq!(a.get(3), 3);
         assert_eq!(a.get(7), 1);
         assert_eq!(a.get(0), 0);
@@ -268,7 +261,7 @@ mod tests {
         let mut a: ScratchAccum<i64> = ScratchAccum::with_keys(16);
         a.begin();
         for k in [9, 2, 14, 5] {
-            a.add(k, 1);
+            *a.entry_or(k, 0) += 1;
         }
         a.sort_touched();
         assert_eq!(a.touched(), &[2, 5, 9, 14]);
@@ -278,12 +271,12 @@ mod tests {
     fn epoch_wraparound_is_safe() {
         let mut a: ScratchAccum<i64> = ScratchAccum::with_keys(2);
         a.begin();
-        a.add(1, 7);
+        *a.entry_or(1, 0) += 7;
         // Force wraparound.
         a.epoch = u32::MAX;
         a.begin();
         assert_eq!(a.get(1), 0);
-        a.add(0, 3);
+        *a.entry_or(0, 0) += 3;
         assert_eq!(a.get(0), 3);
         assert_eq!(a.touched(), &[0]);
     }
@@ -292,12 +285,12 @@ mod tests {
     fn ensure_keys_grows_without_disturbing_epochs() {
         let mut a: ScratchAccum<i64> = ScratchAccum::with_keys(2);
         a.begin();
-        a.add(1, 5);
+        *a.entry_or(1, 0) += 5;
         a.ensure_keys(10);
         assert_eq!(a.num_keys(), 10);
         assert_eq!(a.get(1), 5); // existing entry survives
         assert!(!a.is_touched(7)); // new keys untouched this epoch
-        a.add(7, 3);
+        *a.entry_or(7, 0) += 3;
         assert_eq!(a.get(7), 3);
         a.ensure_keys(4); // shrinking is a no-op
         assert_eq!(a.num_keys(), 10);
@@ -373,7 +366,7 @@ mod tests {
         for _ in 0..1000 {
             a.begin();
             for k in 0..64 {
-                a.add(k, k as i64);
+                *a.entry_or(k, 0) += k as i64;
             }
         }
         assert_eq!(a.touched.capacity(), cap);
