@@ -11,7 +11,10 @@
 //! length-prefixed — the [`PayloadWriter`] conventions. In order:
 //!
 //! 1. **stage tag** (`u32`): 1 = estimated, 2 = targeted, 3 = constructed,
-//!    4 = rewiring;
+//!    5 = rewiring. Tag 4 was the rewiring stage of builds whose engine
+//!    carried running float sums in its state; such a checkpoint is
+//!    refused as [`SnapshotError::Corrupt`] before anything after the tag
+//!    is decoded;
 //! 2. **RNG state**: the four `u64` words of the sequential
 //!    `Xoshiro256++` stream at the checkpoint instant;
 //! 3. **config**: rewiring coefficient (`f64`), rewire flag, thread count;
@@ -26,8 +29,9 @@
 //! 7. **stage-specific state** (see [`StageData`]). A mid-rewire
 //!    checkpoint stores `k*_max`, then the rewiring engine's own
 //!    encoding of its resumable state ([`RewireState`], written by
-//!    [`RewireEngine::encode_state`]), then the attempt budget; this
-//!    module never looks inside the engine's part.
+//!    [`RewireEngine::encode_state`]: the graph, the candidate slots and
+//!    the degree-bucket order — integers only), then the attempt budget;
+//!    this module never looks inside the engine's part.
 //!
 //! Every slice length is cross-validated on load; any inconsistency is a
 //! typed [`SnapshotError::Corrupt`], never a panic.
@@ -74,7 +78,10 @@ use sgr_util::FxHashMap;
 const STAGE_ESTIMATED: u32 = 1;
 const STAGE_TARGETED: u32 = 2;
 const STAGE_CONSTRUCTED: u32 = 3;
-const STAGE_REWIRING: u32 = 4;
+/// The retired rewiring tag, whose engine state carried running float
+/// sums; refused, never decoded.
+const STAGE_REWIRING_FLOAT_SUMS: u32 = 4;
+const STAGE_REWIRING: u32 = 5;
 
 /// Borrowed view of the stage-specific state, for writing without
 /// cloning the (possibly large) arenas out of a live engine.
@@ -351,7 +358,13 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> 
     let payload = read_section(path, KIND_RESTORE_CHECKPOINT)?;
     let mut r = PayloadReader::new(&payload);
     let tag = r.get_u32()?;
-    if !(STAGE_ESTIMATED..=STAGE_REWIRING).contains(&tag) {
+    if tag == STAGE_REWIRING_FLOAT_SUMS {
+        return Err(SnapshotError::Corrupt(format!(
+            "stage tag {tag}: a mid-rewire checkpoint of an older build, whose rewiring \
+             state this build cannot resume; restart from an earlier stage"
+        )));
+    }
+    if !matches!(tag, STAGE_ESTIMATED..=STAGE_CONSTRUCTED | STAGE_REWIRING) {
         return Err(SnapshotError::Corrupt(format!(
             "unknown pipeline stage tag {tag}"
         )));

@@ -44,16 +44,20 @@
 //!    fall out arithmetically: each toggle sees exactly the intermediate
 //!    state the sequential reference sees, and the per-node triangle
 //!    deltas `Δt_i` match the reference integer for integer.
-//! 2. **Decision.** `Δt` is folded into per-degree candidate sums `S'(k)`
-//!    and a predicted distance `D'` (`EngineCore::fold_decide`, shared
-//!    verbatim with the reference so accept/reject decisions and the final
-//!    distance are bitwise identical; `EngineCore::decide` wraps it with
-//!    the commit).
-//! 3. **Commit.** Only when `D' < D` are the graph, the index, `t`,
-//!    `S(k)`, and the candidate-slot bookkeeping mutated — four structural
-//!    toggles with **no** common-neighbor scans, since the deltas are
-//!    already known. Rejected attempts touch no shared state at all, which
-//!    a debug-build mutation counter on the index asserts.
+//! 2. **Decision.** The nonzero `Δt` entries are summed per degree into
+//!    exact integer changes `ΔT_k` of `T_k = Σ_{deg i = k} t_i`, and the
+//!    swap's change of `D` is `Σ_k [term(k, T_k + ΔT_k) − term(k, T_k)]`
+//!    over the changed degrees in ascending `k`, where
+//!    `term(k, T) = |2T / (n_k k(k−1)) − ĉ̄(k)|` (`EngineCore::fold_decide`,
+//!    shared verbatim with the reference; `EngineCore::decide` wraps it
+//!    with the commit). The swap is accepted iff that change is negative,
+//!    so a swap whose `ΔT_k` are all zero changes `D` by exactly `0.0` and
+//!    is rejected.
+//! 3. **Commit.** Only on accept are the graph, the index, `t`, `T_k` and
+//!    the candidate-slot bookkeeping mutated — four structural toggles
+//!    with **no** common-neighbor scans, since the deltas are already
+//!    known. Rejected attempts touch no shared state at all, which a
+//!    debug-build mutation counter on the index asserts.
 //!
 //! All per-attempt working memory is a `(node, Δt)` list reserved once to
 //! its worst case, a per-degree [`sgr_util::scratch::ScratchAccum`] for
@@ -107,7 +111,7 @@
 //! the apply-rollback reference, which draws, applies and rolls back one
 //! pick at a time, and [`RewireEngine`], whose
 //! [`run_attempts`](RewireEngine::run_attempts) is the lookahead ring.
-//! The contract rests on three pillars:
+//! The contract rests on two pillars:
 //!
 //! 1. **One RNG stream, drawn in attempt order.** Every candidate pick
 //!    flows through `EngineCore::pick_swap` against the current
@@ -120,18 +124,19 @@
 //!    its attempt budget, so every call ends at the stream position the
 //!    pick-by-pick loop reaches. (The RNG peek of hint 3 draws on a clone
 //!    and consumes nothing.)
-//! 2. **Integer evaluation.** A swap's effect is a set of per-node
-//!    triangle deltas `Δt_i` — exact `i64`s, so *how* they are summed is
-//!    irrelevant. The reference applies four toggles, iterating and
-//!    probing, and sorts its touched nodes; the engine's fused pass
-//!    produces its list node-sorted by construction (the merge visits
-//!    `w` in ascending order, and the ≤ 4 endpoints are merged into
-//!    place). The decision skips zero deltas, so it sees the same
-//!    node-sorted nonzero `(node, Δt)` entries from both.
-//! 3. **One float fold.** Only `EngineCore::fold_decide` touches floating
-//!    point, always executed on the calling thread with node-sorted
-//!    input, so accept/reject decisions — and therefore the distance
-//!    trajectory — are bit-for-bit reproducible.
+//! 2. **A decision is a pure function of the graph and the pick.** A
+//!    swap's effect is a set of per-node triangle deltas `Δt_i` and their
+//!    per-degree sums `ΔT_k` — exact `i64`s, so neither how the engines
+//!    find them (the reference applies four toggles, iterating and
+//!    probing; the engine's fused pass reads each extent once) nor the
+//!    order they are summed in matters. The one float fold reads only
+//!    `T_k`, `n_k` and the target, degree by degree in ascending `k`, and
+//!    the engines carry no float state across commits: `T_k` is the exact
+//!    per-degree sum of the current graph's triangle counts, and `D`
+//!    itself is a fresh fold over it ([`RewireEngine::distance`]). So
+//!    accept/reject decisions — and therefore the distance trajectory —
+//!    are bit-for-bit reproducible, and a resumed engine rebuilt from its
+//!    graph decides exactly as the uninterrupted one.
 //!
 //! Only the ring's *picks* are ever speculative, never its evaluations:
 //! the head is evaluated and decided against the live state, exactly as
@@ -200,12 +205,13 @@ struct Drawn {
 }
 
 /// State shared by the evaluate-then-commit engine and the apply-rollback
-/// reference: the evolving graph, its multiplicity index, cached triangle
-/// counts and clustering sums, and the candidate-slot bookkeeping.
+/// reference: the evolving graph, its multiplicity index, exact triangle
+/// counts per node and per degree, and the candidate-slot bookkeeping.
 ///
 /// Every routine that influences an accept/reject decision lives here and
-/// is executed by both engines with identical RNG-draw order and float
-/// operation order, which is what makes the two bitwise-equivalent.
+/// is executed by both engines with identical RNG-draw order, which —
+/// with decisions that are pure functions of the graph and the pick —
+/// is what makes the two bitwise-equivalent.
 pub(crate) struct EngineCore {
     pub(crate) graph: Graph,
     pub(crate) idx: MultiplicityIndex,
@@ -215,14 +221,12 @@ pub(crate) struct EngineCore {
     pub(crate) deg: Vec<u32>,
     /// `n(k)` — number of nodes of each degree.
     pub(crate) nk: Vec<u64>,
-    /// `S(k) = Σ_{deg i = k} 2 t_i / (k (k-1))`, so `c̄(k) = S(k)/n(k)`.
-    pub(crate) s: Vec<f64>,
+    /// `T_k = Σ_{deg i = k} t_i`, so `c̄(k) = 2 T_k / (n(k) k (k-1))`.
+    pub(crate) tk: Vec<i64>,
     /// Target `ĉ̄(k)`, zero-padded to the degree range.
     pub(crate) target: Vec<f64>,
     /// `Σ_k ĉ̄(k)` — the normalization of `D`.
     pub(crate) norm: f64,
-    /// Current **unnormalized** distance `Σ_k |c̄(k) - ĉ̄(k)|`.
-    pub(crate) dist_raw: f64,
     /// Candidate edge slots (the rewirable multiset `Ẽ_rew`).
     pub(crate) slots: Vec<(NodeId, NodeId)>,
     /// `buckets[k]` — (slot, side) pairs whose endpoint has degree `k`.
@@ -235,9 +239,8 @@ impl EngineCore {
     /// Builds the engine state from scratch: the multiplicity index, the
     /// per-node triangle counts `t` from one degree-ordered triangle pass
     /// ([`sgr_props::triangles`] — each triangle found once, O(m̃ √m̃)
-    /// rather than O(Σ d̃²)), the per-degree sums `S(k)` and distance
-    /// folded from the exact integer `t`, and the degree buckets over the
-    /// candidate endpoints.
+    /// rather than O(Σ d̃²)), their per-degree sums `T_k`, and the degree
+    /// buckets over the candidate endpoints.
     ///
     /// Buckets are sized from a per-degree count before they are filled,
     /// and filled in `(slot, side)` order: within-bucket order is
@@ -256,12 +259,7 @@ impl EngineCore {
         for &d in &deg {
             nk[d as usize] += 1;
         }
-        let mut s = vec![0.0f64; k_cap + 1];
-        for (u, &d) in deg.iter().enumerate() {
-            if d >= 2 {
-                s[d as usize] += 2.0 * t[u] as f64 / (d as f64 * (d as f64 - 1.0));
-            }
-        }
+        let tk = per_degree_sums(&t, &deg, k_cap + 1);
         let mut target = vec![0.0f64; k_cap + 1];
         for (k, &c) in target_c.iter().enumerate() {
             if k <= k_cap {
@@ -269,12 +267,6 @@ impl EngineCore {
             }
         }
         let norm: f64 = target.iter().sum();
-        let dist_raw: f64 = (0..=k_cap)
-            .map(|k| {
-                let cur = if nk[k] > 0 { s[k] / nk[k] as f64 } else { 0.0 };
-                (cur - target[k]).abs()
-            })
-            .sum();
         // Buckets over candidate endpoints, each reserved to its exact
         // size.
         let mut sizes = vec![0usize; k_cap + 1];
@@ -297,10 +289,9 @@ impl EngineCore {
             t,
             deg,
             nk,
-            s,
+            tk,
             target,
             norm,
-            dist_raw,
             slots: candidates,
             buckets,
             pos,
@@ -315,11 +306,29 @@ impl EngineCore {
         self.deg.len().min(2 * k_max + 4)
     }
 
-    pub(crate) fn distance(&self) -> f64 {
-        if self.norm > 0.0 {
-            self.dist_raw / self.norm
+    /// `|c̄(k) − ĉ̄(k)|` when degree `k`'s triangle sum is `tk`: degree
+    /// `k`'s term of the unnormalized distance, a pure function of
+    /// `(k, tk)`.
+    #[inline]
+    fn term(&self, k: usize, tk: i64) -> f64 {
+        let pairs = self.nk[k] * k as u64 * (k as u64).saturating_sub(1);
+        let cur = if pairs > 0 {
+            2.0 * tk as f64 / pairs as f64
         } else {
-            self.dist_raw
+            0.0
+        };
+        (cur - self.target[k]).abs()
+    }
+
+    /// `D`, folded fresh from the `T_k` in ascending `k` (the unnormalized
+    /// L1 if the target has zero mass). O(k_max); the engines call it only
+    /// at `run_attempts` boundaries — a decision needs only `D`'s change.
+    pub(crate) fn distance(&self) -> f64 {
+        let raw: f64 = (0..self.tk.len()).map(|k| self.term(k, self.tk[k])).sum();
+        if self.norm > 0.0 {
+            raw / self.norm
+        } else {
+            raw
         }
     }
 
@@ -402,76 +411,59 @@ impl EngineCore {
         }
     }
 
-    /// Folds sorted per-node triangle deltas into predicted per-degree
-    /// sums `S'(k)` (written into `new_s`) and returns the predicted
-    /// unnormalized distance `D'`.
+    /// Folds a swap's per-node triangle deltas into per-degree changes
+    /// `ΔT_k` (written into `dtk`) and returns the swap's change of the
+    /// unnormalized distance, `Σ_k [term(k, T_k + ΔT_k) − term(k, T_k)]`
+    /// over the changed degrees in ascending `k`.
     ///
-    /// Both engine implementations route their decision through this one
-    /// function with node-sorted input, so the floating-point operation
-    /// order — and therefore every accept/reject decision and the final
-    /// distance — is identical between them.
+    /// The `ΔT_k` are exact integers, whatever order `touched` lists its
+    /// nodes in, and the float fold reads nothing but them and `T_k`. So
+    /// the result is a pure function of the current graph and the swap,
+    /// and a swap whose `ΔT_k` are all zero returns exactly `0.0`. Both
+    /// engine implementations decide through this one function.
     pub(crate) fn fold_decide(
         &self,
         touched: &[(NodeId, i64)],
-        new_s: &mut ScratchAccum<f64>,
+        dtk: &mut ScratchAccum<i64>,
     ) -> f64 {
-        new_s.begin();
+        dtk.begin();
         for &(node, dt) in touched {
-            if dt == 0 {
-                continue;
-            }
-            let d = self.deg[node as usize] as usize;
-            if d < 2 {
-                continue; // degree-<2 nodes always have dt == 0 anyway
-            }
-            *new_s.entry_or(d as u32, self.s[d]) += 2.0 * dt as f64 / (d as f64 * (d as f64 - 1.0));
+            *dtk.entry_or(self.deg[node as usize], 0) += dt;
         }
-        // Recompute the distance terms of the affected degrees exactly
-        // (several touched nodes may share a degree).
-        new_s.sort_touched();
-        let mut new_raw = self.dist_raw;
-        for i in 0..new_s.touched().len() {
-            let d = new_s.touched()[i] as usize;
-            let nk = self.nk[d] as f64;
-            new_raw -= (self.s[d] / nk - self.target[d]).abs();
-            new_raw += (new_s.get(d as u32) / nk - self.target[d]).abs();
+        dtk.sort_touched();
+        let mut delta = 0.0;
+        for &k in dtk.touched() {
+            let (dt, k) = (dtk.get(k), k as usize);
+            if dt != 0 {
+                delta += self.term(k, self.tk[k] + dt) - self.term(k, self.tk[k]);
+            }
         }
-        new_raw
+        delta
     }
 
     /// Commits an accepted decision's cached quantities: per-node triangle
-    /// counts from `touched`, per-degree sums from `new_s`, and the new
-    /// distance.
-    pub(crate) fn commit_decision(
-        &mut self,
-        touched: &[(NodeId, i64)],
-        new_s: &ScratchAccum<f64>,
-        new_raw: f64,
-    ) {
+    /// counts from `touched`, per-degree sums from `dtk`.
+    pub(crate) fn commit_decision(&mut self, touched: &[(NodeId, i64)], dtk: &ScratchAccum<i64>) {
         for &(node, dt) in touched {
-            if dt != 0 {
-                self.t[node as usize] += dt;
-            }
+            self.t[node as usize] += dt;
         }
-        for &d in new_s.touched() {
-            self.s[d as usize] = new_s.get(d);
+        for &k in dtk.touched() {
+            self.tk[k as usize] += dtk.get(k);
         }
-        self.dist_raw = new_raw;
     }
 
-    /// Decides an evaluated swap: folds its node-sorted `Δt` list into a
-    /// predicted distance and, iff that lowers `D`, commits it — cached
-    /// quantities, four scan-free structural toggles, and the slot swap.
-    /// Returns whether the swap was accepted.
+    /// Decides an evaluated swap: folds its `Δt` list into the change of
+    /// `D` and, iff that is negative, commits it — cached quantities, four
+    /// scan-free structural toggles, and the slot swap. Returns whether
+    /// the swap was accepted.
     pub(crate) fn decide(
         &mut self,
         p: &SwapPick,
         touched: &[(NodeId, i64)],
-        new_s: &mut ScratchAccum<f64>,
+        dtk: &mut ScratchAccum<i64>,
     ) -> bool {
-        let new_raw = self.fold_decide(touched, new_s);
-        if new_raw < self.dist_raw {
-            self.commit_decision(touched, new_s, new_raw);
+        if self.fold_decide(touched, dtk) < 0.0 {
+            self.commit_decision(touched, dtk);
             apply_structural(self, p.vi, p.vj, -1);
             apply_structural(self, p.vi2, p.vj2, -1);
             apply_structural(self, p.vi, p.vj2, 1);
@@ -507,29 +499,6 @@ impl EngineCore {
             self.pos[p.e2 as usize][o2 as usize] = p1;
             self.pos[p.e1 as usize][o1 as usize] = p2;
         }
-    }
-
-    /// Overwrites the incrementally-maintained float state with exact bit
-    /// patterns captured from a running engine.
-    ///
-    /// `EngineCore::new` recomputes `S(k)` and the unnormalized distance
-    /// *fresh* from integer triangle counts; a live engine maintains them
-    /// *incrementally*, so after many accepted swaps the two can differ in
-    /// final ULPs. A resumed engine must continue with the incrementally-
-    /// maintained values or its accept/reject trajectory could diverge
-    /// from the uninterrupted run — checkpoints therefore serialize the
-    /// raw `f64` bit patterns and inject them here after reconstruction.
-    fn restore_float_state(&mut self, s: &[f64], dist_raw: f64) -> Result<(), String> {
-        if s.len() != self.s.len() {
-            return Err(format!(
-                "clustering-sum length mismatch: checkpoint has {}, engine expects {}",
-                s.len(),
-                self.s.len()
-            ));
-        }
-        self.s.copy_from_slice(s);
-        self.dist_raw = dist_raw;
-        Ok(())
     }
 
     /// Replaces the freshly constructed degree buckets with a checkpointed
@@ -623,24 +592,21 @@ impl EngineCore {
                 }
             }
         }
-        // Distance matches a fresh computation.
-        let mut raw = 0.0f64;
-        for k in 0..self.s.len() {
-            let cur = if self.nk[k] > 0 {
-                self.s[k] / self.nk[k] as f64
-            } else {
-                0.0
-            };
-            raw += (cur - self.target[k]).abs();
-        }
-        if (raw - self.dist_raw).abs() > 1e-6 * raw.abs().max(1.0) {
-            return Err(format!(
-                "distance drift: cached {} vs fresh {raw}",
-                self.dist_raw
-            ));
+        // Per-degree sums match the recount (`t` already does).
+        if per_degree_sums(&self.t, &self.deg, self.tk.len()) != self.tk {
+            return Err("per-degree triangle sums T_k disagree with the recount".into());
         }
         Ok(())
     }
+}
+
+/// `T_k = Σ_{deg u = k} t_u` over `k < len`.
+fn per_degree_sums(t: &[i64], deg: &[u32], len: usize) -> Vec<i64> {
+    let mut tk = vec![0i64; len];
+    for (&tu, &d) in t.iter().zip(deg) {
+        tk[d as usize] += tu;
+    }
+    tk
 }
 
 /// The evaluate-then-commit rewiring engine. Owns the graph while
@@ -651,8 +617,8 @@ impl EngineCore {
 /// decisions, final edge multiset, and final distance.
 pub struct RewireEngine {
     core: EngineCore,
-    /// Predicted per-degree sums `S'(k)` of the attempt under evaluation.
-    scratch_s: ScratchAccum<f64>,
+    /// Per-degree changes `ΔT_k` of the attempt under evaluation.
+    scratch_tk: ScratchAccum<i64>,
     /// Node-sorted nonzero `(node, Δt)` pairs of the attempt under
     /// evaluation (reserved to `EngineCore::max_touched` once).
     pairs: Vec<(NodeId, i64)>,
@@ -668,17 +634,18 @@ impl RewireEngine {
     /// edge of the graph.
     pub fn new(graph: Graph, candidates: Vec<(NodeId, NodeId)>, target_c: &[f64]) -> Self {
         let core = EngineCore::new(graph, candidates, target_c);
-        let degrees = core.s.len();
+        let degrees = core.tk.len();
         let touched = core.max_touched();
         Self {
             core,
-            scratch_s: ScratchAccum::with_keys(degrees),
+            scratch_tk: ScratchAccum::with_keys(degrees),
             pairs: Vec::with_capacity(touched),
         }
     }
 
     /// Current normalized distance `D` (unnormalized L1 if the target has
-    /// zero mass).
+    /// zero mass), folded fresh from the per-degree triangle sums: a pure
+    /// function of the current graph and the target, O(k_max).
     pub fn distance(&self) -> f64 {
         self.core.distance()
     }
@@ -780,7 +747,7 @@ impl RewireEngine {
     fn evaluate_and_decide(&mut self, pick: &SwapPick) -> bool {
         let mutations_before = self.core.idx.mutation_count();
         evaluate_swap(&self.core, pick, &mut self.pairs);
-        let accepted = self.core.decide(pick, &self.pairs, &mut self.scratch_s);
+        let accepted = self.core.decide(pick, &self.pairs, &mut self.scratch_tk);
         // Rejected: nothing was mutated — assert it.
         debug_assert!(accepted || self.core.idx.mutation_count() == mutations_before);
         accepted
@@ -798,8 +765,6 @@ impl RewireEngine {
         let core = &self.core;
         w.put_graph(&core.graph);
         w.put_pairs(&core.slots);
-        w.put_f64_slice(&core.s);
-        w.put_f64(core.dist_raw);
         w.put_u64(core.buckets.len() as u64);
         for bucket in &core.buckets {
             let packed: Vec<u64> = bucket
@@ -811,23 +776,20 @@ impl RewireEngine {
     }
 
     /// Rebuilds the engine a [`RewireState`] was captured from, against
-    /// the same target: the integer state is recomputed from the graph,
-    /// then the checkpointed float sums and bucket order are injected.
-    /// A state that does not fit the target or its own slots is
-    /// [`SnapshotError::Corrupt`].
+    /// the same target: everything but the bucket order is recomputed
+    /// from the graph and the slots, then the checkpointed bucket order
+    /// is injected. A state that does not fit the target or its own slots
+    /// is [`SnapshotError::Corrupt`].
     pub fn resume(state: RewireState, target_c: &[f64]) -> Result<Self, SnapshotError> {
         let RewireState {
             graph,
             slots,
-            s,
-            dist_raw,
             buckets,
         } = state;
         let mut engine = Self::new(graph, slots, target_c);
-        let core = &mut engine.core;
-        core.restore_float_state(&s, dist_raw)
-            .map_err(SnapshotError::Corrupt)?;
-        core.restore_bucket_state(buckets)
+        engine
+            .core
+            .restore_bucket_state(buckets)
             .map_err(SnapshotError::Corrupt)?;
         Ok(engine)
     }
@@ -841,11 +803,10 @@ impl RewireEngine {
 
 /// A rewiring engine's resumable state, as a mid-rewire checkpoint
 /// carries it: the evolving graph's adjacency *in list order*, the
-/// candidate slots, the incrementally maintained `S(k)` and distance as
-/// exact bit patterns, and the degree buckets in their *current* order.
-/// All five are needed for a bitwise-identical resume — sums recomputed
-/// from the graph can differ in final ULPs, and fresh slot-order buckets
-/// would desynchronize the partner draws.
+/// candidate slots, and the degree buckets in their *current* order.
+/// That is all a bitwise-identical resume needs: the triangle counts and
+/// their per-degree sums are exact integers recomputed from the graph,
+/// but fresh slot-order buckets would desynchronize the partner draws.
 ///
 /// [`RewireEngine::encode_state`] writes it straight from a live engine,
 /// [`decode`](Self::decode) reads it back, and [`RewireEngine::resume`]
@@ -853,8 +814,6 @@ impl RewireEngine {
 pub struct RewireState {
     graph: Graph,
     slots: Vec<(NodeId, NodeId)>,
-    s: Vec<f64>,
-    dist_raw: f64,
     buckets: Vec<Vec<(u32, u8)>>,
 }
 
@@ -865,8 +824,6 @@ impl RewireState {
     pub fn decode(r: &mut PayloadReader<'_>) -> Result<Self, SnapshotError> {
         let graph = r.get_graph()?;
         let slots = r.get_pairs()?;
-        let s = r.get_f64_slice()?;
-        let dist_raw = r.get_f64()?;
         let n_buckets = r.get_u64()? as usize;
         let mut buckets: Vec<Vec<(u32, u8)>> = Vec::with_capacity(n_buckets);
         for _ in 0..n_buckets {
@@ -886,8 +843,6 @@ impl RewireState {
         Ok(Self {
             graph,
             slots,
-            s,
-            dist_raw,
             buckets,
         })
     }
@@ -1206,10 +1161,9 @@ mod tests {
     }
 
     /// Resuming an engine from its encoded state mid-run — graph
-    /// adjacency (order-preserving), slots, the float state's exact bit
-    /// patterns and the bucket order — continues the run
-    /// bitwise-identically. This is the fidelity contract the crash-safe
-    /// checkpoints in `sgr-core` build on.
+    /// adjacency (order-preserving), slots and the bucket order —
+    /// continues the run bitwise-identically. This is the fidelity
+    /// contract the crash-safe checkpoints in `sgr-core` build on.
     #[test]
     fn snapshot_and_resume_is_bitwise_identical() {
         let g = social(16);
@@ -1250,18 +1204,106 @@ mod tests {
     }
 
     #[test]
-    fn restore_float_state_rejects_length_mismatch() {
+    fn resume_rejects_a_target_of_another_width() {
         let g = social(18);
         let edges: Vec<_> = g.edges().collect();
         let target = vec![0.0; g.max_degree() + 1];
         let eng = RewireEngine::new(g, edges, &target);
         let state = round_trip(&eng);
-        // A longer target widens S(k): the checkpointed sums no longer fit.
+        // A longer target widens the degree range: the checkpointed
+        // buckets no longer fit.
         let wider = vec![0.0; target.len() + 1];
         assert!(matches!(
             RewireEngine::resume(state, &wider),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    /// A decision must not depend on anything but the graph and the pick.
+    /// This list moves two equal-degree nodes' triangle counts by `+d` and
+    /// `−d`, so every `ΔT_k` is zero and `c̄(k)` cannot change. The search
+    /// picks the nodes and `d` so that a float fold of per-node clustering
+    /// contributions into `S(k) = Σ 2t_i / (k(k−1))` — the running state
+    /// decisions used to read — rounds to a lower distance; `decide` must
+    /// still reject the swap and mutate nothing.
+    #[test]
+    fn decide_rejects_a_swap_whose_degree_sums_do_not_move() {
+        let g = social(19);
+        let edges: Vec<_> = g.edges().collect();
+        let base = EngineCore::new(g.clone(), edges.clone(), &[]);
+        let nk = |k: usize| base.nk[k] as f64;
+        let contrib = |k: usize, t: i64| 2.0 * t as f64 / (k as f64 * (k as f64 - 1.0));
+        let mut s = vec![0.0f64; base.tk.len()];
+        for (u, &d) in base.deg.iter().enumerate() {
+            if d >= 2 {
+                s[d as usize] += contrib(d as usize, base.t[u]);
+            }
+        }
+        // A target met exactly (by that fold) everywhere but at degree
+        // `k`, which it misses by `off`: the float distance is then that
+        // one term, so the fold registers any rounding of `S(k)`.
+        let target_for = |k: usize, off: f64| -> Vec<f64> {
+            let mut c: Vec<f64> = (0..s.len())
+                .map(|j| if base.nk[j] > 0 { s[j] / nk(j) } else { 0.0 })
+                .collect();
+            c[k] += off;
+            c
+        };
+        let mut found = None;
+        'search: for (k, &sk) in s.iter().enumerate().skip(2) {
+            let mut nodes =
+                (0..base.deg.len() as NodeId).filter(|&u| base.deg[u as usize] == k as u32);
+            let (Some(a), Some(b)) = (nodes.next(), nodes.next()) else {
+                continue;
+            };
+            for d in [1, -1, 2, -2, 3, -3] {
+                // The fold adds `a`'s contribution, then `b`'s.
+                let s2 = sk + contrib(k, d) + contrib(k, -d);
+                let off = if s2 > sk { 0.25 } else { -0.25 };
+                let c = sk / nk(k) + off;
+                if (s2 / nk(k) - c).abs() < (sk / nk(k) - c).abs() {
+                    found = Some((k, off, vec![(a, d), (b, -d)]));
+                    break 'search;
+                }
+            }
+        }
+        let (k, off, list) = found.expect("no rounding gain in the float fold");
+        let mut core = EngineCore::new(g, edges, &target_for(k, off));
+        let mut rng = Xoshiro256pp::seed_from_u64(20);
+        let pick = loop {
+            if let Some(p) = core.pick_swap(&mut rng) {
+                break p;
+            }
+        };
+        let (t, tk, slots) = (core.t.clone(), core.tk.clone(), core.slots.clone());
+        let mutations = core.idx.mutation_count();
+        let mut dtk = ScratchAccum::with_keys(core.tk.len());
+        assert_eq!(core.fold_decide(&list, &mut dtk), 0.0);
+        assert!(!core.decide(&pick, &list, &mut dtk), "accepted {list:?}");
+        assert_eq!((core.t, core.tk, core.slots), (t, tk, slots));
+        assert_eq!(core.idx.mutation_count(), mutations);
+    }
+
+    /// `D` after a long run with many accepts is exactly the `D` of a
+    /// fresh engine over the rewired graph: nothing carried across
+    /// commits can drift.
+    #[test]
+    fn distance_after_a_long_run_equals_a_fresh_engine_s() {
+        let g = sgr_gen::holme_kim(2_000, 3, 0.6, &mut Xoshiro256pp::seed_from_u64(23)).unwrap();
+        let props = LocalProperties::compute(&g);
+        let target: Vec<f64> = props
+            .clustering_by_degree
+            .iter()
+            .map(|&c| c * 0.3)
+            .collect();
+        let edges: Vec<_> = g.edges().collect();
+        let mut eng = RewireEngine::new(g, edges, &target);
+        let stats = eng.run_attempts(25_000, &mut Xoshiro256pp::seed_from_u64(24));
+        assert!(stats.accepted >= 1_000, "{} accepts", stats.accepted);
+        let g = eng.into_graph();
+        let edges: Vec<_> = g.edges().collect();
+        let fresh = RewireEngine::new(g, edges, &target);
+        assert_eq!(stats.final_distance.to_bits(), fresh.distance().to_bits());
     }
 
     /// Graphs whose picks cover every shape the swap evaluator must get

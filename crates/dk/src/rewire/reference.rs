@@ -11,8 +11,9 @@
 //!
 //! * **Equivalence oracle.** [`ApplyRollbackEngine`] shares
 //!   `EngineCore`'s swap picking (identical RNG-draw order) and
-//!   `EngineCore::fold_decide` (identical float-operation order) with
-//!   the production [`RewireEngine`](crate::rewire::RewireEngine), so for
+//!   `EngineCore::fold_decide` (a decision that is a pure function of the
+//!   graph and the pick) with the production
+//!   [`RewireEngine`](crate::rewire::RewireEngine), so for
 //!   the same seed the two must produce the same accept/reject sequence,
 //!   the same final edge multiset, and a bitwise-identical final distance.
 //!   Property tests in `crates/dk/tests` assert exactly that.
@@ -28,18 +29,18 @@ use sgr_util::{FxHashMap, Xoshiro256pp};
 /// The apply-rollback engine; see the module docs.
 pub struct ApplyRollbackEngine {
     core: EngineCore,
-    /// Per-degree predicted sums for the shared decision fold.
-    scratch_s: ScratchAccum<f64>,
+    /// Per-degree changes `ΔT_k` for the shared decision fold.
+    scratch_tk: ScratchAccum<i64>,
 }
 
 impl ApplyRollbackEngine {
     /// Mirror of [`RewireEngine::new`](crate::rewire::RewireEngine::new).
     pub fn new(graph: Graph, candidates: Vec<(NodeId, NodeId)>, target_c: &[f64]) -> Self {
         let core = EngineCore::new(graph, candidates, target_c);
-        let degrees = core.s.len();
+        let degrees = core.tk.len();
         Self {
             core,
-            scratch_s: ScratchAccum::with_keys(degrees),
+            scratch_tk: ScratchAccum::with_keys(degrees),
         }
     }
 
@@ -99,14 +100,12 @@ impl ApplyRollbackEngine {
         self.toggle_edge(vi, vj2, 1, &mut touched);
         self.toggle_edge(vi2, vj, 1, &mut touched);
 
-        // Shared decision fold on node-sorted deltas (bitwise-identical to
-        // the evaluate-then-commit engine's).
-        let mut pairs: Vec<(NodeId, i64)> = touched.iter().map(|(&n, &d)| (n, d)).collect();
-        pairs.sort_unstable();
-        let new_raw = self.core.fold_decide(&pairs, &mut self.scratch_s);
-
-        if new_raw < self.core.dist_raw {
-            self.core.commit_decision(&pairs, &self.scratch_s, new_raw);
+        // Shared decision fold (the same decision as the
+        // evaluate-then-commit engine's, in whatever order the map lists
+        // the nodes).
+        let pairs: Vec<(NodeId, i64)> = touched.iter().map(|(&n, &d)| (n, d)).collect();
+        if self.core.fold_decide(&pairs, &mut self.scratch_tk) < 0.0 {
+            self.core.commit_decision(&pairs, &self.scratch_tk);
             self.core.commit_slot_swap(&pick);
             true
         } else {

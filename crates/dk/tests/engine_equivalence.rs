@@ -291,7 +291,7 @@ fn parallel_worker_evaluations_are_allocation_free_on_reject() {
     let g = messy_graph(24);
     let props = LocalProperties::compute(&g);
     // The graph's own clustering as target: D = 0 is already the floor,
-    // so `new_raw < dist_raw` can never hold — every attempt rejects.
+    // so no swap lowers it — every attempt rejects.
     let target = props.clustering_by_degree.clone();
     let edges: Vec<_> = g.edges().collect();
     let mut eng = ParallelRewireEngine::new(g, edges, &target, 4);

@@ -23,9 +23,10 @@
 //! the live prefix, updates binary-search and shift within the extent
 //! (`copy_within`), and [`MultiplicityIndex::for_each_common_of_unions`]
 //! merges four ascending prefixes with a galloping catch-up
-//! ([`merge_unions`]; [`MultiplicityIndex::for_each_common`] is its
-//! two-node case). No node owns a heap object, no path hashes, and
-//! nothing branches on node size; a built index never allocates again.
+//! ([`merge_unions`]; passing each node twice, `(x, x, y, y)`, gives the
+//! common neighbours of `x` and `y`). No node owns a heap object, no path
+//! hashes, and nothing branches on node size; a built index never
+//! allocates again.
 //!
 //! # Degree-preservation invariant
 //!
@@ -160,18 +161,6 @@ impl MultiplicityIndex {
     #[inline]
     pub fn entries(&self, u: NodeId) -> std::iter::Copied<std::slice::Iter<'_, (NodeId, u32)>> {
         self.list(u).iter().copied()
-    }
-
-    /// Calls `f(w, A_xw, A_yw)` once for every **distinct common
-    /// neighbor** `w` of `x` and `y` (i.e. `A_xw > 0` and `A_yw > 0`), in
-    /// ascending order of `w`.
-    ///
-    /// One [`merge_common`] over the two ascending slices, O(d̃_x + d̃_y)
-    /// for balanced degrees and O(d̃_small · log(d̃_hub / d̃_small)) for a
-    /// leaf against a hub.
-    #[inline]
-    pub fn for_each_common<F: FnMut(NodeId, u32, u32)>(&self, x: NodeId, y: NodeId, f: F) {
-        merge_common(self.list(x), self.list(y), f)
     }
 
     /// Calls `f(w, A_aw, A_a2w, A_bw, A_b2w)` once for every `w` in
@@ -336,18 +325,6 @@ impl MultiplicityIndex {
         }
         Ok(())
     }
-}
-
-/// Sorted-slice intersection: calls `f(w, a_w, b_w)` for every key
-/// present in both ascending `(key, value)` slices, in ascending key
-/// order — [`merge_unions`] with each union of one slice. Keys must be
-/// below [`NodeId::MAX`].
-pub fn merge_common<F: FnMut(NodeId, u32, u32)>(
-    a: &[(NodeId, u32)],
-    b: &[(NodeId, u32)],
-    mut f: F,
-) {
-    merge_unions(a, a, b, b, |w, va, _, vb, _| f(w, va, vb))
 }
 
 /// Key at `list[i]`, or [`NodeId::MAX`] once the cursor is past the end.
@@ -566,50 +543,6 @@ mod tests {
         assert_eq!(idx.get(0, 1), 0);
     }
 
-    /// Common-neighbor reference: probe every node of the graph.
-    fn naive_common(idx: &MultiplicityIndex, x: NodeId, y: NodeId) -> Vec<(NodeId, u32, u32)> {
-        (0..idx.num_nodes() as NodeId)
-            .filter_map(|w| {
-                let (a, b) = (idx.get(x, w), idx.get(y, w));
-                (a > 0 && b > 0).then_some((w, a, b))
-            })
-            .collect()
-    }
-
-    fn collected_common(idx: &MultiplicityIndex, x: NodeId, y: NodeId) -> Vec<(NodeId, u32, u32)> {
-        let mut out = Vec::new();
-        idx.for_each_common(x, y, |w, a, b| out.push((w, a, b)));
-        out
-    }
-
-    #[test]
-    fn for_each_common_matches_naive_on_all_pairs() {
-        // A hub against leaves, multi-edges and a self-loop.
-        let n = 120;
-        let mut edges: Vec<(NodeId, NodeId)> = (1..=n as NodeId).map(|v| (0, v)).collect();
-        edges.extend([
-            (1, 2),
-            (1, 2),
-            (2, 3),
-            (3, 4),
-            (1, 4),
-            (2, 2),
-            (5, 90),
-            (5, 119),
-        ]);
-        let g = Graph::from_edges(n + 1, &edges);
-        let idx = MultiplicityIndex::build(&g);
-        for x in [0, 1, 2, 3, 4, 5, 90] {
-            for y in [0, 1, 2, 3, 4, 5, 90] {
-                assert_eq!(
-                    collected_common(&idx, x, y),
-                    naive_common(&idx, x, y),
-                    "pair ({x},{y})"
-                );
-            }
-        }
-    }
-
     /// Union-intersection reference: probe every node of the graph.
     fn naive_unions(idx: &MultiplicityIndex, q: [NodeId; 4]) -> Vec<(NodeId, [u32; 4])> {
         (0..idx.num_nodes() as NodeId)
@@ -661,26 +594,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn merge_common_handles_skew_and_runs() {
-        // Hand-built slices exercising the quad step and the gallop: long
-        // run of low keys on one side, sparse high keys on the other.
-        let a: Vec<(NodeId, u32)> = (0..40).map(|k| (k, k + 1)).collect();
-        let b: Vec<(NodeId, u32)> = vec![(3, 9), (17, 2), (38, 5), (39, 1), (90, 7)];
-        let mut got = Vec::new();
-        merge_common(&a, &b, |w, x, y| got.push((w, x, y)));
-        assert_eq!(got, vec![(3, 4, 9), (17, 18, 2), (38, 39, 5), (39, 40, 1)]);
-        // Symmetric call sees the same keys with values swapped.
-        let mut rev = Vec::new();
-        merge_common(&b, &a, |w, x, y| rev.push((w, y, x)));
-        assert_eq!(got, rev);
-        // Disjoint and empty inputs.
-        let mut none = Vec::new();
-        merge_common(&a[..2], &b[4..], |w, _, _| none.push(w));
-        merge_common(&[], &b, |w, _, _| none.push(w));
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -104,7 +104,10 @@ impl Model {
             let xs = self.sorted(x);
             for y in focus.iter().copied().chain((0..n).step_by(23)) {
                 let mut got = Vec::new();
-                idx.for_each_common(x, y, |w, a, b| got.push((w, a, b)));
+                idx.for_each_common_of_unions(x, x, y, y, |w, a, a2, b, b2| {
+                    assert_eq!((a, b), (a2, b2), "aliased lists disagree at {w}");
+                    got.push((w, a, b))
+                });
                 let want: Vec<_> = xs
                     .iter()
                     .filter_map(|&(w, a)| self.0[y as usize].get(&w).map(|&b| (w, a, b)))

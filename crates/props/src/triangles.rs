@@ -23,8 +23,9 @@
 //! so `t` does not depend on the order in which triangles are found: the
 //! pass returns the same `t`, bit for bit, as any other exact count,
 //! such as the wedge enumeration the `triangle_census` tests hold it to.
-//! Everything derived from `t` in floating point (clustering, the rewire
-//! engine's `S(k)` and distance) is therefore bitwise unchanged too.
+//! Everything derived from `t` (clustering, the rewire engine's
+//! per-degree sums `T_k` and distance) is therefore bitwise unchanged
+//! too.
 //!
 //! Cost: the out-lists are built in two passes over the
 //! [`MultiplicityIndex`] entries (count, then fill) into one flat arena,

@@ -19,7 +19,8 @@
 /// Dense scratch accumulator over keys `0..n` with O(1) epoch-based clear.
 ///
 /// `T` is the per-key accumulator value (e.g. the rewiring decision's
-/// `f64` per-degree sums, or an estimator's `u32` ranks).
+/// `i64` per-degree triangle-count changes, or an estimator's `u32`
+/// ranks).
 #[derive(Clone, Debug)]
 pub struct ScratchAccum<T> {
     vals: Vec<T>,
