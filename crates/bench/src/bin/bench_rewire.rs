@@ -10,6 +10,9 @@
 //! Usage: `bench_rewire [nodes] [attempts] [out.json]` (defaults: 2000
 //! nodes, 200_000 attempts, `BENCH_rewire.json`). `host_cpus` records
 //! the cores the measuring host had; both engines run on one of them.
+//! Each engine's row also counts `filtered`: the picks the disjointness
+//! filter rejected without evaluating them (0 for the reference, which
+//! has none).
 
 use sgr_dk::rewire::reference::ApplyRollbackEngine;
 use sgr_dk::rewire::{RewireEngine, RewireStats};
@@ -53,6 +56,7 @@ fn json_entry(m: &Measurement) -> String {
             "      \"attempts_per_sec\": {:.1},\n",
             "      \"accepted\": {},\n",
             "      \"skipped\": {},\n",
+            "      \"filtered\": {},\n",
             "      \"initial_distance\": {:.12},\n",
             "      \"final_distance\": {:.12}\n",
             "    }}"
@@ -62,6 +66,7 @@ fn json_entry(m: &Measurement) -> String {
         m.attempts_per_sec,
         m.stats.accepted,
         m.stats.skipped,
+        m.stats.filtered,
         m.stats.initial_distance,
         m.stats.final_distance,
     )

@@ -286,6 +286,8 @@ fn get_stats(r: &mut PayloadReader) -> Result<RestoreStats, SnapshotError> {
             attempts: r.get_u64()?,
             accepted: r.get_u64()?,
             skipped: r.get_u64()?,
+            // Not checkpointed (see the field): counts restart at resume.
+            filtered: 0,
             initial_distance: r.get_f64()?,
             final_distance: r.get_f64()?,
         },

@@ -520,6 +520,7 @@ fn stage_rewire(
         driver.stats.rewire_stats.attempts = done + chunk;
         driver.stats.rewire_stats.accepted += s.accepted;
         driver.stats.rewire_stats.skipped += s.skipped;
+        driver.stats.rewire_stats.filtered += s.filtered;
         driver.stats.rewire_stats.final_distance = s.final_distance;
         driver
             .observer

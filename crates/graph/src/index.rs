@@ -24,9 +24,15 @@
 //! (`copy_within`), and [`MultiplicityIndex::for_each_common_of_unions`]
 //! merges four ascending prefixes with a galloping catch-up
 //! ([`merge_unions`]; passing each node twice, `(x, x, y, y)`, gives the
-//! common neighbours of `x` and `y`). No node owns a heap object, no path
-//! hashes, and nothing branches on node size; a built index never
-//! allocates again.
+//! common neighbours of `x` and `y`). No node owns a heap object, and
+//! nothing branches on node size; a built index never allocates again.
+//!
+//! One query hashes: [`MultiplicityIndex::may_share_neighbor`] marks the
+//! keys of two prefixes in a caller-owned byte table and probes it with
+//! the keys of the other two, a filter whose "disjoint" answer is exact.
+//! It lets the rewiring engine skip the merge for the majority of swaps,
+//! whose endpoint unions share no node; the table is cleared by
+//! replaying the marks, so it is reused without allocating.
 //!
 //! # Degree-preservation invariant
 //!
@@ -181,6 +187,56 @@ impl MultiplicityIndex {
         f: F,
     ) {
         merge_unions(self.list(a), self.list(a2), self.list(b), self.list(b2), f)
+    }
+
+    /// Whether `N(a) ∪ N(a2)` and `N(b) ∪ N(b2)` may share a node: the
+    /// cheap filter in front of
+    /// [`for_each_common_of_unions`](Self::for_each_common_of_unions).
+    ///
+    /// Marks the hash of every key of the shorter union in `table`, ORs
+    /// the marks at the hashes of the longer union's keys, then clears the
+    /// marked bytes by replaying the marks, so `table` — a power-of-two
+    /// length, all zero — is all zero again on return. `false` is exact:
+    /// the unions are disjoint. `true` may be a hash collision, which only
+    /// costs the caller the merge it would have run anyway.
+    pub fn may_share_neighbor(
+        &self,
+        a: NodeId,
+        a2: NodeId,
+        b: NodeId,
+        b2: NodeId,
+        table: &mut [u8],
+    ) -> bool {
+        debug_assert!(table.len().is_power_of_two());
+        let shift = 32 - table.len().trailing_zeros();
+        // Fibonacci hashing: the top bits of `w · 2^32/φ`. The mask
+        // changes no index; it lets the compiler drop the bounds check
+        // from every loop below.
+        let mask = table.len() - 1;
+        let at = |w: NodeId| ((w.wrapping_mul(0x9E37_79B1) as u64) >> shift) as usize & mask;
+        let (mut marked, mut probed) =
+            ([self.list(a), self.list(a2)], [self.list(b), self.list(b2)]);
+        // Disjointness is symmetric, and marking reads a list twice.
+        if marked[0].len() + marked[1].len() > probed[0].len() + probed[1].len() {
+            std::mem::swap(&mut marked, &mut probed);
+        }
+        for list in marked {
+            for &(w, _) in list {
+                table[at(w)] = 1;
+            }
+        }
+        let mut hit = 0u8;
+        for list in probed {
+            for &(w, _) in list {
+                hit |= table[at(w)];
+            }
+        }
+        for list in marked {
+            for &(w, _) in list {
+                table[at(w)] = 0;
+            }
+        }
+        hit != 0
     }
 
     /// Hints that `u`'s extent header (`starts[u]`, `lens[u]`) will be
@@ -564,7 +620,12 @@ mod tests {
     #[test]
     fn merge_unions_matches_naive_on_all_quadruples() {
         // Two hubs against leaves, multi-edges, self-loops, and every
-        // aliasing of the four nodes (a == a2, a == b, all equal).
+        // aliasing of the four nodes (a == a2, a == b, all equal); a
+        // separate path 151..=155 with a loop at its end gives unions
+        // that are disjoint. `may_share_neighbor` runs on every
+        // quadruple with a full-size table and with a two-byte one, where
+        // disjoint unions collide: its "disjoint" must always be right,
+        // and it must leave the table zeroed.
         let n = 150;
         let mut edges: Vec<(NodeId, NodeId)> = (2..=n as NodeId).map(|v| (0, v)).collect();
         edges.extend((2..n as NodeId).step_by(3).map(|v| (1, v)));
@@ -580,20 +641,38 @@ mod tests {
             (5, 149),
             (6, 97),
             (4, 149),
+            (151, 152),
+            (152, 153),
+            (153, 154),
+            (154, 155),
+            (155, 155),
         ]);
-        let g = Graph::from_edges(n + 1, &edges);
+        let g = Graph::from_edges(n + 6, &edges);
         let idx = MultiplicityIndex::build(&g);
-        let nodes = [0, 1, 2, 3, 4, 5, 6, 97, 150];
+        let nodes = [0, 1, 2, 3, 4, 5, 6, 97, 150, 151, 153, 155];
+        let (mut full, mut tiny) = (vec![0u8; 1 << 14], [0u8; 2]);
+        // Per table: "disjoint" answers, and "may share" on disjoint
+        // unions (collisions).
+        let mut outcomes = [[0usize; 2]; 2];
         for a in nodes {
             for a2 in nodes {
                 for b in nodes {
                     for b2 in nodes {
                         let q = [a, a2, b, b2];
-                        assert_eq!(collected_unions(&idx, q), naive_unions(&idx, q), "{q:?}");
+                        let want = naive_unions(&idx, q);
+                        assert_eq!(collected_unions(&idx, q), want, "{q:?}");
+                        for (t, table) in [&mut full[..], &mut tiny[..]].into_iter().enumerate() {
+                            let may = idx.may_share_neighbor(a, a2, b, b2, table);
+                            assert!(may || want.is_empty(), "table {t}: {q:?} share {want:?}");
+                            assert!(table.iter().all(|&x| x == 0), "table {t} dirty: {q:?}");
+                            outcomes[t][0] += !may as usize;
+                            outcomes[t][1] += (may && want.is_empty()) as usize;
+                        }
                     }
                 }
             }
         }
+        assert!(outcomes[0][0] > 0 && outcomes[1][1] > 0, "{outcomes:?}");
     }
 
     #[test]
