@@ -26,15 +26,16 @@
 //!    of `P̂(k,k')` as sorted `(k, k', value)` triples (the symmetric half
 //!    is re-mirrored on load — targeting reads cells point-wise, so map
 //!    iteration order never matters);
-//! 7. **stage-specific state** (see [`StageData`]). A mid-rewire
-//!    checkpoint stores `k*_max`, then the rewiring engine's own
-//!    encoding of its resumable state ([`RewireState`], written by
-//!    [`RewireEngine::encode_state`]: the graph, the candidate slots and
-//!    the degree-bucket order — integers only), then the attempt budget;
-//!    this module never looks inside the engine's part.
+//! 7. **stage-specific state** (see [`StageData`]). Every stage after
+//!    estimation opens with `k*_max`. A mid-rewire checkpoint then
+//!    stores the rewiring engine's own encoding of its resumable state
+//!    ([`RewireState`], written by [`RewireEngine::encode_state`]: the
+//!    graph, the candidate slots and the degree-bucket order — integers
+//!    only), then the attempt budget; this module never looks inside the
+//!    engine's part.
 //!
-//! Every slice length is cross-validated on load; any inconsistency is a
-//! typed [`SnapshotError::Corrupt`], never a panic.
+//! Every slice length and `k*_max` are cross-validated on load; any
+//! inconsistency is a typed [`SnapshotError::Corrupt`], never a panic.
 //!
 //! ## Durability contract
 //!
@@ -62,7 +63,7 @@
 
 use std::path::Path;
 
-use crate::target_dv::TargetDv;
+use crate::target_dv::{self, TargetDv};
 use crate::target_jdm::TargetJdm;
 use crate::{RestoreConfig, RestoreStats};
 use sgr_dk::rewire::{RewireEngine, RewireState, RewireStats};
@@ -383,10 +384,20 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> 
     let stats = get_stats(&mut r)?;
     let subgraph = get_subgraph(&mut r)?;
     let estimates = get_estimates(&mut r)?;
+    // Later stages size per-degree vectors by k*_max, so the stored word
+    // must be the one targeting derives from the estimates and subgraph.
+    let k_max = target_dv::k_max(&subgraph, &estimates);
+    if tag != STAGE_ESTIMATED {
+        let stored = r.get_u64()?;
+        if stored != k_max as u64 {
+            return Err(SnapshotError::Corrupt(format!(
+                "k*_max {stored} disagrees with the {k_max} of the estimates and subgraph"
+            )));
+        }
+    }
     let stage = match tag {
         STAGE_ESTIMATED => StageData::Estimated,
         STAGE_TARGETED => {
-            let k_max = r.get_u64()? as usize;
             let n_star = r.get_u64_slice()?;
             let n_prime = r.get_u64_slice()?;
             let d_star = r.get_u32_slice()?;
@@ -405,16 +416,19 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> 
                 k_max,
                 n_hat_k,
             };
-            let jk_max = r.get_u64()? as usize;
+            if r.get_u64()? != k_max as u64 {
+                return Err(SnapshotError::Corrupt(
+                    "JDM k_max disagrees with k*_max".into(),
+                ));
+            }
             let m_star = r.get_u64_slice()?;
             let m_hat = r.get_f64_slice()?;
             let m_prime = r.get_u64_slice()?;
-            let jdm = TargetJdm::from_raw_parts(jk_max, m_star, m_hat, m_prime)
+            let jdm = TargetJdm::from_raw_parts(k_max, m_star, m_hat, m_prime)
                 .map_err(SnapshotError::Corrupt)?;
             StageData::Targeted { dv, jdm }
         }
         STAGE_CONSTRUCTED => {
-            let k_max = r.get_u64()? as usize;
             let graph = r.get_graph()?;
             let added_edges = r.get_pairs()?;
             StageData::Constructed {
@@ -424,7 +438,6 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> 
             }
         }
         STAGE_REWIRING => {
-            let k_max = r.get_u64()? as usize;
             let state = RewireState::decode(&mut r)?;
             let total_attempts = r.get_u64()?;
             if stats.rewire_stats.attempts > total_attempts {
@@ -459,7 +472,81 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CheckpointPolicy, NoopObserver, RestoreError};
     use sgr_graph::snapshot::write_section;
+    use sgr_util::Xoshiro256pp;
+    use std::path::PathBuf;
+
+    /// Runs a small checkpointed restore and returns checkpoint `n`, the
+    /// file a crash right after it would leave in `dir`.
+    fn checkpoint_after(n: u64, dir: &Path) -> PathBuf {
+        let mut rng = Xoshiro256pp::seed_from_u64(31);
+        let g = sgr_gen::holme_kim(400, 4, 0.5, &mut rng).unwrap();
+        let crawl = sgr_sample::random_walk_until_fraction(&g, 0.1, &mut rng);
+        let cfg = RestoreConfig {
+            rewiring_coefficient: 10.0,
+            rewire: true,
+            threads: 1,
+        };
+        let policy = CheckpointPolicy {
+            dir: dir.to_path_buf(),
+            every: 1_000,
+            abort_after: Some(n),
+        };
+        let mut scratch = sgr_dk::ConstructScratch::new();
+        match crate::restore_with_checkpoints(&crawl, &cfg, &mut rng, &mut scratch, &policy) {
+            Err(RestoreError::Interrupted { checkpoint }) => checkpoint,
+            Ok(_) => panic!("checkpoint {n} never written"),
+            Err(other) => panic!("unexpected pipeline error: {other}"),
+        }
+    }
+
+    /// A false `k*_max` word is refused as `Corrupt` before it sizes the
+    /// clustering target, in the constructed and the rewiring stage alike:
+    /// a huge one must not abort on allocation, nor an off-by-one one
+    /// resume.
+    #[test]
+    fn checkpoint_with_a_false_k_max_is_corrupt() {
+        let dir = std::env::temp_dir().join(format!("sgr-ckpt-k-max-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (n, stage) in [(3, "constructed"), (4, "rewiring")] {
+            let path = checkpoint_after(n, &dir);
+            assert!(path.to_string_lossy().contains(stage), "{path:?}");
+            let payload = read_section(&path, KIND_RESTORE_CHECKPOINT).unwrap();
+            let ck = read_checkpoint(&path).unwrap();
+            // The k*_max word follows the fields every stage shares.
+            let mut w = PayloadWriter::new();
+            w.put_u32(STAGE_CONSTRUCTED);
+            for word in ck.rng_state {
+                w.put_u64(word);
+            }
+            w.put_f64(ck.cfg.rewiring_coefficient);
+            w.put_bool(ck.cfg.rewire);
+            w.put_u64(ck.cfg.threads as u64);
+            put_stats(&mut w, &ck.stats);
+            put_subgraph(&mut w, &ck.subgraph);
+            put_estimates(&mut w, &ck.estimates);
+            let at = w.into_bytes().len();
+            let k_max = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+            assert_eq!(k_max, target_dv::k_max(&ck.subgraph, &ck.estimates) as u64);
+            for false_k_max in [1 << 40, k_max + 1] {
+                let mut patched = payload.clone();
+                patched[at..at + 8].copy_from_slice(&false_k_max.to_le_bytes());
+                let bad = dir.join("false-k-max.sgrsnap");
+                write_section(&bad, KIND_RESTORE_CHECKPOINT, &patched).unwrap();
+                match crate::resume(&bad, None, &mut NoopObserver) {
+                    Err(RestoreError::Snapshot(SnapshotError::Corrupt(msg))) => {
+                        assert!(msg.contains("k*_max"), "{msg}")
+                    }
+                    other => panic!(
+                        "{stage}, k*_max {false_k_max}: expected Corrupt, got {:?}",
+                        other.map(|r| r.stats.rewire_stats.attempts)
+                    ),
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     /// A payload that passes the container's checksum but decodes to
     /// garbage must surface as `Corrupt`, never panic.

@@ -72,7 +72,7 @@ impl TargetDv {
 /// condition. On an empty subgraph (Gjoka et al.'s baseline, Appendix B)
 /// only initialization and adjustment do anything, and no RNG is drawn.
 pub fn build(subgraph: &Subgraph, est: &Estimates, rng: &mut Xoshiro256pp) -> TargetDv {
-    let mut dv = initialize(est, subgraph_max_degree(subgraph));
+    let mut dv = initialize(est, k_max(subgraph, est));
     adjust_even_sum(&mut dv);
     modify_for_subgraph(&mut dv, subgraph, rng);
     adjust_even_sum(&mut dv);
@@ -84,16 +84,17 @@ pub fn build(subgraph: &Subgraph, est: &Estimates, rng: &mut Xoshiro256pp) -> Ta
     dv
 }
 
-fn subgraph_max_degree(sg: &Subgraph) -> usize {
-    sg.graph.max_degree()
+/// The target degree range `k*_max`: the largest estimated degree or
+/// the subgraph's largest degree, at least 1. Every stage after targeting
+/// sizes its per-degree vectors by it.
+pub(crate) fn k_max(sg: &Subgraph, est: &Estimates) -> usize {
+    est.max_degree().max(sg.graph.max_degree()).max(1)
 }
 
 /// Initialization step (§IV-B-1): `n*(k) = max(NearInt(n̂ P̂(k)), 1)`
-/// wherever `P̂(k) > 0`. A positive estimate implies at least one node of
-/// that degree exists in the original graph.
-fn initialize(est: &Estimates, min_k_max: usize) -> TargetDv {
-    let est_k_max = est.max_degree();
-    let k_max = est_k_max.max(min_k_max).max(1);
+/// wherever `P̂(k) > 0`, over degrees `1 ..= k_max`. A positive estimate
+/// implies at least one node of that degree exists in the original graph.
+fn initialize(est: &Estimates, k_max: usize) -> TargetDv {
     let mut n_hat_k = vec![0.0f64; k_max + 1];
     let mut n_star = vec![0u64; k_max + 1];
     for k in 1..=k_max {
@@ -299,7 +300,7 @@ mod tests {
 
             // Reference replay: initialization + adjustment, then the
             // original per-node linear scan.
-            let mut dv = initialize(&est, subgraph_max_degree(&sg));
+            let mut dv = initialize(&est, k_max(&sg, &est));
             adjust_even_sum(&mut dv);
             let n_sub = sg.num_nodes();
             dv.d_star = vec![0u32; n_sub];

@@ -5,9 +5,9 @@
 //! committed golden as `pipeline_golden.rs`).
 //!
 //! The `Interrupted` abort drops all in-memory pipeline state, so these
-//! tests prove the checkpoint payload is *complete*: adjacency order,
-//! RNG stream position and degree-bucket order all survive the round
-//! trip.
+//! tests prove the checkpoint payload is *complete*: the graph, the RNG
+//! stream position and the degree-bucket order all survive the round
+//! trip, and a resumed run ends on the same neighbour lists, in order.
 
 use std::path::PathBuf;
 
@@ -148,6 +148,15 @@ fn kill_and_resume_at_every_checkpoint_matches_golden() {
             GOLDEN,
             "kill after checkpoint {n}/{total_checkpoints} diverged on resume"
         );
+        // Not only the multiset: the same neighbour lists, in order.
+        assert_eq!(resumed.graph.num_nodes(), baseline.graph.num_nodes());
+        for u in baseline.graph.nodes() {
+            assert_eq!(
+                resumed.graph.neighbors(u),
+                baseline.graph.neighbors(u),
+                "kill after checkpoint {n}: node {u}'s neighbours"
+            );
+        }
         assert_eq!(
             resumed.stats.rewire_stats.attempts,
             baseline.stats.rewire_stats.attempts

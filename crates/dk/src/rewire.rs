@@ -73,18 +73,18 @@
 //!    with the commit). The swap is accepted iff that change is negative,
 //!    so a swap whose `ΔT_k` are all zero changes `D` by exactly `0.0` and
 //!    is rejected.
-//! 3. **Commit.** Only on accept are the graph, the index, `t`, `T_k` and
-//!    the candidate-slot bookkeeping mutated — four structural toggles
-//!    with **no** common-neighbor scans, since the deltas are already
-//!    known. Rejected attempts touch no shared state at all, which a
-//!    debug-build mutation counter on the index asserts.
+//! 3. **Commit.** Only on accept are the index (the engine's only
+//!    adjacency), `t`, `T_k` and the candidate-slot bookkeeping mutated —
+//!    four toggles with **no** common-neighbor scans, since the deltas are
+//!    already known. Rejected attempts touch no shared state at all, which
+//!    a debug-build mutation counter on the index asserts.
 //!
 //! All per-attempt working memory is the filter's fixed table, a
 //! `(node, Δt)` list reserved once to its worst case, a per-degree
 //! [`sgr_util::scratch::ScratchAccum`] for the decision, and fixed-size
-//! arrays on the stack; nothing is sized by the node count. The graph and
-//! the multiplicity index update in place inside fixed per-node extents,
-//! so every attempt — rejected or accepted — performs **zero heap
+//! arrays on the stack; nothing is sized by the node count. The
+//! multiplicity index updates in place inside fixed per-node extents, so
+//! every attempt — rejected or accepted — performs **zero heap
 //! allocations**.
 //!
 //! # Per-attempt complexity
@@ -101,7 +101,7 @@
 //! then at most six index lookups among the endpoints, and a fold over
 //! the τ nonzero `Δt` entries (O(τ) plus a sort of the few touched
 //! degrees).
-//! An accepted attempt adds four scan-free structural toggles and O(1)
+//! An accepted attempt adds four scan-free index toggles and O(1)
 //! slot/bucket bookkeeping. The apply-rollback reference pays an
 //! iterate-and-probe evaluation *plus* eight mutating toggles (four of
 //! them pure waste on rejection) and two hash maps' worth of allocation
@@ -161,8 +161,9 @@
 //!    per-degree sum of the current graph's triangle counts, and `D`
 //!    itself is a fresh fold over it ([`RewireEngine::distance`]). So
 //!    accept/reject decisions — and therefore the distance trajectory —
-//!    are bit-for-bit reproducible, and a resumed engine rebuilt from its
-//!    graph decides exactly as the uninterrupted one.
+//!    are bit-for-bit reproducible, and an engine resumed from a graph in
+//!    any list order rebuilds the same index, decides exactly as the
+//!    uninterrupted one, and ends on the same graph, list for list.
 //!
 //! Only the ring's *picks* are ever speculative, never its evaluations:
 //! the head is evaluated and decided against the live state, exactly as
@@ -254,15 +255,14 @@ struct Drawn {
 }
 
 /// State shared by the evaluate-then-commit engine and the apply-rollback
-/// reference: the evolving graph, its multiplicity index, exact triangle
-/// counts per node and per degree, and the candidate-slot bookkeeping.
+/// reference: the evolving multigraph's index (its only adjacency), exact
+/// triangle counts per node and per degree, and the slot bookkeeping.
 ///
 /// Every routine that influences an accept/reject decision lives here and
 /// is executed by both engines with identical RNG-draw order, which —
 /// with decisions that are pure functions of the graph and the pick —
 /// is what makes the two bitwise-equivalent.
 pub(crate) struct EngineCore {
-    pub(crate) graph: Graph,
     pub(crate) idx: MultiplicityIndex,
     /// Per-node triangle counts `t_i` (signed for incremental updates).
     pub(crate) t: Vec<i64>,
@@ -285,8 +285,9 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    /// Builds the engine state from scratch: the multiplicity index, the
-    /// per-node triangle counts `t` from one degree-ordered triangle pass
+    /// Builds the engine state from scratch: the multiplicity index and
+    /// the degrees (then `graph` is dropped), the per-node triangle counts
+    /// `t` from one degree-ordered triangle pass
     /// ([`sgr_props::triangles`] — each triangle found once, O(m̃ √m̃)
     /// rather than O(Σ d̃²)), their per-degree sums `T_k`, and the degree
     /// buckets over the candidate endpoints.
@@ -297,11 +298,12 @@ impl EngineCore {
     /// order must never depend on how it was allocated.
     pub(crate) fn new(graph: Graph, candidates: Vec<(NodeId, NodeId)>, target_c: &[f64]) -> Self {
         let idx = MultiplicityIndex::build(&graph);
-        let t: Vec<i64> = triangle_counts_with_index(&graph, &idx)
+        let deg: Vec<u32> = graph.nodes().map(|u| graph.degree(u) as u32).collect();
+        drop(graph);
+        let t: Vec<i64> = triangle_counts_with_index(&idx)
             .into_iter()
             .map(|x| x as i64)
             .collect();
-        let deg: Vec<u32> = graph.nodes().map(|u| graph.degree(u) as u32).collect();
         let k_max = deg.iter().copied().max().unwrap_or(0) as usize;
         let k_cap = k_max.max(target_c.len().saturating_sub(1));
         let mut nk = vec![0u64; k_cap + 1];
@@ -333,7 +335,6 @@ impl EngineCore {
             }
         }
         Self {
-            graph,
             idx,
             t,
             deg,
@@ -503,7 +504,7 @@ impl EngineCore {
 
     /// Decides an evaluated swap: folds its `Δt` list into the change of
     /// `D` and, iff that is negative, commits it — cached quantities, four
-    /// scan-free structural toggles, and the slot swap. Returns whether
+    /// scan-free toggles of the index, and the slot swap. Returns whether
     /// the swap was accepted.
     pub(crate) fn decide(
         &mut self,
@@ -513,10 +514,10 @@ impl EngineCore {
     ) -> bool {
         if self.fold_decide(touched, dtk) < 0.0 {
             self.commit_decision(touched, dtk);
-            apply_structural(self, p.vi, p.vj, -1);
-            apply_structural(self, p.vi2, p.vj2, -1);
-            apply_structural(self, p.vi, p.vj2, 1);
-            apply_structural(self, p.vi2, p.vj, 1);
+            self.idx.remove_edge(p.vi, p.vj);
+            self.idx.remove_edge(p.vi2, p.vj2);
+            self.idx.add_edge(p.vi, p.vj2);
+            self.idx.add_edge(p.vi2, p.vj);
             self.commit_slot_swap(p);
             true
         } else {
@@ -603,20 +604,23 @@ impl EngineCore {
         Ok(())
     }
 
-    /// Consistency check used by tests: recomputes every maintained
-    /// quantity from scratch and compares.
+    /// Consistency check used by tests: checks the graph the index
+    /// describes and the index's canonical form, then recomputes every
+    /// maintained quantity from scratch and compares.
     pub(crate) fn validate(&self) -> Result<(), String> {
+        let graph = Graph::from_index(&self.idx);
+        graph.validate().map_err(|e| format!("graph: {e}"))?;
         self.idx
-            .validate_against(&self.graph)
+            .validate_against(&graph)
             .map_err(|e| format!("index: {e}"))?;
-        let t_fresh = triangle_counts_with_index(&self.graph, &self.idx);
+        let t_fresh = triangle_counts_with_index(&self.idx);
         for (u, (&have, &want)) in self.t.iter().zip(t_fresh.iter()).enumerate() {
             if have != want as i64 {
                 return Err(format!("t[{u}] = {have}, recount = {want}"));
             }
         }
         for (u, &d) in self.deg.iter().enumerate() {
-            if self.graph.degree(u as NodeId) != d as usize {
+            if graph.degree(u as NodeId) != d as usize {
                 return Err(format!("degree of {u} changed"));
             }
         }
@@ -658,8 +662,8 @@ fn per_degree_sums(t: &[i64], deg: &[u32], len: usize) -> Vec<i64> {
     tk
 }
 
-/// The evaluate-then-commit rewiring engine. Owns the graph while
-/// rewiring; [`into_graph`](RewireEngine::into_graph) releases it.
+/// The evaluate-then-commit rewiring engine. Holds the graph as an index
+/// while rewiring; [`into_graph`](RewireEngine::into_graph) builds it.
 ///
 /// See the module docs for the design; the apply-rollback baseline lives
 /// in [`reference::ApplyRollbackEngine`] and is bitwise-equivalent in
@@ -788,7 +792,7 @@ impl RewireEngine {
     }
 
     /// One swap attempt; returns whether it was accepted. Rejected
-    /// attempts perform no graph/index/cache mutations and no heap
+    /// attempts perform no index/cache mutations and no heap
     /// allocations.
     pub fn attempt(&mut self, rng: &mut Xoshiro256pp) -> bool {
         self.core
@@ -823,17 +827,23 @@ impl RewireEngine {
         }
     }
 
-    /// Releases the rewired graph.
+    /// Releases the rewired graph in canonical order (every list
+    /// ascending), built from the index after the rest of the engine is
+    /// freed, so the two never share the heap.
     pub fn into_graph(self) -> Graph {
-        self.core.graph
+        let idx = {
+            let core = self.core;
+            core.idx
+        };
+        Graph::from_index(&idx)
     }
 
-    /// Appends the engine's resumable state to a checkpoint payload, read
-    /// in place (no copy of the graph); [`RewireState::decode`] reads it
+    /// Appends the engine's resumable state (the graph, in canonical
+    /// order) to a checkpoint payload; [`RewireState::decode`] reads it
     /// back.
     pub fn encode_state(&self, w: &mut PayloadWriter) {
         let core = &self.core;
-        w.put_graph(&core.graph);
+        w.put_graph(&Graph::from_index(&core.idx));
         w.put_pairs(&core.slots);
         w.put_u64(core.buckets.len() as u64);
         for bucket in &core.buckets {
@@ -872,7 +882,7 @@ impl RewireEngine {
 }
 
 /// A rewiring engine's resumable state, as a mid-rewire checkpoint
-/// carries it: the evolving graph's adjacency *in list order*, the
+/// carries it: the evolving graph's adjacency (in any list order), the
 /// candidate slots, and the degree buckets in their *current* order.
 /// That is all a bitwise-identical resume needs: the triangle counts and
 /// their per-degree sums are exact integers recomputed from the graph,
@@ -894,8 +904,9 @@ impl RewireState {
     pub fn decode(r: &mut PayloadReader<'_>) -> Result<Self, SnapshotError> {
         let graph = r.get_graph()?;
         let slots = r.get_pairs()?;
-        let n_buckets = r.get_u64()? as usize;
-        let mut buckets: Vec<Vec<(u32, u8)>> = Vec::with_capacity(n_buckets);
+        // Unchecked until resume, so nothing is reserved from it.
+        let n_buckets = r.get_u64()?;
+        let mut buckets: Vec<Vec<(u32, u8)>> = Vec::new();
         for _ in 0..n_buckets {
             let packed = r.get_u64_slice()?;
             let mut bucket = Vec::with_capacity(packed.len());
@@ -1053,18 +1064,6 @@ impl Endpoints {
             self.adj[p][q] += 1;
             self.adj[q][p] += 1;
         }
-    }
-}
-
-/// Applies one structural edge toggle to graph + index, with no triangle
-/// bookkeeping (the deltas were already evaluated).
-fn apply_structural(core: &mut EngineCore, u: NodeId, v: NodeId, sign: i64) {
-    if sign < 0 {
-        core.graph.remove_edge(u, v);
-        core.idx.remove_edge(u, v);
-    } else {
-        core.graph.add_edge(u, v);
-        core.idx.add_edge(u, v);
     }
 }
 
@@ -1231,9 +1230,9 @@ mod tests {
     }
 
     /// Resuming an engine from its encoded state mid-run — graph
-    /// adjacency (order-preserving), slots and the bucket order —
-    /// continues the run bitwise-identically. This is the fidelity
-    /// contract the crash-safe checkpoints in `sgr-core` build on.
+    /// adjacency, slots and the bucket order — continues the run
+    /// bitwise-identically. This is the fidelity contract the crash-safe
+    /// checkpoints in `sgr-core` build on.
     #[test]
     fn snapshot_and_resume_is_bitwise_identical() {
         let g = social(16);
@@ -1271,6 +1270,59 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "edge multisets diverged after resume");
+    }
+
+    /// The rewired graph is canonical: a resume from a state whose graph
+    /// lists every node's neighbours in reverse ends on the uninterrupted
+    /// engine's graph neighbour for neighbour, with every list ascending.
+    #[test]
+    fn resume_from_any_list_order_returns_the_canonical_graph() {
+        let g = social(27);
+        let props = LocalProperties::compute(&g);
+        let target: Vec<f64> = props
+            .clustering_by_degree
+            .iter()
+            .map(|&c| c * 0.4)
+            .collect();
+        let edges: Vec<_> = g.edges().collect();
+        let mut full = RewireEngine::new(g.clone(), edges.clone(), &target);
+        let stats = full.run_attempts(4_000, &mut Xoshiro256pp::seed_from_u64(28));
+        assert!(stats.accepted > 0);
+
+        let mut first = RewireEngine::new(g, edges, &target);
+        let mut rng = Xoshiro256pp::seed_from_u64(28);
+        first.run_attempts(1_500, &mut rng);
+        let mut state = round_trip(&first);
+        let reversed = state
+            .graph
+            .nodes()
+            .map(|u| state.graph.neighbors(u).iter().rev().copied().collect())
+            .collect();
+        state.graph = Graph::from_adjacency(reversed).unwrap();
+        let mut resumed = RewireEngine::resume(state, &target).unwrap();
+        resumed.run_attempts(2_500, &mut rng);
+
+        let (want, got) = (full.into_graph(), resumed.into_graph());
+        assert_eq!(got.num_nodes(), want.num_nodes());
+        for u in want.nodes() {
+            assert_eq!(got.neighbors(u), want.neighbors(u), "node {u}");
+            assert!(got.neighbors(u).is_sorted(), "node {u}");
+        }
+    }
+
+    /// A false bucket count runs out of payload: a typed error, not an
+    /// allocation of the size it claims.
+    #[test]
+    fn decode_refuses_a_false_bucket_count() {
+        let mut w = PayloadWriter::new();
+        w.put_graph(&social(29));
+        w.put_pairs(&[]);
+        w.put_u64(1 << 40);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            RewireState::decode(&mut PayloadReader::new(&bytes)),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! index (computing triangle deltas from common-neighbor scans as it
 //! goes), allocates a fresh hash map for the touched nodes, and — in the
 //! common rejected case — performs four more mutating toggles to roll
-//! everything back.
+//! everything back. Its graph is its own (the production engine keeps
+//! none), an adjacency maintained independently of the shared index.
 //!
 //! It exists for two jobs:
 //!
@@ -28,6 +29,8 @@ use sgr_util::{FxHashMap, Xoshiro256pp};
 
 /// The apply-rollback engine; see the module docs.
 pub struct ApplyRollbackEngine {
+    /// The evolving graph, toggled alongside `core.idx`.
+    graph: Graph,
     core: EngineCore,
     /// Per-degree changes `ΔT_k` for the shared decision fold.
     scratch_tk: ScratchAccum<i64>,
@@ -36,9 +39,10 @@ pub struct ApplyRollbackEngine {
 impl ApplyRollbackEngine {
     /// Mirror of [`RewireEngine::new`](crate::rewire::RewireEngine::new).
     pub fn new(graph: Graph, candidates: Vec<(NodeId, NodeId)>, target_c: &[f64]) -> Self {
-        let core = EngineCore::new(graph, candidates, target_c);
+        let core = EngineCore::new(graph.clone(), candidates, target_c);
         let degrees = core.tk.len();
         Self {
+            graph,
             core,
             scratch_tk: ScratchAccum::with_keys(degrees),
         }
@@ -131,58 +135,52 @@ impl ApplyRollbackEngine {
         sign: i64,
         touched: &mut FxHashMap<NodeId, i64>,
     ) {
-        let core = &mut self.core;
-        if u == v {
-            // Self-loops take part in no triangle.
-            if sign < 0 {
-                core.graph.remove_edge(u, u);
-                core.idx.remove_edge(u, u);
-            } else {
-                core.graph.add_edge(u, u);
-                core.idx.add_edge(u, u);
-            }
-            return;
-        }
+        let (graph, core) = (&mut self.graph, &mut self.core);
         if sign < 0 {
-            core.graph.remove_edge(u, v);
+            graph.remove_edge(u, v);
             core.idx.remove_edge(u, v);
         }
-        // Scan the endpoint with the smaller degree (O(1) via deg[]).
-        let (x, y) = if core.deg[u as usize] <= core.deg[v as usize] {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        let mut common = 0i64;
-        // Collect to a fresh Vec (per-attempt allocation — baseline cost).
-        let entries: Vec<(NodeId, u32)> = core
-            .idx
-            .entries(x)
-            .filter(|&(w, _)| w != u && w != v)
-            .collect();
-        for (w, a_xw) in entries {
-            let a_yw = core.idx.get(y, w);
-            if a_yw > 0 {
-                let prod = a_xw as i64 * a_yw as i64;
-                common += prod;
-                *touched.entry(w).or_insert(0) += sign * prod;
+        // Self-loops take part in no triangle.
+        if u != v {
+            // Scan the endpoint with the smaller degree (O(1) via deg[]).
+            let (x, y) = if core.deg[u as usize] <= core.deg[v as usize] {
+                (u, v)
+            } else {
+                (v, u)
+            };
+            let mut common = 0i64;
+            // Collect to a fresh Vec (per-attempt allocation — baseline cost).
+            let entries: Vec<(NodeId, u32)> = core
+                .idx
+                .entries(x)
+                .filter(|&(w, _)| w != u && w != v)
+                .collect();
+            for (w, a_xw) in entries {
+                let a_yw = core.idx.get(y, w);
+                if a_yw > 0 {
+                    let prod = a_xw as i64 * a_yw as i64;
+                    common += prod;
+                    *touched.entry(w).or_insert(0) += sign * prod;
+                }
             }
+            *touched.entry(u).or_insert(0) += sign * common;
+            *touched.entry(v).or_insert(0) += sign * common;
         }
-        *touched.entry(u).or_insert(0) += sign * common;
-        *touched.entry(v).or_insert(0) += sign * common;
         if sign > 0 {
-            core.graph.add_edge(u, v);
+            graph.add_edge(u, v);
             core.idx.add_edge(u, v);
         }
     }
 
-    /// Releases the rewired graph.
+    /// Releases the rewired graph (this engine's own, in list order).
     pub fn into_graph(self) -> Graph {
-        self.core.graph
+        self.graph
     }
 
-    /// Full consistency check (see `EngineCore::validate`).
+    /// Full consistency check: `EngineCore::validate`, then the index
+    /// against this engine's own graph.
     pub fn validate(&self) -> Result<(), String> {
-        self.core.validate()
+        self.core.validate()?;
+        self.core.idx.validate_against(&self.graph)
     }
 }

@@ -1,5 +1,6 @@
 //! The arena-backed adjacency multigraph type.
 
+use crate::index::MultiplicityIndex;
 use sgr_util::FxHashMap;
 
 /// Node identifier. `u32` keeps adjacency lists compact (half the memory
@@ -105,8 +106,8 @@ impl std::error::Error for GraphError {}
 ///   capacity of `u` is implied by the next extent's start (the CSR
 ///   layout, plus a live length per node). [`Graph::reserve_neighbors`]
 ///   builds this layout with capacities taken from the caller's target
-///   degrees; the raw-adjacency constructors and [`Graph::from_view`]
-///   build it with exact-fit capacities.
+///   degrees; the raw-adjacency constructors, [`Graph::from_view`] and
+///   [`Graph::from_index`] build it with exact-fit capacities.
 /// * **Dynamic** — capacities are materialized per node, and an extent
 ///   that overflows is relocated to the end of the arena with doubled
 ///   capacity (the abandoned slots are reclaimed by an occasional
@@ -117,12 +118,12 @@ impl std::error::Error for GraphError {}
 /// The restoration pipeline never leaves the tight layout after
 /// construction: targeting fixes every node's degree before wiring, so
 /// [`Graph::reserve_neighbors`] sizes each extent to its final degree,
-/// stub matching fills extents exactly, and double-edge-swap rewiring is
-/// degree-preserving — every commit removes an entry from a node before
-/// adding one back, so occupancy never exceeds the reserved capacity even
-/// mid-swap. No extent ever grows, no slot is ever relocated, and
-/// [`Graph::freeze`] is a near-copy-free compaction (for a fully packed
-/// tight graph, a plain copy of the two arrays).
+/// and stub matching fills extents exactly. Rewiring mutates no `Graph`:
+/// the engine keeps the multigraph as a [`MultiplicityIndex`] and hands
+/// back [`Graph::from_index`], tight and fully packed. No extent ever
+/// grows, no slot is ever relocated, and [`Graph::freeze`] is a
+/// near-copy-free compaction (for a fully packed tight graph, a plain
+/// copy of the two arrays).
 ///
 /// Mutations reproduce the element movement of the previous per-node
 /// `Vec` representation exactly — appends at the live length, removals by
@@ -177,10 +178,9 @@ impl Graph {
     }
 
     /// Rebuilds a graph from raw adjacency lists, **preserving per-node
-    /// neighbor order** — unlike [`crate::CsrGraph::thaw`], which re-adds
-    /// edges and therefore reorders neighbor lists. Checkpoint restoration
-    /// uses this so order-sensitive float kernels (and the rewiring
-    /// engine's slot bookkeeping) resume bitwise-identically.
+    /// neighbor order**, so order-sensitive float kernels see the lists
+    /// exactly as given — unlike [`crate::CsrGraph::thaw`], which re-adds
+    /// edges and therefore reorders neighbor lists.
     ///
     /// The input must satisfy the storage conventions of this type: the
     /// lists are symmetric (`v ∈ adj[u]` as many times as `u ∈ adj[v]`)
@@ -190,29 +190,8 @@ impl Graph {
     /// Returns the first invariant violation found (out-of-range neighbor,
     /// odd loop-entry count, asymmetry) as a typed [`GraphError`].
     pub fn from_adjacency(adj: Vec<Vec<NodeId>>) -> Result<Self, GraphError> {
-        let total: usize = adj.iter().map(Vec::len).sum();
-        if !total.is_multiple_of(2) {
-            return Err(GraphError::OddNeighborEntries { total });
-        }
-        Self::check_arena_fits(total);
-        let n = adj.len();
-        let mut starts = Vec::with_capacity(n + 1);
-        let mut lens = Vec::with_capacity(n);
-        let mut arena = Vec::with_capacity(total);
-        starts.push(0u32);
-        for nbrs in &adj {
-            arena.extend_from_slice(nbrs);
-            lens.push(nbrs.len() as u32);
-            starts.push(arena.len() as u32);
-        }
-        let g = Self {
-            starts,
-            lens,
-            caps: None,
-            arena,
-            dead: 0,
-            num_edges: total / 2,
-        };
+        let lens = adj.iter().map(|nbrs| nbrs.len() as u32).collect();
+        let g = Self::tight(lens, adj.concat());
         g.validate()?;
         Ok(g)
     }
@@ -236,26 +215,7 @@ impl Graph {
                 arena_len: flat.len(),
             });
         }
-        let total = flat.len();
-        if !total.is_multiple_of(2) {
-            return Err(GraphError::OddNeighborEntries { total });
-        }
-        Self::check_arena_fits(total);
-        let mut starts = Vec::with_capacity(degrees.len() + 1);
-        starts.push(0u32);
-        let mut off = 0u64;
-        for &d in degrees {
-            off += d as u64;
-            starts.push(off as u32);
-        }
-        let g = Self {
-            starts,
-            lens: degrees.to_vec(),
-            caps: None,
-            arena: flat,
-            dead: 0,
-            num_edges: total / 2,
-        };
+        let g = Self::tight(degrees.to_vec(), flat);
         g.validate()?;
         Ok(g)
     }
@@ -267,26 +227,50 @@ impl Graph {
     /// the storage invariants — it came from a [`Graph`] or a validated
     /// snapshot — so no re-validation pass is paid.
     pub fn from_view<G: crate::GraphView + ?Sized>(g: &G) -> Self {
-        let n = g.num_nodes();
-        let total = 2 * g.num_edges();
-        Self::check_arena_fits(total);
-        let mut starts = Vec::with_capacity(n + 1);
-        let mut lens = Vec::with_capacity(n);
-        let mut arena = Vec::with_capacity(total);
-        starts.push(0u32);
+        let lens = g.nodes().map(|u| g.degree(u) as u32).collect();
+        let mut arena = Vec::with_capacity(2 * g.num_edges());
         for u in g.nodes() {
-            let nbrs = g.neighbors(u);
-            arena.extend_from_slice(nbrs);
-            lens.push(nbrs.len() as u32);
-            starts.push(arena.len() as u32);
+            arena.extend_from_slice(g.neighbors(u));
         }
+        Self::tight(lens, arena)
+    }
+
+    /// Materializes the multigraph an index describes in **canonical
+    /// order** (each list ascending, `v` repeated `A_uv` times), which
+    /// depends only on the edge multiset. The index is trusted, so no
+    /// re-validation pass is paid.
+    pub fn from_index(idx: &MultiplicityIndex) -> Self {
+        let lens: Vec<u32> = (0..idx.num_nodes() as NodeId)
+            .map(|u| idx.entries(u).map(|(_, a)| a).sum())
+            .collect();
+        let mut arena = Vec::with_capacity(lens.iter().map(|&d| d as usize).sum());
+        for u in 0..idx.num_nodes() as NodeId {
+            for (v, a) in idx.entries(u) {
+                arena.extend(std::iter::repeat_n(v, a as usize));
+            }
+        }
+        Self::tight(lens, arena)
+    }
+
+    /// The tight layout with exact-fit extents: node `u` owns the next
+    /// `lens[u]` entries of `arena` (the lengths sum to its length).
+    fn tight(lens: Vec<u32>, arena: Vec<NodeId>) -> Self {
+        Self::check_arena_fits(arena.len());
+        let mut starts = Vec::with_capacity(lens.len() + 1);
+        starts.push(0u32);
+        let mut off = 0u32;
+        for &d in &lens {
+            off += d;
+            starts.push(off);
+        }
+        debug_assert_eq!(off as usize, arena.len());
         Self {
             starts,
             lens,
             caps: None,
+            num_edges: arena.len() / 2,
             arena,
             dead: 0,
-            num_edges: g.num_edges(),
         }
     }
 
@@ -670,10 +654,12 @@ impl Graph {
     /// found.
     pub fn validate(&self) -> Result<(), GraphError> {
         let n = self.num_nodes();
-        let mut total_deg = 0usize;
+        let total_deg: usize = self.lens.iter().map(|&l| l as usize).sum();
+        if !total_deg.is_multiple_of(2) {
+            return Err(GraphError::OddNeighborEntries { total: total_deg });
+        }
         for u in self.nodes() {
             let nbrs = self.neighbors(u);
-            total_deg += nbrs.len();
             let mut self_copies = 0usize;
             for &v in nbrs {
                 if (v as usize) >= n {

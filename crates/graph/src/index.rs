@@ -5,8 +5,8 @@
 //! `A_uv` queries and common-neighbor scans. Scanning raw neighbor lists
 //! makes each query O(deg); this index spends one pass of preprocessing
 //! and O(m) memory on per-node sorted `(neighbor, A_uv)` lists, and
-//! supports incremental updates so the rewiring engine can keep it
-//! consistent while mutating the graph.
+//! supports incremental updates. The rewiring engine keeps its multigraph
+//! here alone and builds the result with [`crate::Graph::from_index`].
 //!
 //! # Storage model
 //!

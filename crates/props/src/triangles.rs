@@ -47,16 +47,11 @@ use sgr_graph::{GraphView, NodeId};
 /// Computes `t_i` for every node of any [`GraphView`] backend.
 /// O(m̃ √m̃) over m̃ distinct non-loop pairs; see the module docs.
 pub fn triangle_counts<G: GraphView + ?Sized>(g: &G) -> Vec<u64> {
-    let idx = MultiplicityIndex::build(g);
-    triangle_counts_with_index(g, &idx)
+    triangle_counts_with_index(&MultiplicityIndex::build(g))
 }
 
 /// As [`triangle_counts`] but reusing a prebuilt index.
-pub fn triangle_counts_with_index<G: GraphView + ?Sized>(
-    g: &G,
-    idx: &MultiplicityIndex,
-) -> Vec<u64> {
-    debug_assert_eq!(g.num_nodes(), idx.num_nodes());
+pub fn triangle_counts_with_index(idx: &MultiplicityIndex) -> Vec<u64> {
     let mut t = vec![0u64; idx.num_nodes()];
     Oriented::build(idx).for_each_triangle(|nodes, _, a| {
         let w = a[0] * a[1] * a[2];
