@@ -14,6 +14,8 @@
 //! * `betweenness` — pivot-sampled Brandes (BFS + dependency pass);
 //! * `triangles` — multiplicity-index triangle counting (index-bound, so
 //!   the backends are expected to tie; reported for completeness);
+//! * `spectral` — `λ1` by Lanczos, one adjacency pass per step; `λ1` is
+//!   asserted bitwise equal on `graph` and `csr` and reported;
 //! * `distance_profile` — the dissimilarity profile (per-source
 //!   distance distributions), reference vs engine vs parallel engine.
 //!
@@ -40,7 +42,7 @@
 //! runner's vCPU count).
 
 use sgr_graph::{CsrGraph, Graph};
-use sgr_props::{betweenness, dissimilarity, paths, triangles, BfsEngine, PropsConfig};
+use sgr_props::{betweenness, dissimilarity, paths, spectral, triangles, BfsEngine, PropsConfig};
 use sgr_util::Xoshiro256pp;
 use std::time::Instant;
 
@@ -230,6 +232,29 @@ fn main() {
         });
     }
 
+    // --- λ1 (Lanczos, the tolerance and cap `StructuralProperties`
+    // uses). The sorted arena sums each row in another order, so it only
+    // has to agree to rounding.
+    let lambda1 = {
+        let (tg, lg) = time(reps, || spectral::largest_eigenvalue(&g, 1e-10, 1000));
+        let (tc, lc) = time(reps, || spectral::largest_eigenvalue(&csr, 1e-10, 1000));
+        let (ts, ls) = time(reps, || spectral::largest_eigenvalue(&sorted, 1e-10, 1000));
+        assert_eq!(
+            lg.to_bits(),
+            lc.to_bits(),
+            "lambda1 diverged between graph and csr: {lg} vs {lc}"
+        );
+        assert!(
+            (lg - ls).abs() <= 1e-9 * lg,
+            "lambda1 on the sorted arena: {ls} vs {lg}"
+        );
+        kernels.push(Kernel {
+            name: "spectral",
+            secs: vec![tg, tc, ts],
+        });
+        lg
+    };
+
     // --- Distance profile (dissimilarity per-source distributions, 128
     // pivots): reference vs engine vs parallel engine, all reading the
     // sorted arena. Outputs are distance-determined, so all three must
@@ -313,6 +338,9 @@ fn main() {
                 tr,
                 base / tr
             )
+        } else if k.name == "spectral" {
+            eprintln!("    {:>10}: {:.12}", "lambda1", lambda1);
+            format!(",\n      \"lambda1\": {lambda1:.12}")
         } else {
             String::new()
         };

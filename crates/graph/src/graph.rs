@@ -649,15 +649,19 @@ impl Graph {
         crate::CsrGraph::freeze(self)
     }
 
-    /// Checks internal invariants; used by tests and debug assertions.
-    /// Returns a typed [`GraphError`] describing the first violation
-    /// found.
+    /// Checks internal invariants in O(n + m) time; run by the
+    /// validating constructors (so by every checkpoint load), tests and
+    /// debug assertions. Returns a typed [`GraphError`] describing the
+    /// first violation found.
     pub fn validate(&self) -> Result<(), GraphError> {
         let n = self.num_nodes();
         let total_deg: usize = self.lens.iter().map(|&l| l as usize).sum();
         if !total_deg.is_multiple_of(2) {
             return Err(GraphError::OddNeighborEntries { total: total_deg });
         }
+        // `ends[v + 1]` counts the upward entries `v ∈ adj[u]`, `v > u`,
+        // for the symmetry check below.
+        let mut ends = vec![0u32; n + 1];
         for u in self.nodes() {
             let nbrs = self.neighbors(u);
             let mut self_copies = 0usize;
@@ -670,6 +674,8 @@ impl Graph {
                 }
                 if v == u {
                     self_copies += 1;
+                } else if v > u {
+                    ends[v as usize + 1] += 1;
                 }
             }
             if !self_copies.is_multiple_of(2) {
@@ -682,24 +688,47 @@ impl Graph {
                 twice_edges: 2 * self.num_edges,
             });
         }
-        // Symmetry: count of v in adj[u] equals count of u in adj[v].
+        // Symmetry: for every pair u < v, the count of v in adj[u] equals
+        // the count of u in adj[v]. A counting-sort transpose of the
+        // upward entries lists, for each node v, the lower nodes whose
+        // lists hold v (with multiplicity); that list must equal v's own
+        // downward entries as a multiset. One tally array serves every
+        // node, all zeros again after each node that passes: O(n + m).
+        for i in 0..n {
+            ends[i + 1] += ends[i];
+        }
+        let mut listed_by = vec![0 as NodeId; ends[n] as usize];
         for u in self.nodes() {
-            let mut counts: FxHashMap<NodeId, usize> = FxHashMap::default();
             for &v in self.neighbors(u) {
                 if v > u {
-                    *counts.entry(v).or_insert(0) += 1;
+                    listed_by[ends[v as usize] as usize] = u;
+                    ends[v as usize] += 1;
                 }
             }
-            for (&v, &c) in counts.iter() {
-                let back = self.neighbors(v).iter().filter(|&&x| x == u).count();
-                if back != c {
-                    return Err(GraphError::Asymmetry {
-                        u,
-                        v,
-                        forward: c,
-                        backward: back,
-                    });
-                }
+        }
+        // `ends[v]` is now the end of v's segment, `ends[v - 1]` its start.
+        let mut tally = vec![0u32; n];
+        for v in self.nodes() {
+            let start = if v == 0 { 0 } else { ends[v as usize - 1] };
+            let listing = &listed_by[start as usize..ends[v as usize] as usize];
+            let own = self.neighbors(v);
+            for &u in listing {
+                tally[u as usize] = tally[u as usize].wrapping_add(1);
+            }
+            for &u in own.iter().filter(|&&u| u < v) {
+                tally[u as usize] = tally[u as usize].wrapping_sub(1);
+            }
+            let mismatch = listing
+                .iter()
+                .chain(own)
+                .find(|&&u| u < v && tally[u as usize] != 0);
+            if let Some(&u) = mismatch {
+                return Err(GraphError::Asymmetry {
+                    u,
+                    v,
+                    forward: listing.iter().filter(|&&x| x == u).count(),
+                    backward: own.iter().filter(|&&x| x == u).count(),
+                });
             }
         }
         Ok(())
@@ -895,6 +924,46 @@ mod tests {
         assert_eq!(
             Graph::from_adjacency(vec![vec![1]]).unwrap_err(),
             GraphError::OddNeighborEntries { total: 1 }
+        );
+    }
+
+    #[test]
+    fn validate_finds_a_multiplicity_mismatch_at_a_hub() {
+        // The hub is the highest id, so every leaf pair is checked against
+        // the hub's list: a scan of that list per leaf would be quadratic.
+        let leaves = 20_000u32;
+        let hub = leaves;
+        let mut adj: Vec<Vec<NodeId>> = (0..leaves).map(|_| vec![hub]).collect();
+        adj.push((0..leaves).collect());
+        Graph::from_adjacency(adj.clone())
+            .unwrap()
+            .validate()
+            .unwrap();
+        // The hub lists leaf 17 twice, leaf 17 lists the hub once; leaf
+        // 9000 lists the hub twice (keeping the entry count even).
+        adj[hub as usize].push(17);
+        adj[9000].push(hub);
+        assert_eq!(
+            Graph::from_adjacency(adj).unwrap_err(),
+            GraphError::Asymmetry {
+                u: 17,
+                v: hub,
+                forward: 1,
+                backward: 2
+            }
+        );
+    }
+
+    #[test]
+    fn validate_catches_an_entry_only_the_higher_endpoint_lists() {
+        assert_eq!(
+            Graph::from_adjacency(vec![vec![], vec![0], vec![0]]).unwrap_err(),
+            GraphError::Asymmetry {
+                u: 0,
+                v: 1,
+                forward: 0,
+                backward: 1
+            }
         );
     }
 

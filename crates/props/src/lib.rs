@@ -146,7 +146,8 @@ pub struct StructuralProperties {
     pub diameter: f64,
     /// (11) `{b̄(k)}` indexed by degree (largest component).
     pub betweenness_by_degree: Vec<f64>,
-    /// (12) `λ1`.
+    /// (12) `λ1`, on the whole graph, by Lanczos to relative tolerance
+    /// 1e-10 (see [`spectral`]); one adjacency pass per step.
     pub lambda1: f64,
 }
 

@@ -36,7 +36,7 @@ use std::io::{self, Cursor};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use sgr_core::{CheckpointPolicy, PipelineObserver, RestoreError, RestoreStats, Restored};
@@ -158,6 +158,17 @@ struct Shared {
 }
 
 impl Shared {
+    /// Locks the job table, recovering it if a thread panicked while
+    /// holding the lock. Every critical section is a few field
+    /// assignments, each of which leaves the table valid; the only panic
+    /// possible inside one is a broken internal condition (a queued job
+    /// without its spec), which leaves that one job record stale.
+    /// Treating the poisoned lock as fatal would instead take every later
+    /// handler and worker down with it.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Releases a finishing job's admission estimate.
     fn release(&self, st: &mut State, id: u64) {
         if let Some(rec) = st.jobs.get_mut(&id) {
@@ -193,6 +204,11 @@ impl ServerHandle {
 /// Binds, adopts any jobs found under the state root, and spawns the
 /// acceptor and worker threads.
 pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
+    launch(cfg).map(|(handle, _)| handle)
+}
+
+/// [`start`], also handing back the shared job table.
+fn launch(cfg: ServeConfig) -> io::Result<(ServerHandle, Arc<Shared>)> {
     std::fs::create_dir_all(&cfg.dir)?;
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
@@ -295,7 +311,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
                 .spawn(move || acceptor_loop(&listener, &shared))?,
         );
     }
-    Ok(ServerHandle { addr, threads })
+    Ok((ServerHandle { addr, threads }, shared))
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -303,7 +319,7 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         let Ok((stream, _)) = listener.accept() else {
             continue;
         };
-        if shared.state.lock().unwrap().shutdown {
+        if shared.lock().shutdown {
             // The self-connect from the shutdown handler (or any
             // straggler) lands here; stop accepting.
             return;
@@ -372,7 +388,7 @@ fn handle_request(
         },
         REQ_STATUS => match decode_job_id(payload) {
             Ok(id) => {
-                let st = shared.state.lock().unwrap();
+                let st = shared.lock();
                 match st.jobs.get(&id) {
                     Some(rec) => {
                         let status = rec.status(id);
@@ -393,7 +409,7 @@ fn handle_request(
             ),
         },
         REQ_LIST => {
-            let st = shared.state.lock().unwrap();
+            let st = shared.lock();
             let list: Vec<JobStatus> = st.jobs.iter().map(|(id, r)| r.status(*id)).collect();
             drop(st);
             write_frame(stream, RESP_JOBS, &JobStatus::encode_list(&list))
@@ -401,7 +417,7 @@ fn handle_request(
         REQ_FETCH => match decode_job_id(payload) {
             Ok(id) => {
                 let state = {
-                    let st = shared.state.lock().unwrap();
+                    let st = shared.lock();
                     st.jobs.get(&id).map(|r| r.state)
                 };
                 match state {
@@ -439,7 +455,7 @@ fn handle_request(
         },
         REQ_SHUTDOWN => {
             {
-                let mut st = shared.state.lock().unwrap();
+                let mut st = shared.lock();
                 st.shutdown = true;
             }
             shared.cv.notify_all();
@@ -468,7 +484,7 @@ fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     drop(g);
 
     let id = {
-        let mut st = shared.state.lock().unwrap();
+        let mut st = shared.lock();
         if st.shutdown {
             return Err((ERR_SHUTTING_DOWN, "server is shutting down".into()));
         }
@@ -496,7 +512,7 @@ fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     let persisted = std::fs::create_dir_all(ckpt_dir(&dir))
         .map_err(|e| e.to_string())
         .and_then(|()| spec.persist(&dir).map_err(|e| e.to_string()));
-    let mut st = shared.state.lock().unwrap();
+    let mut st = shared.lock();
     if let Err(e) = persisted {
         st.committed = st.committed.saturating_sub(estimate);
         return Err((ERR_INTERNAL, format!("persisting job spec: {e}")));
@@ -544,7 +560,7 @@ fn pick_job(st: &State) -> Option<u64> {
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let (id, spec, resume_from) = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             loop {
                 if st.shutdown {
                     return;
@@ -556,7 +572,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     let resume_from = rec.resume_from.take();
                     break (id, spec, resume_from);
                 }
-                st = shared.cv.wait(st).unwrap();
+                st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
         run_job(shared, id, spec, resume_from);
@@ -571,7 +587,7 @@ struct StatusObserver<'a> {
 
 impl StatusObserver<'_> {
     fn update(&mut self, f: impl FnOnce(&mut JobRecord)) {
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         if let Some(rec) = st.jobs.get_mut(&self.id) {
             f(rec);
         }
@@ -628,7 +644,7 @@ fn guarded(job: impl FnOnce() -> Result<Restored, JobError>) -> Result<Restored,
 /// updates its record and, for a failure, persists its `Failed`
 /// terminal status (`execute` persists a `Completed` one itself).
 fn record_outcome(shared: &Shared, id: u64, dir: &Path, result: Result<Restored, JobError>) {
-    let mut st = shared.state.lock().unwrap();
+    let mut st = shared.lock();
     shared.release(&mut st, id);
     let Some(rec) = st.jobs.get_mut(&id) else {
         return;
@@ -817,7 +833,7 @@ mod tests {
         let result = guarded(|| panic!("injected fault {}", 7));
         record_outcome(&shared, 1, &dir, result);
 
-        let st = shared.state.lock().unwrap();
+        let st = shared.lock();
         let rec = &st.jobs[&1];
         assert_eq!(rec.state, JobState::Failed);
         assert_eq!(rec.message, "job panicked: injected fault 7");
@@ -830,6 +846,65 @@ mod tests {
         assert_eq!(persisted.message, rec.message);
         drop(st);
         std::fs::remove_dir_all(&shared.cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_job_table_still_serves_status_and_submit() {
+        let dir =
+            std::env::temp_dir().join(format!("sgr-serve-unit-{}-poison", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (handle, shared) = launch(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            dir: dir.clone(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let poisoner = Arc::clone(&shared);
+        let panicked = std::thread::spawn(move || {
+            let _table = poisoner.lock();
+            panic!("injected panic while holding the job-table lock");
+        })
+        .join();
+        assert!(panicked.is_err() && shared.state.is_poisoned());
+
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let mut edges = Vec::new();
+        sgr_graph::io::write_edge_list(
+            &sgr_gen::holme_kim(200, 3, 0.5, &mut rng).unwrap(),
+            &mut edges,
+        )
+        .unwrap();
+        let req = SubmitRequest {
+            tenant: "t".into(),
+            walk_code: sgr_sample::WalkKind::RandomWalk.code(),
+            fraction: 0.2,
+            snowball_k: 50,
+            burn_prob: 0.7,
+            rewiring_coefficient: 1.0,
+            rewire: true,
+            threads: 1,
+            seed: 9,
+            checkpoint_every: 0,
+            abort_after: 0,
+            edges,
+        };
+        let mut client = crate::Client::connect(handle.addr()).unwrap();
+        let id = client.submit(&req).unwrap();
+        assert_eq!(client.status(id).unwrap().id, id);
+        // The worker, too, gets past the poisoned lock and finishes the job.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while client.status(id).unwrap().state != JobState::Completed {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job {id} never completed"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert!(!client.fetch(id).unwrap().is_empty());
+        client.shutdown_server().unwrap();
+        handle.join();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
