@@ -3,28 +3,31 @@
 //! so the CSR layer has a perf trajectory to defend (next to
 //! `BENCH_rewire.json` for the rewiring engine).
 //!
-//! Kernels (the per-backend rows run the single-threaded **reference**
-//! BFS kernel so the numbers measure the memory layout, not the
-//! scheduler, and stay comparable across committed baselines):
-//! * `bfs_sweep` — pivot-sampled shortest-path properties (pure BFS);
-//!   additionally measured on the direction-optimizing multi-source
-//!   engine (`sgr_props::bfs`) at 1 thread and at `engine_threads`
-//!   workers — the interactive-property-serving configuration the CI
-//!   gate defends (engine vs `csr_sorted` baseline);
+//! Kernels (the per-backend BFS rows run the single-threaded
+//! level-synchronous oracle, `sgr_props::bfs::reference`, so the numbers
+//! measure the memory layout, not the scheduler, and stay comparable
+//! across committed baselines):
+//! * `bfs_sweep` — pivot-sampled shortest-path properties (pure BFS),
+//!   `bfs::reference::shortest_path_properties` per backend; additionally
+//!   `paths::shortest_path_properties`, the direction-optimizing
+//!   multi-source engine every property computation runs on, at 1 thread
+//!   and at `engine_threads` workers — the interactive-property-serving
+//!   configuration the CI gate defends (engine vs `csr_sorted` oracle
+//!   baseline);
 //! * `betweenness` — pivot-sampled Brandes (BFS + dependency pass);
 //! * `triangles` — multiplicity-index triangle counting (index-bound, so
 //!   the backends are expected to tie; reported for completeness);
 //! * `spectral` — `λ1` by Lanczos, one adjacency pass per step; `λ1` is
 //!   asserted bitwise equal on `graph` and `csr` and reported;
 //! * `distance_profile` — the dissimilarity profile (per-source
-//!   distance distributions), reference vs engine vs parallel engine.
+//!   distance distributions), oracle vs engine vs parallel engine.
 //!
 //! Backends: `graph` (adjacency lists), `csr` (order-preserving freeze —
 //! results asserted **bitwise identical** to `graph`), `csr_sorted`
 //! (per-node sorted arena; level sets — and, with the level-set-determined
 //! far-node rule, diameters — match exactly, so the sweep is asserted
 //! bitwise across all three). Engine results are asserted bitwise
-//! identical to the reference kernel at both thread counts. The
+//! identical to the oracle's at both thread counts. The
 //! betweenness kernel is additionally measured on `csr_relabeled`
 //! (degree-descending [`CsrGraph::freeze_relabeled`]) to quantify what
 //! hub-first node packing buys the σ/δ-bound Brandes inner loop.
@@ -42,19 +45,19 @@
 //! runner's vCPU count).
 
 use sgr_graph::{CsrGraph, Graph};
-use sgr_props::{betweenness, dissimilarity, paths, spectral, triangles, BfsEngine, PropsConfig};
+use sgr_props::bfs::reference;
+use sgr_props::{betweenness, dissimilarity, paths, spectral, triangles, PropsConfig};
 use sgr_util::Xoshiro256pp;
 use std::time::Instant;
 
 const GRAPH_SEED: u64 = 22;
 
-fn props_cfg(pivots: usize, threads: usize, bfs: BfsEngine) -> PropsConfig {
+fn props_cfg(pivots: usize, threads: usize) -> PropsConfig {
     PropsConfig {
         exact_threshold: 0, // always pivot-sample at bench sizes
         num_pivots: pivots,
         threads,
         seed: 0x5eed,
-        bfs,
     }
 }
 
@@ -139,14 +142,14 @@ fn main() {
 
     let mut kernels: Vec<Kernel> = Vec::new();
 
-    // --- BFS sweep (shortest-path properties, 128 pivots): reference
-    // kernel per backend, then the direction-optimizing multi-source
-    // engine on the sorted arena at 1 thread and at engine_threads.
+    // --- BFS sweep (shortest-path properties, 128 pivots): the oracle
+    // per backend, then the direction-optimizing multi-source engine on
+    // the sorted arena at 1 thread and at engine_threads.
     let bfs_sweep_engine = {
-        let cfg = props_cfg(128, 1, BfsEngine::Reference);
-        let (tg, rg) = time(reps, || paths::shortest_path_properties(&g, &cfg));
-        let (tc, rc) = time(reps, || paths::shortest_path_properties(&csr, &cfg));
-        let (ts, rs) = time(reps, || paths::shortest_path_properties(&sorted, &cfg));
+        let cfg = props_cfg(128, 1);
+        let (tg, rg) = time(reps, || reference::shortest_path_properties(&g, &cfg));
+        let (tc, rc) = time(reps, || reference::shortest_path_properties(&csr, &cfg));
+        let (ts, rs) = time(reps, || reference::shortest_path_properties(&sorted, &cfg));
         assert_eq!(
             rg.length_dist, rc.length_dist,
             "bfs_sweep diverged between graph and csr"
@@ -161,9 +164,8 @@ fn main() {
         );
         assert_eq!(rg.diameter, rs.diameter);
 
-        let ecfg = props_cfg(128, 1, BfsEngine::DirectionOptimizing);
-        let (te, re) = time(reps, || paths::shortest_path_properties(&sorted, &ecfg));
-        let mcfg = props_cfg(128, engine_threads, BfsEngine::DirectionOptimizing);
+        let (te, re) = time(reps, || paths::shortest_path_properties(&sorted, &cfg));
+        let mcfg = props_cfg(128, engine_threads);
         let (tm, rm) = time(reps, || paths::shortest_path_properties(&sorted, &mcfg));
         assert_eq!(
             bits(&re.length_dist),
@@ -193,7 +195,7 @@ fn main() {
     // its pivot sample differs — a valid estimate, not bitwise-comparable
     // (only its timing is reported).
     let betweenness_relabeled_secs = {
-        let cfg = props_cfg(16, 1, BfsEngine::Reference);
+        let cfg = props_cfg(16, 1);
         let (tg, rg) = time(reps, || betweenness::betweenness_by_degree(&g, &cfg));
         let (tc, rc) = time(reps, || betweenness::betweenness_by_degree(&csr, &cfg));
         let (ts, _) = time(reps, || betweenness::betweenness_by_degree(&sorted, &cfg));
@@ -256,15 +258,14 @@ fn main() {
     };
 
     // --- Distance profile (dissimilarity per-source distributions, 128
-    // pivots): reference vs engine vs parallel engine, all reading the
+    // pivots): oracle vs engine vs parallel engine, all reading the
     // sorted arena. Outputs are distance-determined, so all three must
     // agree bitwise.
     let distance_profile_secs = {
-        let rcfg = props_cfg(128, 1, BfsEngine::Reference);
-        let (tr, pr) = time(reps, || dissimilarity::distance_profile(&sorted, &rcfg));
-        let ecfg = props_cfg(128, 1, BfsEngine::DirectionOptimizing);
-        let (te, pe) = time(reps, || dissimilarity::distance_profile(&sorted, &ecfg));
-        let mcfg = props_cfg(128, engine_threads, BfsEngine::DirectionOptimizing);
+        let cfg = props_cfg(128, 1);
+        let (tr, pr) = time(reps, || reference::distance_profile(&sorted, &cfg));
+        let (te, pe) = time(reps, || dissimilarity::distance_profile(&sorted, &cfg));
+        let mcfg = props_cfg(128, engine_threads);
         let (tm, pm) = time(reps, || dissimilarity::distance_profile(&sorted, &mcfg));
         assert_eq!(
             bits(&pe.mu),

@@ -338,7 +338,6 @@ impl Args {
             num_pivots: self.pivots,
             threads: 0,
             seed: self.seed ^ 0x9999,
-            ..PropsConfig::default()
         }
     }
 

@@ -88,18 +88,12 @@ fn write_restored(r: &Restored, out: &str, verb: &str) -> Result<(), CliError> {
 }
 
 fn props_cfg(opts: &Opts) -> Result<PropsConfig, String> {
-    let bfs = match opts.opt("bfs-engine") {
-        None => sgr_props::BfsEngine::default(),
-        Some(name) => sgr_props::BfsEngine::from_name(name).ok_or_else(|| {
-            format!("unknown --bfs-engine '{name}' (expected 'engine' or 'reference')")
-        })?,
-    };
+    let d = PropsConfig::default();
     Ok(PropsConfig {
-        exact_threshold: opts.get_or("exact-threshold", 4_000usize)?,
-        num_pivots: opts.get_or("pivots", 512usize)?,
-        threads: opts.get_or("threads", 0usize)?,
-        seed: opts.get_or("seed", 0x5eedu64)?,
-        bfs,
+        exact_threshold: opts.get_or("exact-threshold", d.exact_threshold)?,
+        num_pivots: opts.get_or("pivots", d.num_pivots)?,
+        threads: opts.get_or("threads", d.threads)?,
+        seed: opts.get_or("seed", d.seed)?,
     })
 }
 
@@ -463,19 +457,11 @@ pub fn fetch(argv: &[String]) -> i32 {
 /// `sgr props`.
 pub fn props(argv: &[String]) -> i32 {
     const USAGE: &str =
-        "sgr props --graph FILE [--exact-threshold N] [--pivots N] [--threads N=0] [--seed N] \
-[--bfs-engine engine|reference]";
+        "sgr props --graph FILE [--exact-threshold N] [--pivots N] [--threads N=0] [--seed N]";
     run(
         argv,
         USAGE,
-        &[
-            "graph",
-            "exact-threshold",
-            "pivots",
-            "threads",
-            "seed",
-            "bfs-engine",
-        ],
+        &["graph", "exact-threshold", "pivots", "threads", "seed"],
         |o| {
             let g = load(o.req("graph")?)?.freeze();
             let p = StructuralProperties::compute(&g, &props_cfg(o)?);
@@ -501,7 +487,7 @@ pub fn props(argv: &[String]) -> i32 {
 /// `sgr compare`.
 pub fn compare(argv: &[String]) -> i32 {
     const USAGE: &str = "sgr compare --original FILE --generated FILE
-  [--exact-threshold N] [--pivots N] [--threads N=0] [--seed N] [--bfs-engine engine|reference]";
+  [--exact-threshold N] [--pivots N] [--threads N=0] [--seed N]";
     run(
         argv,
         USAGE,
@@ -512,7 +498,6 @@ pub fn compare(argv: &[String]) -> i32 {
             "pivots",
             "threads",
             "seed",
-            "bfs-engine",
         ],
         |o| {
             let orig = load(o.req("original")?)?.freeze();
@@ -536,7 +521,7 @@ pub fn compare(argv: &[String]) -> i32 {
 /// `sgr dissim`.
 pub fn dissim(argv: &[String]) -> i32 {
     const USAGE: &str = "sgr dissim --original FILE --generated FILE
-  [--exact-threshold N] [--pivots N] [--threads N=0] [--seed N] [--bfs-engine engine|reference]";
+  [--exact-threshold N] [--pivots N] [--threads N=0] [--seed N]";
     run(
         argv,
         USAGE,
@@ -547,7 +532,6 @@ pub fn dissim(argv: &[String]) -> i32 {
             "pivots",
             "threads",
             "seed",
-            "bfs-engine",
         ],
         |o| {
             let orig = load(o.req("original")?)?.freeze();

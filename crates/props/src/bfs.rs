@@ -59,7 +59,9 @@
 //! far node, ordered summation for float averages), which makes every
 //! public result bitwise-identical at any `threads` setting — the
 //! equivalence suite (`tests/bfs_equivalence.rs`) pins engine-vs-oracle
-//! and thread-count identity on the full property surface.
+//! and thread-count identity on the full property surface. The oracle,
+//! [`mod@reference`], is kept for that comparison only: every
+//! shortest-path and distance-profile computation runs on the engine.
 //!
 //! **Scratch reuse.** All traversal state lives in a reusable
 //! [`BfsScratch`] (the same pattern as `ConstructScratch`): buffers are
@@ -84,31 +86,6 @@ const BETA: usize = 24;
 /// Maximum number of sources per batched traversal (one bit per source in
 /// the per-node `u64` masks).
 pub const BATCH_WIDTH: usize = 64;
-
-/// Selects which traversal kernel the BFS-heavy property computations
-/// run on (see [`crate::PropsConfig::bfs`]). Both produce bitwise-identical
-/// results — the equivalence suite pins that — so the choice is purely a
-/// performance/diagnostics knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BfsEngine {
-    /// The direction-optimizing / multi-source batched engine (default).
-    #[default]
-    DirectionOptimizing,
-    /// The pre-engine level-synchronous kernel ([`mod@reference`]), kept as
-    /// the oracle for equivalence testing and regression triage.
-    Reference,
-}
-
-impl BfsEngine {
-    /// Parses a CLI/bench name: `engine`/`dir-opt` or `reference`.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "engine" | "dir-opt" | "direction-optimizing" => Some(Self::DirectionOptimizing),
-            "reference" => Some(Self::Reference),
-            _ => None,
-        }
-    }
-}
 
 /// Summary of one single-source traversal; the per-level counts are read
 /// from [`BfsScratch::levels`].
@@ -559,12 +536,19 @@ where
 
 pub mod reference {
     //! The pre-engine level-synchronous BFS kernel, kept as the oracle
-    //! the equivalence suite measures the engine against (the same role
-    //! `rewire::reference` and `construct::reference` play). Identical
-    //! semantics to the engine — including the level-set-determined
-    //! far-node rule — with the straightforward queue-and-bitset
-    //! implementation that shipped with the CSR layer.
+    //! the equivalence suite and `bench_props` measure the engine against
+    //! (the same role `rewire::reference` and `construct::reference`
+    //! play). Identical semantics to the engine — including the
+    //! level-set-determined far-node rule — with the straightforward
+    //! queue-and-bitset implementation that shipped with the CSR layer.
+    //! No property computation calls it: [`shortest_path_properties`] and
+    //! [`distance_profile`] rebuild the two BFS-bound results on this
+    //! kernel alone, single-threaded, for comparison with the engine's.
 
+    use crate::dissimilarity::DistanceProfile;
+    use crate::paths::{merge_histogram, ShortestPathProperties};
+    use crate::PropsConfig;
+    use sgr_graph::components::largest_component_csr;
     use sgr_graph::{GraphView, NodeId};
 
     /// Single-source level-synchronous BFS; returns the distance
@@ -617,6 +601,68 @@ pub mod reference {
             .min()
             .expect("queue holds at least the source");
         (full, far)
+    }
+
+    /// [`crate::paths::shortest_path_properties`] on this kernel: the
+    /// same pivots, one [`bfs_histogram`] per source merged in source
+    /// order (the far node of the first source reaching the largest
+    /// depth wins), and in sampled mode the same ≤4-pass double sweep
+    /// from that far node.
+    pub fn shortest_path_properties<G: GraphView>(
+        g: &G,
+        cfg: &PropsConfig,
+    ) -> ShortestPathProperties {
+        let n = g.num_nodes();
+        if n < 2 {
+            return ShortestPathProperties::from_histogram(Vec::new(), 0);
+        }
+        let (sources, exact) = super::pivot_sources(n, cfg, 0);
+        let mut visited = vec![0u64; n.div_ceil(64)];
+        let mut queue = Vec::with_capacity(n);
+        let mut hist = Vec::new();
+        let mut far = sources.first().copied().unwrap_or(0);
+        for &s in &sources {
+            let (h, f) = bfs_histogram(g, s, &mut visited, &mut queue);
+            merge_histogram(&mut hist, &mut far, &h, f);
+        }
+        let mut diameter = hist.len().saturating_sub(1);
+        if !exact {
+            let mut frontier = far;
+            for _ in 0..4 {
+                let (h, next) = bfs_histogram(g, frontier, &mut visited, &mut queue);
+                diameter = diameter.max(h.len() - 1);
+                if next == frontier {
+                    break;
+                }
+                frontier = next;
+            }
+        }
+        ShortestPathProperties::from_histogram(hist, diameter)
+    }
+
+    /// [`crate::dissimilarity::distance_profile`] on this kernel: the
+    /// same component and pivots, one [`bfs_histogram`] per source.
+    pub fn distance_profile<G: GraphView>(g: &G, cfg: &PropsConfig) -> DistanceProfile {
+        let (lcc, _) = largest_component_csr(g);
+        let n = lcc.num_nodes();
+        if n < 2 {
+            return DistanceProfile {
+                mu: vec![0.0],
+                nnd: 0.0,
+            };
+        }
+        let (sources, _) = super::pivot_sources(n, cfg, 0xd155);
+        let norm = (n - 1) as f64;
+        let mut visited = vec![0u64; n.div_ceil(64)];
+        let mut queue = Vec::with_capacity(n);
+        let dists = sources
+            .iter()
+            .map(|&s| {
+                let (h, _) = bfs_histogram(&lcc, s, &mut visited, &mut queue);
+                h.iter().map(|&c| c as f64 / norm).collect()
+            })
+            .collect();
+        DistanceProfile::from_distributions(dists)
     }
 }
 

@@ -22,7 +22,7 @@
 //!   discriminates graph complements — irrelevant for restoration
 //!   quality; the omission is the standard "first two terms" variant).
 
-use crate::bfs::{self, BfsEngine, BfsScratch, BATCH_WIDTH};
+use crate::bfs::{self, BfsScratch, BATCH_WIDTH};
 use crate::PropsConfig;
 use sgr_graph::components::largest_component_csr;
 use sgr_graph::{GraphView, NodeId};
@@ -38,6 +38,43 @@ pub struct DistanceProfile {
     pub nnd: f64,
 }
 
+impl DistanceProfile {
+    /// Reduces per-source distance distributions (`dists[i][l]` =
+    /// fraction of the other nodes at distance `l` from source `i`, in
+    /// source order) to `μ` and the dispersion.
+    pub(crate) fn from_distributions(mut dists: Vec<Vec<f64>>) -> Self {
+        let mut d_max = 1usize;
+        for h in &dists {
+            d_max = d_max.max(h.len().saturating_sub(1));
+        }
+        // Align lengths: buckets 1..=d_max (+ trailing unreachable
+        // bucket, always 0 inside the LCC but kept so graphs of different
+        // diameters compare in a common space).
+        let len = d_max + 2;
+        for h in &mut dists {
+            h.resize(len, 0.0);
+        }
+        let mut mu = vec![0.0f64; len];
+        for h in &dists {
+            for (m, &x) in mu.iter_mut().zip(h.iter()) {
+                *m += x / dists.len() as f64;
+            }
+        }
+        // NND: J(P_1..P_S) = (1/S) Σ_i Σ_l p_i(l) ln(p_i(l)/μ(l)).
+        let mut j = 0.0f64;
+        for h in &dists {
+            for (l, &p) in h.iter().enumerate() {
+                if p > 0.0 && mu[l] > 0.0 {
+                    j += p * (p / mu[l]).ln();
+                }
+            }
+        }
+        j /= dists.len() as f64;
+        let nnd = (j / ((d_max as f64) + 1.0).ln().max(f64::MIN_POSITIVE)).max(0.0);
+        DistanceProfile { mu, nnd }
+    }
+}
+
 /// Computes the distance profile of (the largest component of) `g`.
 /// Above `cfg.exact_threshold` nodes, `cfg.num_pivots` sampled sources
 /// are used — an unbiased estimator of both `μ` and the dispersion's
@@ -48,7 +85,7 @@ pub struct DistanceProfile {
 /// [`crate::bfs`] engine across `cfg.effective_threads()` source chunks;
 /// per-source distributions and the `μ`/`NND` reduction are functions of
 /// distances alone, so results are bitwise-identical at every thread
-/// count and under [`PropsConfig::bfs`] engine choice.
+/// count and to [`crate::bfs::reference::distance_profile`].
 pub fn distance_profile<G: GraphView + Sync>(g: &G, cfg: &PropsConfig) -> DistanceProfile {
     let (lcc, _) = largest_component_csr(g);
     let n = lcc.num_nodes();
@@ -59,78 +96,34 @@ pub fn distance_profile<G: GraphView + Sync>(g: &G, cfg: &PropsConfig) -> Distan
         };
     }
     let (sources, _) = bfs::pivot_sources(n, cfg, 0xd155);
-    // Per-source histograms, computed per source chunk and concatenated
-    // in chunk order — i.e. in source order, the same sequence the
-    // single-threaded loop produced.
-    let mut hists: Vec<Vec<f64>> =
-        bfs::run_source_chunks(&lcc, &sources, cfg.effective_threads(), |lcc, chunk| {
-            chunk_profiles(lcc, chunk, cfg.bfs)
-        })
+    // Per-source distributions, computed per source chunk and
+    // concatenated in chunk order — i.e. in source order, the same
+    // sequence the single-threaded loop produces.
+    let dists = bfs::run_source_chunks(&lcc, &sources, cfg.effective_threads(), chunk_profiles)
         .into_iter()
         .flatten()
         .collect();
-    let mut d_max = 1usize;
-    for h in &hists {
-        d_max = d_max.max(h.len().saturating_sub(1));
-    }
-    // Align lengths: buckets 1..=d_max (+ trailing unreachable bucket,
-    // always 0 inside the LCC but kept so graphs of different diameters
-    // compare in a common space).
-    let len = d_max + 2;
-    for h in &mut hists {
-        h.resize(len, 0.0);
-    }
-    let mut mu = vec![0.0f64; len];
-    for h in &hists {
-        for (m, &x) in mu.iter_mut().zip(h.iter()) {
-            *m += x / hists.len() as f64;
-        }
-    }
-    // NND: J(P_1..P_S) = (1/S) Σ_i Σ_l p_i(l) ln(p_i(l)/μ(l)).
-    let mut j = 0.0f64;
-    for h in &hists {
-        for (l, &p) in h.iter().enumerate() {
-            if p > 0.0 && mu[l] > 0.0 {
-                j += p * (p / mu[l]).ln();
-            }
-        }
-    }
-    j /= hists.len() as f64;
-    let nnd = (j / ((d_max as f64) + 1.0).ln().max(f64::MIN_POSITIVE)).max(0.0);
-    DistanceProfile { mu, nnd }
+    DistanceProfile::from_distributions(dists)
 }
 
 /// One worker's share of the profile pass: the normalized distance
 /// distribution of every source in `chunk`, in chunk order. Counts are
-/// level-set sizes (exact integers in `f64`), so the engine branch and
-/// the reference branch produce bitwise-identical distributions.
-fn chunk_profiles<G: GraphView>(g: &G, chunk: &[NodeId], engine: BfsEngine) -> Vec<Vec<f64>> {
-    let n = g.num_nodes();
+/// level-set sizes (exact integers in `f64`), so the distributions are
+/// bitwise the ones the reference kernel gives.
+fn chunk_profiles<G: GraphView>(g: &G, chunk: &[NodeId]) -> Vec<Vec<f64>> {
     // Normalize over the n-1 other nodes (all reachable in the LCC).
-    let norm = (n - 1) as f64;
+    let norm = (g.num_nodes() - 1) as f64;
     let mut out: Vec<Vec<f64>> = Vec::with_capacity(chunk.len());
-    match engine {
-        BfsEngine::DirectionOptimizing => {
-            let mut scratch = BfsScratch::new();
-            for batch in chunk.chunks(BATCH_WIDTH) {
-                scratch.batch(g, batch);
-                for i in 0..batch.len() {
-                    let ecc = scratch.batch_depth(i);
-                    let mut h = vec![0.0f64; ecc + 1];
-                    for (l, x) in h.iter_mut().enumerate().skip(1) {
-                        *x = scratch.batch_count(l, i) as f64 / norm;
-                    }
-                    out.push(h);
-                }
+    let mut scratch = BfsScratch::new();
+    for batch in chunk.chunks(BATCH_WIDTH) {
+        scratch.batch(g, batch);
+        for i in 0..batch.len() {
+            let ecc = scratch.batch_depth(i);
+            let mut h = vec![0.0f64; ecc + 1];
+            for (l, x) in h.iter_mut().enumerate().skip(1) {
+                *x = scratch.batch_count(l, i) as f64 / norm;
             }
-        }
-        BfsEngine::Reference => {
-            let mut visited = vec![0u64; n.div_ceil(64)];
-            let mut queue: Vec<NodeId> = Vec::with_capacity(n);
-            for &s in chunk {
-                let (h, _) = bfs::reference::bfs_histogram(g, s, &mut visited, &mut queue);
-                out.push(h.iter().map(|&c| c as f64 / norm).collect());
-            }
+            out.push(h);
         }
     }
     out
@@ -245,21 +238,10 @@ mod tests {
             threads: 1,
             ..PropsConfig::default()
         };
-        let want = distance_profile(&g, &base);
+        let want = crate::bfs::reference::distance_profile(&g, &base);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for cfg in [
-            PropsConfig { threads: 4, ..base },
-            PropsConfig {
-                bfs: BfsEngine::Reference,
-                ..base
-            },
-            PropsConfig {
-                bfs: BfsEngine::Reference,
-                threads: 4,
-                ..base
-            },
-        ] {
-            let got = distance_profile(&g, &cfg);
+        for threads in [1, 4] {
+            let got = distance_profile(&g, &PropsConfig { threads, ..base });
             assert_eq!(got.nnd.to_bits(), want.nnd.to_bits());
             assert_eq!(bits(&got.mu), bits(&want.mu));
         }

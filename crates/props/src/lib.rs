@@ -12,13 +12,15 @@
 //! 6. degree-dependent clustering coefficient `{c̄(k)}`
 //! 7. edgewise shared-partner distribution `{P(s)}`
 //!
-//! Global properties (computed, as in the paper, on the largest connected
-//! component):
+//! Global properties (8–11 computed, as in the paper, on the largest
+//! connected component):
 //! 8. average shortest-path length `l̄`
 //! 9. shortest-path length distribution `{P(l)}`
 //! 10. diameter `l_max`
 //! 11. degree-dependent betweenness centrality `{b̄(k)}`
-//! 12. largest adjacency eigenvalue `λ1`
+//! 12. largest adjacency eigenvalue `λ1`, computed on the whole graph:
+//!     the maximum over all components, which is the largest component's
+//!     value only when that component also has the largest `λ1`
 //!
 //! The paper computes shortest-path properties with parallel exact
 //! algorithms on a 40-core server; here [`PropsConfig`] selects exact
@@ -53,10 +55,11 @@
 //! eccentricities, the "lowest id in the deepest level" far-node rule) is
 //! a function of level sets alone. Combined with chunk-ordered reduction
 //! over source chunks, that makes every kernel's result **bitwise
-//! identical** across engines ([`PropsConfig::bfs`] selects the
-//! [`bfs::reference`] oracle), backends, batch compositions, and thread
-//! counts; `tests/bfs_equivalence.rs` pins the whole surface. See the
-//! [`bfs`] module docs for the full determinism argument.
+//! identical** across backends, batch compositions, and thread counts,
+//! and equal to what the level-synchronous [`bfs::reference`] oracle
+//! computes; `tests/bfs_equivalence.rs` pins the whole surface against
+//! that oracle, which no property computation calls. See the [`bfs`]
+//! module docs for the full determinism argument.
 
 pub mod betweenness;
 pub mod bfs;
@@ -66,8 +69,6 @@ pub mod local;
 pub mod paths;
 pub mod spectral;
 pub mod triangles;
-
-pub use bfs::BfsEngine;
 
 use sgr_graph::components::largest_component_csr;
 use sgr_graph::GraphView;
@@ -91,9 +92,6 @@ pub struct PropsConfig {
     pub threads: usize,
     /// Seed for pivot selection.
     pub seed: u64,
-    /// Which BFS kernel the traversal-heavy computations run on
-    /// (results are bitwise-identical either way; see [`bfs`]).
-    pub bfs: BfsEngine,
 }
 
 impl Default for PropsConfig {
@@ -103,7 +101,6 @@ impl Default for PropsConfig {
             num_pivots: 512,
             threads: 0,
             seed: 0x5eed,
-            bfs: BfsEngine::DirectionOptimizing,
         }
     }
 }
@@ -146,8 +143,9 @@ pub struct StructuralProperties {
     pub diameter: f64,
     /// (11) `{b̄(k)}` indexed by degree (largest component).
     pub betweenness_by_degree: Vec<f64>,
-    /// (12) `λ1`, on the whole graph, by Lanczos to relative tolerance
-    /// 1e-10 (see [`spectral`]); one adjacency pass per step.
+    /// (12) `λ1` of the whole graph — the maximum over all components,
+    /// not the largest component's value — by Lanczos to relative
+    /// tolerance 1e-10 (see [`spectral`]); one adjacency pass per step.
     pub lambda1: f64,
 }
 
@@ -162,6 +160,7 @@ impl StructuralProperties {
         let (lcc, _) = largest_component_csr(g);
         let sp = paths::shortest_path_properties(&lcc, cfg);
         let btw = betweenness::betweenness_by_degree(&lcc, cfg);
+        // λ1 alone reads the whole graph.
         let lambda1 = spectral::largest_eigenvalue(g, 1e-10, 1000);
         Self {
             num_nodes: g.num_nodes() as f64,

@@ -12,13 +12,13 @@
 //! processed in multi-source batches (one arena pass advances up to
 //! [`BATCH_WIDTH`] pivots) and the double-sweep refinement uses the
 //! direction-optimizing single-source kernel, with all state in a
-//! per-worker [`BfsScratch`] — no per-source allocations.
-//! [`PropsConfig::bfs`] can select the [`crate::bfs::reference`] oracle
-//! instead; results are bitwise-identical (see the crate-level
+//! per-worker [`BfsScratch`] — no per-source allocations. Results are
+//! bitwise-identical to [`crate::bfs::reference::shortest_path_properties`],
+//! the oracle the equivalence suite compares against (see the crate-level
 //! "Traversal model" docs). Parallel edges and self-loops never change a
 //! distance, so the histogram is identical on deduplicated input.
 
-use crate::bfs::{self, BfsEngine, BfsScratch, BATCH_WIDTH};
+use crate::bfs::{self, BfsScratch, BATCH_WIDTH};
 use crate::PropsConfig;
 use sgr_graph::{GraphView, NodeId};
 
@@ -34,6 +34,43 @@ pub struct ShortestPathProperties {
     pub diameter: usize,
 }
 
+impl ShortestPathProperties {
+    /// Builds the properties from a merged distance histogram (`hist[l]`
+    /// = pairs at distance `l`) and the diameter, which may exceed the
+    /// histogram's depth in sampled mode.
+    pub(crate) fn from_histogram(mut hist: Vec<u64>, diameter: usize) -> Self {
+        if hist.len() <= diameter {
+            hist.resize(diameter + 1, 0);
+        }
+        let total: u64 = hist.iter().sum();
+        let weighted: u128 = hist
+            .iter()
+            .enumerate()
+            .map(|(l, &c)| l as u128 * c as u128)
+            .sum();
+        let average_length = if total > 0 {
+            weighted as f64 / total as f64
+        } else {
+            0.0
+        };
+        let length_dist: Vec<f64> = hist
+            .iter()
+            .map(|&c| {
+                if total > 0 {
+                    c as f64 / total as f64
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        ShortestPathProperties {
+            average_length,
+            length_dist,
+            diameter,
+        }
+    }
+}
+
 /// Computes the shortest-path properties of a **connected** graph (callers
 /// pass the largest component, ideally as a frozen
 /// [`sgr_graph::CsrGraph`]). Empty and single-node graphs yield zeros.
@@ -43,150 +80,78 @@ pub fn shortest_path_properties<G: GraphView + Sync>(
 ) -> ShortestPathProperties {
     let n = g.num_nodes();
     if n < 2 {
-        return ShortestPathProperties {
-            average_length: 0.0,
-            length_dist: vec![0.0],
-            diameter: 0,
-        };
+        return ShortestPathProperties::from_histogram(Vec::new(), 0);
     }
     let (sources, exact) = bfs::pivot_sources(n, cfg, 0);
-    let results = bfs::run_source_chunks(g, &sources, cfg.effective_threads(), |g, chunk| {
-        chunk_histogram(g, chunk, cfg.bfs)
-    });
     // Merge chunk results in chunk order with the same first-max-wins far
     // rule each chunk applies internally, so the double-sweep seed (and
     // hence the sampled-mode diameter bound) does not depend on the
     // thread count.
     let mut hist: Vec<u64> = Vec::new();
-    let mut max_far = sources.first().copied().unwrap_or(0);
-    let mut best = 0usize;
-    for (h, f) in results {
-        if h.len() > best {
-            best = h.len();
-            max_far = f;
-        }
-        if h.len() > hist.len() {
-            hist.resize(h.len(), 0);
-        }
-        for (l, &c) in h.iter().enumerate() {
-            hist[l] += c;
-        }
+    let mut far = sources.first().copied().unwrap_or(0);
+    for (h, f) in bfs::run_source_chunks(g, &sources, cfg.effective_threads(), chunk_histogram) {
+        merge_histogram(&mut hist, &mut far, &h, f);
     }
 
     // Diameter: exact when all sources used; otherwise refine with double
-    // sweeps from the farthest nodes found.
+    // sweeps from the farthest node found.
     let mut diameter = hist.len().saturating_sub(1);
     if !exact {
-        let mut frontier = max_far;
-        match cfg.bfs {
-            BfsEngine::DirectionOptimizing => {
-                let mut scratch = BfsScratch::new();
-                for _ in 0..4 {
-                    let run = scratch.single_source(g, frontier);
-                    diameter = diameter.max(run.depth);
-                    if run.far == frontier {
-                        break;
-                    }
-                    frontier = run.far;
-                }
+        let mut scratch = BfsScratch::new();
+        let mut frontier = far;
+        for _ in 0..4 {
+            let run = scratch.single_source(g, frontier);
+            diameter = diameter.max(run.depth);
+            if run.far == frontier {
+                break;
             }
-            BfsEngine::Reference => {
-                let mut visited = vec![0u64; n.div_ceil(64)];
-                let mut queue = Vec::with_capacity(n);
-                for _ in 0..4 {
-                    let (h, far) =
-                        bfs::reference::bfs_histogram(g, frontier, &mut visited, &mut queue);
-                    diameter = diameter.max(h.len().saturating_sub(1));
-                    if far == frontier {
-                        break;
-                    }
-                    frontier = far;
-                }
-            }
+            frontier = run.far;
         }
     }
-    if hist.len() <= diameter {
-        hist.resize(diameter + 1, 0);
-    }
+    ShortestPathProperties::from_histogram(hist, diameter)
+}
 
-    let total: u64 = hist.iter().sum();
-    let weighted: u128 = hist
-        .iter()
-        .enumerate()
-        .map(|(l, &c)| l as u128 * c as u128)
-        .sum();
-    let average_length = if total > 0 {
-        weighted as f64 / total as f64
-    } else {
-        0.0
-    };
-    let length_dist: Vec<f64> = hist
-        .iter()
-        .map(|&c| {
-            if total > 0 {
-                c as f64 / total as f64
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    ShortestPathProperties {
-        average_length,
-        length_dist,
-        diameter,
+/// Adds the histogram `h` (far node `f`) into `hist`, taking `f` as the
+/// far node when `h` is strictly deeper than everything merged so far:
+/// first-max-wins in merge order.
+pub(crate) fn merge_histogram(hist: &mut Vec<u64>, far: &mut NodeId, h: &[u64], f: NodeId) {
+    if h.len() > hist.len() {
+        hist.resize(h.len(), 0);
+        *far = f;
+    }
+    for (m, &c) in hist.iter_mut().zip(h) {
+        *m += c;
     }
 }
 
 /// One worker's share of the sweep: merged histogram over `chunk`'s
 /// sources plus the chunk's far node under first-max-wins in source order
 /// (the far node of the first source reaching the chunk's maximum depth).
-/// Histogram entries are level-set sizes, so engine choice cannot change
-/// them; the far node is level-set determined per source, so the merged
-/// pair is bitwise engine-invariant.
-fn chunk_histogram<G: GraphView>(g: &G, chunk: &[NodeId], engine: BfsEngine) -> (Vec<u64>, NodeId) {
-    let n = g.num_nodes();
+/// Histogram entries are level-set sizes and the far node is level-set
+/// determined per source, so the pair equals the one the
+/// [`crate::bfs::reference`] kernel gives over the same sources.
+fn chunk_histogram<G: GraphView>(g: &G, chunk: &[NodeId]) -> (Vec<u64>, NodeId) {
     let mut merged: Vec<u64> = Vec::new();
     let mut far = chunk.first().copied().unwrap_or(0);
     let mut best = 0usize;
-    match engine {
-        BfsEngine::DirectionOptimizing => {
-            let mut scratch = BfsScratch::new();
-            for batch in chunk.chunks(BATCH_WIDTH) {
-                let levels = scratch.batch(g, batch);
-                if levels > merged.len() {
-                    merged.resize(levels, 0);
-                }
-                for i in 0..batch.len() {
-                    if scratch.batch_depth(i) + 1 > best {
-                        best = scratch.batch_depth(i) + 1;
-                        far = scratch.batch_far(i);
-                    }
-                }
-                for (l, m) in merged.iter_mut().enumerate().take(levels).skip(1) {
-                    let mut sum = 0u64;
-                    for i in 0..batch.len() {
-                        sum += scratch.batch_count(l, i);
-                    }
-                    *m += sum;
-                }
+    let mut scratch = BfsScratch::new();
+    for batch in chunk.chunks(BATCH_WIDTH) {
+        let levels = scratch.batch(g, batch);
+        if levels > merged.len() {
+            merged.resize(levels, 0);
+        }
+        for i in 0..batch.len() {
+            if scratch.batch_depth(i) + 1 > best {
+                best = scratch.batch_depth(i) + 1;
+                far = scratch.batch_far(i);
             }
         }
-        BfsEngine::Reference => {
-            let mut visited = vec![0u64; n.div_ceil(64)];
-            let mut queue = Vec::with_capacity(n);
-            for &s in chunk {
-                let (h, f) = bfs::reference::bfs_histogram(g, s, &mut visited, &mut queue);
-                if h.len() > best {
-                    best = h.len();
-                    far = f;
-                }
-                if h.len() > merged.len() {
-                    merged.resize(h.len(), 0);
-                }
-                for (l, &c) in h.iter().enumerate() {
-                    merged[l] += c;
-                }
+        for (l, m) in merged.iter_mut().enumerate().take(levels).skip(1) {
+            let mut sum = 0u64;
+            for i in 0..batch.len() {
+                sum += scratch.batch_count(l, i);
             }
+            *m += sum;
         }
     }
     (merged, far)
@@ -273,20 +238,14 @@ mod tests {
         let g = sgr_gen::holme_kim(1200, 3, 0.3, &mut sgr_util::Xoshiro256pp::seed_from_u64(5))
             .unwrap();
         for exact_threshold in [0, 4000] {
-            let base = PropsConfig {
+            let cfg = PropsConfig {
                 exact_threshold,
                 num_pivots: 96,
                 threads: 1,
                 ..cfg()
             };
-            let engine = shortest_path_properties(&g, &base);
-            let reference = shortest_path_properties(
-                &g,
-                &PropsConfig {
-                    bfs: BfsEngine::Reference,
-                    ..base
-                },
-            );
+            let engine = shortest_path_properties(&g, &cfg);
+            let reference = crate::bfs::reference::shortest_path_properties(&g, &cfg);
             assert_eq!(engine.diameter, reference.diameter);
             assert_eq!(
                 engine.average_length.to_bits(),

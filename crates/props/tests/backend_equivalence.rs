@@ -81,7 +81,6 @@ proptest! {
             num_pivots: 8,
             threads: 1,
             seed: 0xc0ffee,
-            ..PropsConfig::default()
         };
         assert_all_12_identical(&g, &cfg);
     }

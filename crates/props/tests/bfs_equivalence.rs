@@ -13,13 +13,15 @@
 //! * proptest over random multigraphs (parallel edges, self-loops,
 //!   disconnected pieces) comparing the raw batch and single-source
 //!   kernels against the reference;
-//! * fixed-seed end-to-end runs on a clustered heavy-tailed graph,
-//!   comparing every derived property across engines × thread counts.
+//! * end-to-end runs comparing `shortest_path_properties` and
+//!   `distance_profile` at threads 1 and 4 against the oracle's
+//!   `bfs::reference::shortest_path_properties` / `distance_profile`, on
+//!   messy multigraphs and on a fixed-seed clustered heavy-tailed graph.
 
 use proptest::prelude::*;
 use sgr_graph::{CsrGraph, Graph, NodeId};
 use sgr_props::bfs::{self, BfsScratch, BATCH_WIDTH};
-use sgr_props::{betweenness, dissimilarity, paths, BfsEngine, PropsConfig};
+use sgr_props::{dissimilarity, paths, PropsConfig};
 use sgr_util::Xoshiro256pp;
 
 fn arb_multigraph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
@@ -91,8 +93,8 @@ proptest! {
         }
     }
 
-    /// End-to-end path properties: engine × thread counts vs reference,
-    /// bitwise, on arbitrary messy graphs in sampled mode.
+    /// End-to-end path properties: the engine at threads 1 and 4 vs the
+    /// reference, bitwise, on arbitrary messy graphs in sampled mode.
     #[test]
     fn path_properties_bitwise_across_engines((n, edges) in arb_multigraph()) {
         let g = Graph::from_edges(n, &edges);
@@ -101,16 +103,10 @@ proptest! {
             num_pivots: 12,
             threads: 1,
             seed: 0xfeed,
-            bfs: BfsEngine::Reference,
         };
-        let oracle = paths::shortest_path_properties(&g, &base);
-        for (bfs, threads) in [
-            (BfsEngine::Reference, 4),
-            (BfsEngine::DirectionOptimizing, 1),
-            (BfsEngine::DirectionOptimizing, 4),
-        ] {
-            let cfg = PropsConfig { bfs, threads, ..base };
-            let p = paths::shortest_path_properties(&g, &cfg);
+        let oracle = bfs::reference::shortest_path_properties(&g, &base);
+        for threads in [1, 4] {
+            let p = paths::shortest_path_properties(&g, &PropsConfig { threads, ..base });
             prop_assert_eq!(p.diameter, oracle.diameter);
             prop_assert_eq!(
                 p.average_length.to_bits(),
@@ -124,9 +120,13 @@ proptest! {
     }
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Fixed-seed end-to-end agreement on a clustered heavy-tailed graph
 /// large enough to trigger real bottom-up switching and multi-batch
-/// chunking, across both engines and thread counts 1 and 4.
+/// chunking, engine at thread counts 1 and 4 against the oracle.
 #[test]
 fn fixed_seed_properties_bitwise_across_engines_and_threads() {
     let mut rng = Xoshiro256pp::seed_from_u64(77);
@@ -136,73 +136,26 @@ fn fixed_seed_properties_bitwise_across_engines_and_threads() {
         num_pivots: 160,
         threads: 1,
         seed: 0x5eed,
-        bfs: BfsEngine::Reference,
     };
 
-    let sp0 = paths::shortest_path_properties(&g, &base);
-    let dp0 = dissimilarity::distance_profile(&g, &base);
+    let sp0 = bfs::reference::shortest_path_properties(&g, &base);
+    let dp0 = bfs::reference::distance_profile(&g, &base);
 
-    for (bfs, threads) in [
-        (BfsEngine::Reference, 4),
-        (BfsEngine::DirectionOptimizing, 1),
-        (BfsEngine::DirectionOptimizing, 4),
-    ] {
-        let cfg = PropsConfig {
-            bfs,
-            threads,
-            ..base
-        };
+    for threads in [1, 4] {
+        let cfg = PropsConfig { threads, ..base };
 
         let sp = paths::shortest_path_properties(&g, &cfg);
-        assert_eq!(sp.diameter, sp0.diameter, "{bfs:?} t={threads}");
+        assert_eq!(sp.diameter, sp0.diameter, "t={threads}");
         assert_eq!(
             sp.average_length.to_bits(),
             sp0.average_length.to_bits(),
-            "{bfs:?} t={threads}"
+            "t={threads}"
         );
-        assert_eq!(
-            sp.length_dist
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            sp0.length_dist
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            "{bfs:?} t={threads}"
-        );
+        assert_eq!(bits(&sp.length_dist), bits(&sp0.length_dist), "t={threads}");
 
         let dp = dissimilarity::distance_profile(&g, &cfg);
-        assert_eq!(dp.nnd.to_bits(), dp0.nnd.to_bits(), "{bfs:?} t={threads}");
-        assert_eq!(
-            dp.mu.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            dp0.mu.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "{bfs:?} t={threads}"
-        );
-    }
-
-    // Betweenness shares the pivot selection and chunked scheduling but
-    // its Brandes kernel never touches the traversal engine, so the
-    // engine choice must not move a single bit at a fixed thread count.
-    // (Across *thread counts* its float bits legitimately differ — the
-    // per-chunk dependency partials are regrouped, and float addition is
-    // not associative — which is why the ISSUE's bitwise contract covers
-    // level-set-derived outputs, not Brandes sums.)
-    for threads in [1usize, 4] {
-        let r = betweenness::betweenness_by_degree(&g, &PropsConfig { threads, ..base });
-        let e = betweenness::betweenness_by_degree(
-            &g,
-            &PropsConfig {
-                bfs: BfsEngine::DirectionOptimizing,
-                threads,
-                ..base
-            },
-        );
-        assert_eq!(
-            r.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            e.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "betweenness engine-dependent at t={threads}"
-        );
+        assert_eq!(dp.nnd.to_bits(), dp0.nnd.to_bits(), "t={threads}");
+        assert_eq!(bits(&dp.mu), bits(&dp0.mu), "t={threads}");
     }
 }
 
@@ -212,20 +165,17 @@ fn fixed_seed_properties_bitwise_across_engines_and_threads() {
 fn exact_mode_ragged_batches_bitwise() {
     let mut rng = Xoshiro256pp::seed_from_u64(9);
     let g = sgr_gen::erdos_renyi_gnm(130, 220, &mut rng).unwrap();
-    let reference = PropsConfig {
-        bfs: BfsEngine::Reference,
-        ..PropsConfig::default()
-    };
-    let engine = PropsConfig {
-        bfs: BfsEngine::DirectionOptimizing,
+    let cfg = PropsConfig {
         threads: 3,
         ..PropsConfig::default()
     };
-    let a = paths::shortest_path_properties(&g, &reference);
-    let b = paths::shortest_path_properties(&g, &engine);
+    let a = bfs::reference::shortest_path_properties(&g, &cfg);
+    let b = paths::shortest_path_properties(&g, &cfg);
     assert_eq!(a.diameter, b.diameter);
     assert_eq!(a.average_length.to_bits(), b.average_length.to_bits());
-    let da = dissimilarity::distance_profile(&g, &reference);
-    let db = dissimilarity::distance_profile(&g, &engine);
+    assert_eq!(bits(&a.length_dist), bits(&b.length_dist));
+    let da = bfs::reference::distance_profile(&g, &cfg);
+    let db = dissimilarity::distance_profile(&g, &cfg);
     assert_eq!(da.nnd.to_bits(), db.nnd.to_bits());
+    assert_eq!(bits(&da.mu), bits(&db.mu));
 }

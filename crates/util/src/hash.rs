@@ -82,11 +82,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with the Fx hash function.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Convenience constructor mirroring `HashMap::with_capacity`.
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 /// Convenience constructor mirroring `HashSet::with_capacity`.
 pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
     FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
@@ -150,8 +145,6 @@ mod tests {
 
     #[test]
     fn capacity_constructors() {
-        let m: FxHashMap<u32, u32> = fx_map_with_capacity(100);
-        assert!(m.capacity() >= 100);
         let s: FxHashSet<u32> = fx_set_with_capacity(100);
         assert!(s.capacity() >= 100);
     }

@@ -12,8 +12,8 @@
 //!   [`hash::FxHashSet`] aliases. Graph workloads hash small integer keys in
 //!   hot loops; `std`'s SipHash is needlessly slow there (see the Rust
 //!   Performance Book's Hashing chapter).
-//! * [`stats`] — online mean/variance accumulators and slice statistics used
-//!   by the experiment harness (the paper reports avg ± SD over runs).
+//! * [`stats`] — slice means and standard deviations used by the
+//!   experiment harness (the paper reports avg ± SD over runs).
 //! * [`sampling`] — reservoir sampling and shuffles used by the crawlers.
 //! * [`scratch`] — epoch-stamped dense scratch arenas that let hot loops
 //!   (notably the rewiring engine's swap evaluation) accumulate per-key

@@ -79,12 +79,6 @@ impl Xoshiro256pp {
         result
     }
 
-    /// Returns the next 32-bit output (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -112,16 +106,6 @@ impl Xoshiro256pp {
             }
         }
         (m >> 64) as usize
-    }
-
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi`.
-    #[inline]
-    pub fn gen_range_between(&mut self, lo: usize, hi: usize) -> usize {
-        assert!(lo < hi, "empty range");
-        lo + self.gen_range(hi - lo)
     }
 
     /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
@@ -234,15 +218,6 @@ mod tests {
                 (9_000..=11_000).contains(&c),
                 "bucket count {c} out of range"
             );
-        }
-    }
-
-    #[test]
-    fn gen_range_between_bounds() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        for _ in 0..1000 {
-            let v = rng.gen_range_between(5, 9);
-            assert!((5..9).contains(&v));
         }
     }
 

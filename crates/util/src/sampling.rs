@@ -10,15 +10,6 @@ pub fn shuffle<T>(xs: &mut [T], rng: &mut Xoshiro256pp) {
     }
 }
 
-/// Uniformly chooses a reference to one element, or `None` if empty.
-pub fn choose<'a, T>(xs: &'a [T], rng: &mut Xoshiro256pp) -> Option<&'a T> {
-    if xs.is_empty() {
-        None
-    } else {
-        Some(&xs[rng.gen_range(xs.len())])
-    }
-}
-
 /// Reservoir-samples `k` items from an iterator (Algorithm R). Returns fewer
 /// than `k` items when the iterator is shorter than `k`. Order of the
 /// returned sample is unspecified.
@@ -64,25 +55,6 @@ pub fn sample_indices(n: usize, k: usize, rng: &mut Xoshiro256pp) -> Vec<usize> 
     out
 }
 
-/// Draws an index proportionally to the nonnegative weights.
-/// Returns `None` if the total weight is zero or the slice is empty.
-pub fn weighted_choice(weights: &[f64], rng: &mut Xoshiro256pp) -> Option<usize> {
-    let total: f64 = weights.iter().sum();
-    // NaN-safe: rejects zero, negative, and NaN totals alike.
-    if total.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return None;
-    }
-    let mut target = rng.next_f64() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        target -= w;
-        if target < 0.0 {
-            return Some(i);
-        }
-    }
-    // Floating-point slack: return the last positive-weight index.
-    weights.iter().rposition(|&w| w > 0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,14 +70,6 @@ mod tests {
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         // Overwhelmingly likely to not be the identity.
         assert_ne!(xs, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_empty_none() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        let empty: [u32; 0] = [];
-        assert!(choose(&empty, &mut rng).is_none());
-        assert_eq!(choose(&[7], &mut rng), Some(&7));
     }
 
     #[test]
@@ -148,25 +112,5 @@ mod tests {
         }
         assert_eq!(sample_indices(5, 5, &mut rng).len(), 5);
         assert!(sample_indices(5, 0, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn weighted_choice_respects_weights() {
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let weights = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[weighted_choice(&weights, &mut rng).unwrap()] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let frac0 = counts[0] as f64 / 40_000.0;
-        assert!((frac0 - 0.25).abs() < 0.02, "frac0 = {frac0}");
-    }
-
-    #[test]
-    fn weighted_choice_zero_total() {
-        let mut rng = Xoshiro256pp::seed_from_u64(6);
-        assert!(weighted_choice(&[], &mut rng).is_none());
-        assert!(weighted_choice(&[0.0, 0.0], &mut rng).is_none());
     }
 }

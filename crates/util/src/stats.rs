@@ -1,80 +1,7 @@
 //! Statistics helpers for the experiment harness.
 //!
 //! The paper reports results as "average ± standard deviation over N runs"
-//! (Tables III and V) and averages of L1 distances over 12 properties. These
-//! accumulators implement Welford's numerically stable online algorithm so
-//! the harness never needs to buffer per-run values.
-
-/// Online mean/variance accumulator (Welford).
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (divides by `n`); 0 for fewer than 2 samples.
-    ///
-    /// The paper reports the standard deviation over a fixed set of 12
-    /// property distances / a fixed set of runs, which is a population
-    /// (not sample) statistic, so we divide by `n`.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n_total = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n_total as f64;
-        let m2 =
-            self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n_total as f64;
-        self.n = n_total;
-        self.mean = mean;
-        self.m2 = m2;
-    }
-}
+//! (Tables III and V) and averages of L1 distances over 12 properties.
 
 /// Mean of a slice; 0 when empty.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -94,13 +21,26 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Mean and population standard deviation of a slice in one pass.
+/// Mean and population standard deviation of a slice in one pass
+/// (Welford's online update); both 0 when empty, the deviation 0 for
+/// fewer than 2 values.
+///
+/// The paper reports the standard deviation over a fixed set of 12
+/// property distances / a fixed set of runs, which is a population (not
+/// sample) statistic, so the variance divides by `n`.
 pub fn mean_std(xs: &[f64]) -> (f64, f64) {
-    let mut acc = OnlineStats::new();
-    for &x in xs {
-        acc.push(x);
+    let (mut mean, mut m2) = (0.0f64, 0.0f64);
+    for (i, &x) in xs.iter().enumerate() {
+        let delta = x - mean;
+        mean += delta / (i + 1) as f64;
+        m2 += delta * (x - mean);
     }
-    (acc.mean(), acc.std_dev())
+    let sd = if xs.len() < 2 {
+        0.0
+    } else {
+        (m2 / xs.len() as f64).sqrt()
+    };
+    (mean, sd)
 }
 
 /// Rounds to the nearest integer with ties away from zero — the
@@ -117,64 +57,17 @@ mod tests {
     #[test]
     fn online_matches_slice_statistics() {
         let xs = [1.0, 2.0, 3.5, -1.0, 7.25, 0.0];
-        let mut acc = OnlineStats::new();
-        for &x in &xs {
-            acc.push(x);
-        }
-        assert!((acc.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((acc.std_dev() - std_dev(&xs)).abs() < 1e-12);
-        assert_eq!(acc.count(), xs.len() as u64);
+        let (m, s) = mean_std(&xs);
+        assert!((m - mean(&xs)).abs() < 1e-12);
+        assert!((s - std_dev(&xs)).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_singleton() {
-        let acc = OnlineStats::new();
-        assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.std_dev(), 0.0);
-        let mut acc = OnlineStats::new();
-        acc.push(4.0);
-        assert_eq!(acc.mean(), 4.0);
-        assert_eq!(acc.std_dev(), 0.0);
+        assert_eq!(mean_std(&[]), (0.0, 0.0));
+        assert_eq!(mean_std(&[4.0]), (4.0, 0.0));
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(std_dev(&[2.0]), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.std_dev() - all.std_dev()).abs() < 1e-9);
-        assert_eq!(left.count(), all.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = (a.mean(), a.std_dev(), a.count());
-        a.merge(&OnlineStats::new());
-        assert_eq!(before, (a.mean(), a.std_dev(), a.count()));
-
-        let mut empty = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.push(5.0);
-        empty.merge(&b);
-        assert_eq!(empty.mean(), 5.0);
-        assert_eq!(empty.count(), 1);
     }
 
     #[test]
