@@ -87,11 +87,18 @@ fn write_restored(r: &Restored, out: &str, verb: &str) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The property options of `props`, `compare` and `dissim`. A zero pivot
+/// count is refused: sampled paths and betweenness would average over no
+/// sources at all.
 fn props_cfg(opts: &Opts) -> Result<PropsConfig, String> {
     let d = PropsConfig::default();
+    let num_pivots = opts.get_or("pivots", d.num_pivots)?;
+    if num_pivots == 0 {
+        return Err("--pivots must be at least 1".into());
+    }
     Ok(PropsConfig {
         exact_threshold: opts.get_or("exact-threshold", d.exact_threshold)?,
-        num_pivots: opts.get_or("pivots", d.num_pivots)?,
+        num_pivots,
         threads: opts.get_or("threads", d.threads)?,
         seed: opts.get_or("seed", d.seed)?,
     })

@@ -25,7 +25,7 @@
 //! * [`rewire`] — the 2.5K rewiring engine with incremental per-node
 //!   triangle maintenance (O(k̄²) per attempt, §IV-E), supporting a
 //!   protected-edge set so the proposed method can exclude `E'`;
-//! * [`series`] — standalone 0K/1K/2K/2.5K generators built from the
+//! * [`series`] — standalone 1K/2K/2.5K generators built from the
 //!   above (extension features; also the reference implementations the
 //!   property tests check against).
 

@@ -1,4 +1,4 @@
-//! Standalone dK-series generators (0K, 1K, 2K, 2.5K).
+//! Standalone dK-series generators (1K, 2K, 2.5K).
 //!
 //! These are the classical full-information generators: they *measure* the
 //! required statistics from a given graph (no sampling involved) and
@@ -12,22 +12,7 @@ use crate::extract::joint_degree_matrix;
 use crate::rewire::{RewireEngine, RewireStats};
 use sgr_graph::{DegreeVector, Graph, NodeId};
 use sgr_props::local::LocalProperties;
-use sgr_util::{FxHashMap, Xoshiro256pp};
-
-/// 0K: a random multigraph with the same `n` and `m` (hence `k̄`) as the
-/// input statistics — uniform stub pairing over an `n`-node graph.
-pub fn generate_0k(n: usize, m: usize, rng: &mut Xoshiro256pp) -> Graph {
-    let mut g = Graph::with_nodes(n);
-    if n == 0 {
-        return g;
-    }
-    for _ in 0..m {
-        let u = rng.gen_range(n) as NodeId;
-        let v = rng.gen_range(n) as NodeId;
-        g.add_edge(u, v);
-    }
-    g
-}
+use sgr_util::Xoshiro256pp;
 
 /// 1K: the configuration model — a uniform random pairing of degree
 /// stubs realizing the given degree vector (multi-edges and loops allowed,
@@ -87,32 +72,6 @@ pub fn generate_25k(
     Ok((engine.into_graph(), stats))
 }
 
-/// Measures how much of a JDM's mass two graphs share — a convenience for
-/// tests and ablations: `1 - L1(jdm_a, jdm_b)/(2m)` (1.0 = identical).
-pub fn jdm_similarity(a: &Graph, b: &Graph) -> f64 {
-    let ja = joint_degree_matrix(a);
-    let jb = joint_degree_matrix(b);
-    let mut keys: FxHashMap<(u32, u32), ()> = FxHashMap::default();
-    for &k in ja.keys().chain(jb.keys()) {
-        keys.insert(k, ());
-    }
-    let mut diff = 0u64;
-    for (&(k, k2), _) in keys.iter() {
-        if k > k2 {
-            continue;
-        }
-        let x = ja.get(&(k, k2)).copied().unwrap_or(0);
-        let y = jb.get(&(k, k2)).copied().unwrap_or(0);
-        diff += x.abs_diff(y);
-    }
-    let total = (a.num_edges() + b.num_edges()) as f64;
-    if total == 0.0 {
-        1.0
-    } else {
-        1.0 - diff as f64 / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,14 +82,6 @@ mod tests {
 
     fn social(seed: u64) -> Graph {
         sgr_gen::holme_kim(400, 3, 0.6, &mut Xoshiro256pp::seed_from_u64(seed)).unwrap()
-    }
-
-    #[test]
-    fn zero_k_preserves_counts() {
-        let g = generate_0k(100, 250, &mut rng());
-        assert_eq!(g.num_nodes(), 100);
-        assert_eq!(g.num_edges(), 250);
-        assert!((g.average_degree() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -155,7 +106,6 @@ mod tests {
         let g = generate_2k(&src, &mut rng()).unwrap();
         assert_eq!(g.degree_vector(), src.degree_vector());
         assert_eq!(joint_degree_matrix(&g), joint_degree_matrix(&src));
-        assert!((jdm_similarity(&src, &g) - 1.0).abs() < 1e-12);
         g.validate().unwrap();
     }
 
@@ -186,13 +136,5 @@ mod tests {
             stats.initial_distance,
             stats.final_distance
         );
-    }
-
-    #[test]
-    fn jdm_similarity_detects_difference() {
-        let a = sgr_gen::classic::star(4);
-        let b = sgr_gen::classic::cycle(5);
-        assert!(jdm_similarity(&a, &b) < 0.5);
-        assert!((jdm_similarity(&a, &a) - 1.0).abs() < 1e-12);
     }
 }

@@ -1,24 +1,28 @@
 //! Immutable CSR (compressed sparse row) snapshot of a graph.
 //!
-//! The adjacency-list [`Graph`](crate::Graph) is optimized for mutation —
-//! construction
-//! appends, rewiring swaps — at the cost of one heap allocation per node:
-//! every read-only traversal pays a `Vec` header dereference and a jump to
-//! a separately allocated (and capacity-overcommitted) buffer. The
-//! evaluation pipeline, however, spends most of its time in *read-only*
-//! kernels: BFS sweeps, Brandes betweenness, triangle counting, power
-//! iteration.
+//! The adjacency [`Graph`](crate::Graph) keeps its neighbor lists in one
+//! arena too, but it is built for mutation (construction appends extents
+//! that may relocate): each node carries a start and a separate live
+//! length, and in the dynamic layout its extent can sit anywhere in the
+//! arena, between abandoned slots. The evaluation pipeline, however,
+//! spends most of its time in *read-only* kernels: BFS sweeps, Brandes
+//! betweenness, triangle counting, and the Lanczos recurrence behind λ1.
 //!
-//! [`CsrGraph`] packs all neighbor lists into a single arena:
+//! [`CsrGraph`] packs all neighbor lists into a single arena, in node
+//! order and with no gaps:
 //!
 //! ```text
 //! offsets:   [0, d(0), d(0)+d(1), …, 2m]          (n + 1 entries)
 //! neighbors: [ N(0) … | N(1) … | … | N(n-1) … ]   (2m entries)
 //! ```
 //!
-//! `neighbors(u)` is two loads into contiguous memory; the whole structure
-//! spans two allocations regardless of graph size, so BFS-style kernels
-//! stop paying per-node pointer chasing and fragmented-heap cache misses.
+//! `neighbors(u)` is two adjacent loads from `offsets`; the whole
+//! structure spans two allocations regardless of graph size, and a scan
+//! over nodes in id order walks the arena sequentially. For a fully packed
+//! tight `Graph` — the pipeline's steady state — [`Graph::freeze`] is a
+//! copy of its two arrays.
+//!
+//! [`Graph::freeze`]: crate::Graph::freeze
 //!
 //! [`CsrGraph::freeze`] preserves each node's neighbor **order**, so every
 //! iteration-order-sensitive computation (floating-point accumulation,

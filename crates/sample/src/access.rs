@@ -67,13 +67,6 @@ impl<'g, G: GraphView> AccessModel<'g, G> {
             self.queried.len() as f64 / self.graph.num_nodes() as f64
         }
     }
-
-    /// Number of nodes in the hidden graph. Used only to express
-    /// experiment stopping rules ("x% of nodes queried"), mirroring the
-    /// paper's §V-D protocol.
-    pub fn hidden_num_nodes(&self) -> usize {
-        self.graph.num_nodes()
-    }
 }
 
 #[cfg(test)]

@@ -58,28 +58,20 @@ impl From<io::Error> for ClientError {
 /// requests.
 pub struct Client {
     stream: TcpStream,
-    max_frame_bytes: u64,
 }
 
 impl Client {
-    /// Connects with the default frame cap.
+    /// Connects. Responses are read under [`DEFAULT_MAX_FRAME_BYTES`],
+    /// the server's default frame cap.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
         Ok(Client {
             stream: TcpStream::connect(addr)?,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
         })
-    }
-
-    /// Overrides the client-side frame cap (must admit the snapshots the
-    /// server will send back).
-    pub fn with_max_frame_bytes(mut self, max: u64) -> Self {
-        self.max_frame_bytes = max;
-        self
     }
 
     fn request(&mut self, frame_type: u32, payload: &[u8]) -> Result<(u32, Vec<u8>), ClientError> {
         write_frame(&mut self.stream, frame_type, payload)?;
-        let (resp_type, resp) = read_frame(&mut self.stream, self.max_frame_bytes)?
+        let (resp_type, resp) = read_frame(&mut self.stream, DEFAULT_MAX_FRAME_BYTES)?
             .ok_or(ClientError::Protocol(ProtocolError::Truncated))?;
         if resp_type == RESP_ERROR {
             let (code, message) = decode_error(&resp)?;

@@ -17,8 +17,17 @@
 //! absence of `status.sgrjob` is itself information: the job never
 //! reached a terminal state, so a restarting server re-adopts it (from
 //! its newest checkpoint when one exists, from the spec otherwise).
+//!
+//! The spec file's payload is the submit request's own wire encoding
+//! ([`SubmitRequest::encode`]) with `checkpoint_every` filled in, so a job
+//! has one description on the wire and on disk. [`JobSpec::load`] decodes
+//! it and validates it again, as admission did; a payload that fails
+//! either step is [`SnapshotError::Corrupt`]. `status.sgrjob` holds a
+//! [`TerminalStatus`]: the part of a terminal job's wire status that is
+//! not derived from the spec.
 
 use std::io;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
 use sgr_core::RestoreConfig;
@@ -28,64 +37,32 @@ use sgr_graph::snapshot::{
 use sgr_graph::SnapshotError;
 use sgr_sample::{CrawlSpec, WalkKind};
 
-use crate::protocol::{JobState, SubmitRequest};
+use crate::protocol::{JobState, JobStatus, SubmitRequest};
 
-/// A validated, persisted job submission.
+/// A validated job submission: the wire request with the server's
+/// default cadence filled in. Persisted as the request's own encoding,
+/// so `spec.sgrjob` holds exactly a [`SubmitRequest`] payload.
 #[derive(Clone, Debug)]
-pub struct JobSpec {
-    /// Tenant label for fair scheduling.
-    pub tenant: String,
-    /// The crawler family.
-    pub walk: WalkKind,
-    /// Fraction of nodes to crawl.
-    pub fraction: f64,
-    /// Snowball fan-out cap.
-    pub snowball_k: usize,
-    /// Forest-fire burn parameter.
-    pub burn_prob: f64,
-    /// `R_C`, the rewiring-attempts coefficient.
-    pub rewiring_coefficient: f64,
-    /// Whether to run the rewiring phase.
-    pub rewire: bool,
-    /// `SubmitRequest::threads`, carried into `RestoreConfig::threads`
-    /// (both ignored) so the spec encoding is unchanged.
-    pub threads: usize,
-    /// The RNG seed.
-    pub seed: u64,
-    /// Mid-rewire checkpoint cadence.
-    pub checkpoint_every: u64,
-    /// Fault-injection hook (first run only; 0 = never).
-    pub abort_after: u64,
-    /// The hidden graph's edge-list bytes.
-    pub edges: Vec<u8>,
-}
+pub struct JobSpec(SubmitRequest);
 
 impl JobSpec {
-    /// Validates and converts a wire submission. `default_every` fills
+    /// Validates a wire submission. `default_every` fills
     /// `checkpoint_every == 0`.
-    pub fn from_request(req: SubmitRequest, default_every: u64) -> Result<Self, String> {
-        let walk = WalkKind::from_code(req.walk_code)
+    pub fn from_request(mut req: SubmitRequest, default_every: u64) -> Result<Self, String> {
+        if req.checkpoint_every == 0 {
+            req.checkpoint_every = default_every;
+        }
+        Self::validate(req)
+    }
+
+    /// Checks what the request's types cannot: a known walk code, counts
+    /// that fit a `usize`, and valid crawl and restore parameters.
+    fn validate(req: SubmitRequest) -> Result<Self, String> {
+        WalkKind::from_code(req.walk_code)
             .ok_or_else(|| format!("unknown walk code {}", req.walk_code))?;
-        let spec = JobSpec {
-            tenant: req.tenant,
-            walk,
-            fraction: req.fraction,
-            snowball_k: usize::try_from(req.snowball_k)
-                .map_err(|_| "snowball k overflows usize".to_string())?,
-            burn_prob: req.burn_prob,
-            rewiring_coefficient: req.rewiring_coefficient,
-            rewire: req.rewire,
-            threads: usize::try_from(req.threads)
-                .map_err(|_| "thread count overflows usize".to_string())?,
-            seed: req.seed,
-            checkpoint_every: if req.checkpoint_every == 0 {
-                default_every
-            } else {
-                req.checkpoint_every
-            },
-            abort_after: req.abort_after,
-            edges: req.edges,
-        };
+        usize::try_from(req.snowball_k).map_err(|_| "snowball k overflows usize".to_string())?;
+        usize::try_from(req.threads).map_err(|_| "thread count overflows usize".to_string())?;
+        let spec = JobSpec(req);
         spec.crawl_spec().validate()?;
         spec.restore_config()
             .validate()
@@ -96,9 +73,9 @@ impl JobSpec {
     /// The crawl half of the spec.
     pub fn crawl_spec(&self) -> CrawlSpec {
         CrawlSpec {
-            walk: self.walk,
+            walk: WalkKind::from_code(self.walk_code).expect("validated walk code"),
             fraction: self.fraction,
-            snowball_k: self.snowball_k,
+            snowball_k: self.snowball_k as usize,
             burn_prob: self.burn_prob,
         }
     }
@@ -108,62 +85,30 @@ impl JobSpec {
         RestoreConfig {
             rewiring_coefficient: self.rewiring_coefficient,
             rewire: self.rewire,
-            threads: self.threads,
+            threads: self.threads as usize,
         }
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
-        w.put_str(&self.tenant);
-        w.put_u32(self.walk.code());
-        w.put_f64(self.fraction);
-        w.put_u64(self.snowball_k as u64);
-        w.put_f64(self.burn_prob);
-        w.put_f64(self.rewiring_coefficient);
-        w.put_bool(self.rewire);
-        w.put_u64(self.threads as u64);
-        w.put_u64(self.seed);
-        w.put_u64(self.checkpoint_every);
-        w.put_u64(self.abort_after);
-        w.put_byte_slice(&self.edges);
-        w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = PayloadReader::new(bytes);
-        let tenant = r.get_str()?;
-        let walk_code = r.get_u32()?;
-        let walk = WalkKind::from_code(walk_code)
-            .ok_or_else(|| SnapshotError::Corrupt(format!("unknown walk code {walk_code}")))?;
-        let spec = JobSpec {
-            tenant,
-            walk,
-            fraction: r.get_f64()?,
-            snowball_k: usize::try_from(r.get_u64()?)
-                .map_err(|_| SnapshotError::Corrupt("snowball k overflows usize".into()))?,
-            burn_prob: r.get_f64()?,
-            rewiring_coefficient: r.get_f64()?,
-            rewire: r.get_bool()?,
-            threads: usize::try_from(r.get_u64()?)
-                .map_err(|_| SnapshotError::Corrupt("thread count overflows usize".into()))?,
-            seed: r.get_u64()?,
-            checkpoint_every: r.get_u64()?,
-            abort_after: r.get_u64()?,
-            edges: r.get_byte_slice()?,
-        };
-        r.finish()?;
-        Ok(spec)
     }
 
     /// Durably persists the spec (the admission barrier: only after this
     /// returns may the server acknowledge the submission).
     pub fn persist(&self, dir: &Path) -> Result<(), SnapshotError> {
-        write_section(spec_path(dir), KIND_JOB_SPEC, &self.encode())
+        write_section(spec_path(dir), KIND_JOB_SPEC, &self.0.encode())
     }
 
-    /// Loads a persisted spec.
+    /// Loads a persisted spec and validates it again.
     pub fn load(dir: &Path) -> Result<Self, SnapshotError> {
-        Self::decode(&read_section(spec_path(dir), KIND_JOB_SPEC)?)
+        let bytes = read_section(spec_path(dir), KIND_JOB_SPEC)?;
+        let req =
+            SubmitRequest::decode(&bytes).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
+        Self::validate(req).map_err(SnapshotError::Corrupt)
+    }
+}
+
+impl Deref for JobSpec {
+    type Target = SubmitRequest;
+
+    fn deref(&self) -> &SubmitRequest {
+        &self.0
     }
 }
 
@@ -187,6 +132,35 @@ pub struct TerminalStatus {
 }
 
 impl TerminalStatus {
+    /// The persisted part of a terminal job's wire status.
+    pub fn of(status: &JobStatus) -> Self {
+        TerminalStatus {
+            state: status.state,
+            message: status.message.clone(),
+            nodes: status.nodes,
+            edges: status.edges,
+            attempts: status.attempts_done,
+            checkpoints: status.checkpoints,
+        }
+    }
+
+    /// The wire status of job `id`, submitted by `tenant`, that ended in
+    /// this outcome.
+    pub fn into_status(self, id: u64, tenant: String) -> JobStatus {
+        JobStatus {
+            id,
+            tenant,
+            state: self.state,
+            stage: String::new(),
+            attempts_done: self.attempts,
+            attempts_total: self.attempts,
+            checkpoints: self.checkpoints,
+            nodes: self.nodes,
+            edges: self.edges,
+            message: self.message,
+        }
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut w = PayloadWriter::new();
         w.put_u32(self.state.code());
@@ -362,9 +336,9 @@ mod tests {
     }
 
     fn spec() -> JobSpec {
-        JobSpec {
+        let req = SubmitRequest {
             tenant: "t".into(),
-            walk: WalkKind::RandomWalk,
+            walk_code: WalkKind::RandomWalk.code(),
             fraction: 0.1,
             snowball_k: 50,
             burn_prob: 0.7,
@@ -375,7 +349,8 @@ mod tests {
             checkpoint_every: 1000,
             abort_after: 0,
             edges: b"0 1\n1 2\n2 0\n".to_vec(),
-        }
+        };
+        JobSpec::from_request(req, 1).unwrap()
     }
 
     #[test]
@@ -387,7 +362,7 @@ mod tests {
         let back = JobSpec::load(&dir).unwrap();
         assert_eq!(back.seed, 42);
         assert_eq!(back.edges, spec().edges);
-        assert_eq!(back.walk, WalkKind::RandomWalk);
+        assert_eq!(back.crawl_spec().walk, WalkKind::RandomWalk);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -283,9 +283,10 @@ impl SubmitRequest {
 }
 
 /// Job lifecycle states as reported over the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum JobState {
     /// Admitted, waiting for a worker.
+    #[default]
     Queued,
     /// A worker is running the restoration pipeline.
     Running,
@@ -334,8 +335,9 @@ impl JobState {
     }
 }
 
-/// One job's status as reported by [`RESP_STATUS`] / [`RESP_JOBS`].
-#[derive(Clone, Debug)]
+/// One job's status as reported by [`RESP_STATUS`] / [`RESP_JOBS`]. The
+/// default is a queued job with no progress.
+#[derive(Clone, Debug, Default)]
 pub struct JobStatus {
     /// The job id.
     pub id: u64,

@@ -104,19 +104,23 @@ pub fn estimate_job_bytes(blob_len: usize, nodes: usize, edges: usize) -> u64 {
     4 * blob_len as u64 + 96 * nodes as u64 + 192 * edges as u64
 }
 
-/// One job's in-memory record. The spec (with its edge blob) is present
-/// only while the job is queued; a worker takes it when the job starts
-/// and it is dropped when the job leaves the active set.
+/// The admission estimate of `spec`'s job, or why its edge list does
+/// not parse.
+fn admission_estimate(spec: &JobSpec) -> Result<u64, String> {
+    let (g, _) = read_edge_list(Cursor::new(&spec.edges[..])).map_err(|e| e.to_string())?;
+    Ok(estimate_job_bytes(
+        spec.edges.len(),
+        g.num_nodes(),
+        g.num_edges(),
+    ))
+}
+
+/// One job's in-memory record: the status the wire reports, plus what
+/// only the server needs. The spec (with its edge blob) is present only
+/// while the job is queued; a worker takes it when the job starts and it
+/// is dropped when the job leaves the active set.
 struct JobRecord {
-    tenant: String,
-    state: JobState,
-    stage: String,
-    attempts_done: u64,
-    attempts_total: u64,
-    checkpoints: u64,
-    nodes: u64,
-    edges: u64,
-    message: String,
+    status: JobStatus,
     spec: Option<JobSpec>,
     resume_from: Option<PathBuf>,
     /// Submission order, for FIFO tie-breaks.
@@ -126,18 +130,24 @@ struct JobRecord {
 }
 
 impl JobRecord {
-    fn status(&self, id: u64) -> JobStatus {
-        JobStatus {
-            id,
-            tenant: self.tenant.clone(),
-            state: self.state,
-            stage: self.stage.clone(),
-            attempts_done: self.attempts_done,
-            attempts_total: self.attempts_total,
-            checkpoints: self.checkpoints,
-            nodes: self.nodes,
-            edges: self.edges,
-            message: self.message.clone(),
+    /// A job waiting for a worker.
+    fn queued(
+        id: u64,
+        spec: JobSpec,
+        resume_from: Option<PathBuf>,
+        seq: u64,
+        estimate: u64,
+    ) -> Self {
+        JobRecord {
+            status: JobStatus {
+                id,
+                tenant: spec.tenant.clone(),
+                ..JobStatus::default()
+            },
+            spec: Some(spec),
+            resume_from,
+            seq,
+            estimate,
         }
     }
 }
@@ -228,15 +238,7 @@ fn launch(cfg: ServeConfig) -> io::Result<(ServerHandle, Arc<Shared>)> {
         next_id = next_id.max(job.id + 1);
         let rec = match job.adoption {
             Adoption::Terminal(t) => JobRecord {
-                tenant: job.spec.tenant.clone(),
-                state: t.state,
-                stage: String::new(),
-                attempts_done: t.attempts,
-                attempts_total: t.attempts,
-                checkpoints: t.checkpoints,
-                nodes: t.nodes,
-                edges: t.edges,
-                message: t.message,
+                status: t.into_status(job.id, job.spec.tenant.clone()),
                 spec: None,
                 resume_from: None,
                 seq: next_seq,
@@ -253,28 +255,9 @@ fn launch(cfg: ServeConfig) -> io::Result<(ServerHandle, Arc<Shared>)> {
                 // after a restart — new submissions then wait it out.
                 // An edge list that no longer parses fails its job when
                 // a worker runs it, not the whole restart.
-                let estimate = match read_edge_list(Cursor::new(&job.spec.edges[..])) {
-                    Ok((g, _)) => {
-                        estimate_job_bytes(job.spec.edges.len(), g.num_nodes(), g.num_edges())
-                    }
-                    Err(_) => 0,
-                };
+                let estimate = admission_estimate(&job.spec).unwrap_or(0);
                 committed += estimate;
-                JobRecord {
-                    tenant: job.spec.tenant.clone(),
-                    state: JobState::Queued,
-                    stage: String::new(),
-                    attempts_done: 0,
-                    attempts_total: 0,
-                    checkpoints: 0,
-                    nodes: 0,
-                    edges: 0,
-                    message: String::new(),
-                    spec: Some(job.spec),
-                    resume_from,
-                    seq: next_seq,
-                    estimate,
-                }
+                JobRecord::queued(job.id, job.spec, resume_from, next_seq, estimate)
             }
         };
         jobs.insert(job.id, rec);
@@ -391,7 +374,7 @@ fn handle_request(
                 let st = shared.lock();
                 match st.jobs.get(&id) {
                     Some(rec) => {
-                        let status = rec.status(id);
+                        let status = rec.status.clone();
                         drop(st);
                         write_frame(stream, RESP_STATUS, &status.encode())
                     }
@@ -410,7 +393,7 @@ fn handle_request(
         },
         REQ_LIST => {
             let st = shared.lock();
-            let list: Vec<JobStatus> = st.jobs.iter().map(|(id, r)| r.status(*id)).collect();
+            let list: Vec<JobStatus> = st.jobs.values().map(|r| r.status.clone()).collect();
             drop(st);
             write_frame(stream, RESP_JOBS, &JobStatus::encode_list(&list))
         }
@@ -418,7 +401,7 @@ fn handle_request(
             Ok(id) => {
                 let state = {
                     let st = shared.lock();
-                    st.jobs.get(&id).map(|r| r.state)
+                    st.jobs.get(&id).map(|r| r.status.state)
                 };
                 match state {
                     None => write_frame(
@@ -478,10 +461,8 @@ fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     let req = SubmitRequest::decode(payload).map_err(|e| (ERR_MALFORMED, e.to_string()))?;
     let spec = JobSpec::from_request(req, shared.cfg.default_checkpoint_every)
         .map_err(|e| (ERR_MALFORMED, e))?;
-    let (g, _) = read_edge_list(Cursor::new(&spec.edges[..]))
-        .map_err(|e| (ERR_MALFORMED, format!("edge list: {e}")))?;
-    let estimate = estimate_job_bytes(spec.edges.len(), g.num_nodes(), g.num_edges());
-    drop(g);
+    let estimate =
+        admission_estimate(&spec).map_err(|e| (ERR_MALFORMED, format!("edge list: {e}")))?;
 
     let id = {
         let mut st = shared.lock();
@@ -519,24 +500,8 @@ fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     }
     let seq = st.next_seq;
     st.next_seq += 1;
-    st.jobs.insert(
-        id,
-        JobRecord {
-            tenant: spec.tenant.clone(),
-            state: JobState::Queued,
-            stage: String::new(),
-            attempts_done: 0,
-            attempts_total: 0,
-            checkpoints: 0,
-            nodes: 0,
-            edges: 0,
-            message: String::new(),
-            spec: Some(spec),
-            resume_from: None,
-            seq,
-            estimate,
-        },
-    );
+    st.jobs
+        .insert(id, JobRecord::queued(id, spec, None, seq, estimate));
     drop(st);
     shared.cv.notify_one();
     Ok(id)
@@ -546,14 +511,17 @@ fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
 fn pick_job(st: &State) -> Option<u64> {
     let mut running: BTreeMap<&str, usize> = BTreeMap::new();
     for rec in st.jobs.values() {
-        if rec.state == JobState::Running {
-            *running.entry(rec.tenant.as_str()).or_default() += 1;
+        if rec.status.state == JobState::Running {
+            *running.entry(rec.status.tenant.as_str()).or_default() += 1;
         }
     }
     st.jobs
         .iter()
-        .filter(|(_, r)| r.state == JobState::Queued)
-        .min_by_key(|(_, r)| (running.get(r.tenant.as_str()).copied().unwrap_or(0), r.seq))
+        .filter(|(_, r)| r.status.state == JobState::Queued)
+        .min_by_key(|(_, r)| {
+            let tenant = r.status.tenant.as_str();
+            (running.get(tenant).copied().unwrap_or(0), r.seq)
+        })
         .map(|(id, _)| *id)
 }
 
@@ -567,7 +535,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 }
                 if let Some(id) = pick_job(&st) {
                     let rec = st.jobs.get_mut(&id).unwrap();
-                    rec.state = JobState::Running;
+                    rec.status.state = JobState::Running;
                     let spec = rec.spec.take().expect("queued job has a spec");
                     let resume_from = rec.resume_from.take();
                     break (id, spec, resume_from);
@@ -586,32 +554,32 @@ struct StatusObserver<'a> {
 }
 
 impl StatusObserver<'_> {
-    fn update(&mut self, f: impl FnOnce(&mut JobRecord)) {
+    fn update(&mut self, f: impl FnOnce(&mut JobStatus)) {
         let mut st = self.shared.lock();
         if let Some(rec) = st.jobs.get_mut(&self.id) {
-            f(rec);
+            f(&mut rec.status);
         }
     }
 }
 
 impl PipelineObserver for StatusObserver<'_> {
     fn stage_started(&mut self, stage: &'static str) {
-        self.update(|rec| rec.stage = stage.to_string());
+        self.update(|s| s.stage = stage.to_string());
     }
 
     fn rewire_progress(&mut self, done: u64, total: u64, _stats: &RestoreStats) {
-        self.update(|rec| {
-            rec.attempts_done = done;
-            rec.attempts_total = total;
+        self.update(|s| {
+            s.attempts_done = done;
+            s.attempts_total = total;
         });
     }
 
     fn checkpoint_written(&mut self, _path: &Path, stats: &RestoreStats) {
         let checkpoints = stats.checkpoints_written;
         let attempts = stats.rewire_stats.attempts;
-        self.update(|rec| {
-            rec.checkpoints = checkpoints;
-            rec.attempts_done = attempts;
+        self.update(|s| {
+            s.checkpoints = checkpoints;
+            s.attempts_done = attempts;
         });
     }
 }
@@ -640,50 +608,60 @@ fn guarded(job: impl FnOnce() -> Result<Restored, JobError>) -> Result<Restored,
     })
 }
 
-/// Records a finished job's outcome: releases its admission estimate,
-/// updates its record and, for a failure, persists its `Failed`
-/// terminal status (`execute` persists a `Completed` one itself).
+/// Records a finished job's outcome. A terminal outcome is persisted
+/// first (after the result snapshot `execute` wrote, so a durable
+/// `Completed` always implies a fetchable result; a result whose status
+/// cannot be made durable fails the job); then the job's admission
+/// estimate is released and its record updated.
 fn record_outcome(shared: &Shared, id: u64, dir: &Path, result: Result<Restored, JobError>) {
-    let mut st = shared.lock();
-    shared.release(&mut st, id);
-    let Some(rec) = st.jobs.get_mut(&id) else {
+    let Some(mut status) = shared.lock().jobs.get(&id).map(|r| r.status.clone()) else {
         return;
     };
     match result {
         Ok(restored) => {
-            rec.state = JobState::Completed;
-            rec.nodes = restored.stats.nodes as u64;
-            rec.edges = restored.stats.edges as u64;
-            rec.attempts_done = restored.stats.rewire_stats.attempts;
-            rec.attempts_total = restored.stats.rewire_stats.attempts;
-            rec.checkpoints = restored.stats.checkpoints_written;
+            let stats = &restored.stats;
+            let done = JobStatus {
+                state: JobState::Completed,
+                nodes: stats.nodes as u64,
+                edges: stats.edges as u64,
+                attempts_done: stats.rewire_stats.attempts,
+                attempts_total: stats.rewire_stats.attempts,
+                checkpoints: stats.checkpoints_written,
+                message: String::new(),
+                ..status.clone()
+            };
+            match TerminalStatus::of(&done).persist(dir) {
+                Ok(()) => status = done,
+                Err(e) => fail(&mut status, JobError::Persist(e), dir),
+            }
         }
         Err(JobError::Restore(RestoreError::Interrupted { checkpoint })) => {
             // The fault-injection hook fired: a simulated crash. Nothing
             // terminal is persisted — exactly like a real kill, the job
             // stays adoptable from its durable checkpoint.
-            rec.state = JobState::Interrupted;
-            rec.message = format!("interrupted at {}", checkpoint.display());
+            status.state = JobState::Interrupted;
+            status.message = format!("interrupted at {}", checkpoint.display());
         }
-        Err(e) => {
-            rec.state = JobState::Failed;
-            rec.message = e.to_string();
-            let terminal = TerminalStatus {
-                state: JobState::Failed,
-                message: rec.message.clone(),
-                nodes: 0,
-                edges: 0,
-                attempts: rec.attempts_done,
-                checkpoints: rec.checkpoints,
-            };
-            drop(st);
-            if let Err(e) = terminal.persist(dir) {
-                eprintln!("sgr serve: persisting failure status for job {id}: {e}");
-            }
-            return;
-        }
+        Err(e) => fail(&mut status, e, dir),
     }
-    drop(st);
+    let mut st = shared.lock();
+    shared.release(&mut st, id);
+    if let Some(rec) = st.jobs.get_mut(&id) {
+        rec.status = status;
+    }
+}
+
+/// Marks `status` failed by `e` and persists it as the job's terminal
+/// outcome.
+fn fail(status: &mut JobStatus, e: JobError, dir: &Path) {
+    status.state = JobState::Failed;
+    status.message = e.to_string();
+    if let Err(e) = TerminalStatus::of(status).persist(dir) {
+        eprintln!(
+            "sgr serve: persisting failure status for job {}: {e}",
+            status.id
+        );
+    }
 }
 
 /// Why a job stopped short of `Completed`; its `Display` form becomes the
@@ -728,7 +706,7 @@ impl From<SnapshotError> for JobError {
 
 /// The pipeline proper: replays exactly the `sgr restore` code path
 /// (edge list → seeded RNG → crawl → staged restoration), then persists
-/// the result snapshot and the terminal status, in that order.
+/// the result snapshot.
 fn execute(
     shared: &Arc<Shared>,
     id: u64,
@@ -769,18 +747,7 @@ fn execute(
             )?
         }
     };
-    // Result before status: `Completed` on disk always implies a
-    // fetchable snapshot.
     write_csr(&restored.snapshot, result_path(dir))?;
-    TerminalStatus {
-        state: JobState::Completed,
-        message: String::new(),
-        nodes: restored.stats.nodes as u64,
-        edges: restored.stats.edges as u64,
-        attempts: restored.stats.rewire_stats.attempts,
-        checkpoints: restored.stats.checkpoints_written,
-    }
-    .persist(dir)?;
     Ok(restored)
 }
 
@@ -795,15 +762,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(job_dir(&dir, 1)).unwrap();
         let rec = JobRecord {
-            tenant: "t".into(),
-            state: JobState::Running,
-            stage: String::new(),
-            attempts_done: 0,
-            attempts_total: 0,
-            checkpoints: 0,
-            nodes: 0,
-            edges: 0,
-            message: String::new(),
+            status: JobStatus {
+                id: 1,
+                tenant: "t".into(),
+                state: JobState::Running,
+                ..JobStatus::default()
+            },
             spec: None,
             resume_from: None,
             seq: 0,
@@ -835,15 +799,15 @@ mod tests {
 
         let st = shared.lock();
         let rec = &st.jobs[&1];
-        assert_eq!(rec.state, JobState::Failed);
-        assert_eq!(rec.message, "job panicked: injected fault 7");
+        assert_eq!(rec.status.state, JobState::Failed);
+        assert_eq!(rec.status.message, "job panicked: injected fault 7");
         assert_eq!(rec.estimate, 0);
         assert_eq!(st.committed, 0, "the reservation leaked");
         let persisted = TerminalStatus::load(&dir)
             .unwrap()
             .expect("no terminal status");
         assert_eq!(persisted.state, JobState::Failed);
-        assert_eq!(persisted.message, rec.message);
+        assert_eq!(persisted.message, rec.status.message);
         drop(st);
         std::fs::remove_dir_all(&shared.cfg.dir).unwrap();
     }

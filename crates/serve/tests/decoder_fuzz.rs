@@ -12,17 +12,28 @@
 //! A strict prefix of a valid payload must fail to decode, and a
 //! single-bit flip anywhere in a snapshot section must be caught (by the
 //! header checks, the length cross-check or the checksum).
+//!
+//! The file path (`snapshot::read_section` under `JobSpec::load`,
+//! `TerminalStatus::load` and the restart scan `scan_jobs`) gets every
+//! truncation and every single-bit flip of a persisted `spec.sgrjob` and
+//! `status.sgrjob`: each load must return `Err` without panicking, and
+//! `scan_jobs` must skip the job directory rather than fail. Every
+//! truncation and bit flip of the spec's payload, sealed in a valid
+//! section, reaches the request decoder and its validation through
+//! `JobSpec::load`, which must not panic either.
 
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use sgr_graph::snapshot::{decode_section, encode_section, FORMAT_VERSION, MAGIC};
+use sgr_graph::snapshot::{decode_section, encode_section, FORMAT_VERSION, KIND_JOB_SPEC, MAGIC};
+use sgr_serve::job::{job_dir, scan_jobs, spec_path, status_path};
 use sgr_serve::protocol::{
     decode_error, decode_job_id, encode_error, encode_job_id, read_frame, write_frame,
     ProtocolError, FRAME_MAGIC,
 };
-use sgr_serve::{JobState, JobStatus, SubmitRequest};
+use sgr_serve::{JobSpec, JobState, JobStatus, SubmitRequest, TerminalStatus};
 
 /// The frame cap `read_frame` runs under here.
 const MAX_FRAME: u64 = 64;
@@ -294,4 +305,125 @@ proptest! {
             },
         );
     }
+}
+
+/// A fresh state root holding one job directory, `job-1`.
+fn state_root(tag: &str) -> (PathBuf, PathBuf) {
+    let root = std::env::temp_dir().join(format!("sgr-fuzz-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let dir = job_dir(&root, 1);
+    std::fs::create_dir_all(&dir).unwrap();
+    (root, dir)
+}
+
+fn valid_spec() -> JobSpec {
+    let req = SubmitRequest {
+        tenant: "acme".into(),
+        walk_code: 1,
+        fraction: 0.1,
+        snowball_k: 50,
+        burn_prob: 0.7,
+        rewiring_coefficient: 20.0,
+        rewire: true,
+        threads: 1,
+        seed: 42,
+        checkpoint_every: 1000,
+        abort_after: 0,
+        edges: b"0 1\n1 2\n2 0\n".to_vec(),
+    };
+    JobSpec::from_request(req, 1).unwrap()
+}
+
+/// Every strict prefix of `valid`, then every single-bit flip of it.
+fn file_mutations(valid: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let prefixes = (0..valid.len()).map(|len| valid[..len].to_vec());
+    let flips = (0..valid.len() * 8).map(|bit| {
+        let mut flipped = valid.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        flipped
+    });
+    prefixes.chain(flips)
+}
+
+/// Scans `root`, which must hold exactly one job directory, `dir`, and
+/// asserts that the scan skipped it rather than failing or adopting it.
+fn assert_scan_skips(root: &Path, dir: &Path, bytes: &[u8]) {
+    let (jobs, skipped) = no_panic("scan_jobs", bytes, || scan_jobs(root))
+        .unwrap_or_else(|e| panic!("scan_jobs failed on {bytes:02x?}: {e}"));
+    assert!(jobs.is_empty(), "scan_jobs adopted {bytes:02x?}");
+    assert_eq!(skipped.len(), 1, "{bytes:02x?}");
+    assert_eq!(skipped[0].0, dir);
+}
+
+#[test]
+fn damaged_spec_files_are_refused_and_skipped() {
+    let (root, dir) = state_root("spec");
+    valid_spec().persist(&dir).unwrap();
+    let valid = std::fs::read(spec_path(&dir)).unwrap();
+    for bytes in file_mutations(&valid) {
+        std::fs::write(spec_path(&dir), &bytes).unwrap();
+        let loaded = no_panic("JobSpec::load", &bytes, || JobSpec::load(&dir));
+        assert!(loaded.is_err(), "JobSpec::load accepted {bytes:02x?}");
+        assert_scan_skips(&root, &dir, &bytes);
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn damaged_status_files_are_refused_and_skipped() {
+    let (root, dir) = state_root("status");
+    valid_spec().persist(&dir).unwrap();
+    TerminalStatus {
+        state: JobState::Completed,
+        message: "done".into(),
+        nodes: 10,
+        edges: 20,
+        attempts: 300,
+        checkpoints: 4,
+    }
+    .persist(&dir)
+    .unwrap();
+    let valid = std::fs::read(status_path(&dir)).unwrap();
+    for bytes in file_mutations(&valid) {
+        std::fs::write(status_path(&dir), &bytes).unwrap();
+        let loaded = no_panic("TerminalStatus::load", &bytes, || {
+            TerminalStatus::load(&dir)
+        });
+        assert!(
+            loaded.is_err(),
+            "TerminalStatus::load accepted {bytes:02x?}"
+        );
+        assert_scan_skips(&root, &dir, &bytes);
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Damage behind an intact checksum reaches `SubmitRequest::decode` and
+/// the spec validation. A truncated payload must be refused; a flipped
+/// one may still be a valid spec (a different seed, say), but neither
+/// the load nor the scan may panic or fail.
+#[test]
+fn damaged_spec_payloads_in_valid_sections_never_panic() {
+    let (root, dir) = state_root("payload");
+    let payload = valid_spec().encode();
+    for len in 0..payload.len() {
+        let sealed = encode_section(KIND_JOB_SPEC, &payload[..len]);
+        std::fs::write(spec_path(&dir), &sealed).unwrap();
+        let loaded = no_panic("JobSpec::load", &sealed, || JobSpec::load(&dir));
+        assert!(loaded.is_err(), "JobSpec::load accepted {sealed:02x?}");
+        assert_scan_skips(&root, &dir, &sealed);
+    }
+    let mut flipped = payload.clone();
+    for bit in 0..payload.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let sealed = encode_section(KIND_JOB_SPEC, &flipped);
+        std::fs::write(spec_path(&dir), &sealed).unwrap();
+        let loaded = no_panic("JobSpec::load", &sealed, || JobSpec::load(&dir));
+        let (jobs, skipped) = no_panic("scan_jobs", &sealed, || scan_jobs(&root))
+            .unwrap_or_else(|e| panic!("scan_jobs failed on {sealed:02x?}: {e}"));
+        assert_eq!(jobs.len() + skipped.len(), 1, "{sealed:02x?}");
+        assert_eq!(loaded.is_ok(), jobs.len() == 1, "{sealed:02x?}");
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
