@@ -104,6 +104,8 @@ impl JobSpec {
     }
 }
 
+/// Read access to the request's fields; a spec is never mutated, so it
+/// stays valid.
 impl Deref for JobSpec {
     type Target = SubmitRequest;
 
