@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sgr_core::{restore, RestoreConfig};
 use sgr_dk::rewire::reference::ApplyRollbackEngine;
 use sgr_dk::rewire::RewireEngine;
-use sgr_dk::series::generate_2k;
+use sgr_dk::{joint_degree_matrix, wire_stubs, ConstructScratch};
 use sgr_estimate::estimate_all;
 use sgr_graph::Graph;
 use sgr_props::triangles::triangle_counts;
@@ -56,8 +56,15 @@ fn bench_dk(c: &mut Criterion) {
         b.iter(|| black_box(triangle_counts(&g)))
     });
     c.bench_function("construct_2k_model", |b| {
+        let target: Vec<u32> = g.nodes().map(|u| g.degree(u) as u32).collect();
+        let jdm = joint_degree_matrix(&g);
         let mut rng = Xoshiro256pp::seed_from_u64(9);
-        b.iter(|| black_box(generate_2k(&g, &mut rng).unwrap()))
+        let mut scratch = ConstructScratch::new();
+        b.iter(|| {
+            let mut h = Graph::with_nodes(g.num_nodes());
+            wire_stubs(&mut h, &target, &jdm, &mut rng, &mut scratch).unwrap();
+            black_box(h)
+        })
     });
     c.bench_function("rewire_1000_attempts", |b| {
         let target = vec![0.05; g.max_degree() + 1];

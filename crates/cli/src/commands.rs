@@ -345,13 +345,14 @@ fn connect(o: &Opts) -> Result<Client, CliError> {
 /// `sgr submit`.
 pub fn submit(argv: &[String]) -> i32 {
     const USAGE: &str = "sgr submit --addr HOST:PORT --graph FILE
-  [--fraction F=0.1] [--walk rw|bfs|snowball|ff|nbrw|mhrw] [--k 50] [--pf 0.7]
+  [--fraction F=0.1] [--walk rw|nbrw] [--k 50] [--pf 0.7]
   [--rc 500] [--no-rewire true] [--seed N=42] [--tenant NAME]
   [--checkpoint-every N] [--abort-after N]
   (submits a crawl-and-restore job; the fetched result is byte-identical
    to `sgr restore` on the same inputs and seed. The job id is printed on
-   stdout. --abort-after is a fault-injection hook: simulate a crash
-   after N checkpoints.)";
+   stdout. The server refuses walks other than rw and nbrw: restoration
+   weighs a crawl by degree. --abort-after is a fault-injection hook:
+   simulate a crash after N checkpoints.)";
     run(
         argv,
         USAGE,

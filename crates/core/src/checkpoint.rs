@@ -358,8 +358,12 @@ pub(crate) fn write_checkpoint(
 
 /// Loads and fully validates a checkpoint.
 pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> {
-    let payload = read_section(path, KIND_RESTORE_CHECKPOINT)?;
-    let mut r = PayloadReader::new(&payload);
+    decode_checkpoint(&read_section(path, KIND_RESTORE_CHECKPOINT)?)
+}
+
+/// Decodes and fully validates a checkpoint payload.
+fn decode_checkpoint(payload: &[u8]) -> Result<Checkpoint, SnapshotError> {
+    let mut r = PayloadReader::new(payload);
     let tag = r.get_u32()?;
     if tag == STAGE_REWIRING_FLOAT_SUMS {
         return Err(SnapshotError::Corrupt(format!(
@@ -473,7 +477,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, SnapshotError> 
 mod tests {
     use super::*;
     use crate::{CheckpointPolicy, NoopObserver, RestoreError};
-    use sgr_graph::snapshot::write_section;
+    use sgr_graph::snapshot::{decode_section, encode_section, write_section};
     use sgr_util::Xoshiro256pp;
     use std::path::PathBuf;
 
@@ -543,6 +547,57 @@ mod tests {
                         other.map(|r| r.stats.rewire_stats.attempts)
                     ),
                 }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Truncations and single-bit flips of a real checkpoint's payload at
+    /// each stage, resealed in a valid section so that they get past the
+    /// checksum. Decoding returns a checkpoint or a typed error and never
+    /// panics, and every truncation is refused. A decoded mid-rewire state
+    /// also goes through `RewireEngine::resume` with its clustering target.
+    /// (`crate::resume` is left out: a flipped `total_attempts` word can
+    /// ask it for an unbounded run.) A full decode takes milliseconds in a
+    /// debug build, so the cases are a fixed-seed sample of each payload's
+    /// prefixes and bits, plus every prefix and bit of its first 64 bytes.
+    #[test]
+    fn resealed_truncations_and_bit_flips_never_panic() {
+        const SAMPLES: usize = 600;
+        let dir = std::env::temp_dir().join(format!("sgr-ckpt-fuzz-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let decode = |payload: &[u8]| {
+            let section = encode_section(KIND_RESTORE_CHECKPOINT, payload);
+            let ck = decode_checkpoint(decode_section(&section, KIND_RESTORE_CHECKPOINT)?)?;
+            if let StageData::Rewiring { k_max, state, .. } = ck.stage {
+                RewireEngine::resume(state, &crate::clustering_target(&ck.estimates, k_max))?;
+            }
+            Ok::<(), SnapshotError>(())
+        };
+        let mut rng = Xoshiro256pp::seed_from_u64(27);
+        for (n, stage) in [
+            (1, "estimated"),
+            (2, "targeted"),
+            (3, "constructed"),
+            (4, "rewiring"),
+        ] {
+            let path = checkpoint_after(n, &dir);
+            assert!(path.to_string_lossy().contains(stage), "{path:?}");
+            let payload = read_section(&path, KIND_RESTORE_CHECKPOINT).unwrap();
+            decode(&payload).unwrap();
+            let lens = (0..64).chain((0..SAMPLES).map(|_| rng.gen_range(payload.len())));
+            for len in lens {
+                assert!(
+                    decode(&payload[..len]).is_err(),
+                    "{stage}: {len}-byte prefix"
+                );
+            }
+            let bits = (0..64 * 8).chain((0..SAMPLES).map(|_| rng.gen_range(payload.len() * 8)));
+            let mut flipped = payload.clone();
+            for bit in bits {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = decode(&flipped);
+                flipped[bit / 8] ^= 1 << (bit % 8);
             }
         }
         std::fs::remove_dir_all(&dir).ok();

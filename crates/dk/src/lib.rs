@@ -24,15 +24,14 @@
 //!   Algorithm 5 of the paper needs);
 //! * [`rewire`] — the 2.5K rewiring engine with incremental per-node
 //!   triangle maintenance (O(k̄²) per attempt, §IV-E), supporting a
-//!   protected-edge set so the proposed method can exclude `E'`;
-//! * [`series`] — standalone 1K/2K/2.5K generators built from the
-//!   above (extension features; also the reference implementations the
-//!   property tests check against).
+//!   protected-edge set so the proposed method can exclude `E'`.
+//!
+//! The paper's 2.5K baseline (Gjoka et al.) is `sgr_core::gjoka`: the
+//! same construction and rewiring, driven from an empty subgraph.
 
 pub mod construct;
 pub mod extract;
 pub mod rewire;
-pub mod series;
 
 pub use construct::{wire_stubs, ConstructScratch, DkError, MatchStats};
 pub use extract::{joint_degree_matrix, JointDegreeMatrix};

@@ -604,6 +604,26 @@ impl EngineCore {
         Ok(())
     }
 
+    /// Checks that the slots are a sub-multiset of the graph's edges, as
+    /// every swap keeps them (a loop slot holds 2 of `A_uu`): a swap
+    /// removes its two slot edges from the index.
+    fn check_slots(&self) -> Result<(), String> {
+        let mut counts: FxHashMap<(NodeId, NodeId), u32> = FxHashMap::default();
+        for &(a, b) in &self.slots {
+            let key = if a <= b { (a, b) } else { (b, a) };
+            *counts.entry(key).or_insert(0) += if a == b { 2 } else { 1 };
+        }
+        for (&(a, b), &c) in counts.iter() {
+            let have = self.idx.get(a, b);
+            if have < c {
+                return Err(format!(
+                    "slots need A_{{{a},{b}}} >= {c}, the graph has {have}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Consistency check used by tests: checks the graph the index
     /// describes and the index's canonical form, then recomputes every
     /// maintained quantity from scratch and compares.
@@ -624,17 +644,7 @@ impl EngineCore {
                 return Err(format!("degree of {u} changed"));
             }
         }
-        // Slots must all exist in the graph.
-        let mut counts: FxHashMap<(NodeId, NodeId), u32> = FxHashMap::default();
-        for &(a, b) in &self.slots {
-            let key = if a <= b { (a, b) } else { (b, a) };
-            *counts.entry(key).or_insert(0) += 1;
-        }
-        for (&(a, b), &c) in counts.iter() {
-            if self.idx.get(a, b) < c {
-                return Err(format!("slot edge ({a},{b}) ×{c} missing from graph"));
-            }
-        }
+        self.check_slots()?;
         // Bucket positions are mutually consistent.
         for (slot, sides) in self.pos.iter().enumerate() {
             for (side, &p) in sides.iter().enumerate() {
@@ -859,17 +869,24 @@ impl RewireEngine {
     /// the same target: everything but the bucket order is recomputed
     /// from the graph and the slots, then the checkpointed bucket order
     /// is injected. A state that does not fit the target or its own slots
-    /// is [`SnapshotError::Corrupt`].
+    /// (a slot naming a node outside the graph, or an edge the graph does
+    /// not hold) is [`SnapshotError::Corrupt`].
     pub fn resume(state: RewireState, target_c: &[f64]) -> Result<Self, SnapshotError> {
         let RewireState {
             graph,
             slots,
             buckets,
         } = state;
+        let n = graph.num_nodes();
+        if let Some(&(a, b)) = slots.iter().find(|&&(a, b)| a.max(b) as usize >= n) {
+            return Err(SnapshotError::Corrupt(format!(
+                "slot ({a}, {b}) names a node outside the {n}-node graph"
+            )));
+        }
         let mut engine = Self::new(graph, slots, target_c);
-        engine
-            .core
-            .restore_bucket_state(buckets)
+        let core = &mut engine.core;
+        core.check_slots()
+            .and_then(|()| core.restore_bucket_state(buckets))
             .map_err(SnapshotError::Corrupt)?;
         Ok(engine)
     }
@@ -1323,6 +1340,31 @@ mod tests {
             RewireState::decode(&mut PayloadReader::new(&bytes)),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    /// A slot a checkpoint's bytes corrupted: one naming a node past the
+    /// graph used to index the degree array out of bounds in `resume`,
+    /// and one naming a pair the graph does not hold would panic in the
+    /// index at its first swap. Both are refused as `Corrupt`.
+    #[test]
+    fn resume_refuses_slots_outside_the_graph() {
+        let g = social(30);
+        let n = g.num_nodes() as NodeId;
+        let edges: Vec<_> = g.edges().collect();
+        let target = vec![0.0; g.max_degree() + 1];
+        let eng = RewireEngine::new(g.clone(), edges, &target);
+        let (a, b) = eng.core.slots[0];
+        let absent = (0..n)
+            .find(|&v| v != a && g.multiplicity(a, v) == 0)
+            .unwrap();
+        for slot in [(a, b + n), (a, absent), (a, a)] {
+            let mut state = round_trip(&eng);
+            state.slots[0] = slot;
+            match RewireEngine::resume(state, &target) {
+                Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("slot"), "{msg}"),
+                other => panic!("slot {slot:?}: expected Corrupt, got {:?}", other.is_ok()),
+            }
+        }
     }
 
     #[test]

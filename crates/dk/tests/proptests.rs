@@ -7,7 +7,7 @@ use sgr_dk::extract::{
     jdm_is_symmetric, jdm_matches_degree_vector, jdm_num_edges, joint_degree_matrix,
 };
 use sgr_dk::rewire::RewireEngine;
-use sgr_dk::series::{generate_1k, generate_25k, generate_2k};
+use sgr_dk::{wire_stubs, ConstructScratch};
 use sgr_graph::Graph;
 use sgr_props::local::LocalProperties;
 use sgr_util::Xoshiro256pp;
@@ -16,6 +16,22 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     (30usize..150, 2usize..4, 0.0f64..0.8, 0u64..1_000).prop_map(|(n, m, pt, seed)| {
         sgr_gen::holme_kim(n, m, pt, &mut Xoshiro256pp::seed_from_u64(seed)).unwrap()
     })
+}
+
+/// A from-empty 2K construction of `g`: its degree sequence and joint
+/// degree matrix, wired by stub matching onto `g`'s node set.
+fn build_2k(g: &Graph, rng: &mut Xoshiro256pp) -> Graph {
+    let target: Vec<u32> = g.nodes().map(|u| g.degree(u) as u32).collect();
+    let mut h = Graph::with_nodes(g.num_nodes());
+    wire_stubs(
+        &mut h,
+        &target,
+        &joint_degree_matrix(g),
+        rng,
+        &mut ConstructScratch::new(),
+    )
+    .unwrap();
+    h
 }
 
 proptest! {
@@ -30,18 +46,9 @@ proptest! {
     }
 
     #[test]
-    fn one_k_realizes_any_graphical_degree_vector(g in arb_graph(), seed in 0u64..10_000) {
-        let dv = g.degree_vector();
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let h = generate_1k(&dv, &mut rng).unwrap();
-        prop_assert_eq!(h.degree_vector(), dv);
-        prop_assert!(h.validate().is_ok());
-    }
-
-    #[test]
     fn two_k_is_exact(g in arb_graph(), seed in 0u64..10_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let h = generate_2k(&g, &mut rng).unwrap();
+        let h = build_2k(&g, &mut rng);
         prop_assert_eq!(h.degree_vector(), g.degree_vector());
         prop_assert_eq!(joint_degree_matrix(&h), joint_degree_matrix(&g));
         prop_assert!(h.validate().is_ok());
@@ -53,7 +60,12 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let (h, stats) = generate_25k(&g, 2.0, &mut rng).unwrap();
+        let h2k = build_2k(&g, &mut rng);
+        let target = LocalProperties::compute(&g).clustering_by_degree;
+        let edges: Vec<_> = h2k.edges().collect();
+        let mut engine = RewireEngine::new(h2k, edges, &target);
+        let stats = engine.run(2.0, &mut rng);
+        let h = engine.into_graph();
         prop_assert_eq!(h.degree_vector(), g.degree_vector());
         prop_assert_eq!(joint_degree_matrix(&h), joint_degree_matrix(&g));
         prop_assert!(stats.final_distance <= stats.initial_distance + 1e-9);

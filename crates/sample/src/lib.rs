@@ -33,27 +33,22 @@
 //! and the `sgr serve` job server produce bit-identical crawls from the
 //! same seed.
 //!
-//! Real crawls also fail: [`fault`] adds a deterministic failure model
-//! ([`FlakyAccessModel`] injecting transient and rate-limit faults) and
-//! bounded retry with exponential backoff; [`try_random_walk`] is the
-//! fallible walk built on it, guaranteed to visit the same node sequence
-//! as the failure-free walk whenever the retries eventually succeed.
+//! Every crawler runs against the access model above and nothing else: a
+//! query cannot fail, so each walk is one loop that fetches a node's
+//! neighbour list the first time it stands on it and then draws its next
+//! step. A crawler for a real, rate-limited API would need failure
+//! handling measured against that API's traffic; none is modelled here.
 
 pub mod access;
 pub mod crawl;
-pub mod fault;
 pub mod strategy;
 pub mod subgraph;
 pub mod walks;
 
 pub use access::AccessModel;
 pub use crawl::{bfs, forest_fire, snowball, Crawl};
-pub use fault::{
-    query_with_retry, CrawlError, FlakyAccessModel, NeighborSource, QueryFault, RetryPolicy,
-};
 pub use strategy::{run_crawl, CrawlOutcome, CrawlSpec, WalkKind};
 pub use subgraph::Subgraph;
 pub use walks::{
     metropolis_hastings_walk, non_backtracking_walk, random_walk, random_walk_until_fraction,
-    try_random_walk,
 };

@@ -1,8 +1,13 @@
 //! Random-walk crawlers.
+//!
+//! Each walk is one loop over [`AccessModel::query`]: a node's neighbour
+//! list is fetched the first time the walk stands on it (queries cannot
+//! fail, so there is nothing to retry), then the next step is drawn from
+//! the walk RNG. The draws depend only on the neighbour lists, so a walk
+//! is a function of the hidden graph, its seed node and its RNG stream.
 
 use crate::access::AccessModel;
 use crate::crawl::Crawl;
-use crate::fault::{query_with_retry, CrawlError, NeighborSource, RetryPolicy};
 use sgr_graph::{GraphView, NodeId};
 use sgr_util::Xoshiro256pp;
 
@@ -21,39 +26,14 @@ pub fn random_walk<G: GraphView>(
     target_queried: usize,
     rng: &mut Xoshiro256pp,
 ) -> Crawl {
-    // The ideal access model never fails, so one attempt always succeeds.
-    match try_random_walk(am, seed, target_queried, &RetryPolicy::no_wait(1), rng) {
-        Ok(crawl) => crawl,
-        Err(_) => unreachable!("AccessModel::try_query is infallible"),
-    }
-}
-
-/// [`random_walk`] over a fallible [`NeighborSource`]: identical transition
-/// logic — and an identical walk-RNG stream, fault or no fault — plus
-/// bounded retry with backoff on every neighbor fetch (see the failure
-/// model in [`crate::fault`]).
-///
-/// A node that stays unreachable through the whole retry budget aborts the
-/// crawl with a typed [`CrawlError`]; the partial crawl is dropped, never
-/// returned half-fetched.
-pub fn try_random_walk<S: NeighborSource>(
-    src: &mut S,
-    seed: NodeId,
-    target_queried: usize,
-    policy: &RetryPolicy,
-    rng: &mut Xoshiro256pp,
-) -> Result<Crawl, CrawlError> {
     let mut crawl = Crawl::default();
     let max_steps = target_queried.saturating_mul(1000).max(1024);
     let mut current = seed;
     for _ in 0..max_steps {
-        // Not the entry() API: the fetch is fallible, and `?` cannot
-        // escape an or_insert_with closure.
-        #[allow(clippy::map_entry)]
-        if !crawl.neighbors.contains_key(&current) {
-            let fetched = query_with_retry(src, current, policy)?;
-            crawl.neighbors.insert(current, fetched);
-        }
+        crawl
+            .neighbors
+            .entry(current)
+            .or_insert_with(|| am.query(current).to_vec());
         crawl.seq.push(current);
         if crawl.neighbors.len() >= target_queried {
             break;
@@ -64,7 +44,7 @@ pub fn try_random_walk<S: NeighborSource>(
         }
         current = nbrs[rng.gen_range(nbrs.len())];
     }
-    Ok(crawl)
+    crawl
 }
 
 /// Convenience wrapper used by the experiment harness: walk a hidden graph
@@ -100,10 +80,10 @@ pub fn non_backtracking_walk<G: GraphView>(
     let mut current = seed;
     let mut previous: Option<NodeId> = None;
     for _ in 0..max_steps {
-        crawl.neighbors.entry(current).or_insert_with(|| {
-            let fetched = am.query(current).to_vec();
-            fetched
-        });
+        crawl
+            .neighbors
+            .entry(current)
+            .or_insert_with(|| am.query(current).to_vec());
         crawl.seq.push(current);
         if crawl.neighbors.len() >= target_queried {
             break;
@@ -147,10 +127,10 @@ pub fn metropolis_hastings_walk<G: GraphView>(
     let max_steps = target_queried.saturating_mul(1000).max(1024);
     let mut current = seed;
     for _ in 0..max_steps {
-        crawl.neighbors.entry(current).or_insert_with(|| {
-            let fetched = am.query(current).to_vec();
-            fetched
-        });
+        crawl
+            .neighbors
+            .entry(current)
+            .or_insert_with(|| am.query(current).to_vec());
         crawl.seq.push(current);
         if crawl.neighbors.len() >= target_queried {
             break;
@@ -161,10 +141,10 @@ pub fn metropolis_hastings_walk<G: GraphView>(
         }
         let w = crawl.neighbors[&current][rng.gen_range(d_cur)];
         // Need d(w): querying it is exactly what a real MH walker must do.
-        crawl.neighbors.entry(w).or_insert_with(|| {
-            let fetched = am.query(w).to_vec();
-            fetched
-        });
+        crawl
+            .neighbors
+            .entry(w)
+            .or_insert_with(|| am.query(w).to_vec());
         let d_w = crawl.neighbors[&w].len();
         if d_w == 0 {
             break;

@@ -22,9 +22,12 @@
 //! ([`SubmitRequest::encode`]) with `checkpoint_every` filled in, so a job
 //! has one description on the wire and on disk. [`JobSpec::load`] decodes
 //! it and validates it again, as admission did; a payload that fails
-//! either step is [`SnapshotError::Corrupt`]. `status.sgrjob` holds a
-//! [`TerminalStatus`]: the part of a terminal job's wire status that is
-//! not derived from the spec.
+//! either step is [`SnapshotError::Corrupt`]. The sampling-design check
+//! ([`JobSpec::check_design`]) is not part of that validation: a spec
+//! written before its design was refused still loads, so the server keeps
+//! the job's outcome visible instead of skipping the directory.
+//! `status.sgrjob` holds a [`TerminalStatus`]: the part of a terminal
+//! job's wire status that is not derived from the spec.
 
 use std::io;
 use std::ops::Deref;
@@ -68,6 +71,24 @@ impl JobSpec {
             .validate()
             .map_err(|e| e.to_string())?;
         Ok(spec)
+    }
+
+    /// Refuses a crawl design whose sample the restoration cannot weigh.
+    /// The estimators re-weight each visit by its node's degree, which is
+    /// right only for walks whose stationary distribution is proportional
+    /// to degree (`rw`, `nbrw`). MHRW is stationary-uniform and BFS,
+    /// snowball and forest fire are not walks: restoring from them yields
+    /// a graph of the wrong size with no error.
+    pub fn check_design(&self) -> Result<(), String> {
+        match self.crawl_spec().walk {
+            WalkKind::RandomWalk | WalkKind::NonBacktracking => Ok(()),
+            other => Err(format!(
+                "walk design {} is refused: restoration re-weights by degree, which is valid \
+                 only for walks whose stationary distribution is proportional to degree \
+                 (rw, nbrw)",
+                other.name()
+            )),
+        }
     }
 
     /// The crawl half of the spec.

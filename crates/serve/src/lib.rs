@@ -54,7 +54,8 @@
 //!    job is re-adopted: resumed from its newest checkpoint if one
 //!    exists, rerun from the spec otherwise. Either way the output is
 //!    bitwise-identical to the uninterrupted run ([`sgr_core`]'s resume
-//!    guarantee).
+//!    guarantee). An in-flight job whose spec names a crawl design
+//!    admission refuses is not re-adopted: it ends `Failed`, persisted.
 
 pub mod client;
 pub mod job;

@@ -210,7 +210,8 @@ pub struct SubmitRequest {
     /// Tenant label for fair scheduling (free-form; empty means the
     /// anonymous tenant).
     pub tenant: String,
-    /// Crawler family ([`sgr_sample::WalkKind::code`]).
+    /// Crawler family ([`sgr_sample::WalkKind::code`]). Admission takes
+    /// only `rw` and `nbrw` (see [`crate::JobSpec::check_design`]).
     pub walk_code: u32,
     /// Fraction of nodes to crawl.
     pub fraction: f64,

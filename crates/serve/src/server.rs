@@ -29,6 +29,14 @@
 //! already queued or running — exceeds the configured budget, the job
 //! is rejected with [`ERR_REJECTED`] at submit time, when the client
 //! can still react, rather than OOM-killing the server later.
+//!
+//! A submission whose crawl design the restoration cannot weigh
+//! ([`JobSpec::check_design`]: anything but `rw` and `nbrw`) is rejected
+//! with [`ERR_REJECTED`] too, before any crawl. A restart applies the
+//! same rule to the jobs it adopts: an unfinished job naming such a
+//! design never runs and ends `Failed` with the reason, persisted like
+//! any other failure; a finished one keeps its status, and a completed
+//! one its fetchable result.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -130,6 +138,17 @@ struct JobRecord {
 }
 
 impl JobRecord {
+    /// A job in a terminal state: nothing left to run or reserve.
+    fn finished(status: JobStatus, seq: u64) -> Self {
+        JobRecord {
+            status,
+            spec: None,
+            resume_from: None,
+            seq,
+            estimate: 0,
+        }
+    }
+
     /// A job waiting for a worker.
     fn queued(
         id: u64,
@@ -236,15 +255,26 @@ fn launch(cfg: ServeConfig) -> io::Result<(ServerHandle, Arc<Shared>)> {
     let mut committed = 0u64;
     for job in scanned {
         next_id = next_id.max(job.id + 1);
-        let rec = match job.adoption {
-            Adoption::Terminal(t) => JobRecord {
-                status: t.into_status(job.id, job.spec.tenant.clone()),
-                spec: None,
-                resume_from: None,
-                seq: next_seq,
-                estimate: 0,
-            },
-            adoption => {
+        let rec = match (job.adoption, job.spec.check_design()) {
+            (Adoption::Terminal(t), _) => {
+                JobRecord::finished(t.into_status(job.id, job.spec.tenant.clone()), next_seq)
+            }
+            // Admitted before its design was refused: fail it, durably,
+            // instead of running it.
+            (_, Err(why)) => {
+                let mut status = JobStatus {
+                    id: job.id,
+                    tenant: job.spec.tenant.clone(),
+                    ..JobStatus::default()
+                };
+                fail(
+                    &mut status,
+                    JobError::Refused(why),
+                    &job_dir(&cfg.dir, job.id),
+                );
+                JobRecord::finished(status, next_seq)
+            }
+            (adoption, Ok(())) => {
                 let resume_from = match adoption {
                     Adoption::Resume(p) => Some(p),
                     _ => None,
@@ -461,6 +491,7 @@ fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     let req = SubmitRequest::decode(payload).map_err(|e| (ERR_MALFORMED, e.to_string()))?;
     let spec = JobSpec::from_request(req, shared.cfg.default_checkpoint_every)
         .map_err(|e| (ERR_MALFORMED, e))?;
+    spec.check_design().map_err(|e| (ERR_REJECTED, e))?;
     let estimate =
         admission_estimate(&spec).map_err(|e| (ERR_MALFORMED, format!("edge list: {e}")))?;
 
@@ -678,6 +709,8 @@ enum JobError {
     Persist(SnapshotError),
     /// The pipeline panicked; carries the panic message.
     Panicked(String),
+    /// An adopted job names a crawl design admission now refuses.
+    Refused(String),
 }
 
 impl fmt::Display for JobError {
@@ -688,6 +721,7 @@ impl fmt::Display for JobError {
             JobError::Restore(e) => e.fmt(f),
             JobError::Persist(e) => write!(f, "persisting the job result failed: {e}"),
             JobError::Panicked(e) => write!(f, "job panicked: {e}"),
+            JobError::Refused(e) => write!(f, "not run: {e}"),
         }
     }
 }

@@ -447,3 +447,118 @@ fn unparsable_edge_list_fails_the_job_with_an_edge_list_error() {
     handle.join();
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// Restoration weighs a crawl by degree, which is valid only for walks
+/// whose stationary distribution is proportional to degree. Admission
+/// refuses every other design with `ERR_REJECTED` before any crawl, and
+/// names the design; `nbrw` is admitted and matches the local run.
+#[test]
+fn admission_refuses_designs_the_estimators_cannot_weigh() {
+    let root = state_root("designs");
+    let handle = sgr_serve::start(serve_cfg(root.clone())).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    for walk in [
+        WalkKind::MetropolisHastings,
+        WalkKind::Bfs,
+        WalkKind::Snowball,
+        WalkKind::ForestFire,
+    ] {
+        let req = SubmitRequest {
+            walk_code: walk.code(),
+            ..submit_req(7, "t", 0)
+        };
+        match client.submit(&req) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, sgr_serve::protocol::ERR_REJECTED, "{message}");
+                let named = format!("walk design {} ", walk.name());
+                assert!(message.starts_with(&named), "{message}");
+            }
+            other => panic!("submit with --walk {}: {other:?}", walk.name()),
+        }
+    }
+    // Refused submissions leave no job behind.
+    assert!(client.list().unwrap().is_empty());
+
+    let nbrw = SubmitRequest {
+        walk_code: WalkKind::NonBacktracking.code(),
+        ..submit_req(7, "t", 0)
+    };
+    let id = client.submit(&nbrw).unwrap();
+    wait_for(&mut client, id, JobState::Completed);
+    assert_eq!(client.fetch(id).unwrap(), local_restore_bytes(&nbrw));
+
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A state root written before admission refused non-walk designs: an
+/// unfinished `mhrw` or `bfs` job (fresh or with a checkpoint) never runs
+/// and ends `Failed` with the reason, persisted so the next restart reads
+/// it; a completed `bfs` job keeps its status and its fetchable result.
+#[test]
+fn adoption_fails_unfinished_refused_designs_and_keeps_finished_ones() {
+    use sgr_serve::job::{ckpt_dir, job_dir, result_path};
+    let root = state_root("design-adopt");
+    let with_walk = |walk: WalkKind| SubmitRequest {
+        walk_code: walk.code(),
+        ..submit_req(7, "t", 0)
+    };
+    let plant = |id: u64, req: &SubmitRequest| {
+        let dir = job_dir(&root, id);
+        std::fs::create_dir_all(ckpt_dir(&dir)).unwrap();
+        let spec = sgr_serve::JobSpec::from_request(req.clone(), 500).unwrap();
+        spec.persist(&dir).unwrap();
+        dir
+    };
+    // Job 1: queued, never checkpointed.
+    plant(1, &with_walk(WalkKind::MetropolisHastings));
+    // Job 2: interrupted with a checkpoint; it must not be read.
+    let dir2 = plant(2, &with_walk(WalkKind::Bfs));
+    std::fs::write(ckpt_dir(&dir2).join("ckpt-0001-estimated.sgrsnap"), b"x").unwrap();
+    // Job 3: completed by an earlier build.
+    let bfs = with_walk(WalkKind::Bfs);
+    let dir3 = plant(3, &bfs);
+    let result = local_restore_bytes(&bfs);
+    std::fs::write(result_path(&dir3), &result).unwrap();
+    sgr_serve::TerminalStatus {
+        state: JobState::Completed,
+        message: String::new(),
+        nodes: 1,
+        edges: 2,
+        attempts: 3,
+        checkpoints: 4,
+    }
+    .persist(&dir3)
+    .unwrap();
+
+    let handle = sgr_serve::start(serve_cfg(root.clone())).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for (id, walk) in [(1, "mhrw"), (2, "bfs")] {
+        let s = client.status(id).unwrap();
+        assert_eq!(s.state, JobState::Failed, "job {id}: {}", s.message);
+        let named = format!("not run: walk design {walk} ");
+        assert!(s.message.starts_with(&named), "{}", s.message);
+        let dir = job_dir(&root, id);
+        let persisted = sgr_serve::TerminalStatus::load(&dir).unwrap().unwrap();
+        assert_eq!(persisted.state, JobState::Failed);
+        assert_eq!(persisted.message, s.message);
+        assert!(!result_path(&dir).exists(), "job {id} ran");
+        match client.fetch(id) {
+            Err(ClientError::Server { code, .. }) => {
+                assert_eq!(code, sgr_serve::protocol::ERR_NOT_FINISHED)
+            }
+            other => panic!("fetch of refused job {id}: {other:?}"),
+        }
+    }
+    let done = client.status(3).unwrap();
+    assert_eq!(done.state, JobState::Completed);
+    assert_eq!((done.nodes, done.edges), (1, 2));
+    assert_eq!(client.fetch(3).unwrap(), result);
+    assert_eq!(client.list().unwrap().len(), 3);
+
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+}
