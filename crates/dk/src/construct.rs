@@ -490,6 +490,42 @@ mod tests {
     }
 
     #[test]
+    fn failing_last_pair_leaves_the_reference_error_and_generator_state() {
+        // Several pairs wire fine, then the last one runs its class dry
+        // part-way. The error and the generator position afterwards must
+        // be the reference engine's: any draw the matcher made ahead of
+        // the edge it places would show up in the generator state.
+        let n = 40usize;
+        let target: Vec<u32> = (0..n).map(|u| [1u32, 2, 3, 4][u % 4]).collect();
+        let mut add: JointDegreeMatrix = FxHashMap::default();
+        add.insert((1, 2), 8); // class 1: 10 stubs, class 2: 20
+        add.insert((2, 2), 3);
+        add.insert((2, 4), 6); // class 4: 40 stubs
+        add.insert((3, 3), 10); // class 3: 30 stubs
+        add.insert((4, 4), 40); // needs 80 class-4 stubs, 34 are left
+        for seed in 0..8 {
+            let mut g_ref = Graph::with_nodes(n);
+            let mut rng_ref = Xoshiro256pp::seed_from_u64(seed);
+            let want = reference::wire_stubs(&mut g_ref, &target, &add, &mut rng_ref);
+            let mut g = Graph::with_nodes(n);
+            let mut r = Xoshiro256pp::seed_from_u64(seed);
+            let mut scratch = ConstructScratch::new();
+            let got = wire_stubs(&mut g, &target, &add, &mut r, &mut scratch);
+            assert_eq!(
+                want,
+                Err(DkError::OutOfStubs {
+                    k: 4,
+                    k2: 4,
+                    placed: 17,
+                    requested: 40
+                })
+            );
+            assert_eq!(got.map(|(e, s)| (e.to_vec(), s)), want, "seed {seed}");
+            assert_eq!(r.state(), rng_ref.state(), "seed {seed}");
+        }
+    }
+
+    #[test]
     fn scratch_reuse_is_transparent() {
         // Same seed through a fresh scratch and a reused one: identical
         // output and stats.

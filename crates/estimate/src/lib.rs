@@ -752,6 +752,40 @@ mod tests {
     }
 
     #[test]
+    fn hashed_jdd_fallback_matches_the_arena_path_bitwise() {
+        // The fallback only runs on walks with > 1448 distinct degrees;
+        // call it directly on small walks and hold it to the arena path.
+        let cases = [(300, 3, 0.5, 40), (800, 4, 0.3, 120), (60, 2, 0.9, 15)];
+        for (seed, &(n, m, pt, target)) in cases.iter().enumerate() {
+            let seed = seed as u64;
+            let g =
+                sgr_gen::holme_kim(n, m, pt, &mut Xoshiro256pp::seed_from_u64(40 + seed)).unwrap();
+            let crawl = walk_on(&g, target, 50 + seed);
+            let r = crawl.len();
+            let m = pair_gap(r);
+            let mut positions: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
+            for (i, &x) in crawl.seq.iter().enumerate() {
+                positions.entry(x).or_default().push(i);
+            }
+            let n_hat = estimate_num_nodes(&crawl).unwrap();
+            let k_hat = estimate_average_degree(&crawl).unwrap();
+            let hashed =
+                jdd_hybrid_hashed(&crawl, n_hat, k_hat, m, num_gap_pairs(r, m), &positions)
+                    .unwrap();
+            let arena = estimate_jdd(&crawl).unwrap();
+            assert!(!arena.is_empty());
+            assert_eq!(hashed.len(), arena.len(), "case {seed}");
+            for (key, p) in &arena {
+                assert_eq!(
+                    hashed.get(key).map(|q| q.to_bits()),
+                    Some(p.to_bits()),
+                    "case {seed}, key {key:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn estimates_accessors() {
         let g = complete(8);
         let crawl = walk_on(&g, 8, 11);

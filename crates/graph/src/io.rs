@@ -140,6 +140,33 @@ mod tests {
     }
 
     #[test]
+    fn crlf_lines_read_like_lf_lines() {
+        let text = "% header\r\n10 20\r\n\r\n  20 30  \r\n30 10";
+        let (g, mapping) = read_edge_list(std::io::Cursor::new(text)).unwrap();
+        assert_eq!(g.num_edges(), 3);
+        assert_eq!(mapping, vec![10, 20, 30]);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+    }
+
+    #[test]
+    fn parse_error_after_a_comment_counts_every_line() {
+        // Comment and blank lines count toward the line number, and the
+        // error carries the line as read, without its line ending.
+        let text = "# nodes 3\n1 2\n\n# more\n 2 x \r\n3 1\n";
+        match read_edge_list(std::io::Cursor::new(text)) {
+            Err(IoError::Parse(5, line)) => assert_eq!(line, " 2 x "),
+            other => panic!("expected parse error at line 5, got {other:?}"),
+        }
+        let text = "% c\n1 2 extra\n4\n";
+        match read_edge_list(std::io::Cursor::new(text)) {
+            Err(e @ IoError::Parse(3, _)) => {
+                assert_eq!(e.to_string(), "parse error at line 3: \"4\"")
+            }
+            other => panic!("expected parse error at line 3, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("sgr_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
