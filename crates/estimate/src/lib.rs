@@ -20,22 +20,34 @@
 //! * [`estimate_clustering`] — the degree-dependent clustering estimator
 //!   `ĉ̄(k) = Φ_c̄(k) / Φ(k)` (Hardiman & Katzir).
 //!
-//! [`Estimates`] bundles all five; [`estimate_all`] computes them in one
-//! pass over the walk.
+//! [`Estimates`] bundles all five; [`estimate_all`] computes them from
+//! one index of the walk, and `n̂` once.
 //!
-//! # Scratch arenas
+//! # The walk index
+//!
+//! Every estimator reads the walk through one index, built in a single
+//! hash pass over the visit sequence: walked nodes get dense *walk ids*
+//! in first-visit order, and the index holds each step's id and degree,
+//! the ascending steps at which each walked node was visited (a CSR), and
+//! each walked node's neighbour list with every neighbour translated to
+//! its walk id (`u32::MAX` for a node the walk never stood on). The size
+//! estimator's collision count, the JDD's induced-edge (IE) tallies and
+//! the clustering estimator's `A(x_{i-1}, x_{i+1})` tests are then array
+//! reads; no estimator hashes a node id again. [`estimate_all`] builds the
+//! index once; the public per-estimator functions build their own.
 //!
 //! The accumulator-heavy estimators (the size estimator's observed-node
 //! fallback, the JDD's IE/TE tallies) run on epoch-stamped arenas from
 //! [`sgr_util::scratch`] instead of hash sets/maps, the same discipline
 //! the rewiring engine and the property kernels follow; [`estimate_all`]
-//! shares one set of arenas across its estimators. Results are
-//! bitwise-identical to the hash-map implementation because every
-//! per-key accumulation order is preserved.
+//! shares one set of arenas across its estimators. Every float is
+//! accumulated in the order the hash-map implementation used (per key,
+//! ascending step, then neighbour order), so results are bitwise
+//! identical to it.
 
 use sgr_sample::Crawl;
 use sgr_util::scratch::{DirtyStampSet, ScratchAccum};
-use sgr_util::{FxHashMap, FxHashSet};
+use sgr_util::FxHashMap;
 
 /// Errors from the estimators.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +93,112 @@ struct EstimateScratch {
     ie: ScratchAccum<f64>,
     /// Traversed-edge tallies keyed by packed rank pair.
     te: ScratchAccum<f64>,
+}
+
+/// Marks a neighbour the walk never stood on in [`WalkIndex`].
+const NOT_WALKED: u32 = u32::MAX;
+
+/// The walk, indexed once for every estimator; see the module docs.
+#[derive(Debug)]
+struct WalkIndex {
+    /// Walk id of each step; ids are dense, in first-visit order.
+    step_id: Vec<u32>,
+    /// Degree of each step's node.
+    step_deg: Vec<u32>,
+    /// Degree of each walked node, by walk id.
+    deg: Vec<u32>,
+    /// The steps of walk id `w`, ascending, are
+    /// `steps[pos_offs[w] .. pos_offs[w + 1]]`.
+    pos_offs: Vec<u32>,
+    steps: Vec<u32>,
+    /// `N(w)` in the crawl's order, each neighbour as its walk id or
+    /// [`NOT_WALKED`], is `nbrs[nbr_offs[w] .. nbr_offs[w + 1]]`.
+    nbr_offs: Vec<usize>,
+    nbrs: Vec<u32>,
+}
+
+impl WalkIndex {
+    fn build(crawl: &Crawl) -> Self {
+        let r = crawl.len();
+        let mut id_of: FxHashMap<u32, u32> = FxHashMap::default();
+        let mut walked: Vec<&[u32]> = Vec::new();
+        let mut step_id = Vec::with_capacity(r);
+        for &x in &crawl.seq {
+            let fresh = walked.len() as u32;
+            let id = *id_of.entry(x).or_insert_with(|| {
+                walked.push(crawl.neighbors_of(x));
+                fresh
+            });
+            step_id.push(id);
+        }
+        let deg: Vec<u32> = walked.iter().map(|ns| ns.len() as u32).collect();
+        let step_deg = step_id.iter().map(|&w| deg[w as usize]).collect();
+
+        let mut pos_offs = vec![0u32; walked.len() + 1];
+        for &w in &step_id {
+            pos_offs[w as usize + 1] += 1;
+        }
+        for w in 0..walked.len() {
+            pos_offs[w + 1] += pos_offs[w];
+        }
+        let mut cursor = pos_offs[..walked.len()].to_vec();
+        let mut steps = vec![0u32; r];
+        for (i, &w) in step_id.iter().enumerate() {
+            steps[cursor[w as usize] as usize] = i as u32;
+            cursor[w as usize] += 1;
+        }
+
+        let mut nbr_offs = Vec::with_capacity(walked.len() + 1);
+        nbr_offs.push(0usize);
+        let mut nbrs = Vec::with_capacity(deg.iter().map(|&d| d as usize).sum());
+        for ns in &walked {
+            nbrs.extend(
+                ns.iter()
+                    .map(|v| id_of.get(v).copied().unwrap_or(NOT_WALKED)),
+            );
+            nbr_offs.push(nbrs.len());
+        }
+        Self {
+            step_id,
+            step_deg,
+            deg,
+            pos_offs,
+            steps,
+            nbr_offs,
+            nbrs,
+        }
+    }
+
+    /// Walk length `r`.
+    fn len(&self) -> usize {
+        self.step_id.len()
+    }
+
+    /// The steps at which walk id `w` was visited, ascending.
+    fn positions(&self, w: u32) -> &[u32] {
+        let w = w as usize;
+        &self.steps[self.pos_offs[w] as usize..self.pos_offs[w + 1] as usize]
+    }
+
+    /// `N(w)` as walk ids ([`NOT_WALKED`] for unwalked neighbours).
+    fn neighbors(&self, w: u32) -> &[u32] {
+        let w = w as usize;
+        &self.nbrs[self.nbr_offs[w]..self.nbr_offs[w + 1]]
+    }
+
+    /// `A(a, b) > 0` as the sample shows it: `b ∈ N(a)` or `a ∈ N(b)`
+    /// (both walked, so both queried).
+    fn adjacent(&self, a: u32, b: u32) -> bool {
+        self.neighbors(a).contains(&b) || self.neighbors(b).contains(&a)
+    }
+}
+
+/// Refuses a walk shorter than `need` steps.
+fn need_steps(r: usize, need: usize) -> Result<(), EstimateError> {
+    if r < need {
+        return Err(EstimateError::WalkTooShort { len: r, need });
+    }
+    Ok(())
 }
 
 /// The bundle of all five local-property estimates the restoration
@@ -151,16 +269,22 @@ fn num_gap_pairs(r: usize, m: usize) -> u64 {
 /// lower bound, which keeps short-walk pipelines total. Errors only when
 /// the walk is empty.
 pub fn estimate_num_nodes(crawl: &Crawl) -> Result<f64, EstimateError> {
-    num_nodes(crawl, &mut EstimateScratch::default())
+    num_nodes(
+        &WalkIndex::build(crawl),
+        crawl,
+        &mut EstimateScratch::default(),
+    )
 }
 
-fn num_nodes(crawl: &Crawl, scratch: &mut EstimateScratch) -> Result<f64, EstimateError> {
-    let r = crawl.len();
-    if r == 0 {
-        return Err(EstimateError::WalkTooShort { len: 0, need: 1 });
-    }
+fn num_nodes(
+    index: &WalkIndex,
+    crawl: &Crawl,
+    scratch: &mut EstimateScratch,
+) -> Result<f64, EstimateError> {
+    let r = index.len();
+    need_steps(r, 1)?;
     let m = pair_gap(r);
-    let degrees: Vec<f64> = (0..r).map(|i| crawl.degree_of_step(i) as f64).collect();
+    let degrees: Vec<f64> = index.step_deg.iter().map(|&d| d as f64).collect();
     // Numerator: Σ over ordered pairs d_i / d_j with |i-j| >= M.
     // = Σ_i d_i * (T - W_i) where T = Σ 1/d_j and W_i = Σ_{|i-j|<M} 1/d_j,
     // computed with a prefix-sum of 1/d.
@@ -178,16 +302,13 @@ fn num_nodes(crawl: &Crawl, scratch: &mut EstimateScratch) -> Result<f64, Estima
         numerator += deg_i * (total_inv - near);
     }
     // Denominator: ordered collision pairs with gap >= M.
-    let mut positions: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-    for (i, &x) in crawl.seq.iter().enumerate() {
-        positions.entry(x).or_default().push(i);
-    }
     let mut collisions: u64 = 0;
-    for list in positions.values() {
+    for w in 0..index.deg.len() as u32 {
+        let list = index.positions(w);
         // Two-pointer count of unordered pairs with gap >= M.
         let mut lo = 0usize;
         for hi in 0..list.len() {
-            while list[hi] - list[lo] >= m {
+            while (list[hi] - list[lo]) as usize >= m {
                 lo += 1;
             }
             collisions += lo as u64; // pairs (list[0..lo], list[hi])
@@ -218,12 +339,16 @@ fn num_nodes(crawl: &Crawl, scratch: &mut EstimateScratch) -> Result<f64, Estima
 
 /// `k̄̂ = 1 / Φ̄` with `Φ̄ = (1/r) Σ_i 1/d_{x_i}` (§III-E).
 pub fn estimate_average_degree(crawl: &Crawl) -> Result<f64, EstimateError> {
-    let r = crawl.len();
-    if r == 0 {
-        return Err(EstimateError::WalkTooShort { len: 0, need: 1 });
-    }
-    let phi_bar: f64 = (0..r)
-        .map(|i| 1.0 / (crawl.degree_of_step(i) as f64).max(1.0))
+    average_degree(&WalkIndex::build(crawl))
+}
+
+fn average_degree(index: &WalkIndex) -> Result<f64, EstimateError> {
+    let r = index.len();
+    need_steps(r, 1)?;
+    let phi_bar: f64 = index
+        .step_deg
+        .iter()
+        .map(|&d| 1.0 / (d as f64).max(1.0))
         .sum::<f64>()
         / r as f64;
     Ok(1.0 / phi_bar)
@@ -232,16 +357,17 @@ pub fn estimate_average_degree(crawl: &Crawl) -> Result<f64, EstimateError> {
 /// `P̂(k) = Φ(k) / Φ̄` with `Φ(k) = (1/(k r)) Σ_i 1{d_{x_i} = k}`
 /// (§III-E). Returns a vector indexed by degree.
 pub fn estimate_degree_distribution(crawl: &Crawl) -> Result<Vec<f64>, EstimateError> {
-    let r = crawl.len();
-    if r == 0 {
-        return Err(EstimateError::WalkTooShort { len: 0, need: 1 });
-    }
-    let max_deg = (0..r).map(|i| crawl.degree_of_step(i)).max().unwrap_or(0);
+    degree_distribution(&WalkIndex::build(crawl))
+}
+
+fn degree_distribution(index: &WalkIndex) -> Result<Vec<f64>, EstimateError> {
+    let r = index.len();
+    need_steps(r, 1)?;
+    let max_deg = index.step_deg.iter().copied().max().unwrap_or(0) as usize;
     let mut counts = vec![0u64; max_deg + 1];
     let mut phi_bar = 0.0f64;
-    for i in 0..r {
-        let d = crawl.degree_of_step(i);
-        counts[d] += 1;
+    for &d in &index.step_deg {
+        counts[d as usize] += 1;
         phi_bar += 1.0 / (d as f64).max(1.0);
     }
     phi_bar /= r as f64;
@@ -262,10 +388,15 @@ pub fn estimate_degree_distribution(crawl: &Crawl) -> Result<Vec<f64>, EstimateE
 /// Needs `r ≥ 2` (TE uses consecutive pairs) and uses the same gap
 /// threshold `M` as the size estimator for IE pairs.
 pub fn estimate_jdd(crawl: &Crawl) -> Result<FxHashMap<(u32, u32), f64>, EstimateError> {
-    jdd(crawl, &mut EstimateScratch::default())
+    need_steps(crawl.len(), 2)?;
+    let index = WalkIndex::build(crawl);
+    let mut scratch = EstimateScratch::default();
+    let n_hat = num_nodes(&index, crawl, &mut scratch)?;
+    let k_hat = average_degree(&index)?;
+    jdd(&index, n_hat, k_hat, &mut scratch)
 }
 
-/// [`estimate_jdd`] on the given arenas.
+/// [`estimate_jdd`] on the given arenas, from the walk's `n̂` and `k̄̂`.
 ///
 /// The IE/TE tallies accumulate in dense epoch-stamped arenas keyed by
 /// *degree rank* (walk degrees remapped to `0..num_ranks` in first-visit
@@ -274,32 +405,24 @@ pub fn estimate_jdd(crawl: &Crawl) -> Result<FxHashMap<(u32, u32), f64>, Estimat
 /// distinct degrees that `num_ranks²` exceeds `MAX_DENSE_PAIR_KEYS`
 /// take a hash-map fallback with identical results.
 fn jdd(
-    crawl: &Crawl,
+    index: &WalkIndex,
+    n_hat: f64,
+    k_hat: f64,
     scratch: &mut EstimateScratch,
 ) -> Result<FxHashMap<(u32, u32), f64>, EstimateError> {
-    let r = crawl.len();
-    if r < 2 {
-        return Err(EstimateError::WalkTooShort { len: r, need: 2 });
-    }
-    let n_hat = num_nodes(crawl, scratch)?;
-    let k_hat = estimate_average_degree(crawl)?;
+    let r = index.len();
+    need_steps(r, 2)?;
     let m = pair_gap(r);
     let num_pairs = num_gap_pairs(r, m);
 
-    let mut positions: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-    for (i, &x) in crawl.seq.iter().enumerate() {
-        positions.entry(x).or_default().push(i);
-    }
-
     // Degree ranks in first-visit order. Every degree the IE/TE loops
-    // see belongs to a *walked* node (IE's neighbor endpoint is looked
-    // up through `positions`), so ranking the step degrees covers all.
-    let k_max_walk = (0..r).map(|i| crawl.degree_of_step(i)).max().unwrap_or(0);
+    // see belongs to a *walked* node (IE skips unwalked neighbours), so
+    // ranking the step degrees covers all.
+    let k_max_walk = index.step_deg.iter().copied().max().unwrap_or(0) as usize;
     scratch.rank_of.ensure_keys(k_max_walk + 1);
     scratch.rank_of.begin();
     scratch.degree_by_rank.clear();
-    for i in 0..r {
-        let d = crawl.degree_of_step(i) as u32;
+    for &d in &index.step_deg {
         if !scratch.rank_of.is_touched(d) {
             let rank = scratch.degree_by_rank.len() as u32;
             *scratch.rank_of.entry_or(d, rank) = rank;
@@ -308,7 +431,7 @@ fn jdd(
     }
     let nr = scratch.degree_by_rank.len();
     if nr.saturating_mul(nr) > MAX_DENSE_PAIR_KEYS {
-        return jdd_hybrid_hashed(crawl, n_hat, k_hat, m, num_pairs, &positions);
+        return jdd_hybrid_hashed(index, n_hat, k_hat, m, num_pairs);
     }
     let EstimateScratch {
         rank_of,
@@ -320,36 +443,20 @@ fn jdd(
     let pair_key = |k: u32, k2: u32| rank_of.get(k) * nr as u32 + rank_of.get(k2);
 
     // --- IE: Φ(k,k') = 1/(k k' |I|) Σ_{(i,j)∈I} 1{d=k, d=k'} A_{x_i x_j}.
-    // Iterate positions i; for each neighbor u of x_i that appears in the
-    // walk, count positions j of u with |i - j| >= M by binary search.
     ie.ensure_keys(nr * nr);
     ie.begin();
     if num_pairs > 0 {
-        for (i, &x) in crawl.seq.iter().enumerate() {
-            let k = crawl.degree_of_step(i) as u32;
-            for &u in crawl.neighbors_of(x) {
-                let Some(list) = positions.get(&u) else {
-                    continue;
-                };
-                // j <= i - M  or  j >= i + M
-                let left = list.partition_point(|&j| j + m <= i);
-                let right = list.len() - list.partition_point(|&j| j < i + m);
-                let cnt = (left + right) as f64;
-                if cnt > 0.0 {
-                    let k2 = crawl.neighbors_of(u).len() as u32;
-                    *ie.entry_or(pair_key(k, k2), 0.0) += cnt;
-                }
-            }
-        }
+        for_each_induced_count(index, m, |k, k2, cnt| {
+            *ie.entry_or(pair_key(k, k2), 0.0) += cnt;
+        });
     }
 
     // --- TE: consecutive pairs, both orientations.
     te.ensure_keys(nr * nr);
     te.begin();
     let te_norm = 1.0 / (2.0 * (r as f64 - 1.0));
-    for i in 0..r - 1 {
-        let k = crawl.degree_of_step(i) as u32;
-        let k2 = crawl.degree_of_step(i + 1) as u32;
+    for pair in index.step_deg.windows(2) {
+        let (k, k2) = (pair[0], pair[1]);
         *te.entry_or(pair_key(k, k2), 0.0) += te_norm;
         *te.entry_or(pair_key(k2, k), 0.0) += te_norm;
     }
@@ -386,42 +493,50 @@ fn jdd(
     Ok(out)
 }
 
+/// The IE pass both JDD paths share: for each step `i` (ascending) and
+/// each walked neighbour `u` of `x_i` (in neighbour order), calls
+/// `f(d_{x_i}, d_u, c)` with `c > 0` the number of `u`'s visits at least
+/// `M` steps from `i`, counted by binary search in `u`'s positions.
+fn for_each_induced_count(index: &WalkIndex, m: usize, mut f: impl FnMut(u32, u32, f64)) {
+    for (i, (&w, &k)) in index.step_id.iter().zip(&index.step_deg).enumerate() {
+        for &u in index.neighbors(w) {
+            if u == NOT_WALKED {
+                continue;
+            }
+            let list = index.positions(u);
+            // j <= i - M  or  j >= i + M
+            let left = list.partition_point(|&j| j as usize + m <= i);
+            let right = list.len() - list.partition_point(|&j| (j as usize) < i + m);
+            let cnt = (left + right) as f64;
+            if cnt > 0.0 {
+                f(k, index.deg[u as usize], cnt);
+            }
+        }
+    }
+}
+
 /// Hash-map accumulation path of [`estimate_jdd`], for walks whose
 /// distinct-degree count overflows the dense rank-pair arena. Values are
 /// identical — per-key accumulation order matches the arena path.
 #[cold]
 fn jdd_hybrid_hashed(
-    crawl: &Crawl,
+    index: &WalkIndex,
     n_hat: f64,
     k_hat: f64,
     m: usize,
     num_pairs: u64,
-    positions: &FxHashMap<u32, Vec<usize>>,
 ) -> Result<FxHashMap<(u32, u32), f64>, EstimateError> {
-    let r = crawl.len();
+    let r = index.len();
     let mut ie_raw: FxHashMap<(u32, u32), f64> = FxHashMap::default();
     if num_pairs > 0 {
-        for (i, &x) in crawl.seq.iter().enumerate() {
-            let k = crawl.degree_of_step(i) as u32;
-            for &u in crawl.neighbors_of(x) {
-                let Some(list) = positions.get(&u) else {
-                    continue;
-                };
-                let left = list.partition_point(|&j| j + m <= i);
-                let right = list.len() - list.partition_point(|&j| j < i + m);
-                let cnt = (left + right) as f64;
-                if cnt > 0.0 {
-                    let k2 = crawl.neighbors_of(u).len() as u32;
-                    *ie_raw.entry((k, k2)).or_insert(0.0) += cnt;
-                }
-            }
-        }
+        for_each_induced_count(index, m, |k, k2, cnt| {
+            *ie_raw.entry((k, k2)).or_insert(0.0) += cnt;
+        });
     }
     let mut te: FxHashMap<(u32, u32), f64> = FxHashMap::default();
     let te_norm = 1.0 / (2.0 * (r as f64 - 1.0));
-    for i in 0..r - 1 {
-        let k = crawl.degree_of_step(i) as u32;
-        let k2 = crawl.degree_of_step(i + 1) as u32;
+    for pair in index.step_deg.windows(2) {
+        let (k, k2) = (pair[0], pair[1]);
         *te.entry((k, k2)).or_insert(0.0) += te_norm;
         *te.entry((k2, k)).or_insert(0.0) += te_norm;
     }
@@ -468,31 +583,25 @@ fn symmetrize(out: &mut FxHashMap<(u32, u32), f64>) {
 /// `Φ_c̄(k) = 1/((k-1)(r-2)) Σ_{i=2}^{r-1} 1{d_{x_i} = k} A_{x_{i-1} x_{i+1}}`
 ///
 /// The adjacency between the predecessor and successor is observable
-/// because both were queried. Needs `r ≥ 3`.
+/// because both were queried: it holds when either lists the other.
+/// Needs `r ≥ 3`.
 pub fn estimate_clustering(crawl: &Crawl) -> Result<Vec<f64>, EstimateError> {
-    let r = crawl.len();
-    if r < 3 {
-        return Err(EstimateError::WalkTooShort { len: r, need: 3 });
-    }
-    let max_deg = (0..r).map(|i| crawl.degree_of_step(i)).max().unwrap_or(0);
-    // Observed-edge set for O(1) adjacency checks between queried nodes.
-    let mut edge_set: FxHashSet<(u32, u32)> = FxHashSet::default();
-    for (&q, ns) in crawl.neighbors.iter() {
-        for &v in ns {
-            edge_set.insert(if q < v { (q, v) } else { (v, q) });
-        }
-    }
-    let has_edge = |a: u32, b: u32| edge_set.contains(&if a < b { (a, b) } else { (b, a) });
+    clustering(&WalkIndex::build(crawl))
+}
 
+fn clustering(index: &WalkIndex) -> Result<Vec<f64>, EstimateError> {
+    let r = index.len();
+    need_steps(r, 3)?;
+    let max_deg = index.step_deg.iter().copied().max().unwrap_or(0) as usize;
     let mut phi_c = vec![0.0f64; max_deg + 1];
     let mut phi = vec![0.0f64; max_deg + 1];
     for i in 0..r {
-        let d = crawl.degree_of_step(i);
+        let d = index.step_deg[i] as usize;
         phi[d] += 1.0 / (d as f64 * r as f64).max(1.0);
         if i >= 1 && i + 1 < r {
-            let prev = crawl.seq[i - 1];
-            let next = crawl.seq[i + 1];
-            if d >= 2 && has_edge(prev, next) {
+            let prev = index.step_id[i - 1];
+            let next = index.step_id[i + 1];
+            if d >= 2 && index.adjacent(prev, next) {
                 phi_c[d] += 1.0 / ((d as f64 - 1.0) * (r as f64 - 2.0));
             }
         }
@@ -522,15 +631,19 @@ pub fn estimate_global_clustering(crawl: &Crawl) -> Result<f64, EstimateError> {
     Ok(dist.iter().zip(ck.iter()).map(|(&p, &c)| p * c).sum())
 }
 
-/// Computes all five estimates (§III-E) from one walk.
+/// Computes all five estimates (§III-E) from one walk index, with `n̂`
+/// computed once and shared with the JDD.
 pub fn estimate_all(crawl: &Crawl) -> Result<Estimates, EstimateError> {
+    let index = WalkIndex::build(crawl);
     let mut scratch = EstimateScratch::default();
+    let n_hat = num_nodes(&index, crawl, &mut scratch)?;
+    let avg_degree_hat = average_degree(&index)?;
     Ok(Estimates {
-        n_hat: num_nodes(crawl, &mut scratch)?,
-        avg_degree_hat: estimate_average_degree(crawl)?,
-        degree_dist: estimate_degree_distribution(crawl)?,
-        jdd: jdd(crawl, &mut scratch)?,
-        clustering: estimate_clustering(crawl)?,
+        n_hat,
+        avg_degree_hat,
+        degree_dist: degree_distribution(&index)?,
+        jdd: jdd(&index, n_hat, avg_degree_hat, &mut scratch)?,
+        clustering: clustering(&index)?,
     })
 }
 
@@ -763,15 +876,10 @@ mod tests {
             let crawl = walk_on(&g, target, 50 + seed);
             let r = crawl.len();
             let m = pair_gap(r);
-            let mut positions: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-            for (i, &x) in crawl.seq.iter().enumerate() {
-                positions.entry(x).or_default().push(i);
-            }
+            let index = WalkIndex::build(&crawl);
             let n_hat = estimate_num_nodes(&crawl).unwrap();
             let k_hat = estimate_average_degree(&crawl).unwrap();
-            let hashed =
-                jdd_hybrid_hashed(&crawl, n_hat, k_hat, m, num_gap_pairs(r, m), &positions)
-                    .unwrap();
+            let hashed = jdd_hybrid_hashed(&index, n_hat, k_hat, m, num_gap_pairs(r, m)).unwrap();
             let arena = estimate_jdd(&crawl).unwrap();
             assert!(!arena.is_empty());
             assert_eq!(hashed.len(), arena.len(), "case {seed}");

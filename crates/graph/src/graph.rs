@@ -1,6 +1,7 @@
 //! The arena-backed adjacency multigraph type.
 
 use crate::index::MultiplicityIndex;
+use sgr_util::prefetch::prefetch_read;
 use sgr_util::FxHashMap;
 
 /// Node identifier. `u32` keeps adjacency lists compact (half the memory
@@ -106,14 +107,16 @@ impl std::error::Error for GraphError {}
 ///   capacity of `u` is implied by the next extent's start (the CSR
 ///   layout, plus a live length per node). [`Graph::reserve_neighbors`]
 ///   builds this layout with capacities taken from the caller's target
-///   degrees; the raw-adjacency constructors, [`Graph::from_view`] and
-///   [`Graph::from_index`] build it with exact-fit capacities.
+///   degrees; [`Graph::from_edges`] (and with it the crawl subgraph and
+///   the edge-list reader), the raw-adjacency constructors,
+///   [`Graph::from_view`] and [`Graph::from_index`] build it with
+///   exact-fit capacities.
 /// * **Dynamic** — capacities are materialized per node, and an extent
 ///   that overflows is relocated to the end of the arena with doubled
 ///   capacity (the abandoned slots are reclaimed by an occasional
-///   compaction). This is the layout incremental builders (generators,
-///   crawl subgraphs) run in; the first overflowing append converts a
-///   tight graph to it transparently.
+///   compaction). This is the layout incremental builders (generators)
+///   run in; the first overflowing append converts a tight graph to it
+///   transparently.
 ///
 /// The restoration pipeline never leaves the tight layout after
 /// construction: targeting fixes every node's degree before wiring, so
@@ -167,12 +170,35 @@ impl Graph {
     /// Builds a graph with `n` nodes from an edge list. Multi-edges and
     /// self-loops in the input are kept.
     ///
+    /// Degrees are counted first, so the graph comes out in the tight
+    /// layout with exact-fit extents and no slot ever relocates. Entries
+    /// are then placed in edge order, each `(u, v)` appending `v` to `u`'s
+    /// list and `u` to `v`'s (a loop appends `u` twice), so every
+    /// neighbour list is in the order repeated [`Self::add_edge`] calls
+    /// would give it.
+    ///
     /// # Panics
     /// Panics if an endpoint is `>= n`.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let mut g = Self::with_nodes(n);
+        let mut lens = vec![0u32; n];
         for &(u, v) in edges {
-            g.add_edge(u, v);
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge ({u}, {v}) out of range for {n} nodes"
+            );
+            lens[u as usize] += 1;
+            lens[v as usize] += 1;
+        }
+        let total: usize = lens.iter().map(|&d| d as usize).sum();
+        let mut g = Self::tight(lens, vec![0; total]);
+        let mut fill = g.starts[..n].to_vec();
+        let mut place = |u: NodeId, v: NodeId| {
+            g.arena[fill[u as usize] as usize] = v;
+            fill[u as usize] += 1;
+        };
+        for &(u, v) in edges {
+            place(u, v);
+            place(v, u);
         }
         g
     }
@@ -506,6 +532,25 @@ impl Graph {
         }
         self.num_edges -= 1;
         true
+    }
+
+    /// Hints that `u`'s extent header (its start and live length) will
+    /// be read soon. Changes nothing; see [`sgr_util::prefetch`].
+    #[inline]
+    pub fn prefetch_header(&self, u: NodeId) {
+        prefetch_read(&self.starts[u as usize]);
+        prefetch_read(&self.lens[u as usize]);
+    }
+
+    /// Hints the arena slot the next entry appended to `u`'s list goes
+    /// to; reads the header [`Self::prefetch_header`] hints. Changes
+    /// nothing.
+    #[inline]
+    pub fn prefetch_append(&self, u: NodeId) {
+        let slot = self.starts[u as usize] as usize + self.lens[u as usize] as usize;
+        if let Some(x) = self.arena.get(slot) {
+            prefetch_read(x);
+        }
     }
 
     /// Degree of `u` (self-loops count twice, per the `A_ii` convention).

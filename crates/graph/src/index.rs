@@ -1,8 +1,7 @@
 //! Adjacency-multiplicity index over one flat arena.
 //!
-//! Triangle counting, the clustering-coefficient estimator
-//! (`A_{x_{i-1}, x_{i+1}}` lookups), and the rewiring engine all need many
-//! `A_uv` queries and common-neighbor scans. Scanning raw neighbor lists
+//! Triangle counting and the rewiring engine need many `A_uv` queries
+//! and common-neighbor scans. Scanning raw neighbor lists
 //! makes each query O(deg); this index spends one pass of preprocessing
 //! and O(m) memory on per-node sorted `(neighbor, A_uv)` lists, and
 //! supports incremental updates. The rewiring engine keeps its multigraph

@@ -27,14 +27,26 @@
 //! per-degree sums `T_k` and distance) is therefore bitwise unchanged
 //! too.
 //!
-//! Cost: the out-lists are built in two passes over the
-//! [`MultiplicityIndex`] entries (count, then fill) into one flat arena,
-//! O(n + m̃) time and memory for m̃ distinct non-loop pairs. Enumeration
-//! costs `Σ_{(u,v)} (1 + |out(v)|)` over oriented pairs. A node of rank
-//! above `v` has at least `d̃_v` neighbors, so `|out(v)| ≤ min(d̃_v,
-//! √(2m̃))`, and the pass is O(m̃ √m̃) — against O(Σ_i d̃_i²) for
-//! scanning every neighbor's full list from every node, which a single
-//! hub makes quadratic.
+//! Cost: the out-lists are built in one pass over the
+//! [`MultiplicityIndex`] entries into one flat arena sized to `Σ d̃ / 2`
+//! (every non-loop pair counts twice in `Σ d̃`), comparing one packed
+//! `(d̃, id)` word per endpoint: O(n + m̃) time and memory for m̃ distinct
+//! non-loop pairs. About half the comparisons go each way, so the pass
+//! writes every entry at the arena cursor and advances the cursor by the
+//! comparison's outcome instead of branching on it. Enumeration costs `Σ_{(u,v)} (1 + |out(v)|)` over
+//! oriented pairs. A node of rank above `v` has at least `d̃_v`
+//! neighbors, so `|out(v)| ≤ min(d̃_v, √(2m̃))`, and the pass is
+//! O(m̃ √m̃) — against O(Σ_i d̃_i²) for scanning every neighbor's full
+//! list from every node, which a single hub makes quadratic.
+//!
+//! On a large graph the enumeration's time goes to memory latency, not
+//! arithmetic: each oriented pair `(u, v)` jumps to `v`'s offsets and
+//! out-list, two cold reads at a node the pass has no locality with. The
+//! pairs are visited in arena order, so the pass knows them in advance
+//! and issues prefetch hints ([`sgr_util::prefetch::prefetch_read`]) for
+//! `offs[v]` of the pair `OFFS_AHEAD` (16) ahead and for the first entry of
+//! `out(v)` of the pair `LIST_AHEAD` (8) ahead, whose offset the first hint
+//! has brought in by then. Hints change no result.
 //!
 //! The same enumeration yields **shared partners**: a triangle contributes
 //! `A_uw·A_vw` to `sp(u, v)`, and likewise for its other two pairs, so one
@@ -43,6 +55,12 @@
 
 use sgr_graph::index::MultiplicityIndex;
 use sgr_graph::{GraphView, NodeId};
+use sgr_util::prefetch::prefetch_read;
+
+/// How many oriented pairs ahead the pass hints `offs[v]`.
+const OFFS_AHEAD: usize = 16;
+/// How many oriented pairs ahead the pass hints the head of `out(v)`.
+const LIST_AHEAD: usize = 8;
 
 /// Computes `t_i` for every node of any [`GraphView`] backend.
 /// O(m̃ √m̃) over m̃ distinct non-loop pairs; see the module docs.
@@ -52,8 +70,11 @@ pub fn triangle_counts<G: GraphView + ?Sized>(g: &G) -> Vec<u64> {
 
 /// As [`triangle_counts`] but reusing a prebuilt index.
 pub fn triangle_counts_with_index(idx: &MultiplicityIndex) -> Vec<u64> {
+    // Orient first: the orientation's rank keys are freed before `t` is
+    // allocated, so the two are never resident together.
+    let oriented = Oriented::build(idx);
     let mut t = vec![0u64; idx.num_nodes()];
-    Oriented::build(idx).for_each_triangle(|nodes, _, a| {
+    oriented.for_each_triangle(|nodes, _, a| {
         let w = a[0] * a[1] * a[2];
         for x in nodes {
             t[x as usize] += w;
@@ -78,22 +99,30 @@ pub(crate) struct Oriented {
 }
 
 impl Oriented {
-    /// Orients `idx` in two passes: count each node's out-degree, then
-    /// fill the arena from the (ascending) index entries.
+    /// Orients `idx` in one pass over its (ascending) entries: `v` joins
+    /// `out(u)` when `u`'s packed `(d̃, id)` key is below `v`'s.
     pub(crate) fn build(idx: &MultiplicityIndex) -> Self {
         let n = idx.num_nodes();
-        let below = |u: NodeId, v: NodeId| (idx.num_distinct(u), u) < (idx.num_distinct(v), v);
+        let rank: Vec<u64> = (0..n as NodeId)
+            .map(|u| (idx.num_distinct(u) as u64) << 32 | u as u64)
+            .collect();
+        let twice_pairs: usize = (0..n as NodeId).map(|u| idx.num_distinct(u)).sum();
         let mut offs = Vec::with_capacity(n + 1);
         offs.push(0u32);
-        let mut total = 0u32;
-        for u in 0..n as NodeId {
-            total += idx.entries(u).filter(|&(v, _)| below(u, v)).count() as u32;
-            offs.push(total);
+        // Every entry is written at the cursor, which only the entries
+        // that join advance: no branch on the unpredictable comparison.
+        // The cursor stays below the pair count, so one spare slot holds
+        // the last write.
+        let mut out = vec![(0, 0); twice_pairs / 2 + 1];
+        let mut len = 0usize;
+        for (u, &ru) in rank.iter().enumerate() {
+            for (v, a) in idx.entries(u as NodeId) {
+                out[len] = (v, a);
+                len += usize::from(ru < rank[v as usize]);
+            }
+            offs.push(len as u32);
         }
-        let mut out = Vec::with_capacity(total as usize);
-        for u in 0..n as NodeId {
-            out.extend(idx.entries(u).filter(|&(v, _)| below(u, v)));
-        }
+        out.truncate(len);
         Self { offs, out }
     }
 
@@ -125,6 +154,7 @@ impl Oriented {
                 mark[self.out[e].0 as usize] = e as u32 + 1;
             }
             for uv in ru.clone() {
+                self.prefetch_ahead(uv);
                 let (v, a_uv) = self.out[uv];
                 for vw in range(v as usize) {
                     let (w, a_vw) = self.out[vw];
@@ -141,6 +171,19 @@ impl Oriented {
             }
             for e in ru {
                 mark[self.out[e].0 as usize] = 0;
+            }
+        }
+    }
+
+    /// The prefetch hints of the module docs, issued before pair `uv`.
+    #[inline(always)]
+    fn prefetch_ahead(&self, uv: usize) {
+        if let Some(&(v, _)) = self.out.get(uv + OFFS_AHEAD) {
+            prefetch_read(&self.offs[v as usize]);
+        }
+        if let Some(&(v, _)) = self.out.get(uv + LIST_AHEAD) {
+            if let Some(first) = self.out.get(self.offs[v as usize] as usize) {
+                prefetch_read(first);
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::crawl::Crawl;
 use sgr_graph::{Graph, NodeId};
-use sgr_util::{FxHashMap, FxHashSet};
+use sgr_util::FxHashMap;
 
 /// The subgraph `G' = (V', E')` induced from the union of the queried
 /// nodes' edge sets: `E' = ⋃_{v ∈ V'qry} N(v)`, with
@@ -33,75 +33,62 @@ impl Subgraph {
     }
 
     /// Builds `G'` from a crawl. The hidden graphs of the paper are simple,
-    /// so `E'` deduplicates edges reported by both endpoints.
+    /// so `E'` deduplicates edges reported by both endpoints: every
+    /// queried node's pairs `(min, max)` go into one list, which
+    /// `sort_unstable` and `dedup` turn into the sorted distinct edge list.
+    ///
+    /// Dense ids go to queried nodes first, in walk order (then in id
+    /// order for queried nodes the walk never stood on), and then to
+    /// visible nodes as the sorted edge list first names them.
     pub fn from_crawl(crawl: &Crawl) -> Self {
         let mut dense: FxHashMap<NodeId, u32> = FxHashMap::default();
         let mut orig_id: Vec<NodeId> = Vec::new();
-        let mut queried_flags: Vec<bool> = Vec::new();
-        let intern = |orig: NodeId,
-                      is_query: bool,
-                      dense: &mut FxHashMap<NodeId, u32>,
-                      orig_id: &mut Vec<NodeId>,
-                      queried_flags: &mut Vec<bool>| {
-            match dense.get(&orig) {
-                Some(&d) => {
-                    if is_query {
-                        queried_flags[d as usize] = true;
-                    }
-                    d
-                }
-                None => {
-                    let d = orig_id.len() as u32;
-                    dense.insert(orig, d);
-                    orig_id.push(orig);
-                    queried_flags.push(is_query);
-                    d
-                }
-            }
+        let mut queried: Vec<bool> = Vec::new();
+        let mut intern = |orig: NodeId, is_query: bool| {
+            *dense.entry(orig).or_insert_with(|| {
+                orig_id.push(orig);
+                queried.push(is_query);
+                orig_id.len() as u32 - 1
+            })
         };
-        // Intern queried nodes first (stable, deterministic order: query
-        // order from the crawl sequence, then map order for leftovers).
-        let mut seen_q: FxHashSet<NodeId> = FxHashSet::default();
+        // Queried nodes first: walk order, then any queried node not in
+        // seq (possible for MH walks that query proposals they never move
+        // to) in id order.
         for &x in &crawl.seq {
-            if crawl.is_queried(x) && seen_q.insert(x) {
-                intern(x, true, &mut dense, &mut orig_id, &mut queried_flags);
+            if crawl.is_queried(x) {
+                intern(x, true);
             }
         }
-        // Any queried node not in seq (possible for MH walks that query
-        // proposals they never move to).
-        let mut extra: Vec<NodeId> = crawl
-            .neighbors
-            .keys()
-            .copied()
-            .filter(|x| !seen_q.contains(x))
-            .collect();
-        extra.sort_unstable();
-        for x in extra {
-            intern(x, true, &mut dense, &mut orig_id, &mut queried_flags);
-        }
-        // Collect E' with deduplication.
-        let mut edge_set: FxHashSet<(NodeId, NodeId)> = FxHashSet::default();
         let mut queried_sorted: Vec<NodeId> = crawl.neighbors.keys().copied().collect();
         queried_sorted.sort_unstable();
-        for &q in &queried_sorted {
-            for &v in crawl.neighbors_of(q) {
-                let key = if q < v { (q, v) } else { (v, q) };
-                edge_set.insert(key);
-            }
+        for &x in &queried_sorted {
+            intern(x, true);
         }
-        let mut edges: Vec<(NodeId, NodeId)> = edge_set.into_iter().collect();
+        // Collect E' with deduplication, each pair `(u, v)` with `u <= v`
+        // packed as `u << 32 | v` so the word order is the pair order.
+        let mut edges: Vec<u64> = Vec::with_capacity(crawl.neighbors.values().map(Vec::len).sum());
+        for (&q, ns) in crawl.neighbors.iter() {
+            edges.extend(ns.iter().map(|&v| {
+                let (u, v) = if q < v { (q, v) } else { (v, q) };
+                (u as u64) << 32 | v as u64
+            }));
+        }
         edges.sort_unstable();
-        let mut dense_edges: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
-        for (u, v) in edges {
-            let du = intern(u, false, &mut dense, &mut orig_id, &mut queried_flags);
-            let dv = intern(v, false, &mut dense, &mut orig_id, &mut queried_flags);
-            dense_edges.push((du, dv));
-        }
+        edges.dedup();
+        let dense_edges: Vec<(u32, u32)> = edges
+            .into_iter()
+            .map(|e| {
+                (
+                    intern((e >> 32) as NodeId, false),
+                    intern(e as NodeId, false),
+                )
+            })
+            .collect();
         let graph = Graph::from_edges(orig_id.len(), &dense_edges);
         Self {
             graph,
             orig_id,
-            queried: queried_flags,
+            queried,
         }
     }
 

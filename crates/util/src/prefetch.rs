@@ -6,7 +6,8 @@
 //! Its only effect is on timing: a later load of the same line finds it
 //! in cache instead of waiting for memory. The rewiring engine uses it to
 //! overlap the cold reads of the picks it has drawn ahead
-//! (`sgr_dk::rewire`).
+//! (`sgr_dk::rewire`), and the triangle pass those of the oriented pairs
+//! it reaches next (`sgr_props::triangles`).
 
 /// Hints that the cache line holding `*r` will be read soon. A no-op off
 /// x86-64.
