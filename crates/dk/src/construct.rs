@@ -56,6 +56,22 @@
 //!   fails with [`DkError::OutOfStubs`] carrying the pair, how many of
 //!   its edges were already placed, and how many were requested; it
 //!   never silently skips the remainder.
+//! * **Look-ahead: hints only.** Each edge's draws are two slots in its
+//!   classes' pools, then an append to each endpoint's adjacency list:
+//!   three dependent cold reads per endpoint on a large graph. A draw
+//!   depends only on the generator and the pool *lengths*, which fall
+//!   deterministically (by 2 on class `k` for a diagonal edge, by 1 on
+//!   `k` and `k'` otherwise), so [`wire_stubs`] replays the next
+//!   `AHEAD` (16) edges' draws on a **clone** of the generator against
+//!   simulated lengths. It hints the pool slots of the edge `AHEAD`
+//!   ahead, the adjacency headers of the nodes found in the slots of the
+//!   edge `AHEAD / 2` ahead, and the adjacency slots the edge `NEAR` (2)
+//!   ahead appends to ([`sgr_util::prefetch`]). The replay stops at the
+//!   first pair that would fail. The matcher's own generator draws
+//!   exactly as above, and a hint reads nothing the program sees (a node
+//!   that a swap-remove moves before its edge is placed only wastes a
+//!   hint), so the look-ahead cannot change an edge, an error or the
+//!   generator state.
 
 use crate::extract::JointDegreeMatrix;
 use sgr_graph::{Graph, NodeId};
@@ -63,6 +79,11 @@ use sgr_util::arena::FlatPools;
 use sgr_util::Xoshiro256pp;
 
 pub mod reference;
+
+/// Edges the matcher's look-ahead replays ahead of the one it places.
+const AHEAD: usize = 16;
+/// How many edges ahead the look-ahead hints the append slots.
+const NEAR: usize = 2;
 
 /// Errors from stub matching.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,6 +198,8 @@ pub struct ConstructScratch {
     pairs: Vec<((u32, u32), u64)>,
     /// Added edges, normalized `(min, max)`.
     added: Vec<(NodeId, NodeId)>,
+    /// The look-ahead's simulated per-class stub counts.
+    ahead_lens: Vec<usize>,
 }
 
 impl ConstructScratch {
@@ -233,6 +256,7 @@ pub fn wire_stubs<'s>(
         counts,
         pairs,
         added,
+        ahead_lens,
     } = scratch;
 
     let k_max = target_deg.iter().copied().max().unwrap_or(0) as usize;
@@ -281,6 +305,9 @@ pub fn wire_stubs<'s>(
 
     added.clear();
     added.reserve(pairs.iter().map(|&(_, c)| c as usize).sum());
+    ahead_lens.clear();
+    ahead_lens.extend_from_slice(counts);
+    let mut ahead = LookAhead::new(rng, pairs, ahead_lens);
     let mut stats = MatchStats::default();
     for &((k, k2), count) in pairs.iter() {
         if k as usize > k_max || k2 as usize > k_max {
@@ -294,6 +321,7 @@ pub fn wire_stubs<'s>(
             });
         }
         for placed in 0..count {
+            ahead.hint(stats.edges, pools, g);
             let (u, v) = if k == k2 {
                 let pool_len = pools.len(k as usize);
                 if pool_len < 2 {
@@ -340,6 +368,120 @@ pub fn wire_stubs<'s>(
         return Err(DkError::LeftoverStubs { count: total_stubs });
     }
     Ok((&added[..], stats))
+}
+
+/// The matcher's look-ahead (see the module docs): replays the draws of
+/// the edges ahead of the one being placed on a clone of the generator,
+/// against simulated pool lengths, and hints the memory they will touch.
+struct LookAhead<'a> {
+    /// A clone of the matcher's generator, `drawn` edges into the stream.
+    rng: Xoshiro256pp,
+    pairs: &'a [((u32, u32), u64)],
+    /// The next pair to open, and the open pair's classes and edges left.
+    next_pair: usize,
+    classes: (u32, u32),
+    left: u64,
+    /// Each class's stub count once every drawn edge is placed.
+    lens: &'a mut [usize],
+    /// `(class, slot)` of both stubs of edge `e`, at `ring[e % AHEAD]`.
+    ring: [[(u32, usize); 2]; AHEAD],
+    /// Edges replayed so far; none past the first pair that would fail.
+    drawn: usize,
+    stopped: bool,
+}
+
+impl<'a> LookAhead<'a> {
+    /// Starts the replay at the matcher's stream position and draws the
+    /// first `AHEAD - 1` edges.
+    fn new(rng: &Xoshiro256pp, pairs: &'a [((u32, u32), u64)], lens: &'a mut [usize]) -> Self {
+        let mut ahead = Self {
+            rng: rng.clone(),
+            pairs,
+            next_pair: 0,
+            classes: (0, 0),
+            left: 0,
+            lens,
+            ring: [[(0, 0); 2]; AHEAD],
+            drawn: 0,
+            stopped: false,
+        };
+        for _ in 1..AHEAD {
+            ahead.draw();
+        }
+        ahead
+    }
+
+    /// Replays the next edge's draws as [`wire_stubs`] makes them, or
+    /// stops where a pair would fail.
+    fn draw(&mut self) {
+        while self.left == 0 && !self.stopped {
+            match self.pairs.get(self.next_pair) {
+                Some(&((k, k2), count)) if (k2 as usize) < self.lens.len() => {
+                    self.classes = (k, k2);
+                    self.left = count;
+                    self.next_pair += 1;
+                }
+                _ => self.stopped = true,
+            }
+        }
+        if self.stopped {
+            return;
+        }
+        let (k, k2) = self.classes;
+        let (kc, k2c) = (k as usize, k2 as usize);
+        let stubs = if k == k2 {
+            let len = self.lens[kc];
+            if len < 2 {
+                self.stopped = true;
+                return;
+            }
+            let i = self.rng.gen_range(len);
+            let mut j = self.rng.gen_range(len - 1);
+            if j >= i {
+                j += 1;
+            }
+            self.lens[kc] -= 2;
+            [(k, i), (k, j)]
+        } else {
+            if self.lens[kc] == 0 || self.lens[k2c] == 0 {
+                self.stopped = true;
+                return;
+            }
+            let i = self.rng.gen_range(self.lens[kc]);
+            let j = self.rng.gen_range(self.lens[k2c]);
+            self.lens[kc] -= 1;
+            self.lens[k2c] -= 1;
+            [(k, i), (k2, j)]
+        };
+        self.left -= 1;
+        self.ring[self.drawn % AHEAD] = stubs;
+        self.drawn += 1;
+    }
+
+    /// Before edge `e` is placed: replays edge `e + AHEAD - 1` and hints
+    /// its pool slots, hints the headers of the nodes in edge
+    /// `e + AHEAD / 2`'s slots, and the append slots of edge `e + NEAR`'s.
+    #[inline]
+    fn hint(&mut self, e: usize, pools: &FlatPools<NodeId>, g: &Graph) {
+        self.draw();
+        if self.drawn == e + AHEAD {
+            for &(c, i) in &self.ring[(e + AHEAD - 1) % AHEAD] {
+                pools.prefetch(c as usize, i);
+            }
+        }
+        // A simulated length never exceeds the live one, so every slot
+        // still drawn ahead is live.
+        if e + AHEAD / 2 < self.drawn {
+            for &(c, i) in &self.ring[(e + AHEAD / 2) % AHEAD] {
+                g.prefetch_header(pools.get(c as usize, i));
+            }
+        }
+        if e + NEAR < self.drawn {
+            for &(c, i) in &self.ring[(e + NEAR) % AHEAD] {
+                g.prefetch_append(pools.get(c as usize, i));
+            }
+        }
+    }
 }
 
 #[cfg(test)]

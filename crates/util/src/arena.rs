@@ -114,6 +114,15 @@ impl<T: Copy + Default> FlatPools<T> {
         self.items[self.start[c] + i]
     }
 
+    /// Hints that item `i` of class `c` will be read soon. Changes
+    /// nothing; see [`crate::prefetch`].
+    #[inline]
+    pub fn prefetch(&self, c: usize, i: usize) {
+        if let Some(x) = self.items.get(self.start[c] + i) {
+            crate::prefetch::prefetch_read(x);
+        }
+    }
+
     /// Removes and returns item `i` of class `c` by moving the class's
     /// last live item into its slot — exactly `Vec::swap_remove`.
     #[inline]
