@@ -278,9 +278,14 @@ pub(crate) struct EngineCore {
     pub(crate) norm: f64,
     /// Candidate edge slots (the rewirable multiset `Ẽ_rew`).
     pub(crate) slots: Vec<(NodeId, NodeId)>,
-    /// `buckets[k]` — (slot, side) pairs whose endpoint has degree `k`.
-    pub(crate) buckets: Vec<Vec<(u32, u8)>>,
-    /// `pos[slot][side]` — index of that (slot, side) in its bucket.
+    /// Degree buckets in one flat array: bucket `k`,
+    /// `buckets[bucket_offs[k] .. bucket_offs[k + 1]]`, holds the
+    /// (slot, side) entries whose endpoint has degree `k`, each packed as
+    /// `slot << 1 | side` ([`pack_entry`]). Entries move between buckets
+    /// only by exchanging places, so the offsets never change.
+    pub(crate) bucket_offs: Vec<u32>,
+    pub(crate) buckets: Vec<u32>,
+    /// `pos[slot][side]` — index of that (slot, side) in `buckets`.
     pub(crate) pos: Vec<[u32; 2]>,
 }
 
@@ -292,10 +297,14 @@ impl EngineCore {
     /// rather than O(Σ d̃²)), their per-degree sums `T_k`, and the degree
     /// buckets over the candidate endpoints.
     ///
-    /// Buckets are sized from a per-degree count before they are filled,
-    /// and filled in `(slot, side)` order: within-bucket order is
+    /// Buckets are laid out from a per-degree count before they are
+    /// filled, and filled in `(slot, side)` order: within-bucket order is
     /// checkpointed state (see [`RewireState`]), so a fresh engine's
     /// order must never depend on how it was allocated.
+    ///
+    /// # Panics
+    /// Panics if there are `2^31` candidates or more (an entry packs its
+    /// slot and side into one `u32`).
     pub(crate) fn new(graph: Graph, candidates: Vec<(NodeId, NodeId)>, target_c: &[f64]) -> Self {
         let idx = MultiplicityIndex::build(&graph);
         let deg: Vec<u32> = graph.nodes().map(|u| graph.degree(u) as u32).collect();
@@ -318,20 +327,31 @@ impl EngineCore {
             }
         }
         let norm: f64 = target.iter().sum();
-        // Buckets over candidate endpoints, each reserved to its exact
-        // size.
-        let mut sizes = vec![0usize; k_cap + 1];
-        for &(a, b) in &candidates {
-            sizes[deg[a as usize] as usize] += 1;
-            sizes[deg[b as usize] as usize] += 1;
-        }
-        let mut buckets: Vec<Vec<(u32, u8)>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        // Buckets over candidate endpoints: count, lay out, fill.
+        assert!(
+            candidates.len() < 1 << 31,
+            "too many rewiring candidates ({})",
+            candidates.len()
+        );
         let mut pos = vec![[0u32; 2]; candidates.len()];
-        for (slot, &(a, b)) in candidates.iter().enumerate() {
-            for (side, node) in [(0u8, a), (1u8, b)] {
-                let k = deg[node as usize] as usize;
-                pos[slot][side as usize] = buckets[k].len() as u32;
-                buckets[k].push((slot as u32, side));
+        let mut bucket_offs = vec![0u32; k_cap + 2];
+        for (sides, &(a, b)) in pos.iter_mut().zip(&candidates) {
+            *sides = [deg[a as usize], deg[b as usize]];
+            bucket_offs[sides[0] as usize + 1] += 1;
+            bucket_offs[sides[1] as usize + 1] += 1;
+        }
+        for k in 0..=k_cap {
+            bucket_offs[k + 1] += bucket_offs[k];
+        }
+        // `pos` holds each endpoint's degree until its entry is placed.
+        let mut fill = bucket_offs.clone();
+        let mut buckets = vec![0u32; 2 * candidates.len()];
+        for (slot, sides) in pos.iter_mut().enumerate() {
+            for (side, p) in sides.iter_mut().enumerate() {
+                let at = &mut fill[*p as usize];
+                buckets[*at as usize] = pack_entry(slot as u32, side as u8);
+                *p = *at;
+                *at += 1;
             }
         }
         Self {
@@ -343,9 +363,16 @@ impl EngineCore {
             target,
             norm,
             slots: candidates,
+            bucket_offs,
             buckets,
             pos,
         }
+    }
+
+    /// Bucket `k`'s packed entries.
+    #[inline]
+    fn bucket(&self, k: usize) -> &[u32] {
+        &self.buckets[self.bucket_offs[k] as usize..self.bucket_offs[k + 1] as usize]
     }
 
     /// Most nodes one swap evaluation can report: the fused pass visits
@@ -393,12 +420,11 @@ impl EngineCore {
         let (a1, b1) = self.slots[e1 as usize];
         let (vi, vj) = if side1 == 0 { (a1, b1) } else { (b1, a1) };
         // Pick edge 2 with an endpoint of equal degree.
-        let k = self.deg[vi as usize] as usize;
-        let bucket = &self.buckets[k];
+        let bucket = self.bucket(self.deg[vi as usize] as usize);
         if bucket.len() < 2 {
             return None;
         }
-        let (e2, side2) = bucket[rng.gen_range(bucket.len())];
+        let (e2, side2) = unpack_entry(bucket[rng.gen_range(bucket.len())]);
         if e2 == e1 {
             return None;
         }
@@ -448,7 +474,7 @@ impl EngineCore {
                 peek.next_u64();
                 continue;
             }
-            let bucket = &self.buckets[self.deg[vi as usize] as usize];
+            let bucket = self.bucket(self.deg[vi as usize] as usize);
             if bucket.len() < 2 {
                 continue;
             }
@@ -456,7 +482,7 @@ impl EngineCore {
             if warm == 2 {
                 prefetch_read(entry);
             } else {
-                prefetch_read(&self.slots[entry.0 as usize]);
+                prefetch_read(&self.slots[unpack_entry(*entry).0 as usize]);
             }
         }
     }
@@ -541,11 +567,12 @@ impl EngineCore {
         let k_j = self.deg[vj as usize] as usize;
         let k_j2 = self.deg[vj2 as usize] as usize;
         if k_j != k_j2 {
-            let p1 = self.pos[p.e1 as usize][o1 as usize]; // in buckets[k_j]
-            let p2 = self.pos[p.e2 as usize][o2 as usize]; // in buckets[k_j2]
-                                                           // (e1, o1) moves to bucket[k_j2]; (e2, o2) moves to bucket[k_j].
-            self.buckets[k_j][p1 as usize] = (p.e2, o2);
-            self.buckets[k_j2][p2 as usize] = (p.e1, o1);
+            // (e1, o1) moves to bucket k_j2's place p2, (e2, o2) to bucket
+            // k_j's place p1.
+            let p1 = self.pos[p.e1 as usize][o1 as usize];
+            let p2 = self.pos[p.e2 as usize][o2 as usize];
+            self.buckets[p1 as usize] = pack_entry(p.e2, o2);
+            self.buckets[p2 as usize] = pack_entry(p.e1, o1);
             self.pos[p.e2 as usize][o2 as usize] = p1;
             self.pos[p.e1 as usize][o1 as usize] = p2;
         }
@@ -561,11 +588,11 @@ impl EngineCore {
     /// indexes into a bucket — so the within-bucket order is part of the
     /// resume-fidelity state.
     fn restore_bucket_state(&mut self, buckets: Vec<Vec<(u32, u8)>>) -> Result<(), String> {
-        if buckets.len() != self.buckets.len() {
+        let num_buckets = self.bucket_offs.len() - 1;
+        if buckets.len() != num_buckets {
             return Err(format!(
-                "bucket count mismatch: checkpoint has {}, engine expects {}",
+                "bucket count mismatch: checkpoint has {}, engine expects {num_buckets}",
                 buckets.len(),
-                self.buckets.len()
             ));
         }
         let mut seen = vec![[false; 2]; self.slots.len()];
@@ -595,12 +622,14 @@ impl EngineCore {
                 2 * self.slots.len()
             ));
         }
-        for bucket in &buckets {
-            for (i, &(slot, side)) in bucket.iter().enumerate() {
-                self.pos[slot as usize][side as usize] = i as u32;
+        // Every entry sits in its degree's bucket, once, so each bucket
+        // has its fresh size and the offsets stand.
+        for (bucket, &start) in buckets.iter().zip(&self.bucket_offs) {
+            for (at, &(slot, side)) in (start..).zip(bucket) {
+                self.buckets[at as usize] = pack_entry(slot, side);
+                self.pos[slot as usize][side as usize] = at;
             }
         }
-        self.buckets = buckets;
         Ok(())
     }
 
@@ -650,7 +679,8 @@ impl EngineCore {
             for (side, &p) in sides.iter().enumerate() {
                 let node = endpoint(self.slots[slot], side as u8);
                 let k = self.deg[node as usize] as usize;
-                if self.buckets[k].get(p as usize) != Some(&(slot as u32, side as u8)) {
+                let in_bucket = (self.bucket_offs[k]..self.bucket_offs[k + 1]).contains(&p);
+                if !in_bucket || self.buckets[p as usize] != pack_entry(slot as u32, side as u8) {
                     return Err(format!("bucket pos broken for slot {slot} side {side}"));
                 }
             }
@@ -855,11 +885,16 @@ impl RewireEngine {
         let core = &self.core;
         w.put_graph(&Graph::from_index(&core.idx));
         w.put_pairs(&core.slots);
-        w.put_u64(core.buckets.len() as u64);
-        for bucket in &core.buckets {
-            let packed: Vec<u64> = bucket
+        let num_buckets = core.bucket_offs.len() - 1;
+        w.put_u64(num_buckets as u64);
+        for k in 0..num_buckets {
+            let packed: Vec<u64> = core
+                .bucket(k)
                 .iter()
-                .map(|&(slot, side)| ((slot as u64) << 32) | side as u64)
+                .map(|&entry| {
+                    let (slot, side) = unpack_entry(entry);
+                    ((slot as u64) << 32) | side as u64
+                })
                 .collect();
             w.put_u64_slice(&packed);
         }
@@ -1091,6 +1126,18 @@ fn endpoint(e: (NodeId, NodeId), side: u8) -> NodeId {
     } else {
         e.1
     }
+}
+
+/// A bucket entry: candidate `slot`'s endpoint on `side`, as one word.
+#[inline]
+fn pack_entry(slot: u32, side: u8) -> u32 {
+    slot << 1 | side as u32
+}
+
+/// The `(slot, side)` of a [`pack_entry`] word.
+#[inline]
+fn unpack_entry(entry: u32) -> (u32, u8) {
+    (entry >> 1, (entry & 1) as u8)
 }
 
 #[inline]
