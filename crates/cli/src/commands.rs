@@ -345,7 +345,7 @@ fn connect(o: &Opts) -> Result<Client, CliError> {
 /// `sgr submit`.
 pub fn submit(argv: &[String]) -> i32 {
     const USAGE: &str = "sgr submit --addr HOST:PORT --graph FILE
-  [--fraction F=0.1] [--walk rw|nbrw] [--k 50] [--pf 0.7]
+  [--fraction F=0.1] [--walk rw|nbrw]
   [--rc 500] [--no-rewire true] [--seed N=42] [--tenant NAME]
   [--checkpoint-every N] [--abort-after N]
   (submits a crawl-and-restore job; the fetched result is byte-identical
@@ -361,8 +361,6 @@ pub fn submit(argv: &[String]) -> i32 {
             "graph",
             "fraction",
             "walk",
-            "k",
-            "pf",
             "rc",
             "no-rewire",
             "seed",
@@ -378,6 +376,8 @@ pub fn submit(argv: &[String]) -> i32 {
                 tenant: o.opt("tenant").unwrap_or("").to_string(),
                 walk_code: spec.walk.code(),
                 fraction: spec.fraction,
+                // Neither admitted walk reads these: they carry the
+                // CrawlSpec defaults until the wire format drops them.
                 snowball_k: spec.snowball_k as u64,
                 burn_prob: spec.burn_prob,
                 rewiring_coefficient: o.get_or("rc", 500.0)?,

@@ -157,3 +157,30 @@ fn served_job_bytes_match_local_sgr_restore() {
     assert!(status.success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn submit_refuses_the_snowball_and_forest_fire_options() {
+    // The server admits only rw and nbrw, which read neither --k nor
+    // --pf, so `sgr submit` does not take them. The option check runs
+    // before any file is read or connection made.
+    for opt in ["--k", "--pf"] {
+        let out = sgr()
+            .args([
+                "submit",
+                "--addr",
+                "127.0.0.1:9",
+                "--graph",
+                "g.edges",
+                opt,
+                "10",
+            ])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{opt}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option {opt}")),
+            "{opt}: {stderr}"
+        );
+    }
+}
