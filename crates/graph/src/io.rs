@@ -37,32 +37,51 @@ impl From<std::io::Error> for IoError {
 }
 
 /// Reads an edge list from a reader, remapping arbitrary ids to dense
-/// `0..n` ids. Returns the graph and `mapping[new_id] = original_id`.
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<(Graph, Vec<u64>), IoError> {
+/// `0..n` ids in order of first appearance. Returns the graph and
+/// `mapping[new_id] = original_id`.
+///
+/// Lines are read into one reused buffer and end at `\n` or `\r\n`, as
+/// [`BufRead::lines`] splits them; a parse error carries the 1-based line
+/// number (comment and blank lines count) and the line without its
+/// ending.
+pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<(Graph, Vec<u64>), IoError> {
     let mut remap: FxHashMap<u64, NodeId> = FxHashMap::default();
     let mut mapping: Vec<u64> = Vec::new();
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let intern = |raw: u64, remap: &mut FxHashMap<u64, NodeId>, mapping: &mut Vec<u64>| {
+    let mut intern = |raw: u64| {
         *remap.entry(raw).or_insert_with(|| {
             mapping.push(raw);
             (mapping.len() - 1) as NodeId
         })
     };
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
+    let mut line = String::new();
+    let mut lineno = 0usize;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
+        lineno += 1;
+        if line.ends_with('\n') {
+            line.pop();
+            if line.ends_with('\r') {
+                line.pop();
+            }
+        }
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
             continue;
         }
         let mut it = trimmed.split_whitespace();
-        let (Some(a), Some(b)) = (it.next(), it.next()) else {
-            return Err(IoError::Parse(lineno + 1, line.clone()));
+        let parsed = match (it.next(), it.next()) {
+            (Some(a), Some(b)) => a.parse::<u64>().ok().zip(b.parse::<u64>().ok()),
+            _ => None,
         };
-        let (Ok(a), Ok(b)) = (a.parse::<u64>(), b.parse::<u64>()) else {
-            return Err(IoError::Parse(lineno + 1, line.clone()));
+        let Some((a, b)) = parsed else {
+            return Err(IoError::Parse(lineno, line));
         };
-        let u = intern(a, &mut remap, &mut mapping);
-        let v = intern(b, &mut remap, &mut mapping);
+        let u = intern(a);
+        let v = intern(b);
         edges.push((u, v));
     }
     Ok((Graph::from_edges(mapping.len(), &edges), mapping))
