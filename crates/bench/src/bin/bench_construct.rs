@@ -6,6 +6,8 @@
 //! `BENCH_props.json` (read-only kernels).
 //!
 //! Phases per size (each on the same fixed crawl):
+//! * `subgraph` — inducing `G'` from the crawl (§III-D) via
+//!   [`Crawl::subgraph`](sgr_sample::Crawl::subgraph);
 //! * `estimate` — the five §III estimators via [`estimate_all`];
 //! * `targeting` — target degree vector + joint degree matrix
 //!   (Algorithms 1–4 with the subgraph modification steps), reported
@@ -28,7 +30,18 @@
 //!   on-disk snapshot container (the container the resumable-restore
 //!   checkpoints are built on): write and load wall time plus file size,
 //!   gated on bitwise fidelity by
-//!   [`sgr_bench::harness::checkpoint_round_trip`].
+//!   [`sgr_bench::harness::checkpoint_round_trip`];
+//! * `rewire_setup` — [`RewireEngine::new`] on the constructed graph and
+//!   its added edges: the multiplicity index, the degree-ordered triangle
+//!   pass and the degree buckets, the fixed cost a restore pays before
+//!   its first rewiring attempt. The index build
+//!   ([`MultiplicityIndex::build`]) and the triangle pass
+//!   ([`triangle_counts_with_index`]) are also timed on their own on the
+//!   same graph, and `rewire_setup_rest_seconds` is what the engine spends
+//!   beyond them (degrees, `T_k`, buckets). Each of the three is the best
+//!   of three runs.
+//!
+//! The top-level `host_cpus` records the host the numbers came from.
 //!
 //! Memory is **measured, not asserted**, through the tracking global
 //! allocator ([`sgr_util::alloc`]): `graph_bytes` is the modeled heap
@@ -53,9 +66,12 @@
 
 use sgr_bench::harness::load_or_generate_hidden;
 use sgr_core::{construct, target_dv, target_jdm};
+use sgr_dk::rewire::RewireEngine;
 use sgr_dk::ConstructScratch;
 use sgr_estimate::estimate_all;
+use sgr_graph::index::MultiplicityIndex;
 use sgr_graph::reference::ReferenceGraph;
+use sgr_props::triangles::triangle_counts_with_index;
 use sgr_sample::random_walk_until_fraction;
 use sgr_util::{alloc, Xoshiro256pp};
 use std::time::Instant;
@@ -70,6 +86,8 @@ const GRAPH_SEED: u64 = 14;
 /// regenerated run's.
 const CRAWL_SEED: u64 = 15;
 const CRAWL_FRACTION: f64 = 0.1;
+/// Repetitions of the rewire-engine set-up and of its two large phases.
+const SETUP_REPS: usize = 3;
 
 struct SizeResult {
     hidden_nodes: usize,
@@ -78,6 +96,7 @@ struct SizeResult {
     built_nodes: usize,
     built_edges: usize,
     added_edges: usize,
+    subgraph_secs: f64,
     estimate_secs: f64,
     dv_secs: f64,
     jdm_stats: target_jdm::JdmBuildStats,
@@ -88,6 +107,9 @@ struct SizeResult {
     checkpoint_bytes: u64,
     checkpoint_write_secs: f64,
     checkpoint_load_secs: f64,
+    rewire_setup_secs: f64,
+    rewire_index_secs: f64,
+    rewire_triangle_secs: f64,
     regenerated: bool,
     graph_bytes: u64,
     reference_graph_bytes: u64,
@@ -101,7 +123,9 @@ fn run_size(n: usize) -> SizeResult {
         });
     let mut rng = Xoshiro256pp::seed_from_u64(CRAWL_SEED);
     let crawl = random_walk_until_fraction(&g, CRAWL_FRACTION, &mut rng);
+    let t = Instant::now();
     let subgraph = crawl.subgraph();
+    let subgraph_secs = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
     let estimates = estimate_all(&crawl).expect("estimation failed");
@@ -171,6 +195,27 @@ fn run_size(n: usize) -> SizeResult {
         sgr_bench::harness::checkpoint_round_trip(&rebuilt.graph.freeze(), &ckpt_path);
     let _ = std::fs::remove_file(&ckpt_path);
 
+    // Rewire-engine set-up on the constructed graph, as a restore builds
+    // it after construction (the graph and candidates move in), and its
+    // two large phases on their own on the same graph. Each is the best
+    // of `SETUP_REPS`, so the split is not one noisy sample less another.
+    let (mut rewire_setup_secs, mut rewire_index_secs, mut rewire_triangle_secs) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for _ in 0..SETUP_REPS {
+        let t = Instant::now();
+        let idx = MultiplicityIndex::build(&rebuilt.graph);
+        rewire_index_secs = rewire_index_secs.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        let triangles = triangle_counts_with_index(&idx);
+        rewire_triangle_secs = rewire_triangle_secs.min(t.elapsed().as_secs_f64());
+        drop((idx, triangles));
+        let (graph, candidates) = (rebuilt.graph.clone(), rebuilt.added_edges.clone());
+        let t = Instant::now();
+        let engine = RewireEngine::new(graph, candidates, &estimates.clustering);
+        rewire_setup_secs = rewire_setup_secs.min(t.elapsed().as_secs_f64());
+        drop(engine);
+    }
+
     SizeResult {
         hidden_nodes: g.num_nodes(),
         hidden_edges: g.num_edges(),
@@ -178,6 +223,7 @@ fn run_size(n: usize) -> SizeResult {
         built_nodes,
         built_edges,
         added_edges: added_edges.len(),
+        subgraph_secs,
         estimate_secs,
         dv_secs,
         jdm_stats,
@@ -188,6 +234,9 @@ fn run_size(n: usize) -> SizeResult {
         checkpoint_bytes,
         checkpoint_write_secs,
         checkpoint_load_secs,
+        rewire_setup_secs,
+        rewire_index_secs,
+        rewire_triangle_secs,
         regenerated,
         graph_bytes,
         reference_graph_bytes,
@@ -205,6 +254,9 @@ fn main() {
         .map(|t| t.trim().parse().expect("sizes must be integers"))
         .collect();
 
+    let host_cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let mut entries: Vec<String> = Vec::new();
     for &n in &sizes {
         eprintln!(
@@ -215,6 +267,16 @@ fn main() {
         let edges_per_sec = r.built_edges as f64 / r.construct_secs;
         let stub_rate = r.added_edges as f64 / r.stub_matching_secs;
         let warm_stub_rate = r.added_edges as f64 / r.warm_stub_matching_secs;
+        let rewire_rest_secs =
+            (r.rewire_setup_secs - r.rewire_index_secs - r.rewire_triangle_secs).max(0.0);
+        eprintln!(
+            "  subgraph {:.3}s · rewire set-up {:.3}s (index {:.3} · triangles {:.3} · rest {:.3})",
+            r.subgraph_secs,
+            r.rewire_setup_secs,
+            r.rewire_index_secs,
+            r.rewire_triangle_secs,
+            rewire_rest_secs,
+        );
         eprintln!(
             "  estimate {:.3}s · targeting {:.3}s (dv {:.3} · init {:.3} · adjust {:.3} · modify {:.3} · readjust {:.3}) · construct {:.3}s ({} nodes, {} edges, {:.0} edges/s)",
             r.estimate_secs, r.targeting_secs, r.dv_secs,
@@ -251,6 +313,7 @@ fn main() {
                 "      \"built_nodes\": {},\n",
                 "      \"built_edges\": {},\n",
                 "      \"added_edges\": {},\n",
+                "      \"subgraph_seconds\": {:.6},\n",
                 "      \"estimate_seconds\": {:.6},\n",
                 "      \"dv_seconds\": {:.6},\n",
                 "      \"jdm_init_seconds\": {:.6},\n",
@@ -270,6 +333,10 @@ fn main() {
                 "      \"checkpoint_load_seconds\": {:.6},\n",
                 "      \"checkpoint_write_mb_per_sec\": {:.1},\n",
                 "      \"checkpoint_load_mb_per_sec\": {:.1},\n",
+                "      \"rewire_setup_seconds\": {:.6},\n",
+                "      \"rewire_setup_index_seconds\": {:.6},\n",
+                "      \"rewire_setup_triangle_seconds\": {:.6},\n",
+                "      \"rewire_setup_rest_seconds\": {:.6},\n",
                 "      \"regenerated\": {},\n",
                 "      \"graph_bytes\": {},\n",
                 "      \"reference_graph_bytes\": {},\n",
@@ -284,6 +351,7 @@ fn main() {
             r.built_nodes,
             r.built_edges,
             r.added_edges,
+            r.subgraph_secs,
             r.estimate_secs,
             r.dv_secs,
             r.jdm_stats.init_secs,
@@ -303,6 +371,10 @@ fn main() {
             r.checkpoint_load_secs,
             ckpt_write_mb_s,
             ckpt_load_mb_s,
+            r.rewire_setup_secs,
+            r.rewire_index_secs,
+            r.rewire_triangle_secs,
+            rewire_rest_secs,
             r.regenerated,
             r.graph_bytes,
             r.reference_graph_bytes,
@@ -317,11 +389,13 @@ fn main() {
             "  \"benchmark\": \"construct_and_targeting\",\n",
             "  \"graph\": {{\"generator\": \"holme_kim\", \"m\": 4, \"pt\": 0.5, \"seed\": {}}},\n",
             "  \"crawl_fraction\": {},\n",
+            "  \"host_cpus\": {},\n",
             "  \"sizes\": {{\n{}\n  }}\n",
             "}}\n"
         ),
         GRAPH_SEED,
         CRAWL_FRACTION,
+        host_cpus,
         entries.join(",\n"),
     );
     std::fs::write(&out, json).expect("writing benchmark JSON");
