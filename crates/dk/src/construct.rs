@@ -307,7 +307,10 @@ pub fn wire_stubs<'s>(
     added.reserve(pairs.iter().map(|&(_, c)| c as usize).sum());
     ahead_lens.clear();
     ahead_lens.extend_from_slice(counts);
-    let mut ahead = LookAhead::new(rng, pairs, ahead_lens);
+    let edge_classes = pairs
+        .iter()
+        .flat_map(|&(classes, count)| std::iter::repeat_n(classes, count as usize));
+    let mut ahead = LookAhead::new(rng, edge_classes, ahead_lens);
     let mut stats = MatchStats::default();
     for &((k, k2), count) in pairs.iter() {
         if k as usize > k_max || k2 as usize > k_max {
@@ -320,42 +323,23 @@ pub fn wire_stubs<'s>(
                 requested: count,
             });
         }
+        let (kc, k2c) = (k as usize, k2 as usize);
         for placed in 0..count {
             ahead.hint(stats.edges, pools, g);
+            let Some((i, j)) = draw_slots(rng, k == k2, pools.len(kc), pools.len(k2c)) else {
+                return Err(DkError::OutOfStubs {
+                    k,
+                    k2,
+                    placed,
+                    requested: count,
+                });
+            };
             let (u, v) = if k == k2 {
-                let pool_len = pools.len(k as usize);
-                if pool_len < 2 {
-                    return Err(DkError::OutOfStubs {
-                        k,
-                        k2,
-                        placed,
-                        requested: count,
-                    });
-                }
-                let i = rng.gen_range(pool_len);
-                let mut j = rng.gen_range(pool_len - 1);
-                if j >= i {
-                    j += 1;
-                }
                 // Remove the higher index first so the lower stays valid.
                 let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-                let u = pools.swap_remove(k as usize, hi);
-                let v = pools.swap_remove(k as usize, lo);
-                (u, v)
+                (pools.swap_remove(kc, hi), pools.swap_remove(kc, lo))
             } else {
-                if pools.is_empty(k as usize) || pools.is_empty(k2 as usize) {
-                    return Err(DkError::OutOfStubs {
-                        k,
-                        k2,
-                        placed,
-                        requested: count,
-                    });
-                }
-                let i = rng.gen_range(pools.len(k as usize));
-                let j = rng.gen_range(pools.len(k2 as usize));
-                let u = pools.swap_remove(k as usize, i);
-                let v = pools.swap_remove(k2 as usize, j);
-                (u, v)
+                (pools.swap_remove(kc, i), pools.swap_remove(k2c, j))
             };
             g.add_edge(u, v);
             added.push(if u <= v { (u, v) } else { (v, u) });
@@ -370,17 +354,42 @@ pub fn wire_stubs<'s>(
     Ok((&added[..], stats))
 }
 
+/// The two pool slots of one edge between classes holding `len_k` and
+/// `len_k2` free stubs (one class holding `len_k` when `diagonal`), or
+/// `None` when they cannot place it. The matcher's only use of the
+/// generator, so its look-ahead replays exactly these draws.
+#[inline]
+fn draw_slots(
+    rng: &mut Xoshiro256pp,
+    diagonal: bool,
+    len_k: usize,
+    len_k2: usize,
+) -> Option<(usize, usize)> {
+    if diagonal {
+        if len_k < 2 {
+            return None;
+        }
+        let i = rng.gen_range(len_k);
+        let mut j = rng.gen_range(len_k - 1);
+        if j >= i {
+            j += 1;
+        }
+        Some((i, j))
+    } else if len_k == 0 || len_k2 == 0 {
+        None
+    } else {
+        Some((rng.gen_range(len_k), rng.gen_range(len_k2)))
+    }
+}
+
 /// The matcher's look-ahead (see the module docs): replays the draws of
 /// the edges ahead of the one being placed on a clone of the generator,
 /// against simulated pool lengths, and hints the memory they will touch.
-struct LookAhead<'a> {
+struct LookAhead<'a, E> {
     /// A clone of the matcher's generator, `drawn` edges into the stream.
     rng: Xoshiro256pp,
-    pairs: &'a [((u32, u32), u64)],
-    /// The next pair to open, and the open pair's classes and edges left.
-    next_pair: usize,
-    classes: (u32, u32),
-    left: u64,
+    /// The class pair of every edge still to replay, in wiring order.
+    edge_classes: E,
     /// Each class's stub count once every drawn edge is placed.
     lens: &'a mut [usize],
     /// `(class, slot)` of both stubs of edge `e`, at `ring[e % AHEAD]`.
@@ -390,16 +399,13 @@ struct LookAhead<'a> {
     stopped: bool,
 }
 
-impl<'a> LookAhead<'a> {
+impl<'a, E: Iterator<Item = (u32, u32)>> LookAhead<'a, E> {
     /// Starts the replay at the matcher's stream position and draws the
     /// first `AHEAD - 1` edges.
-    fn new(rng: &Xoshiro256pp, pairs: &'a [((u32, u32), u64)], lens: &'a mut [usize]) -> Self {
+    fn new(rng: &Xoshiro256pp, edge_classes: E, lens: &'a mut [usize]) -> Self {
         let mut ahead = Self {
             rng: rng.clone(),
-            pairs,
-            next_pair: 0,
-            classes: (0, 0),
-            left: 0,
+            edge_classes,
             lens,
             ring: [[(0, 0); 2]; AHEAD],
             drawn: 0,
@@ -414,48 +420,28 @@ impl<'a> LookAhead<'a> {
     /// Replays the next edge's draws as [`wire_stubs`] makes them, or
     /// stops where a pair would fail.
     fn draw(&mut self) {
-        while self.left == 0 && !self.stopped {
-            match self.pairs.get(self.next_pair) {
-                Some(&((k, k2), count)) if (k2 as usize) < self.lens.len() => {
-                    self.classes = (k, k2);
-                    self.left = count;
-                    self.next_pair += 1;
-                }
-                _ => self.stopped = true,
-            }
-        }
         if self.stopped {
             return;
         }
-        let (k, k2) = self.classes;
-        let (kc, k2c) = (k as usize, k2 as usize);
-        let stubs = if k == k2 {
-            let len = self.lens[kc];
-            if len < 2 {
-                self.stopped = true;
-                return;
+        let slots = match self.edge_classes.next() {
+            Some((k, k2)) if (k2 as usize) < self.lens.len() => {
+                let (kc, k2c) = (k as usize, k2 as usize);
+                draw_slots(&mut self.rng, k == k2, self.lens[kc], self.lens[k2c]).map(|(i, j)| {
+                    // Twice on one class for a diagonal edge.
+                    self.lens[kc] -= 1;
+                    self.lens[k2c] -= 1;
+                    [(k, i), (k2, j)]
+                })
             }
-            let i = self.rng.gen_range(len);
-            let mut j = self.rng.gen_range(len - 1);
-            if j >= i {
-                j += 1;
-            }
-            self.lens[kc] -= 2;
-            [(k, i), (k, j)]
-        } else {
-            if self.lens[kc] == 0 || self.lens[k2c] == 0 {
-                self.stopped = true;
-                return;
-            }
-            let i = self.rng.gen_range(self.lens[kc]);
-            let j = self.rng.gen_range(self.lens[k2c]);
-            self.lens[kc] -= 1;
-            self.lens[k2c] -= 1;
-            [(k, i), (k2, j)]
+            _ => None,
         };
-        self.left -= 1;
-        self.ring[self.drawn % AHEAD] = stubs;
-        self.drawn += 1;
+        match slots {
+            Some(slots) => {
+                self.ring[self.drawn % AHEAD] = slots;
+                self.drawn += 1;
+            }
+            None => self.stopped = true,
+        }
     }
 
     /// Before edge `e` is placed: replays edge `e + AHEAD - 1` and hints
