@@ -4,10 +4,15 @@
 //! The hint cannot change a result. It reads nothing the program sees,
 //! never faults, and compiles to nothing on targets other than x86-64.
 //! Its only effect is on timing: a later load of the same line finds it
-//! in cache instead of waiting for memory. The rewiring engine uses it to
-//! overlap the cold reads of the picks it has drawn ahead
-//! (`sgr_dk::rewire`), and the triangle pass those of the oriented pairs
-//! it reaches next (`sgr_props::triangles`).
+//! in cache instead of waiting for memory. Its users:
+//! * the rewiring engine overlaps the cold reads of the picks it has
+//!   drawn ahead (`sgr_dk::rewire`);
+//! * the stub matcher, those of the pool slots, list headers and append
+//!   slots of the edges it has drawn ahead (`sgr_dk::construct`);
+//! * the triangle pass, those of the oriented pairs it reaches next
+//!   (`sgr_props::triangles`);
+//! * Brandes betweenness, those of the nodes its BFS queue and its
+//!   reverse sweep reach next (`sgr_props::betweenness`).
 
 /// Hints that the cache line holding `*r` will be read soon. A no-op off
 /// x86-64.
