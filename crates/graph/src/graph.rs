@@ -265,15 +265,20 @@ impl Graph {
     /// order** (each list ascending, `v` repeated `A_uv` times), which
     /// depends only on the edge multiset. The index is trusted, so no
     /// re-validation pass is paid.
+    ///
+    /// One pass over the index: each list is expanded at the arena's end
+    /// and its length read off the cursor. The arena is reserved at the
+    /// index's extent total, the degree sum at build, which rewiring
+    /// preserves.
     pub fn from_index(idx: &MultiplicityIndex) -> Self {
-        let lens: Vec<u32> = (0..idx.num_nodes() as NodeId)
-            .map(|u| idx.entries(u).map(|(_, a)| a).sum())
-            .collect();
-        let mut arena = Vec::with_capacity(lens.iter().map(|&d| d as usize).sum());
+        let mut lens = Vec::with_capacity(idx.num_nodes());
+        let mut arena = Vec::with_capacity(idx.extent_total());
         for u in 0..idx.num_nodes() as NodeId {
+            let before = arena.len();
             for (v, a) in idx.entries(u) {
                 arena.extend(std::iter::repeat_n(v, a as usize));
             }
+            lens.push((arena.len() - before) as u32);
         }
         Self::tight(lens, arena)
     }

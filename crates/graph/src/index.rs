@@ -122,6 +122,12 @@ impl MultiplicityIndex {
         self.lens.len()
     }
 
+    /// Total size of the extents: the neighbor entries of the view the
+    /// index was built from.
+    pub(crate) fn extent_total(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Start of `u`'s extent in `slots`, and its live length.
     #[inline]
     fn span(&self, u: NodeId) -> (usize, usize) {
