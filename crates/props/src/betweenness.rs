@@ -125,25 +125,15 @@ fn accumulate<G: GraphView>(g: &G, sources: &[NodeId]) -> Vec<f64> {
 /// Brandes dependency accumulation over the given sources, with hints
 /// `ahead` queue positions ahead (0: none).
 ///
-/// Per-node state is one [`Record`]. Predecessor lists live in one flat
-/// arena indexed by cumulative degree (every predecessor of `v` is a
-/// neighbor of `v`, so `deg(v)` slots always suffice — parallel copies are
-/// suppressed before the push): no per-node `Vec` headers, no per-source
-/// clearing beyond a reset of the visited nodes' records. A node that is
-/// not in the previous source's queue was reset after the last source
-/// that reached it, or never reached, so its record is clean already.
+/// Predecessor lists live in one flat arena indexed by cumulative degree
+/// (every predecessor of `v` is a neighbor of `v`, so `deg(v)` slots
+/// always suffice — parallel copies are suppressed before the push). Per
+/// source only the previous source's queue is reset: any other node was
+/// reset after the last source that reached it, or never reached. Stamps
+/// must be reset too, or a stamp `u + 1` left by an earlier source would
+/// suppress `u` as a predecessor.
 ///
-/// **Lazy stamp.** A parallel copy of `(u, v)` matters only when `v` is
-/// on the next level, where it would count `u` twice; at any other level
-/// the edge changes nothing. So `v` is stamped `u + 1` only on such a hit,
-/// and neighbors at levels ≤ `dist(u)` (most of them, on low-diameter
-/// graphs) are read but never written. Stamps are unique per node within
-/// one source and reset with the rest of the record, so a stamp left by
-/// an earlier source cannot suppress a predecessor.
-///
-/// **Hints.** The queue names the nodes the passes reach next, so each
-/// pass hints their cold lines a few steps ahead through
-/// [`prefetch_read`], with `a = ahead`:
+/// Hint schedule, with `a = ahead`:
 /// * forward, at queue position `h`: the neighbor slice of `order[h +
 ///   2a]`, and the records of `order[h + a]`'s neighbors (their slice
 ///   hinted `a` steps earlier);
@@ -151,13 +141,10 @@ fn accumulate<G: GraphView>(g: &G, sources: &[NodeId]) -> Vec<f64> {
 ///   predecessor slots of `order[i − 2a]` (found through its record),
 ///   and the records of `order[i − a]`'s predecessors.
 ///
-/// **Same bits.** The passes perform the same float additions in the same
-/// order as plain Brandes: σ and the predecessor list of each node grow in
-/// queue order and neighbor-slice order, δ in reverse queue order and
-/// predecessor order, and `b` once per node per source. A hint reads
-/// nothing the program sees, so `ahead` changes timing only; the
-/// `betweenness_oracle` suite pins both paths to the plain kernel bit for
-/// bit.
+/// σ and each predecessor list grow in queue order and neighbor-slice
+/// order, δ in reverse queue order and predecessor order, and `b` once
+/// per node per source — the order of plain Brandes — so `ahead` changes
+/// timing only.
 fn accumulate_with<G: GraphView>(g: &G, sources: &[NodeId], ahead: usize) -> Vec<f64> {
     let n = g.num_nodes();
     // Predecessor offsets are u32 to keep a record at 32 bytes — the same
@@ -242,9 +229,8 @@ fn accumulate_with<G: GraphView>(g: &G, sources: &[NodeId], ahead: usize) -> Vec
                     prefetch_read(&rec[order[j] as usize]);
                 }
                 if let Some(j) = i.checked_sub(2 * ahead) {
-                    let r = &rec[order[j] as usize];
-                    if r.pred_len > 0 {
-                        prefetch_read(&pred[r.pred_off as usize]);
+                    if let Some(first) = preds(&pred, &rec[order[j] as usize]).first() {
+                        prefetch_read(first);
                     }
                 }
                 if let Some(j) = i.checked_sub(ahead) {
