@@ -365,6 +365,39 @@ fn run_attempts_performs_zero_heap_allocations() {
 }
 
 #[test]
+fn dense_multigraph_rewiring_allocates_nothing_without_warm_up() {
+    // Every pair of 8 nodes joined once or twice, plus loops: two
+    // extents hold up to 16 distinct neighbours, more than the graph has
+    // nodes, and nearly every key is shared, so a gather can return more
+    // keys than there are nodes. The engine's buffers must be sized for
+    // that from the start: the very first attempts allocate nothing.
+    let mut g = Graph::with_nodes(8);
+    for u in 0..8 {
+        g.add_edge(u, u);
+        for v in u + 1..8 {
+            g.add_edge(u, v);
+            if (u * v) % 3 != 1 {
+                g.add_edge(u, v);
+            }
+        }
+    }
+    let props = LocalProperties::compute(&g);
+    let target: Vec<f64> = props
+        .clustering_by_degree
+        .iter()
+        .map(|&c| c * 0.5)
+        .collect();
+    let edges: Vec<_> = g.edges().collect();
+    let mut eng = RewireEngine::new(g, edges, &target);
+    let mut rng = Xoshiro256pp::seed_from_u64(29);
+    let (allocs, stats) = count_allocs(|| eng.run_attempts(5_000, &mut rng));
+    assert_eq!(allocs, 0, "run_attempts allocated {allocs} times");
+    assert!(stats.accepted > 0, "{stats:?}");
+    assert!(stats.skipped > stats.filtered, "{stats:?}");
+    eng.validate().unwrap();
+}
+
+#[test]
 fn reference_engine_does_allocate_per_attempt() {
     // Sanity-check the counter itself: the baseline must show the very
     // allocations the new engine eliminates.

@@ -115,7 +115,20 @@ pub fn largest_component_csr<G: GraphView>(g: &G) -> (CsrGraph, Vec<NodeId>) {
     if g.num_nodes() == 0 {
         return (CsrGraph::default(), Vec::new());
     }
+    component_csr(g, &connected_components(g))
+}
+
+/// [`largest_component_csr`], or `None` when the largest component holds
+/// every node (an empty graph included). Then the extraction would
+/// relabel by the identity and copy every neighbour list unchanged, so a
+/// caller can read `g` itself and skip the copy.
+pub fn proper_largest_component_csr<G: GraphView>(g: &G) -> Option<(CsrGraph, Vec<NodeId>)> {
     let comps = connected_components(g);
+    (comps.count() > 1).then(|| component_csr(g, &comps))
+}
+
+/// The snapshot and mapping of `comps`' largest component of `g`.
+fn component_csr<G: GraphView>(g: &G, comps: &Components) -> (CsrGraph, Vec<NodeId>) {
     let keep = comps.largest() as u32;
     let mut old_to_new = vec![u32::MAX; g.num_nodes()];
     let mut mapping: Vec<NodeId> = Vec::with_capacity(comps.sizes[keep as usize]);

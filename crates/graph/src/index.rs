@@ -19,19 +19,20 @@
 //!   **strictly ascending** by neighbor.
 //!
 //! Every node, leaf or hub, uses the same layout: lookups binary-search
-//! the live prefix, updates binary-search and shift within the extent
-//! (`copy_within`), and [`MultiplicityIndex::for_each_common_of_unions`]
-//! merges four ascending prefixes with a galloping catch-up
-//! ([`merge_unions`]; passing each node twice, `(x, x, y, y)`, gives the
-//! common neighbours of `x` and `y`). No node owns a heap object, and
-//! nothing branches on node size; a built index never allocates again.
+//! the live prefix, and updates binary-search and shift within the extent
+//! (`copy_within`). No node owns a heap object, and nothing branches on
+//! node size; a built index never allocates again.
 //!
-//! One query hashes: [`MultiplicityIndex::may_share_neighbor`] marks the
-//! keys of two prefixes in a caller-owned byte table and probes it with
-//! the keys of the other two, a filter whose "disjoint" answer is exact.
-//! It lets the rewiring engine skip the merge for the majority of swaps,
-//! whose endpoint unions share no node; the table is cleared by
-//! replaying the marks, so it is reused without allocating.
+//! One query hashes: [`MultiplicityIndex::gather_shared`] marks the keys
+//! of two prefixes in a caller-owned [`GatherTable`] and probes it with
+//! the keys of the other two, collecting every probe key that hits a
+//! mark. That gathers every node the two unions share, plus the odd hash
+//! collision, in one read of the four prefixes; an empty gather is exact
+//! proof that the unions are disjoint. The rewiring engine evaluates a
+//! swap from the gathered keys alone and skips the majority of swaps,
+//! whose endpoint unions share no node. Each query marks with a fresh
+//! one-byte epoch, so the table is reused without a clearing pass and
+//! without allocating.
 //!
 //! # Degree-preservation invariant
 //!
@@ -174,74 +175,55 @@ impl MultiplicityIndex {
         self.list(u).iter().copied()
     }
 
-    /// Calls `f(w, A_aw, A_a2w, A_bw, A_b2w)` once for every `w` in
-    /// `(N(a) ∪ N(a2)) ∩ (N(b) ∪ N(b2))`, in ascending order of `w`; an
-    /// absent entry reads 0. Aliased nodes (`a == a2`, `a == b`, …) are
-    /// fine.
+    /// Collects into `out` (cleared first) every key of the longer of
+    /// `N(a) ∪ N(a2)` and `N(b) ∪ N(b2)` whose hash the shorter one marks
+    /// in `table`: every node the two unions share, and the odd hash
+    /// collision, unsorted and possibly twice (a key in both probed
+    /// lists). An empty `out` is exact: the unions are disjoint. Aliased
+    /// nodes (`a == a2`, `a == b`, …) are fine.
     ///
-    /// This is the hot kernel of the rewiring engine's swap evaluation:
-    /// one [`merge_unions`] pass serves all four toggles of a swap, so
-    /// each endpoint's extent is read once per attempt.
-    #[inline]
-    pub fn for_each_common_of_unions<F: FnMut(NodeId, u32, u32, u32, u32)>(
+    /// The marks carry the table's fresh epoch, so nothing clears them:
+    /// a slot marked by an earlier query holds another epoch and reads
+    /// as unmarked. `out` never holds more than the probed union's two
+    /// live extents, at most twice the largest distinct-neighbour count,
+    /// so a buffer reserved to that never reallocates.
+    pub fn gather_shared(
         &self,
         a: NodeId,
         a2: NodeId,
         b: NodeId,
         b2: NodeId,
-        f: F,
+        table: &mut GatherTable,
+        out: &mut Vec<NodeId>,
     ) {
-        merge_unions(self.list(a), self.list(a2), self.list(b), self.list(b2), f)
-    }
-
-    /// Whether `N(a) ∪ N(a2)` and `N(b) ∪ N(b2)` may share a node: the
-    /// cheap filter in front of
-    /// [`for_each_common_of_unions`](Self::for_each_common_of_unions).
-    ///
-    /// Marks the hash of every key of the shorter union in `table`, ORs
-    /// the marks at the hashes of the longer union's keys, then clears the
-    /// marked bytes by replaying the marks, so `table` — a power-of-two
-    /// length, all zero — is all zero again on return. `false` is exact:
-    /// the unions are disjoint. `true` may be a hash collision, which only
-    /// costs the caller the merge it would have run anyway.
-    pub fn may_share_neighbor(
-        &self,
-        a: NodeId,
-        a2: NodeId,
-        b: NodeId,
-        b2: NodeId,
-        table: &mut [u8],
-    ) -> bool {
-        debug_assert!(table.len().is_power_of_two());
-        let shift = 32 - table.len().trailing_zeros();
+        let epoch = table.next_epoch();
+        let slots = &mut table.slots[..];
+        let shift = 32 - slots.len().trailing_zeros();
         // Fibonacci hashing: the top bits of `w · 2^32/φ`. The mask
         // changes no index; it lets the compiler drop the bounds check
-        // from every loop below.
-        let mask = table.len() - 1;
+        // from both loops below.
+        let mask = slots.len() - 1;
         let at = |w: NodeId| ((w.wrapping_mul(0x9E37_79B1) as u64) >> shift) as usize & mask;
         let (mut marked, mut probed) =
             ([self.list(a), self.list(a2)], [self.list(b), self.list(b2)]);
-        // Disjointness is symmetric, and marking reads a list twice.
+        // Sharing is symmetric; marking the shorter side keeps the table
+        // sparse.
         if marked[0].len() + marked[1].len() > probed[0].len() + probed[1].len() {
             std::mem::swap(&mut marked, &mut probed);
         }
         for list in marked {
             for &(w, _) in list {
-                table[at(w)] = 1;
+                slots[at(w)] = epoch;
             }
         }
-        let mut hit = 0u8;
+        out.clear();
         for list in probed {
             for &(w, _) in list {
-                hit |= table[at(w)];
+                if slots[at(w)] == epoch {
+                    out.push(w);
+                }
             }
         }
-        for list in marked {
-            for &(w, _) in list {
-                table[at(w)] = 0;
-            }
-        }
-        hit != 0
     }
 
     /// Hints that `u`'s extent header (`starts[u]`, `lens[u]`) will be
@@ -388,96 +370,43 @@ impl MultiplicityIndex {
     }
 }
 
-/// Key at `list[i]`, or [`NodeId::MAX`] once the cursor is past the end.
-#[inline]
-fn key_at(list: &[(NodeId, u32)], i: usize) -> NodeId {
-    list.get(i).map_or(NodeId::MAX, |&(w, _)| w)
-}
-
-/// Value at `list[i]` if its key is `w` (stepping the cursor past it),
-/// else 0.
-#[inline]
-fn take(list: &[(NodeId, u32)], i: &mut usize, w: NodeId) -> u32 {
-    match list.get(*i) {
-        Some(&(k, v)) if k == w => {
-            *i += 1;
-            v
-        }
-        _ => 0,
-    }
-}
-
-/// Union-by-union sorted intersection: calls `f(w, a_w, a2_w, b_w, b2_w)`
-/// for every key `w` present in `a` or `a2` **and** in `b` or `b2` (all
-/// four ascending `(key, value)` slices), in ascending key order, with 0
-/// for a slice that lacks `w`. Keys must be below [`NodeId::MAX`], which
-/// marks an exhausted cursor.
+/// The byte table [`MultiplicityIndex::gather_shared`] marks: a
+/// power-of-two number of slots, and the epoch of the last query.
 ///
-/// Each side's front is the smaller of its two cursors' keys. Equal
-/// fronts are a hit; otherwise both cursors of the trailing side catch
-/// up to the other front through `advance4`: four independent compares
-/// per quad (a form the autovectorizer can lift to SIMD), then a
-/// galloping search once a whole quad falls below the bound, so a hub
-/// pair against a leaf pair costs a logarithmic skip per leaf key
-/// instead of a linear walk.
-pub fn merge_unions<F: FnMut(NodeId, u32, u32, u32, u32)>(
-    a: &[(NodeId, u32)],
-    a2: &[(NodeId, u32)],
-    b: &[(NodeId, u32)],
-    b2: &[(NodeId, u32)],
-    mut f: F,
-) {
-    let (mut i, mut i2, mut j, mut j2) = (0usize, 0usize, 0usize, 0usize);
-    loop {
-        let left = key_at(a, i).min(key_at(a2, i2));
-        let right = key_at(b, j).min(key_at(b2, j2));
-        if left.max(right) == NodeId::MAX {
-            return; // one side is exhausted
-        }
-        if left == right {
-            let (va, va2) = (take(a, &mut i, left), take(a2, &mut i2, left));
-            let (vb, vb2) = (take(b, &mut j, left), take(b2, &mut j2, left));
-            f(left, va, va2, vb, vb2);
-        } else if left < right {
-            i = advance4(a, i, right);
-            i2 = advance4(a2, i2, right);
-        } else {
-            j = advance4(b, j, left);
-            j2 = advance4(b2, j2, left);
-        }
-    }
+/// A query marks with the next epoch, one byte no slot holds, so the
+/// marks of earlier queries never read as its own. After 255 queries the
+/// epochs run out, and the next query zeroes the table and starts again
+/// at 1: one fill of the table per 255 queries replaces a clearing
+/// pass per query.
+#[derive(Clone, Debug)]
+pub struct GatherTable {
+    slots: Box<[u8]>,
+    epoch: u8,
 }
 
-/// Advances `i` past every key of `list` strictly below `bound`.
-///
-/// One branchless quad first — the bound usually sits within a few
-/// slots. If the whole quad is below it, gallop: double the stride while
-/// the probed key stays below the bound, then `partition_point` the last
-/// window.
-#[inline]
-fn advance4(list: &[(NodeId, u32)], mut i: usize, bound: NodeId) -> usize {
-    if i + 4 <= list.len() {
-        let adv = (list[i].0 < bound) as usize
-            + (list[i + 1].0 < bound) as usize
-            + (list[i + 2].0 < bound) as usize
-            + (list[i + 3].0 < bound) as usize;
-        i += adv;
-        if adv < 4 {
-            return i;
+impl GatherTable {
+    /// An all-zero table of `len` slots.
+    ///
+    /// # Panics
+    /// Panics unless `len` is a power of two.
+    pub fn new(len: usize) -> Self {
+        assert!(len.is_power_of_two(), "gather table of {len} slots");
+        Self {
+            slots: vec![0; len].into_boxed_slice(),
+            epoch: 0,
         }
-        // Invariant: every key in `list[..i]` is below `bound`.
-        let mut step = 4usize;
-        while i + step <= list.len() && list[i + step - 1].0 < bound {
-            i += step;
-            step *= 2;
+    }
+
+    /// The next query's epoch, zeroing the table when the byte wraps.
+    #[inline]
+    fn next_epoch(&mut self) -> u8 {
+        if self.epoch == u8::MAX {
+            self.slots.fill(0);
+            self.epoch = 0;
         }
-        let hi = (i + step).min(list.len());
-        return i + list[i..hi].partition_point(|&(w, _)| w < bound);
+        self.epoch += 1;
+        self.epoch
     }
-    while i < list.len() && list[i].0 < bound {
-        i += 1;
-    }
-    i
 }
 
 #[cfg(test)]
@@ -614,23 +543,31 @@ mod tests {
             .collect()
     }
 
-    fn collected_unions(idx: &MultiplicityIndex, q: [NodeId; 4]) -> Vec<(NodeId, [u32; 4])> {
-        let mut out = Vec::new();
-        idx.for_each_common_of_unions(q[0], q[1], q[2], q[3], |w, a, a2, b, b2| {
-            out.push((w, [a, a2, b, b2]))
-        });
-        out
+    /// What the rewiring engine reads from a gather: its keys sorted and
+    /// deduplicated, each with its four multiplicities, kept only where
+    /// both unions hold it (a collision's key misses one side).
+    fn gathered_unions(
+        idx: &MultiplicityIndex,
+        q: [NodeId; 4],
+        table: &mut GatherTable,
+    ) -> (Vec<NodeId>, Vec<(NodeId, [u32; 4])>) {
+        let mut keys = Vec::new();
+        idx.gather_shared(q[0], q[1], q[2], q[3], table, &mut keys);
+        let raw = keys.clone();
+        keys.sort_unstable();
+        keys.dedup();
+        let common = keys
+            .into_iter()
+            .map(|w| (w, q.map(|x| idx.get(x, w))))
+            .filter(|(_, v)| v[0] + v[1] > 0 && v[2] + v[3] > 0)
+            .collect();
+        (raw, common)
     }
 
-    #[test]
-    fn merge_unions_matches_naive_on_all_quadruples() {
-        // Two hubs against leaves, multi-edges, self-loops, and every
-        // aliasing of the four nodes (a == a2, a == b, all equal); a
-        // separate path 151..=155 with a loop at its end gives unions
-        // that are disjoint. `may_share_neighbor` runs on every
-        // quadruple with a full-size table and with a two-byte one, where
-        // disjoint unions collide: its "disjoint" must always be right,
-        // and it must leave the table zeroed.
+    /// Two hubs against leaves, multi-edges, self-loops, and a separate
+    /// path 151..=155 with a loop at its end, whose unions with the rest
+    /// are disjoint.
+    fn quadruple_graph() -> (MultiplicityIndex, [NodeId; 12]) {
         let n = 150;
         let mut edges: Vec<(NodeId, NodeId)> = (2..=n as NodeId).map(|v| (0, v)).collect();
         edges.extend((2..n as NodeId).step_by(3).map(|v| (1, v)));
@@ -653,10 +590,20 @@ mod tests {
             (155, 155),
         ]);
         let g = Graph::from_edges(n + 6, &edges);
-        let idx = MultiplicityIndex::build(&g);
         let nodes = [0, 1, 2, 3, 4, 5, 6, 97, 150, 151, 153, 155];
-        let (mut full, mut tiny) = (vec![0u8; 1 << 14], [0u8; 2]);
-        // Per table: "disjoint" answers, and "may share" on disjoint
+        (MultiplicityIndex::build(&g), nodes)
+    }
+
+    #[test]
+    fn gather_matches_naive_on_all_quadruples() {
+        // Every aliasing of the four nodes (a == a2, a == b, all equal),
+        // with a full-size table and with a two-byte one, where disjoint
+        // unions collide: each gather must hold the naive common set, so
+        // it is empty only when that set is, and every key it holds must
+        // come from one of the unions.
+        let (idx, nodes) = quadruple_graph();
+        let mut tables = [GatherTable::new(1 << 14), GatherTable::new(2)];
+        // Per table: empty gathers, and nonempty gathers of disjoint
         // unions (collisions).
         let mut outcomes = [[0usize; 2]; 2];
         for a in nodes {
@@ -665,13 +612,15 @@ mod tests {
                     for b2 in nodes {
                         let q = [a, a2, b, b2];
                         let want = naive_unions(&idx, q);
-                        assert_eq!(collected_unions(&idx, q), want, "{q:?}");
-                        for (t, table) in [&mut full[..], &mut tiny[..]].into_iter().enumerate() {
-                            let may = idx.may_share_neighbor(a, a2, b, b2, table);
-                            assert!(may || want.is_empty(), "table {t}: {q:?} share {want:?}");
-                            assert!(table.iter().all(|&x| x == 0), "table {t} dirty: {q:?}");
-                            outcomes[t][0] += !may as usize;
-                            outcomes[t][1] += (may && want.is_empty()) as usize;
+                        for (t, table) in tables.iter_mut().enumerate() {
+                            let (raw, got) = gathered_unions(&idx, q, table);
+                            assert_eq!(got, want, "table {t}: {q:?}");
+                            assert!(!raw.is_empty() || want.is_empty(), "table {t}: {q:?}");
+                            for &w in &raw {
+                                assert!(q.iter().any(|&x| idx.has_edge(x, w)), "{q:?}: {w}");
+                            }
+                            outcomes[t][0] += raw.is_empty() as usize;
+                            outcomes[t][1] += (!raw.is_empty() && want.is_empty()) as usize;
                         }
                     }
                 }
@@ -681,16 +630,29 @@ mod tests {
     }
 
     #[test]
-    fn advance4_gallops_to_the_first_key_at_or_above_the_bound() {
-        let list: Vec<(NodeId, u32)> = (0..1000).map(|k| (2 * k, 1)).collect();
-        for start in [0, 1, 5, 17, 500, 996, 999, 1000] {
-            for bound in [0, 1, 7, 8, 9, 63, 64, 1001, 1998, 1999, 5000] {
-                let want = start.max(list.partition_point(|&(w, _)| w < bound));
-                assert_eq!(
-                    advance4(&list, start, bound),
-                    want,
-                    "start {start}, bound {bound}"
-                );
+    fn gather_after_the_epoch_wraps_matches_a_fresh_table() {
+        // 600 consecutive queries on one table cross the 255-query epoch
+        // wrap twice; every answer, order included, must be the one an
+        // all-zero table gives. Queries 0 and 300 mark N(5) = {97, 149}
+        // and probe the hub 0, which holds both; the others mark the
+        // path nodes' neighbours only and probe the hub too. So the marks
+        // of 97 and 149 outlive 254 queries, and a wrap that kept them
+        // would gather them again 255 queries later, under the same
+        // epoch.
+        let (idx, _) = quadruple_graph();
+        for len in [1 << 14, 64, 2] {
+            let mut reused = GatherTable::new(len);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for i in 0..600usize {
+                let x = if i % 300 == 0 {
+                    5
+                } else {
+                    [151, 153, 155][i % 3]
+                };
+                idx.gather_shared(x, x, 0, 0, &mut reused, &mut got);
+                let mut fresh = GatherTable::new(len);
+                idx.gather_shared(x, x, 0, 0, &mut fresh, &mut want);
+                assert_eq!(got, want, "{len}-slot table, query {i}: {x}");
             }
         }
     }

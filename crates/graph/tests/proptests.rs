@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sgr_graph::components::{connected_components, is_connected, largest_component};
-use sgr_graph::index::MultiplicityIndex;
+use sgr_graph::index::{GatherTable, MultiplicityIndex};
 use sgr_graph::{CsrGraph, Graph, GraphView, NodeId};
 use sgr_util::FxHashMap;
 
@@ -100,14 +100,21 @@ impl Model {
                 assert_eq!(idx.get(u, w), a, "A_{{{u},{w}}}");
             }
         }
+        let mut table = GatherTable::new(1 << 6);
+        let mut keys = Vec::new();
         for &x in focus {
             let xs = self.sorted(x);
             for y in focus.iter().copied().chain((0..n).step_by(23)) {
-                let mut got = Vec::new();
-                idx.for_each_common_of_unions(x, x, y, y, |w, a, a2, b, b2| {
-                    assert_eq!((a, b), (a2, b2), "aliased lists disagree at {w}");
-                    got.push((w, a, b))
-                });
+                // The gather holds every common neighbour; its collisions
+                // miss one side.
+                idx.gather_shared(x, x, y, y, &mut table, &mut keys);
+                keys.sort_unstable();
+                keys.dedup();
+                let got: Vec<_> = keys
+                    .iter()
+                    .map(|&w| (w, idx.get(x, w), idx.get(y, w)))
+                    .filter(|&(_, a, b)| a > 0 && b > 0)
+                    .collect();
                 let want: Vec<_> = xs
                     .iter()
                     .filter_map(|&(w, a)| self.0[y as usize].get(&w).map(|&b| (w, a, b)))

@@ -33,8 +33,9 @@
 //! freeze it once into a [`sgr_graph::CsrGraph`] and hand the snapshot to
 //! all 12 computations. [`StructuralProperties::compute`] itself extracts
 //! the largest component straight into a CSR snapshot
-//! ([`sgr_graph::components::largest_component_csr`]) before running the
-//! BFS-heavy global kernels. Results are bitwise-identical across the two
+//! ([`sgr_graph::components::proper_largest_component_csr`]) before
+//! running the BFS-heavy global kernels, unless that component is the
+//! whole graph, which they then read as it is. Results are bitwise-identical across the two
 //! backends when the snapshot is order-preserving
 //! ([`sgr_graph::CsrGraph::freeze`]); the property tests in
 //! `tests/backend_equivalence.rs` pin that guarantee.
@@ -70,7 +71,7 @@ pub mod paths;
 pub mod spectral;
 pub mod triangles;
 
-use sgr_graph::components::largest_component_csr;
+use sgr_graph::components::proper_largest_component_csr;
 use sgr_graph::GraphView;
 
 /// Names of the 12 properties in the paper's table order.
@@ -118,6 +119,18 @@ impl PropsConfig {
     }
 }
 
+/// Properties 8–11 of a connected graph: the shortest-path properties
+/// and `{b̄(k)}`.
+fn path_properties<G: GraphView + Sync>(
+    g: &G,
+    cfg: &PropsConfig,
+) -> (paths::ShortestPathProperties, Vec<f64>) {
+    (
+        paths::shortest_path_properties(g, cfg),
+        betweenness::betweenness_by_degree(g, cfg),
+    )
+}
+
 /// All 12 properties of one graph.
 #[derive(Clone, Debug)]
 pub struct StructuralProperties {
@@ -151,15 +164,16 @@ pub struct StructuralProperties {
 
 impl StructuralProperties {
     /// Computes all 12 properties of `g` (any [`GraphView`] backend).
-    pub fn compute<G: GraphView>(g: &G, cfg: &PropsConfig) -> Self {
+    pub fn compute<G: GraphView + Sync>(g: &G, cfg: &PropsConfig) -> Self {
         let local = local::LocalProperties::compute(g);
         // Global properties on the largest connected component, as in the
-        // paper (§V-B); the component is extracted straight into a CSR
-        // snapshot (no intermediate per-node-Vec Graph) and the BFS-heavy
-        // kernels read the flat arena.
-        let (lcc, _) = largest_component_csr(g);
-        let sp = paths::shortest_path_properties(&lcc, cfg);
-        let btw = betweenness::betweenness_by_degree(&lcc, cfg);
+        // paper (§V-B). A component short of the whole graph is extracted
+        // straight into a CSR snapshot; a connected graph is its own
+        // largest component, and the copy would change no list.
+        let (sp, btw) = match proper_largest_component_csr(g) {
+            Some((lcc, _)) => path_properties(&lcc, cfg),
+            None => path_properties(g, cfg),
+        };
         // λ1 alone reads the whole graph.
         let lambda1 = spectral::largest_eigenvalue(g, 1e-10, 1000);
         Self {
@@ -255,6 +269,85 @@ mod tests {
         for d in p1.l1_distances(&p2) {
             assert_eq!(d, 0.0);
         }
+    }
+
+    /// Every property as raw bits, in [`PROPERTY_NAMES`] order.
+    fn bits(p: &StructuralProperties) -> Vec<u64> {
+        let scalars = [p.num_nodes, p.avg_degree, p.mean_clustering];
+        let lists = [
+            &p.degree_dist,
+            &p.knn,
+            &p.clustering_by_degree,
+            &p.shared_partner_dist,
+            &p.path_length_dist,
+            &p.betweenness_by_degree,
+        ];
+        let rest = [p.avg_path_length, p.diameter, p.lambda1];
+        let lens = lists.iter().map(|l| l.len() as f64);
+        scalars
+            .into_iter()
+            .chain(lens)
+            .chain(lists.into_iter().flatten().copied())
+            .chain(rest)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn connected_graphs_skip_the_component_copy_bit_for_bit() {
+        use sgr_graph::components::{is_connected, largest_component_csr};
+        use sgr_graph::{CsrGraph, Graph, NodeId};
+        use sgr_util::Xoshiro256pp;
+        // Properties 8–11 read off the extracted component copy, as
+        // every graph's were before connected graphs skipped it.
+        fn via_copy<G: GraphView + Sync>(g: &G, cfg: &PropsConfig) -> StructuralProperties {
+            let (lcc, _) = largest_component_csr(g);
+            let (sp, btw) = path_properties(&lcc, cfg);
+            StructuralProperties {
+                avg_path_length: sp.average_length,
+                path_length_dist: sp.length_dist,
+                diameter: sp.diameter as f64,
+                betweenness_by_degree: btw,
+                ..StructuralProperties::compute(g, cfg)
+            }
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(31);
+        let mut connected = sgr_gen::holme_kim(400, 3, 0.5, &mut rng).unwrap();
+        for (u, v) in [(3, 3), (5, 9), (5, 9), (40, 41)] {
+            connected.add_edge(u, v);
+        }
+        // The same graph with a second component and isolated nodes.
+        let mut split = Graph::with_nodes(connected.num_nodes() + 8);
+        for (u, v) in connected.edges() {
+            split.add_edge(u, v);
+        }
+        let n = connected.num_nodes() as NodeId;
+        for v in n..n + 4 {
+            split.add_edge(v, v + 1);
+        }
+        assert!(is_connected(&connected) && !is_connected(&split));
+        let exact = PropsConfig::default();
+        let sampled = PropsConfig {
+            exact_threshold: 100,
+            num_pivots: 48,
+            ..exact
+        };
+        for cfg in [exact, sampled] {
+            for g in [&connected, &split] {
+                let want = bits(&via_copy(g, &cfg));
+                assert_eq!(bits(&StructuralProperties::compute(g, &cfg)), want);
+                for csr in [CsrGraph::freeze(g), CsrGraph::freeze_sorted(g)] {
+                    let got = StructuralProperties::compute(&csr, &cfg);
+                    assert_eq!(bits(&got), bits(&via_copy(&csr, &cfg)));
+                }
+            }
+        }
+        let empty = Graph::with_nodes(0);
+        let cfg = PropsConfig::default();
+        assert_eq!(
+            bits(&StructuralProperties::compute(&empty, &cfg)),
+            bits(&via_copy(&empty, &cfg))
+        );
     }
 
     #[test]
