@@ -28,8 +28,8 @@
 //! [`RewireEngine`] instead *predicts* the swap's effect without touching
 //! shared state:
 //!
-//! 0. **Disjointness filter.** Most picks cannot matter: the swap creates
-//!    and destroys no triangle. Every toggled edge joins a node of
+//! 0. **Gather, and the disjointness filter.** Most picks cannot
+//!    matter: the swap creates and destroys no triangle. Every toggled edge joins a node of
 //!    `{v_i, v_{i'}}` to a node of `{v_j, v_{j'}}`, so a triangle a toggle
 //!    creates or destroys has a third node `w` adjacent to one node of
 //!    each pair. If `w` is not an endpoint, its adjacency is raw, so `w`
@@ -59,14 +59,14 @@
 //!    deduplicated, are all the evaluation reads: four index lookups per
 //!    key give every such `Δt_w` in ascending `w`, and per toggle the sum
 //!    `Σ_w A_uw·A_vw` (a collision's key reads a zero on one side and
-//!    adds nothing). The
-//!    ≤ 4 endpoints then replay the toggles in sequence against a 4×4
-//!    *effective adjacency* (the index's values among them, with the
-//!    toggles emulated so far applied), so the interaction terms between
-//!    toggles (e.g. the `A_{v_j v_{j'}}` and `A_{v_i v_{i'}}` corrections)
-//!    fall out arithmetically: each toggle sees exactly the intermediate
-//!    state the sequential reference sees, and the per-node triangle
-//!    deltas `Δt_i` match the reference integer for integer.
+//!    adds nothing). The ≤ 4 endpoints then replay the toggles in
+//!    sequence against a 4×4 *effective adjacency* (the index's values
+//!    among them, with the toggles emulated so far applied), so the
+//!    interaction terms between toggles (e.g. the `A_{v_j v_{j'}}` and
+//!    `A_{v_i v_{i'}}` corrections) fall out arithmetically: each toggle
+//!    sees exactly the intermediate state the sequential reference sees,
+//!    and the per-node triangle deltas `Δt_i` match the reference integer
+//!    for integer.
 //! 2. **Decision.** The nonzero `Δt` entries are summed per degree into
 //!    exact integer changes `ΔT_k` of `T_k = Σ_{deg i = k} t_i`, and the
 //!    swap's change of `D` is `Σ_k [term(k, T_k + ΔT_k) − term(k, T_k)]`
@@ -82,9 +82,9 @@
 //!    already known. Rejected attempts touch no shared state at all, which
 //!    a debug-build mutation counter on the index asserts.
 //!
-//! All per-attempt working memory is the filter's fixed table, the
-//! gathered keys and a `(node, Δt)` list, each reserved once to its worst
-//! case, a per-degree
+//! All per-attempt working memory is the gather's fixed table, the
+//! gathered keys (at most `2·k_max`) and a `(node, Δt)` list, each
+//! reserved once to its worst case, a per-degree
 //! [`sgr_util::scratch::ScratchAccum`] for the decision, and fixed-size
 //! arrays on the stack; nothing is sized by the node count. The
 //! multiplicity index updates in place inside fixed per-node extents, so
@@ -103,8 +103,8 @@
 //! those inputs: a sort, four binary-searched lookups per key in
 //! extents the gather has just read, at most six lookups among the
 //! endpoints, and a fold over the τ nonzero `Δt` entries (O(τ) plus a
-//! sort of the few touched degrees). No step reads an extent through a
-//! second time.
+//! sort of the few touched degrees). Only the gather reads an extent
+//! through.
 //! An accepted attempt adds four scan-free index toggles and O(1)
 //! slot/bucket bookkeeping. The apply-rollback reference pays an
 //! iterate-and-probe evaluation *plus* eight mutating toggles (four of
