@@ -298,8 +298,8 @@ mod tests {
         use sgr_graph::components::{is_connected, largest_component_csr};
         use sgr_graph::{CsrGraph, Graph, NodeId};
         use sgr_util::Xoshiro256pp;
-        // Properties 8–11 read off the extracted component copy, as
-        // every graph's were before connected graphs skipped it.
+        // The reference: properties 8–11 always read off the extracted
+        // copy of the largest component.
         fn via_copy<G: GraphView + Sync>(g: &G, cfg: &PropsConfig) -> StructuralProperties {
             let (lcc, _) = largest_component_csr(g);
             let (sp, btw) = path_properties(&lcc, cfg);
