@@ -196,16 +196,24 @@ pub struct SectionHeader {
     pub checksum: u64,
 }
 
+/// The 32-byte section header for `payload` under `kind`, its checksum
+/// computed over the payload in place.
+fn section_header(kind: u32, payload: &[u8]) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header[12..16].copy_from_slice(&kind.to_le_bytes());
+    header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[24..32].copy_from_slice(&checksum(payload).to_le_bytes());
+    header
+}
+
 /// Builds the full section byte stream (header + payload) for `payload`
 /// under `kind` — the exact bytes [`write_section`] persists, exposed so
 /// the same container can travel over a socket as a wire payload.
 pub fn encode_section(kind: u32, payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&kind.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&checksum(payload).to_le_bytes());
+    bytes.extend_from_slice(&section_header(kind, payload));
     bytes.extend_from_slice(payload);
     bytes
 }
@@ -213,7 +221,9 @@ pub fn encode_section(kind: u32, payload: &[u8]) -> Vec<u8> {
 /// Writes `payload` under the snapshot container format, atomically and
 /// durably: the bytes go to a `<path>.tmp` sibling which is fsynced and
 /// renamed over `path`, and the parent directory is fsynced afterwards so
-/// the rename survives a crash (see the module docs).
+/// the rename survives a crash (see the module docs). The header and
+/// the caller's payload are written one after the other, so the payload
+/// is never copied into a section-sized buffer.
 pub fn write_section<P: AsRef<Path>>(
     path: P,
     kind: u32,
@@ -225,7 +235,8 @@ pub fn write_section<P: AsRef<Path>>(
     let tmp = std::path::PathBuf::from(tmp);
     {
         let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        file.write_all(&encode_section(kind, payload))?;
+        file.write_all(&section_header(kind, payload))?;
+        file.write_all(payload)?;
         file.flush()?;
         file.get_ref().sync_all()?;
     }
@@ -1001,10 +1012,32 @@ mod tests {
             decode_section(b"hello", KIND_JOB_SPEC).unwrap_err(),
             SnapshotError::BadMagic
         ));
-        // encode_section bytes are exactly what write_section persists.
+    }
+
+    #[test]
+    fn write_section_persists_exactly_the_encode_section_bytes() {
         let path = tmp("encode_matches_disk.snap");
-        write_section(&path, KIND_JOB_SPEC, &payload).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        let kinds = [
+            KIND_CSR_GRAPH,
+            KIND_RESTORE_CHECKPOINT,
+            KIND_JOB_SPEC,
+            KIND_JOB_STATE,
+        ];
+        // Lengths on both sides of a checksum word and of the writer's
+        // 8 KiB buffer.
+        for (i, len) in [0usize, 1, 8, 13, 8 * 1024 - 32, 8 * 1024 + 5, 100_003]
+            .into_iter()
+            .enumerate()
+        {
+            let payload: Vec<u8> = (0..len).map(|b| (b * 31 + i) as u8).collect();
+            let kind = kinds[i % kinds.len()];
+            write_section(&path, kind, &payload).unwrap();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                encode_section(kind, &payload),
+                "kind {kind}, {len} payload bytes"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -63,10 +63,15 @@ pub struct Client {
 impl Client {
     /// Connects. Responses are read under [`DEFAULT_MAX_FRAME_BYTES`],
     /// the server's default frame cap.
+    ///
+    /// The stream gets `TCP_NODELAY`: the transport rule is one write per
+    /// frame and no Nagle delay on either end (see [`write_frame`]).
+    /// Without it, a request whose header the server has not yet ACKed
+    /// waits for the server's delayed ACK, ~40 ms per round trip.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 
     fn request(&mut self, frame_type: u32, payload: &[u8]) -> Result<(u32, Vec<u8>), ClientError> {

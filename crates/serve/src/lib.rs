@@ -35,6 +35,15 @@
 //! and at worst closes that one connection; it never takes down the
 //! server or other clients' jobs.
 //!
+//! Transport rule: one write per frame, and `TCP_NODELAY` on both ends
+//! ([`Client::connect`] and the server's connection handler set it;
+//! [`protocol::write_frame`] sends header and payload in one vectored
+//! write). Request/response over TCP is the write-write-read pattern
+//! Nagle's algorithm punishes: a frame whose payload trails its header
+//! in a second small segment waits for the peer's delayed ACK of the
+//! header, ~40 ms. Without the rule a `list` round trip measured ~43 ms
+//! on localhost, and a `status` round trip ~89 ms.
+//!
 //! ## Durability model
 //!
 //! The state root holds one directory per job (see [`job`]). Every file

@@ -353,7 +353,14 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// magic, oversize declaration, truncation) also gets a best-effort
 /// [`RESP_ERROR`], but then the connection closes: byte alignment is
 /// lost, so nothing after it can be trusted.
+///
+/// Transport rule: one write per frame ([`write_frame`]) and
+/// `TCP_NODELAY` on both ends, so a response never waits on Nagle's
+/// algorithm for the client's delayed ACK (~40 ms, which made every
+/// round trip cost ~43 ms or more on localhost). A stream that refuses
+/// the option is still served, only slower.
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+    let _ = stream.set_nodelay(true);
     loop {
         match read_frame(&mut stream, shared.cfg.max_frame_bytes) {
             Ok(None) => return,

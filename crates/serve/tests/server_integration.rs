@@ -13,6 +13,9 @@
 //! 3. **Hostile input** — malformed, truncated, oversize, and
 //!    unknown-type frames produce typed errors without taking down the
 //!    server or other clients' jobs.
+//!
+//! Round trips are also timed: one write per frame and `TCP_NODELAY` on
+//! both ends keep a request/response pair from waiting on a delayed ACK.
 
 use std::io::{Cursor, Write};
 use std::net::TcpStream;
@@ -557,6 +560,42 @@ fn adoption_fails_unfinished_refused_designs_and_keeps_finished_ones() {
     assert_eq!((done.nodes, done.edges), (1, 2));
     assert_eq!(client.fetch(3).unwrap(), result);
     assert_eq!(client.list().unwrap().len(), 3);
+
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The transport rule (one write per frame, `TCP_NODELAY` on both ends)
+/// holds: 100 small round trips on one connection take well under a
+/// second. A frame whose payload trails its header in a second segment
+/// waits ~40 ms for the peer's delayed ACK, which puts these 100 round
+/// trips at several seconds.
+#[test]
+fn small_round_trips_do_not_wait_for_delayed_acks() {
+    let root = state_root("round-trips");
+    let handle = sgr_serve::start(serve_cfg(root.clone())).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let t = Instant::now();
+    for _ in 0..50 {
+        assert!(client.list().unwrap().is_empty());
+    }
+    let lists = t.elapsed();
+    let t = Instant::now();
+    for _ in 0..50 {
+        match client.status(u64::MAX) {
+            Err(ClientError::Server { code, .. }) => {
+                assert_eq!(code, sgr_serve::protocol::ERR_UNKNOWN_JOB)
+            }
+            other => panic!("status of an unknown job: {other:?}"),
+        }
+    }
+    let statuses = t.elapsed();
+    assert!(
+        lists + statuses < Duration::from_secs(1),
+        "50 list round trips took {lists:?}, 50 status round trips {statuses:?}"
+    );
 
     client.shutdown_server().unwrap();
     handle.join();
