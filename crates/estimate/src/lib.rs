@@ -36,17 +36,14 @@
 //! reads; no estimator hashes a node id again. [`estimate_all`] builds the
 //! index once; the public per-estimator functions build their own.
 //!
-//! The accumulator-heavy estimators (the size estimator's observed-node
-//! fallback, the JDD's IE/TE tallies) run on epoch-stamped arenas from
-//! [`sgr_util::scratch`] instead of hash sets/maps, the same discipline
-//! the rewiring engine and the property kernels follow; [`estimate_all`]
-//! shares one set of arenas across its estimators. Every float is
-//! accumulated in the order the hash-map implementation used (per key,
-//! ascending step, then neighbour order), so results are bitwise
-//! identical to it.
+//! The size estimator's observed-node fallback marks nodes in an
+//! epoch-stamped set from [`sgr_util::scratch`]. The JDD's IE and TE
+//! tallies accumulate per degree pair in hash maps, each key's
+//! contributions summed in walk order (ascending step, then neighbour
+//! order), so every value is a fixed function of the walk.
 
 use sgr_sample::Crawl;
-use sgr_util::scratch::{DirtyStampSet, ScratchAccum};
+use sgr_util::scratch::DirtyStampSet;
 use sgr_util::FxHashMap;
 
 /// Errors from the estimators.
@@ -73,26 +70,11 @@ impl std::error::Error for EstimateError {}
 /// threshold `M` (the paper follows Hardiman & Katzir and uses `0.025 r`).
 pub const PAIR_GAP_FRACTION: f64 = 0.025;
 
-/// Ceiling on the dense rank-pair key space of the JDD accumulators
-/// (2M keys ≈ 25 MB of arena). Walks whose distinct-degree count squared
-/// exceeds this fall back to hash-map accumulation — same values, just
-/// without the dense-arena speed.
-const MAX_DENSE_PAIR_KEYS: usize = 1 << 21;
-
-/// Epoch-stamped scratch for the estimators; see the module docs.
-/// Arenas are sized per walk and O(1)-cleared per call.
+/// Epoch-stamped scratch for the size estimator's observed-node fallback.
 #[derive(Debug, Default)]
 struct EstimateScratch {
     /// Observed-node marks (size-estimator collision-free fallback).
     observed: DirtyStampSet,
-    /// Walk degree → dense rank, assigned in first-visit order.
-    rank_of: ScratchAccum<u32>,
-    /// Inverse of `rank_of`: rank → degree.
-    degree_by_rank: Vec<u32>,
-    /// Induced-edge tallies keyed by packed rank pair.
-    ie: ScratchAccum<f64>,
-    /// Traversed-edge tallies keyed by packed rank pair.
-    te: ScratchAccum<f64>,
 }
 
 /// Marks a neighbour the walk never stood on in [`WalkIndex`].
@@ -393,98 +375,52 @@ pub fn estimate_jdd(crawl: &Crawl) -> Result<FxHashMap<(u32, u32), f64>, Estimat
     let mut scratch = EstimateScratch::default();
     let n_hat = num_nodes(&index, crawl, &mut scratch)?;
     let k_hat = average_degree(&index)?;
-    jdd(&index, n_hat, k_hat, &mut scratch)
+    jdd(&index, n_hat, k_hat)
 }
 
-/// [`estimate_jdd`] on the given arenas, from the walk's `n̂` and `k̄̂`.
-///
-/// The IE/TE tallies accumulate in dense epoch-stamped arenas keyed by
-/// *degree rank* (walk degrees remapped to `0..num_ranks` in first-visit
-/// order), so the key space is `num_ranks²` — a few thousand entries for
-/// a social-graph walk — instead of `k_max²`. Walks with so many
-/// distinct degrees that `num_ranks²` exceeds `MAX_DENSE_PAIR_KEYS`
-/// take a hash-map fallback with identical results.
+/// [`estimate_jdd`] from the walk's `n̂` and `k̄̂`. The IE and TE tallies
+/// accumulate per degree pair in hash maps, each key's contributions
+/// summed in walk order (ascending step, then neighbour order).
 fn jdd(
     index: &WalkIndex,
     n_hat: f64,
     k_hat: f64,
-    scratch: &mut EstimateScratch,
 ) -> Result<FxHashMap<(u32, u32), f64>, EstimateError> {
     let r = index.len();
     need_steps(r, 2)?;
     let m = pair_gap(r);
     let num_pairs = num_gap_pairs(r, m);
 
-    // Degree ranks in first-visit order. Every degree the IE/TE loops
-    // see belongs to a *walked* node (IE skips unwalked neighbours), so
-    // ranking the step degrees covers all.
-    let k_max_walk = index.step_deg.iter().copied().max().unwrap_or(0) as usize;
-    scratch.rank_of.ensure_keys(k_max_walk + 1);
-    scratch.rank_of.begin();
-    scratch.degree_by_rank.clear();
-    for &d in &index.step_deg {
-        if !scratch.rank_of.is_touched(d) {
-            let rank = scratch.degree_by_rank.len() as u32;
-            *scratch.rank_of.entry_or(d, rank) = rank;
-            scratch.degree_by_rank.push(d);
-        }
-    }
-    let nr = scratch.degree_by_rank.len();
-    if nr.saturating_mul(nr) > MAX_DENSE_PAIR_KEYS {
-        return jdd_hybrid_hashed(index, n_hat, k_hat, m, num_pairs);
-    }
-    let EstimateScratch {
-        rank_of,
-        degree_by_rank,
-        ie,
-        te,
-        ..
-    } = scratch;
-    let pair_key = |k: u32, k2: u32| rank_of.get(k) * nr as u32 + rank_of.get(k2);
-
     // --- IE: Φ(k,k') = 1/(k k' |I|) Σ_{(i,j)∈I} 1{d=k, d=k'} A_{x_i x_j}.
-    ie.ensure_keys(nr * nr);
-    ie.begin();
+    let mut ie: FxHashMap<(u32, u32), f64> = FxHashMap::default();
     if num_pairs > 0 {
         for_each_induced_count(index, m, |k, k2, cnt| {
-            *ie.entry_or(pair_key(k, k2), 0.0) += cnt;
+            *ie.entry((k, k2)).or_insert(0.0) += cnt;
         });
     }
 
     // --- TE: consecutive pairs, both orientations.
-    te.ensure_keys(nr * nr);
-    te.begin();
+    let mut te: FxHashMap<(u32, u32), f64> = FxHashMap::default();
     let te_norm = 1.0 / (2.0 * (r as f64 - 1.0));
     for pair in index.step_deg.windows(2) {
         let (k, k2) = (pair[0], pair[1]);
-        *te.entry_or(pair_key(k, k2), 0.0) += te_norm;
-        *te.entry_or(pair_key(k2, k), 0.0) += te_norm;
+        *te.entry((k, k2)).or_insert(0.0) += te_norm;
+        *te.entry((k2, k)).or_insert(0.0) += te_norm;
     }
 
     // --- Hybrid with threshold 2 k̄̂.
-    let decode = |key: u32| {
-        (
-            degree_by_rank[key as usize / nr],
-            degree_by_rank[key as usize % nr],
-        )
-    };
     let mut out: FxHashMap<(u32, u32), f64> = FxHashMap::default();
     let threshold = 2.0 * k_hat;
-    if num_pairs > 0 {
-        for &key in ie.touched() {
-            let (k, k2) = decode(key);
-            if (k + k2) as f64 >= threshold {
-                let phi = ie.get(key) / (k as f64 * k2 as f64 * num_pairs as f64);
-                let p = n_hat * k_hat * phi;
-                if p > 0.0 {
-                    out.insert((k, k2), p);
-                }
+    for (&(k, k2), &raw) in &ie {
+        if (k + k2) as f64 >= threshold {
+            let phi = raw / (k as f64 * k2 as f64 * num_pairs as f64);
+            let p = n_hat * k_hat * phi;
+            if p > 0.0 {
+                out.insert((k, k2), p);
             }
         }
     }
-    for &key in te.touched() {
-        let (k, k2) = decode(key);
-        let p = te.get(key);
+    for (&(k, k2), &p) in &te {
         if ((k + k2) as f64) < threshold && p > 0.0 {
             out.insert((k, k2), p);
         }
@@ -493,10 +429,10 @@ fn jdd(
     Ok(out)
 }
 
-/// The IE pass both JDD paths share: for each step `i` (ascending) and
-/// each walked neighbour `u` of `x_i` (in neighbour order), calls
-/// `f(d_{x_i}, d_u, c)` with `c > 0` the number of `u`'s visits at least
-/// `M` steps from `i`, counted by binary search in `u`'s positions.
+/// The IE pass: for each step `i` (ascending) and each walked neighbour
+/// `u` of `x_i` (in neighbour order), calls `f(d_{x_i}, d_u, c)` with
+/// `c > 0` the number of `u`'s visits at least `M` steps from `i`,
+/// counted by binary search in `u`'s positions.
 fn for_each_induced_count(index: &WalkIndex, m: usize, mut f: impl FnMut(u32, u32, f64)) {
     for (i, (&w, &k)) in index.step_id.iter().zip(&index.step_deg).enumerate() {
         for &u in index.neighbors(w) {
@@ -513,53 +449,6 @@ fn for_each_induced_count(index: &WalkIndex, m: usize, mut f: impl FnMut(u32, u3
             }
         }
     }
-}
-
-/// Hash-map accumulation path of [`estimate_jdd`], for walks whose
-/// distinct-degree count overflows the dense rank-pair arena. Values are
-/// identical — per-key accumulation order matches the arena path.
-#[cold]
-fn jdd_hybrid_hashed(
-    index: &WalkIndex,
-    n_hat: f64,
-    k_hat: f64,
-    m: usize,
-    num_pairs: u64,
-) -> Result<FxHashMap<(u32, u32), f64>, EstimateError> {
-    let r = index.len();
-    let mut ie_raw: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-    if num_pairs > 0 {
-        for_each_induced_count(index, m, |k, k2, cnt| {
-            *ie_raw.entry((k, k2)).or_insert(0.0) += cnt;
-        });
-    }
-    let mut te: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-    let te_norm = 1.0 / (2.0 * (r as f64 - 1.0));
-    for pair in index.step_deg.windows(2) {
-        let (k, k2) = (pair[0], pair[1]);
-        *te.entry((k, k2)).or_insert(0.0) += te_norm;
-        *te.entry((k2, k)).or_insert(0.0) += te_norm;
-    }
-    let mut out: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-    let threshold = 2.0 * k_hat;
-    if num_pairs > 0 {
-        for (&(k, k2), &raw) in ie_raw.iter() {
-            if (k + k2) as f64 >= threshold {
-                let phi = raw / (k as f64 * k2 as f64 * num_pairs as f64);
-                let p = n_hat * k_hat * phi;
-                if p > 0.0 {
-                    out.insert((k, k2), p);
-                }
-            }
-        }
-    }
-    for (&(k, k2), &p) in te.iter() {
-        if ((k + k2) as f64) < threshold && p > 0.0 {
-            out.insert((k, k2), p);
-        }
-    }
-    symmetrize(&mut out);
-    Ok(out)
 }
 
 /// Enforces JDD symmetry (IE accumulation is symmetric in expectation
@@ -642,7 +531,7 @@ pub fn estimate_all(crawl: &Crawl) -> Result<Estimates, EstimateError> {
         n_hat,
         avg_degree_hat,
         degree_dist: degree_distribution(&index)?,
-        jdd: jdd(&index, n_hat, avg_degree_hat, &mut scratch)?,
+        jdd: jdd(&index, n_hat, avg_degree_hat)?,
         clustering: clustering(&index)?,
     })
 }
@@ -861,35 +750,6 @@ mod tests {
                 crawl.neighbors.insert(x, g.neighbors(x).to_vec());
             }
             assert_eq!(estimate_num_nodes(&crawl).unwrap(), expect);
-        }
-    }
-
-    #[test]
-    fn hashed_jdd_fallback_matches_the_arena_path_bitwise() {
-        // The fallback only runs on walks with > 1448 distinct degrees;
-        // call it directly on small walks and hold it to the arena path.
-        let cases = [(300, 3, 0.5, 40), (800, 4, 0.3, 120), (60, 2, 0.9, 15)];
-        for (seed, &(n, m, pt, target)) in cases.iter().enumerate() {
-            let seed = seed as u64;
-            let g =
-                sgr_gen::holme_kim(n, m, pt, &mut Xoshiro256pp::seed_from_u64(40 + seed)).unwrap();
-            let crawl = walk_on(&g, target, 50 + seed);
-            let r = crawl.len();
-            let m = pair_gap(r);
-            let index = WalkIndex::build(&crawl);
-            let n_hat = estimate_num_nodes(&crawl).unwrap();
-            let k_hat = estimate_average_degree(&crawl).unwrap();
-            let hashed = jdd_hybrid_hashed(&index, n_hat, k_hat, m, num_gap_pairs(r, m)).unwrap();
-            let arena = estimate_jdd(&crawl).unwrap();
-            assert!(!arena.is_empty());
-            assert_eq!(hashed.len(), arena.len(), "case {seed}");
-            for (key, p) in &arena {
-                assert_eq!(
-                    hashed.get(key).map(|q| q.to_bits()),
-                    Some(p.to_bits()),
-                    "case {seed}, key {key:?}"
-                );
-            }
         }
     }
 

@@ -2,8 +2,10 @@
 //! basic sanity on arbitrary connected graphs and walks. (Unbiasedness is
 //! tested by Monte-Carlo integration tests at the workspace level.)
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use sgr_estimate::{estimate_all, Estimates};
+use sgr_estimate::{estimate_all, Estimates, PAIR_GAP_FRACTION};
 use sgr_graph::components::largest_component;
 use sgr_graph::Graph;
 use sgr_sample::{random_walk, AccessModel, Crawl};
@@ -58,6 +60,64 @@ fn check_estimates(g: &Graph, crawl: &Crawl, est: &Estimates) {
     // Monte-Carlo integration tests.
 }
 
+/// `P̂(k, k')` by the literal §III-E double loop, from the walk's `n̂`
+/// and `k̄̂`: induced edges (IE) over ordered step pairs at least `M`
+/// apart, traversed edges (TE) over consecutive pairs in both
+/// orientations, IE where `k + k' ≥ 2 k̄̂` and TE below it, and the two
+/// orientations of each off-diagonal pair averaged.
+fn jdd_by_formula(crawl: &Crawl, n_hat: f64, k_hat: f64) -> BTreeMap<(u32, u32), f64> {
+    let r = crawl.len();
+    let m = ((r as f64 * PAIR_GAP_FRACTION) as usize).max(1);
+    let deg = |i: usize| crawl.degree_of_step(i) as u32;
+
+    // IE: the copies of x_j in N(x_i), summed by degree pair.
+    let mut ie: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    let mut num_pairs = 0u64;
+    for i in 0..r {
+        let nbrs = crawl.neighbors_of(crawl.seq[i]);
+        for j in 0..r {
+            if i.abs_diff(j) < m {
+                continue;
+            }
+            num_pairs += 1;
+            let copies = nbrs.iter().filter(|&&v| v == crawl.seq[j]).count();
+            if copies > 0 {
+                *ie.entry((deg(i), deg(j))).or_insert(0.0) += copies as f64;
+            }
+        }
+    }
+
+    // TE: consecutive pairs, each counted in both orientations.
+    let mut te: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    for i in 1..r {
+        let (k, k2) = (deg(i - 1), deg(i));
+        *te.entry((k, k2)).or_insert(0) += 1;
+        *te.entry((k2, k)).or_insert(0) += 1;
+    }
+
+    let threshold = 2.0 * k_hat;
+    let mut hybrid: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    for (&(k, k2), &raw) in &ie {
+        if (k + k2) as f64 >= threshold {
+            let p = n_hat * k_hat * raw / (k as f64 * k2 as f64 * num_pairs as f64);
+            hybrid.insert((k, k2), p);
+        }
+    }
+    for (&(k, k2), &c) in &te {
+        if ((k + k2) as f64) < threshold {
+            hybrid.insert((k, k2), c as f64 / (2.0 * (r as f64 - 1.0)));
+        }
+    }
+    let mut out = BTreeMap::new();
+    for &(k, k2) in hybrid.keys() {
+        let a = hybrid.get(&(k, k2)).copied().unwrap_or(0.0);
+        let b = hybrid.get(&(k2, k)).copied().unwrap_or(0.0);
+        out.insert((k, k2), (a + b) / 2.0);
+        out.insert((k2, k), (a + b) / 2.0);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -110,5 +170,23 @@ proptest! {
         prop_assert_eq!(a.avg_degree_hat, b.avg_degree_hat);
         prop_assert_eq!(a.degree_dist, b.degree_dist);
         prop_assert_eq!(a.clustering, b.clustering);
+    }
+
+    #[test]
+    fn jdd_matches_the_section_3e_formula(g in arb_graph(), seed in 0u64..100_000, frac in 0.05f64..1.0) {
+        let mut crawl = crawl_on(&g, frac, seed);
+        crawl.seq.truncate(400);
+        let est = estimate_all(&crawl).unwrap();
+        let expect = jdd_by_formula(&crawl, est.n_hat, est.avg_degree_hat);
+        prop_assert!(!expect.is_empty());
+        let got: BTreeMap<(u32, u32), f64> = est.jdd.iter().map(|(&k, &p)| (k, p)).collect();
+        prop_assert_eq!(got.keys().collect::<Vec<_>>(), expect.keys().collect::<Vec<_>>());
+        for (key, &p) in &expect {
+            let q = got[key];
+            prop_assert!(
+                (p - q).abs() <= 1e-12 * p.abs().max(q.abs()),
+                "P̂{key:?}: estimator {q} vs formula {p}"
+            );
+        }
     }
 }
