@@ -1,12 +1,13 @@
-//! Ablations of the design choices DESIGN.md §6 calls out:
+//! Ablations of the proposed method's design choices (§IV of the paper
+//! cited in `PAPER.md`):
 //!
 //! 1. **Rewiring candidate set** — `Ẽ \ E'` (proposed) vs `Ẽ` (Gjoka
 //!    style), holding everything else fixed: accuracy of `c̄(k)` and
 //!    rewiring time.
 //! 2. **`R_C` sweep** — rewiring budget vs clustering distance and time.
-//! 3. **Modification steps on/off** — skip Algorithms 2 and 4 (i.e. use
-//!    the Gjoka-style targets) but still embed the subgraph: isolates the
-//!    value of the subgraph-aware targets.
+//! 3. **Subgraph embedding on/off** — the full proposed pipeline vs the
+//!    Gjoka baseline, which runs with no subgraph at all (plain targets,
+//!    no embedding): isolates what the sampled subgraph buys.
 //!
 //! Output: three TSV sections, written to `out/ablation.tsv`.
 

@@ -269,8 +269,9 @@ pub fn analogue(ds: Dataset, scale: f64, seed: u64) -> Graph {
 pub struct Args {
     /// Independent runs to average (paper: 10; default here: 3).
     pub runs: usize,
-    /// Rewiring coefficient `R_C` (paper: 500; default here: 60 so the
-    /// whole suite fits a session — see EXPERIMENTS.md).
+    /// Rewiring coefficient `R_C` (paper: 500; default here: 60, which
+    /// keeps the whole suite short; pass `--rc 500` for the paper's
+    /// setting).
     pub rc: f64,
     /// Analogue size multiplier.
     pub scale: f64,

@@ -11,10 +11,10 @@
 //! | `table4` | Table IV — generation times at 10% (six datasets) |
 //! | `table5` | Table V — YouTube at 1% (L1 + times) |
 //! | `fig4`   | Fig. 4 — visual comparison SVGs (Anybeat) |
-//! | `ablation` | design-choice ablations (candidate set, RC sweep, modification steps) |
+//! | `ablation` | design-choice ablations (candidate set, RC sweep, subgraph embedding) |
 //!
-//! The shared machinery lives in [`harness`]. See `EXPERIMENTS.md` at the
-//! workspace root for paper-vs-measured results.
+//! The shared machinery lives in [`harness`]. The paper whose results
+//! these binaries reproduce is cited in `PAPER.md` at the workspace root.
 
 pub mod harness;
 

@@ -6,7 +6,8 @@
 //! table/figure suite runs in-session (the methods' *relative* behaviour —
 //! who wins, by what factor — is driven by heavy-tailed degrees, high
 //! clustering, and small diameter, all of which Holme–Kim reproduces).
-//! `paper_n` / `paper_m` record the original sizes for EXPERIMENTS.md.
+//! `paper_n` / `paper_m` record the original sizes from Table I of the
+//! paper (cited in `PAPER.md`).
 
 use crate::models::holme_kim;
 use sgr_graph::components::largest_component;
@@ -83,7 +84,7 @@ impl Dataset {
             // halved: at the analogue scale, a k̄ ≈ 42 graph would dominate
             // the whole suite's runtime while exercising the same code
             // paths. It remains by far the densest analogue, preserving
-            // its role in the comparison (documented in DESIGN.md §3).
+            // its role in the comparison.
             Dataset::Livemocha => AnalogueSpec::new(self, 104_103, 2_193_083, 4_000, 10, 0.15),
             Dataset::YouTube => AnalogueSpec::new(self, 1_134_890, 2_987_624, 20_000, 3, 0.20),
         }

@@ -7,8 +7,8 @@
 //! unavailable in this offline reproduction, so this crate provides both
 //! the classic generative models and **dataset analogues** — scaled
 //! Holme–Kim power-law-cluster graphs whose size, average degree, and
-//! clustering level mimic each dataset (see `DESIGN.md` §3 for the
-//! substitution rationale).
+//! clustering level mimic each dataset (the substitution rationale is in
+//! the [`analogues`] module docs).
 //!
 //! Generators:
 //! * [`erdos_renyi_gnm`] / [`erdos_renyi_gnp`] — uniform random graphs;

@@ -7,9 +7,7 @@
 //! *mean* of each estimator across walks must approach the true value far
 //! more tightly than any single walk does.
 
-use social_graph_restoration::estimate::{
-    estimate_average_degree, estimate_degree_distribution, estimate_jdd, estimate_num_nodes,
-};
+use social_graph_restoration::estimate::estimate_all;
 use social_graph_restoration::graph::Graph;
 use social_graph_restoration::props::local::LocalProperties;
 use social_graph_restoration::sample::{random_walk, AccessModel, Crawl};
@@ -58,7 +56,7 @@ fn average_degree_estimator_is_unbiased() {
     let mean: f64 = (0..walks)
         .map(|_| {
             let crawl = long_walk(&g, 2_000, &mut rng);
-            estimate_average_degree(&crawl).unwrap()
+            estimate_all(&crawl).unwrap().avg_degree_hat
         })
         .sum::<f64>()
         / walks as f64;
@@ -77,7 +75,7 @@ fn size_estimator_is_unbiased() {
     let mean: f64 = (0..walks)
         .map(|_| {
             let crawl = long_walk(&g, 3_000, &mut rng);
-            estimate_num_nodes(&crawl).unwrap()
+            estimate_all(&crawl).unwrap().n_hat
         })
         .sum::<f64>()
         / walks as f64;
@@ -96,7 +94,7 @@ fn degree_distribution_estimator_is_unbiased() {
     let mut mean = vec![0.0f64; truth.len()];
     for _ in 0..walks {
         let crawl = long_walk(&g, 2_000, &mut rng);
-        let est = estimate_degree_distribution(&crawl).unwrap();
+        let est = estimate_all(&crawl).unwrap().degree_dist;
         for (m, &e) in mean.iter_mut().zip(est.iter()) {
             *m += e / walks as f64;
         }
@@ -132,7 +130,7 @@ fn jdd_estimator_is_asymptotically_unbiased() {
     let mut mean: FxHashMap<(u32, u32), f64> = FxHashMap::default();
     for _ in 0..walks {
         let crawl = long_walk(&g, 3_000, &mut rng);
-        let est = estimate_jdd(&crawl).unwrap();
+        let est = estimate_all(&crawl).unwrap().jdd;
         for (&(k, k2), &p) in est.iter() {
             *mean.entry((k, k2)).or_insert(0.0) += p / walks as f64;
         }
@@ -163,7 +161,7 @@ fn clustering_estimator_tracks_truth() {
     let mut mean = vec![0.0f64; truth.len()];
     for _ in 0..walks {
         let crawl = long_walk(&g, 3_000, &mut rng);
-        let est = social_graph_restoration::estimate::estimate_clustering(&crawl).unwrap();
+        let est = estimate_all(&crawl).unwrap().clustering;
         for (m, &e) in mean.iter_mut().zip(est.iter()) {
             *m += e / walks as f64;
         }
