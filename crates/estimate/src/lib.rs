@@ -32,10 +32,6 @@
 //! estimator's collision count, the JDD's induced-edge (IE) tallies and
 //! the clustering estimator's `A(x_{i-1}, x_{i+1})` tests are then array
 //! reads; no estimator hashes a node id again.
-//!
-//! The JDD's IE and TE tallies accumulate per degree pair in hash maps,
-//! each key's contributions summed in walk order (ascending step, then
-//! neighbour order), so every value is a fixed function of the walk.
 
 use sgr_sample::Crawl;
 use sgr_util::{FxHashMap, FxHashSet};
@@ -319,7 +315,8 @@ fn degree_distribution(index: &WalkIndex) -> Vec<f64> {
 ///
 /// The IE and TE tallies accumulate per degree pair in hash maps, each
 /// key's contributions summed in walk order (ascending step, then
-/// neighbour order).
+/// neighbour order), so every value is a fixed function of the walk; the
+/// order in which keys enter a map does not matter.
 fn jdd(index: &WalkIndex, n_hat: f64, k_hat: f64) -> FxHashMap<(u32, u32), f64> {
     let r = index.len();
     let m = pair_gap(r);

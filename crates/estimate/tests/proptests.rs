@@ -1,6 +1,7 @@
 //! Property-based tests of the estimator layer: well-definedness and
-//! basic sanity on arbitrary connected graphs and walks. (Unbiasedness is
-//! tested by Monte-Carlo integration tests at the workspace level.)
+//! basic sanity on arbitrary connected graphs and walks, and the JDD
+//! against its §III-E formula. (Unbiasedness is tested by Monte-Carlo
+//! integration tests at the workspace level.)
 
 use std::collections::BTreeMap;
 
