@@ -39,8 +39,8 @@ use sgr_util::{FxHashMap, FxHashSet};
 /// Errors from the estimators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EstimateError {
-    /// The walk is too short for the requested estimator; carries the
-    /// minimum length required.
+    /// The walk is too short to estimate from; carries the minimum
+    /// length required.
     WalkTooShort { len: usize, need: usize },
 }
 
@@ -183,16 +183,6 @@ impl Estimates {
     /// `P̂(k)` with out-of-range degrees reading 0.
     pub fn degree_prob(&self, k: usize) -> f64 {
         self.degree_dist.get(k).copied().unwrap_or(0.0)
-    }
-
-    /// `P̂(k, k')` with missing entries reading 0.
-    pub fn jdd_prob(&self, k: u32, k2: u32) -> f64 {
-        self.jdd.get(&(k, k2)).copied().unwrap_or(0.0)
-    }
-
-    /// `ĉ̄(k)` with out-of-range degrees reading 0.
-    pub fn clustering_at(&self, k: usize) -> f64 {
-        self.clustering.get(k).copied().unwrap_or(0.0)
     }
 
     /// Maximum degree with positive `P̂(k)`.
@@ -495,11 +485,11 @@ mod tests {
         assert_eq!(est.max_degree(), 19);
         // ĉ̄(19) = (k/(k-1)) * P(no backtrack) in expectation = 1 exactly,
         // but each sample fluctuates with the backtrack count.
-        assert!((est.clustering_at(19) - 1.0).abs() < 0.05);
+        assert!((est.clustering[19] - 1.0).abs() < 0.05);
         // Collision estimator close to 20.
         assert!((est.n_hat - 20.0).abs() < 6.0, "n_hat = {}", est.n_hat);
         // JDD mass concentrates at (19, 19).
-        let p = est.jdd_prob(19, 19);
+        let p = est.jdd[&(19, 19)];
         assert!((p - 1.0).abs() < 0.4, "P(19,19) = {p}");
     }
 
@@ -644,7 +634,6 @@ mod tests {
         let crawl = walk_on(&g, 8, 11);
         let est = estimate_all(&crawl).unwrap();
         assert_eq!(est.degree_prob(1000), 0.0);
-        assert_eq!(est.jdd_prob(999, 999), 0.0);
-        assert_eq!(est.clustering_at(1000), 0.0);
+        assert_eq!(est.max_degree(), 7);
     }
 }
