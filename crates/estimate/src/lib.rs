@@ -577,16 +577,30 @@ mod tests {
 
     #[test]
     fn no_collision_fallback_counts_observed_nodes() {
-        // A 2-step walk on a path has no repeat visits at gap >= M; each
-        // walk counts its own observed nodes: two queried, two visible.
+        // A 2-step walk on a path has no repeat visits at gap >= M.
         let g = sgr_gen::classic::path(10);
-        for (a, b) in [(4u32, 5u32), (1, 2)] {
+        let mut crawl = Crawl::default();
+        for x in [4u32, 5] {
+            crawl.seq.push(x);
+            crawl.neighbors.insert(x, g.neighbors(x).to_vec());
+        }
+        let n_hat = num_nodes(&WalkIndex::build(&crawl), &crawl);
+        // Observed: 4, 5 queried; 3, 6 visible => 4 nodes.
+        assert_eq!(n_hat, 4.0);
+    }
+
+    #[test]
+    fn no_collision_fallback_reuses_observed_marks() {
+        // The observed-node fallback on two different short walks: each
+        // call counts its own walk's nodes and nothing of the other's.
+        let g = sgr_gen::classic::path(10);
+        for (a, b, expect) in [(4u32, 5u32, 4.0), (1, 2, 4.0)] {
             let mut crawl = Crawl::default();
             for x in [a, b] {
                 crawl.seq.push(x);
                 crawl.neighbors.insert(x, g.neighbors(x).to_vec());
             }
-            assert_eq!(num_nodes(&WalkIndex::build(&crawl), &crawl), 4.0);
+            assert_eq!(num_nodes(&WalkIndex::build(&crawl), &crawl), expect);
         }
     }
 
