@@ -283,11 +283,13 @@ pub fn resume(argv: &[String]) -> i32 {
 /// `sgr serve`.
 pub fn serve(argv: &[String]) -> i32 {
     const USAGE: &str = "sgr serve --dir DIR [--listen ADDR=127.0.0.1:7070] [--workers N=2]
-  [--memory-budget BYTES] [--max-frame-bytes BYTES] [--checkpoint-every N]
+  [--memory-budget BYTES] [--max-frame-bytes BYTES] [--checkpoint-every N=0]
   (--resume-dir DIR is an alias for --dir; either way the server re-adopts
    every non-terminal job found under the state root on startup, resuming
-   from each job's newest durable checkpoint. Runs until a shutdown
-   request arrives over the wire.)";
+   from each job's newest durable checkpoint. --checkpoint-every is the
+   mid-rewire cadence, in attempts, for jobs that set none; 0 sizes it per
+   job at 64 attempts per edge of the submitted graph. Runs until a
+   shutdown request arrives over the wire.)";
     run(
         argv,
         USAGE,
@@ -351,8 +353,9 @@ pub fn submit(argv: &[String]) -> i32 {
   (submits a crawl-and-restore job; the fetched result is byte-identical
    to `sgr restore` on the same inputs and seed. The job id is printed on
    stdout. The server refuses walks other than rw and nbrw: restoration
-   weighs a crawl by degree. --abort-after is a fault-injection hook:
-   simulate a crash after N checkpoints.)";
+   weighs a crawl by degree. --checkpoint-every 0 (the default) takes the
+   server's cadence. --abort-after is a fault-injection hook: simulate a
+   crash after N checkpoints.)";
     run(
         argv,
         USAGE,

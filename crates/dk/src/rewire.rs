@@ -901,23 +901,19 @@ impl RewireEngine {
 
     /// Appends the engine's resumable state (the graph, in canonical
     /// order) to a checkpoint payload; [`RewireState::decode`] reads it
-    /// back.
+    /// back. Everything is written straight from the engine's own
+    /// arrays, with no copy of the graph.
     pub fn encode_state(&self, w: &mut PayloadWriter) {
         let core = &self.core;
-        w.put_graph(&Graph::from_index(&core.idx));
+        w.put_index(&core.idx);
         w.put_pairs(&core.slots);
         let num_buckets = core.bucket_offs.len() - 1;
         w.put_u64(num_buckets as u64);
         for k in 0..num_buckets {
-            let packed: Vec<u64> = core
-                .bucket(k)
-                .iter()
-                .map(|&entry| {
-                    let (slot, side) = unpack_entry(entry);
-                    ((slot as u64) << 32) | side as u64
-                })
-                .collect();
-            w.put_u64_slice(&packed);
+            w.put_u64_iter(core.bucket(k).iter().map(|&entry| {
+                let (slot, side) = unpack_entry(entry);
+                ((slot as u64) << 32) | side as u64
+            }));
         }
     }
 
@@ -1320,6 +1316,74 @@ mod tests {
         let state = RewireState::decode(&mut r).unwrap();
         r.finish().unwrap();
         state
+    }
+
+    /// A mid-rewire state as it was written before `encode_state` wrote
+    /// from the index directly, kept as its byte oracle: the graph built
+    /// with `Graph::from_index`, its degree and neighbour slices, the
+    /// flat slot pairs and each bucket's packed entries collected into
+    /// vectors, each slice written one element at a time.
+    fn encode_state_oracle(eng: &RewireEngine) -> Vec<u8> {
+        fn put_u32s(w: &mut PayloadWriter, vs: &[u32]) {
+            w.put_u64(vs.len() as u64);
+            for &v in vs {
+                w.put_u32(v);
+            }
+        }
+        let core = &eng.core;
+        let g = Graph::from_index(&core.idx);
+        let degrees: Vec<u32> = g.nodes().map(|u| g.neighbors(u).len() as u32).collect();
+        let flat: Vec<u32> = g.nodes().flat_map(|u| g.neighbors(u).to_vec()).collect();
+        let pairs: Vec<u32> = core.slots.iter().flat_map(|&(u, v)| [u, v]).collect();
+        let mut w = PayloadWriter::new();
+        put_u32s(&mut w, &degrees);
+        put_u32s(&mut w, &flat);
+        put_u32s(&mut w, &pairs);
+        let num_buckets = core.bucket_offs.len() - 1;
+        w.put_u64(num_buckets as u64);
+        for k in 0..num_buckets {
+            let packed: Vec<u64> = core
+                .bucket(k)
+                .iter()
+                .map(|&entry| {
+                    let (slot, side) = unpack_entry(entry);
+                    ((slot as u64) << 32) | side as u64
+                })
+                .collect();
+            w.put_u64(packed.len() as u64);
+            for p in packed {
+                w.put_u64(p);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// `encode_state` writes the oracle's bytes before any swap and after
+    /// rounds of accepted ones, on graphs with loops, multi-edges, hubs
+    /// and protected edges.
+    #[test]
+    fn encode_state_writes_the_oracle_bytes() {
+        let mut graphs = recount_graphs();
+        graphs.push(social(30));
+        let mut accepted = 0;
+        for (gi, g) in graphs.into_iter().enumerate() {
+            let loops = g.nodes().filter(|&u| g.neighbors(u).contains(&u)).count();
+            // Every other edge is a candidate; the rest are protected.
+            let edges: Vec<_> = g.edges().step_by(1 + gi % 2).collect();
+            let target = vec![0.0; g.max_degree() + 1];
+            let mut eng = RewireEngine::new(g, edges, &target);
+            let mut rng = Xoshiro256pp::seed_from_u64(31 + gi as u64);
+            for round in 0..4 {
+                let mut w = PayloadWriter::new();
+                eng.encode_state(&mut w);
+                assert!(
+                    w.into_bytes() == encode_state_oracle(&eng),
+                    "graph {gi} (with {loops} looped nodes), round {round}"
+                );
+                accepted += eng.run_attempts(3_000, &mut rng).accepted;
+            }
+        }
+        assert!(accepted > 100, "only {accepted} swaps accepted");
     }
 
     /// Resuming an engine from its encoded state mid-run — graph

@@ -79,6 +79,7 @@
 //! [`KIND_RESTORE_CHECKPOINT`]) on the same primitives; see
 //! `sgr_core::checkpoint`.
 
+use crate::index::MultiplicityIndex;
 use crate::{CsrGraph, Graph, NodeId};
 use std::io::Write;
 use std::path::Path;
@@ -427,28 +428,45 @@ impl PayloadWriter {
         self.put_u64(v as u64);
     }
 
+    /// Appends the length prefix `len`, then the `len` fixed-width words
+    /// `words` yields. The buffer grows once and the new tail is filled
+    /// in one pass.
+    ///
+    /// # Panics
+    /// Panics if `words` does not yield exactly `len` words: the prefix
+    /// would misdescribe the bytes after it.
+    fn put_words<const W: usize>(&mut self, len: usize, words: impl Iterator<Item = [u8; W]>) {
+        self.put_u64(len as u64);
+        let end = self.buf.len() + W * len;
+        self.buf.reserve(W * len);
+        self.buf.extend(words.flatten());
+        assert_eq!(self.buf.len(), end, "slice length prefix {len} is wrong");
+    }
+
     /// Appends a length-prefixed `u32` slice.
     pub fn put_u32_slice(&mut self, vs: &[u32]) {
-        self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
+        self.put_words(vs.len(), vs.iter().map(|v| v.to_le_bytes()));
     }
 
     /// Appends a length-prefixed `u64` slice.
     pub fn put_u64_slice(&mut self, vs: &[u64]) {
-        self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
+        self.put_u64_iter(vs.iter().copied());
+    }
+
+    /// Appends a length-prefixed `u64` slice from an iterator, without
+    /// collecting it first; reads back with [`PayloadReader::get_u64_slice`].
+    pub fn put_u64_iter<I>(&mut self, vs: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let vs = vs.into_iter();
+        self.put_words(vs.len(), vs.map(u64::to_le_bytes));
     }
 
     /// Appends a length-prefixed `f64` slice (bit patterns).
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
-        self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        self.put_u64_iter(vs.iter().map(|v| v.to_bits()));
     }
 
     /// Appends a length-prefixed raw byte blob.
@@ -466,26 +484,55 @@ impl PayloadWriter {
     /// then one neighbor slice in node order — the arena layout, so
     /// [`PayloadReader::get_graph`] adopts it without re-sorting.
     pub fn put_graph(&mut self, g: &Graph) {
-        let n = g.num_nodes();
-        let mut degrees: Vec<u32> = Vec::with_capacity(n);
-        let mut flat: Vec<u32> = Vec::with_capacity(2 * g.num_edges());
+        let n = g.num_nodes() as NodeId;
+        let mut total = 0;
+        self.put_words(
+            n as usize,
+            (0..n).map(|u| {
+                let d = g.neighbors(u).len();
+                total += d;
+                (d as u32).to_le_bytes()
+            }),
+        );
+        self.put_u64(total as u64);
+        self.buf.reserve(4 * total);
         for u in 0..n {
-            let nbrs = g.neighbors(u as NodeId);
-            degrees.push(nbrs.len() as u32);
-            flat.extend_from_slice(nbrs);
+            for v in g.neighbors(u) {
+                self.buf.extend_from_slice(&v.to_le_bytes());
+            }
         }
-        self.put_u32_slice(&degrees);
-        self.put_u32_slice(&flat);
+    }
+
+    /// Appends the multigraph `idx` holds exactly as
+    /// [`put_graph`](Self::put_graph) writes [`Graph::from_index`] of it
+    /// (every list ascending, a neighbor repeated once per parallel edge
+    /// and twice per loop), without building that graph.
+    pub fn put_index(&mut self, idx: &MultiplicityIndex) {
+        let n = idx.num_nodes() as NodeId;
+        let mut total = 0;
+        self.put_words(
+            n as usize,
+            (0..n).map(|u| {
+                let d: u32 = idx.entries(u).map(|(_, a)| a).sum();
+                total += d as usize;
+                d.to_le_bytes()
+            }),
+        );
+        self.put_u64(total as u64);
+        self.buf.reserve(4 * total);
+        for u in 0..n {
+            for (v, a) in idx.entries(u) {
+                for _ in 0..a {
+                    self.buf.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
     }
 
     /// Appends node pairs as one flat `u32` slice `u0, v0, u1, v1, …`.
     pub fn put_pairs(&mut self, pairs: &[(NodeId, NodeId)]) {
-        let mut flat: Vec<u32> = Vec::with_capacity(2 * pairs.len());
-        for &(u, v) in pairs {
-            flat.push(u);
-            flat.push(v);
-        }
-        self.put_u32_slice(&flat);
+        let flat = pairs.iter().flat_map(|&(u, v)| [u, v]);
+        self.put_words(2 * pairs.len(), flat.map(u32::to_le_bytes));
     }
 }
 
@@ -920,6 +967,108 @@ mod tests {
         assert!(r.get_u64_slice().unwrap().is_empty());
         assert_eq!(r.get_f64_slice().unwrap(), vec![1.5, f64::INFINITY]);
         r.finish().unwrap();
+    }
+
+    /// The element-at-a-time writers the grow-once slice writers and the
+    /// direct graph and index writes replaced, kept as their byte oracle:
+    /// a length prefix, then one scalar write per element, from collected
+    /// vectors.
+    mod oracle {
+        use super::*;
+
+        pub fn u32_slice(w: &mut PayloadWriter, vs: &[u32]) {
+            w.put_u64(vs.len() as u64);
+            for &v in vs {
+                w.put_u32(v);
+            }
+        }
+
+        pub fn u64_slice(w: &mut PayloadWriter, vs: &[u64]) {
+            w.put_u64(vs.len() as u64);
+            for &v in vs {
+                w.put_u64(v);
+            }
+        }
+
+        pub fn graph(w: &mut PayloadWriter, g: &Graph) {
+            let degrees: Vec<u32> = g.nodes().map(|u| g.neighbors(u).len() as u32).collect();
+            let flat: Vec<u32> = g.nodes().flat_map(|u| g.neighbors(u).to_vec()).collect();
+            u32_slice(w, &degrees);
+            u32_slice(w, &flat);
+        }
+    }
+
+    /// A small multigraph on `n` nodes from raw pairs (loops and parallel
+    /// edges included), neighbor lists in insertion order.
+    fn multigraph(n: usize, pairs: &[(NodeId, NodeId)]) -> Graph {
+        let mut g = Graph::with_nodes(n);
+        for &(u, v) in pairs {
+            g.add_edge(u % n as NodeId, v % n as NodeId);
+        }
+        g
+    }
+
+    proptest::proptest! {
+        /// Every slice writer, after a prefix of any length, writes the
+        /// bytes of the element-at-a-time oracle.
+        #[test]
+        fn slice_writers_match_the_element_at_a_time_oracle(
+            head in proptest::collection::vec(0u8..=u8::MAX, 0..9),
+            a in proptest::collection::vec(0u32..=u32::MAX, 0..200),
+            b in proptest::collection::vec(0u64..=u64::MAX, 0..200),
+            pairs in proptest::collection::vec((0u32..=u32::MAX, 0u32..=u32::MAX), 0..100),
+        ) {
+            // `b` doubles as f64 bit patterns: NaN payloads, signed zeros,
+            // subnormals and infinities all occur.
+            let floats: Vec<f64> = b.iter().map(|&x| f64::from_bits(x)).collect();
+            let mut fast = PayloadWriter::new();
+            let mut each = PayloadWriter::new();
+            fast.buf.extend_from_slice(&head);
+            each.buf.extend_from_slice(&head);
+
+            fast.put_u32_slice(&a);
+            fast.put_u64_slice(&b);
+            fast.put_f64_slice(&floats);
+            fast.put_u64_iter(b.iter().rev().copied());
+            fast.put_pairs(&pairs);
+
+            oracle::u32_slice(&mut each, &a);
+            oracle::u64_slice(&mut each, &b);
+            oracle::u64_slice(&mut each, &b);
+            let reversed: Vec<u64> = b.iter().rev().copied().collect();
+            oracle::u64_slice(&mut each, &reversed);
+            let flat: Vec<u32> = pairs.iter().flat_map(|&(u, v)| [u, v]).collect();
+            oracle::u32_slice(&mut each, &flat);
+            proptest::prop_assert_eq!(fast.into_bytes(), each.into_bytes());
+        }
+
+        /// `put_graph` writes the oracle's bytes in list order, and
+        /// `put_index` writes the oracle's bytes of `Graph::from_index`,
+        /// on multigraphs with loops, parallel edges and isolated nodes.
+        #[test]
+        fn graph_and_index_writers_match_the_oracle(
+            n in 1usize..40,
+            pairs in proptest::collection::vec((0u32..64, 0u32..64), 0..150),
+        ) {
+            let g = multigraph(n, &pairs);
+            let mut fast = PayloadWriter::new();
+            let mut each = PayloadWriter::new();
+            fast.put_graph(&g);
+            oracle::graph(&mut each, &g);
+            let idx = MultiplicityIndex::build(&g);
+            fast.put_index(&idx);
+            oracle::graph(&mut each, &Graph::from_index(&idx));
+            proptest::prop_assert_eq!(fast.into_bytes(), each.into_bytes());
+        }
+    }
+
+    #[test]
+    fn a_short_iterator_is_refused() {
+        let result = std::panic::catch_unwind(|| {
+            let mut w = PayloadWriter::new();
+            w.put_words(3, [[0u8; 4]; 2].into_iter());
+        });
+        assert!(result.is_err(), "a prefix of 3 over 2 words was written");
     }
 
     #[test]

@@ -41,21 +41,34 @@ use sgr_graph::SnapshotError;
 use sgr_sample::{CrawlSpec, WalkKind};
 
 use crate::protocol::{JobState, JobStatus, SubmitRequest};
+use crate::server::sized_checkpoint_every;
 
-/// A validated job submission: the wire request with the server's
-/// default cadence filled in. Persisted as the request's own encoding,
+/// A validated job submission: the wire request with its checkpoint
+/// cadence filled in (the server's default, or one sized for the
+/// submitted graph). Persisted as the request's own encoding,
 /// so `spec.sgrjob` holds exactly a [`SubmitRequest`] payload.
 #[derive(Clone, Debug)]
 pub struct JobSpec(SubmitRequest);
 
 impl JobSpec {
     /// Validates a wire submission. `default_every` fills
-    /// `checkpoint_every == 0`.
+    /// `checkpoint_every == 0`; a `default_every` of 0 leaves it for
+    /// [`sized_for`](Self::sized_for).
     pub fn from_request(mut req: SubmitRequest, default_every: u64) -> Result<Self, String> {
         if req.checkpoint_every == 0 {
             req.checkpoint_every = default_every;
         }
         Self::validate(req)
+    }
+
+    /// Fills a `checkpoint_every` still 0 with the cadence sized for a
+    /// submitted graph of `edges` edges
+    /// ([`sized_checkpoint_every`]); a set cadence is kept.
+    pub fn sized_for(mut self, edges: usize) -> Self {
+        if self.0.checkpoint_every == 0 {
+            self.0.checkpoint_every = sized_checkpoint_every(edges);
+        }
+        self
     }
 
     /// Checks what the request's types cannot: a known walk code, counts
@@ -422,6 +435,19 @@ mod tests {
             ..req
         };
         assert!(JobSpec::from_request(nan_rc, 1).is_err());
+    }
+
+    #[test]
+    fn sized_for_fills_only_an_unset_cadence() {
+        let unset = SubmitRequest {
+            checkpoint_every: 0,
+            ..spec().0
+        };
+        let sized = JobSpec::from_request(unset.clone(), 0).unwrap();
+        assert_eq!(sized.sized_for(10).checkpoint_every, 640);
+        let server_default = JobSpec::from_request(unset, 9000).unwrap();
+        assert_eq!(server_default.sized_for(10).checkpoint_every, 9000);
+        assert_eq!(spec().sized_for(10).checkpoint_every, 1000);
     }
 
     #[test]

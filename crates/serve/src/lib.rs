@@ -55,7 +55,11 @@
 //! 1. `spec.sgrjob` is durable *before* the client receives the job id:
 //!    an acknowledged submission survives any subsequent crash.
 //! 2. Checkpoints accumulate under `ckpt/` as the pipeline runs (stage
-//!    boundaries + every `checkpoint_every` rewiring attempts).
+//!    boundaries + every `checkpoint_every` rewiring attempts). A job
+//!    whose request and server set no cadence gets one sized at admission
+//!    from its graph, 64 attempts per edge
+//!    ([`server::sized_checkpoint_every`]), so checkpoints stay a small
+//!    share of rewiring at every graph size; the spec records the number.
 //! 3. `result.sgrsnap` is written before `status.sgrjob`: a durable
 //!    `Completed` always implies a fetchable result.
 //! 4. `status.sgrjob` records *terminal* outcomes only. Its absence

@@ -451,6 +451,84 @@ fn unparsable_edge_list_fails_the_job_with_an_edge_list_error() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// The checkpoint files a finished job left under its state directory,
+/// by stage name.
+fn checkpoint_stages(root: &std::path::Path, id: u64) -> Vec<String> {
+    let dir = sgr_serve::job::ckpt_dir(&sgr_serve::job::job_dir(root, id));
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+        .iter()
+        .map(|n| n.trim_end_matches(".sgrsnap")[10..].to_string())
+        .collect()
+}
+
+/// A job that sets no checkpoint cadence on a server that sets none gets
+/// 64 attempts per edge of its graph, persisted in its spec: at a small
+/// R_C that is more than the whole rewiring, so it writes only the three
+/// stage-boundary checkpoints. A cadence in the request wins, and so
+/// does a positive server default; both checkpoint mid-rewire.
+#[test]
+fn unset_checkpoint_cadence_is_sized_by_the_graph() {
+    let bytes = graph_bytes();
+    let (g, _) = read_edge_list(Cursor::new(&bytes[..])).unwrap();
+    let sized = 64 * g.num_edges() as u64;
+    let unset = SubmitRequest {
+        checkpoint_every: 0,
+        ..submit_req(7, "tenant-a", 0)
+    };
+    let stage_only = ["estimated", "targeted", "constructed"];
+
+    let root = state_root("sized-cadence");
+    let cfg = serve_cfg(root.clone());
+    assert_eq!(cfg.default_checkpoint_every, 0, "sizing is not the default");
+    let handle = sgr_serve::start(cfg).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let id = client.submit(&unset).unwrap();
+    let done = wait_for(&mut client, id, JobState::Completed);
+    assert!(
+        done.attempts_total < sized,
+        "the rewiring outlasts one cadence"
+    );
+    let spec = sgr_serve::JobSpec::load(&sgr_serve::job::job_dir(&root, id)).unwrap();
+    assert_eq!(spec.checkpoint_every, sized);
+    assert_eq!(done.checkpoints, 3);
+    assert_eq!(checkpoint_stages(&root, id), stage_only);
+    assert_eq!(client.fetch(id).unwrap(), local_restore_bytes(&unset));
+
+    // A cadence in the request wins over the sized one.
+    let id = client.submit(&submit_req(7, "tenant-a", 0)).unwrap();
+    let done = wait_for(&mut client, id, JobState::Completed);
+    let spec = sgr_serve::JobSpec::load(&sgr_serve::job::job_dir(&root, id)).unwrap();
+    assert_eq!(spec.checkpoint_every, 500);
+    assert!(done.checkpoints > 3);
+    assert!(checkpoint_stages(&root, id).contains(&"rewiring".to_string()));
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+
+    // So does a positive server default.
+    let root = state_root("fixed-cadence");
+    let handle = sgr_serve::start(ServeConfig {
+        default_checkpoint_every: 700,
+        ..serve_cfg(root.clone())
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let id = client.submit(&unset).unwrap();
+    let done = wait_for(&mut client, id, JobState::Completed);
+    let spec = sgr_serve::JobSpec::load(&sgr_serve::job::job_dir(&root, id)).unwrap();
+    assert_eq!(spec.checkpoint_every, 700);
+    assert!(done.checkpoints > 3);
+    assert!(checkpoint_stages(&root, id).contains(&"rewiring".to_string()));
+    client.shutdown_server().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// Restoration weighs a crawl by degree, which is valid only for walks
 /// whose stationary distribution is proportional to degree. Admission
 /// refuses every other design with `ERR_REJECTED` before any crawl, and
