@@ -58,7 +58,7 @@
 //!    boundaries + every `checkpoint_every` rewiring attempts). A job
 //!    whose request and server set no cadence gets one sized at admission
 //!    from its graph, 64 attempts per edge
-//!    ([`server::sized_checkpoint_every`]), so checkpoints stay a small
+//!    ([`job::sized_checkpoint_every`]), so checkpoints stay a small
 //!    share of rewiring at every graph size; the spec records the number.
 //! 3. `result.sgrsnap` is written before `status.sgrjob`: a durable
 //!    `Completed` always implies a fetchable result.

@@ -78,9 +78,10 @@ pub struct ServeConfig {
     /// Aggregate memory-estimate budget for queued + running jobs.
     pub memory_budget: u64,
     /// `checkpoint_every` for jobs that don't set their own. `0` (the
-    /// default) sizes it per job: [`sized_checkpoint_every`] of the
-    /// submitted graph's edge count. A positive value is a fixed cadence
-    /// for every job.
+    /// default) sizes it per job:
+    /// [`sized_checkpoint_every`](crate::job::sized_checkpoint_every) of
+    /// the submitted graph's edge count. A positive value is a fixed
+    /// cadence for every job.
     pub default_checkpoint_every: u64,
 }
 
@@ -113,26 +114,6 @@ impl Default for ServeConfig {
 /// 52 MB edge list (4M edges) estimates to 1.07 GB.
 pub fn estimate_job_bytes(blob_len: usize, nodes: usize, edges: usize) -> u64 {
     4 * blob_len as u64 + 96 * nodes as u64 + 192 * edges as u64
-}
-
-/// Rewiring attempts per edge of the submitted graph between two
-/// mid-rewire checkpoints of a job whose cadence is sized per job.
-///
-/// A checkpoint costs 31–37 bytes and 0.11–0.13 µs per edge (measured at
-/// 20k and 1M nodes) and an attempt at least 0.29 µs, so 64 attempts per
-/// edge keep checkpoint time under ~1% of rewiring at every size; a job
-/// at the paper's R_C = 500 writes about 6 mid-rewire checkpoints.
-pub const CHECKPOINT_ATTEMPTS_PER_EDGE: u64 = 64;
-
-/// The mid-rewire checkpoint cadence of a job on a graph of `edges`
-/// edges when neither the request nor the server sets one:
-/// [`CHECKPOINT_ATTEMPTS_PER_EDGE`] attempts per edge, never 0 (which
-/// would mean no mid-rewire checkpoints) and saturating instead of
-/// overflowing.
-pub fn sized_checkpoint_every(edges: usize) -> u64 {
-    (edges as u64)
-        .saturating_mul(CHECKPOINT_ATTEMPTS_PER_EDGE)
-        .max(1)
 }
 
 /// Parses `spec`'s edge list, returning the graph with the job's
@@ -520,9 +501,9 @@ fn handle_request(
 /// Validates and admits a submission; on success the spec is durable on
 /// disk and the job is queued with the graph its edge list parses to. A
 /// cadence neither the request nor the server sets is sized from that
-/// graph ([`sized_checkpoint_every`]) and persisted in the spec. The id
-/// is allocated (and `next_id` advanced) only after validation passes,
-/// so rejected submissions leave no trace.
+/// graph ([`JobSpec::sized_for`]) and persisted in the spec. The id is
+/// allocated (and `next_id` advanced) only after validation passes, so
+/// rejected submissions leave no trace.
 fn admit(shared: &Arc<Shared>, payload: &[u8]) -> Result<u64, (u32, String)> {
     let req = SubmitRequest::decode(payload).map_err(|e| (ERR_MALFORMED, e.to_string()))?;
     let spec = JobSpec::from_request(req, shared.cfg.default_checkpoint_every)
@@ -955,20 +936,6 @@ mod tests {
         client.shutdown_server().unwrap();
         handle.join();
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sized_cadence_is_64_attempts_per_edge_never_0_and_saturates() {
-        assert_eq!(sized_checkpoint_every(0), 1);
-        assert_eq!(sized_checkpoint_every(1), 64);
-        assert_eq!(sized_checkpoint_every(80_000), 5_120_000);
-        let largest_exact = u64::MAX / 64;
-        if let Ok(edges) = usize::try_from(largest_exact) {
-            assert_eq!(sized_checkpoint_every(edges), largest_exact * 64);
-        }
-        if let Ok(edges) = usize::try_from(largest_exact + 1) {
-            assert_eq!(sized_checkpoint_every(edges), u64::MAX);
-        }
     }
 
     #[test]
