@@ -1,5 +1,6 @@
 //! Shared experiment machinery: the six compared methods, the evaluation
-//! loop, and a tiny CLI-argument parser for the experiment binaries.
+//! loop, and the hidden-graph cache and checkpoint round trip the bench
+//! binaries share.
 
 use sgr_core::{gjoka, restore, RestoreConfig};
 use sgr_gen::Dataset;
@@ -117,47 +118,25 @@ pub fn run_all_methods(
     };
     let mut out = Vec::with_capacity(6);
 
-    // --- BFS subgraph sampling.
-    let t = std::time::Instant::now();
-    let crawl = {
+    // Subgraph sampling: BFS, snowball (k = 50) and forest fire
+    // (p_f = 0.7), each crawling from the shared seed node.
+    for method in [Method::Bfs, Method::Snowball, Method::ForestFire] {
+        let t = std::time::Instant::now();
         let mut am = AccessModel::new(g);
-        bfs(&mut am, seed_node, target)
-    };
-    let sg = crawl.subgraph();
-    out.push(MethodOutput::new(
-        Method::Bfs,
-        sg.graph,
-        t.elapsed().as_secs_f64(),
-        0.0,
-    ));
-
-    // --- Snowball subgraph sampling (k = 50).
-    let t = std::time::Instant::now();
-    let crawl = {
-        let mut am = AccessModel::new(g);
-        snowball(&mut am, seed_node, 50, target, rng)
-    };
-    let sg = crawl.subgraph();
-    out.push(MethodOutput::new(
-        Method::Snowball,
-        sg.graph,
-        t.elapsed().as_secs_f64(),
-        0.0,
-    ));
-
-    // --- Forest fire subgraph sampling (p_f = 0.7).
-    let t = std::time::Instant::now();
-    let crawl = {
-        let mut am = AccessModel::new(g);
-        forest_fire(&mut am, seed_node, 0.7, target, rng)
-    };
-    let sg = crawl.subgraph();
-    out.push(MethodOutput::new(
-        Method::ForestFire,
-        sg.graph,
-        t.elapsed().as_secs_f64(),
-        0.0,
-    ));
+        let crawl = match method {
+            Method::Bfs => bfs(&mut am, seed_node, target),
+            Method::Snowball => snowball(&mut am, seed_node, 50, target, rng),
+            Method::ForestFire => forest_fire(&mut am, seed_node, 0.7, target, rng),
+            _ => unreachable!("{method:?} is not a subgraph crawler"),
+        };
+        let graph = crawl.subgraph().graph;
+        out.push(MethodOutput::new(
+            method,
+            graph,
+            t.elapsed().as_secs_f64(),
+            0.0,
+        ));
+    }
 
     // --- One random walk shared by RW / Gjoka / Proposed (§V-D: "we
     // perform these methods for the same RW to achieve a fair
@@ -261,92 +240,6 @@ pub fn average_runs(runs: &[Vec<RunResult>]) -> Vec<RunResult> {
 pub fn analogue(ds: Dataset, scale: f64, seed: u64) -> Graph {
     let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xda7a);
     ds.spec().scaled(scale).generate(&mut rng)
-}
-
-/// CLI arguments shared by the experiment binaries. Hand-rolled parser —
-/// the binaries take only `--key value` pairs.
-#[derive(Clone, Debug)]
-pub struct Args {
-    /// Independent runs to average (paper: 10; default here: 3).
-    pub runs: usize,
-    /// Rewiring coefficient `R_C` (paper: 500; default here: 60, which
-    /// keeps the whole suite short; pass `--rc 500` for the paper's
-    /// setting).
-    pub rc: f64,
-    /// Analogue size multiplier.
-    pub scale: f64,
-    /// Output directory for TSV/SVG artifacts.
-    pub out_dir: std::path::PathBuf,
-    /// Base seed.
-    pub seed: u64,
-    /// Exact-computation node threshold for properties.
-    pub exact_threshold: usize,
-    /// Pivot count for sampled shortest paths / betweenness.
-    pub pivots: usize,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            runs: 3,
-            rc: 60.0,
-            scale: 1.0,
-            out_dir: std::path::PathBuf::from("out"),
-            seed: 20220512,
-            exact_threshold: 2_000,
-            pivots: 384,
-        }
-    }
-}
-
-impl Args {
-    /// Parses `--runs N --rc X --scale X --out DIR --seed N
-    /// --exact-threshold N --pivots N` from `std::env::args`.
-    ///
-    /// # Panics
-    /// Panics with a usage message on malformed input.
-    pub fn parse() -> Self {
-        let mut args = Self::default();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i].as_str();
-            let val = argv
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("missing value for {key}"));
-            match key {
-                "--runs" => args.runs = val.parse().expect("--runs expects an integer"),
-                "--rc" => args.rc = val.parse().expect("--rc expects a number"),
-                "--scale" => args.scale = val.parse().expect("--scale expects a number"),
-                "--out" => args.out_dir = val.into(),
-                "--seed" => args.seed = val.parse().expect("--seed expects an integer"),
-                "--exact-threshold" => {
-                    args.exact_threshold =
-                        val.parse().expect("--exact-threshold expects an integer")
-                }
-                "--pivots" => args.pivots = val.parse().expect("--pivots expects an integer"),
-                other => panic!("unknown argument {other}"),
-            }
-            i += 2;
-        }
-        args
-    }
-
-    /// The properties configuration implied by these arguments.
-    pub fn props_cfg(&self) -> PropsConfig {
-        PropsConfig {
-            exact_threshold: self.exact_threshold,
-            num_pivots: self.pivots,
-            threads: 0,
-            seed: self.seed ^ 0x9999,
-        }
-    }
-
-    /// Ensures the output directory exists and returns it.
-    pub fn ensure_out_dir(&self) -> &std::path::Path {
-        std::fs::create_dir_all(&self.out_dir).expect("cannot create output directory");
-        &self.out_dir
-    }
 }
 
 /// Times one checkpoint round trip of a frozen graph through the on-disk

@@ -301,7 +301,8 @@ fn degree_distribution(index: &WalkIndex) -> Vec<f64> {
 /// from the walk's `n̂` and `k̄̂`: induced edges (IE) for high-degree
 /// pairs (`k + k' ≥ 2 k̄̂`), traversed edges (TE) otherwise. IE pairs use
 /// the same gap threshold `M` as the size estimator. The returned map is
-/// symmetric.
+/// symmetric bit for bit: the IE pass meets every step pair from both
+/// ends and sums whole counts, and TE adds to both orientations.
 ///
 /// The IE and TE tallies accumulate per degree pair in hash maps, each
 /// key's contributions summed in walk order (ascending step, then
@@ -346,7 +347,6 @@ fn jdd(index: &WalkIndex, n_hat: f64, k_hat: f64) -> FxHashMap<(u32, u32), f64> 
             out.insert((k, k2), p);
         }
     }
-    symmetrize(&mut out);
     out
 }
 
@@ -368,21 +368,6 @@ fn for_each_induced_count(index: &WalkIndex, m: usize, mut f: impl FnMut(u32, u3
             if cnt > 0.0 {
                 f(k, index.deg[u as usize], cnt);
             }
-        }
-    }
-}
-
-/// Enforces JDD symmetry (IE accumulation is symmetric in expectation
-/// but not per-sample; average the two orientations).
-fn symmetrize(out: &mut FxHashMap<(u32, u32), f64>) {
-    let keys: Vec<(u32, u32)> = out.keys().copied().collect();
-    for (k, k2) in keys {
-        if k < k2 {
-            let a = out.get(&(k, k2)).copied().unwrap_or(0.0);
-            let b = out.get(&(k2, k)).copied().unwrap_or(0.0);
-            let avg = (a + b) / 2.0;
-            out.insert((k, k2), avg);
-            out.insert((k2, k), avg);
         }
     }
 }
@@ -538,8 +523,9 @@ mod tests {
         for (&(k, k2), &p) in jdd.iter() {
             assert!(p > 0.0);
             let mirror = jdd.get(&(k2, k)).copied().unwrap_or(-1.0);
-            assert!(
-                (p - mirror).abs() < 1e-12,
+            assert_eq!(
+                p.to_bits(),
+                mirror.to_bits(),
                 "asymmetric entry ({k},{k2}): {p} vs {mirror}"
             );
         }
